@@ -5,7 +5,7 @@ use rand::{Rng, SeedableRng};
 use vine_dag::rewrite::add_tree_reduce;
 use vine_dag::{ReadyTracker, TaskGraph, TaskKind};
 use vine_data::{EventGenerator, Hist1D};
-use vine_net::fairshare::{max_min_fair, FlowSpec};
+use vine_net::fairshare::{max_min_fair, max_min_fair_into, FairScratch, FlowSpec};
 use vine_simcore::{EventQueue, SimTime};
 use vine_storage::{CacheEntryKind, CacheName, LocalCache};
 
@@ -54,6 +54,44 @@ fn bench_fairshare(c: &mut Criterion) {
     let peer_caps = vec![1.25e9; 400];
     c.bench_function("fairshare/peer_pairs_200", |b| {
         b.iter(|| black_box(max_min_fair(black_box(&peer_flows), black_box(&peer_caps))))
+    });
+
+    // Campus shape, as the fabric solves it on every flow start and
+    // finish: a shared-FS endpoint (node 0) plus 1200 workers, 2402 links
+    // in all, of which only the ~900 flows' endpoints are loaded. Peer
+    // flows run uncapped; shared-FS reads carry a per-stream cap.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+    let workers = 1200;
+    let mut campus_caps = vec![12.5e9, 12.5e9];
+    campus_caps.extend(std::iter::repeat_n(1.25e9, 2 * workers));
+    let campus_flows: Vec<FlowSpec> = (0..900)
+        .map(|i| {
+            let dst = rng.gen_range(1..=workers);
+            let (src, rate_cap) = if i % 3 == 0 {
+                (0, 60e6)
+            } else {
+                let src = rng.gen_range(1..workers);
+                (if src >= dst { src + 1 } else { src }, f64::INFINITY)
+            };
+            FlowSpec {
+                egress_link: 2 * src,
+                ingress_link: 2 * dst + 1,
+                rate_cap,
+            }
+        })
+        .collect();
+    let mut rate = Vec::new();
+    let mut scratch = FairScratch::default();
+    c.bench_function("fairshare/campus_1200", |b| {
+        b.iter(|| {
+            max_min_fair_into(
+                black_box(&campus_flows),
+                black_box(&campus_caps),
+                &mut rate,
+                &mut scratch,
+            );
+            black_box(rate[0])
+        })
     });
 }
 

@@ -17,7 +17,7 @@
 
 use vine_simcore::{SimDur, SimTime};
 
-use crate::fairshare::{max_min_fair_into, FairScratch, FlowSpec};
+use crate::fairshare::{max_min_fair_into, FairScratch, FlowSpec, SolveWork};
 
 /// Identifies a node (endpoint) attached to the fabric.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -55,8 +55,9 @@ struct Flow {
 
 /// A star-topology fabric with per-node egress/ingress access links.
 pub struct Fabric {
-    /// (egress capacity, ingress capacity) per node, bytes/second.
-    links: Vec<(f64, f64)>,
+    /// Access-link capacities, bytes/second, in the solver's layout:
+    /// node i's egress link is 2i, its ingress link 2i + 1.
+    link_capacity: Vec<f64>,
     /// Active flows in ascending-id order. Ids are handed out
     /// monotonically, so inserts are appends and the order — which fixes
     /// float-summation and tie-break behaviour — matches the ordered map
@@ -69,7 +70,6 @@ pub struct Fabric {
     recomputes: u64,
     /// Reusable buffers for `recompute_rates`, which runs on every
     /// flow-set change and dominated allocation in the hot path.
-    cap_scratch: Vec<f64>,
     spec_scratch: Vec<FlowSpec>,
     rate_scratch: Vec<f64>,
     fair_scratch: FairScratch,
@@ -79,12 +79,11 @@ impl Fabric {
     /// An empty fabric.
     pub fn new() -> Self {
         Fabric {
-            links: Vec::new(),
+            link_capacity: Vec::new(),
             flows: Vec::new(),
             next_flow_id: 0,
             now: SimTime::ZERO,
             recomputes: 0,
-            cap_scratch: Vec::new(),
             spec_scratch: Vec::new(),
             rate_scratch: Vec::new(),
             fair_scratch: FairScratch::default(),
@@ -99,8 +98,8 @@ impl Fabric {
     /// Attach a node with the given egress/ingress link capacities
     /// (bytes/second; `f64::INFINITY` allowed).
     pub fn add_node(&mut self, egress_bw: f64, ingress_bw: f64) -> NodeId {
-        self.links.push((egress_bw, ingress_bw));
-        NodeId(self.links.len() - 1)
+        self.link_capacity.extend([egress_bw, ingress_bw]);
+        NodeId(self.link_capacity.len() / 2 - 1)
     }
 
     /// Attach a node with a symmetric access link.
@@ -110,7 +109,7 @@ impl Fabric {
 
     /// Number of attached nodes.
     pub fn node_count(&self) -> usize {
-        self.links.len()
+        self.link_capacity.len() / 2
     }
 
     /// Number of active flows.
@@ -121,6 +120,13 @@ impl Fabric {
     /// How many times rates have been recomputed.
     pub fn recompute_count(&self) -> u64 {
         self.recomputes
+    }
+
+    /// Work the max–min solver has done over this fabric's lifetime.
+    /// Deterministic counts for tests and diagnostics; never part of a
+    /// run's statistics or digest.
+    pub fn solve_work(&self) -> SolveWork {
+        self.fair_scratch.work()
     }
 
     /// The current rate of an active flow, bytes/second.
@@ -143,7 +149,7 @@ impl Fabric {
         rate_cap: f64,
     ) -> FlowId {
         assert!(src != dst, "intra-node transfers do not use the fabric");
-        assert!(src.0 < self.links.len() && dst.0 < self.links.len());
+        assert!(src.0 < self.node_count() && dst.0 < self.node_count());
         self.advance(now);
         let id = FlowId(self.next_flow_id);
         self.next_flow_id += 1;
@@ -267,13 +273,17 @@ impl Fabric {
         ingress_bw: f64,
     ) {
         self.advance(now);
-        self.links[node.0] = (egress_bw.max(0.0), ingress_bw.max(0.0));
+        self.link_capacity[node.0 * 2] = egress_bw.max(0.0);
+        self.link_capacity[node.0 * 2 + 1] = ingress_bw.max(0.0);
         self.recompute_rates();
     }
 
     /// The node's current (egress, ingress) access-link capacities.
     pub fn node_bandwidth(&self, node: NodeId) -> (f64, f64) {
-        self.links[node.0]
+        (
+            self.link_capacity[node.0 * 2],
+            self.link_capacity[node.0 * 2 + 1],
+        )
     }
 
     /// Advance in-flight progress to `now` at current rates.
@@ -294,12 +304,6 @@ impl Fabric {
         if self.flows.is_empty() {
             return;
         }
-        // Link layout: node i egress = 2i, ingress = 2i + 1.
-        self.cap_scratch.clear();
-        for &(e, i) in &self.links {
-            self.cap_scratch.push(e);
-            self.cap_scratch.push(i);
-        }
         // Deterministic flow order: the list is id-sorted.
         self.spec_scratch.clear();
         self.spec_scratch
@@ -310,7 +314,7 @@ impl Fabric {
             }));
         max_min_fair_into(
             &self.spec_scratch,
-            &self.cap_scratch,
+            &self.link_capacity,
             &mut self.rate_scratch,
             &mut self.fair_scratch,
         );
@@ -497,6 +501,30 @@ mod tests {
         }
         let (finish, _) = fab.next_completion().unwrap();
         assert!((finish.as_secs_f64() - 10.0).abs() < 1e-3);
+    }
+
+    #[test]
+    fn solve_cost_does_not_grow_with_node_count() {
+        // The same two flows cost the same solver work on a 3-node and on
+        // a 10 000-node fabric: a solve visits only the links they load.
+        let work = |n_nodes: usize| {
+            let mut fab = Fabric::new();
+            let nodes: Vec<NodeId> = (0..n_nodes).map(|_| fab.add_symmetric_node(1e9)).collect();
+            let far = nodes[n_nodes - 1];
+            fab.start_flow(SimTime::ZERO, nodes[0], far, 1_000, f64::INFINITY);
+            fab.start_flow(SimTime::ZERO, nodes[1], nodes[0], 1_000, 1e6);
+            fab.solve_work()
+        };
+        let campus = work(10_000);
+        assert_eq!(campus, work(3));
+        assert_eq!(campus.solves, 2);
+        // Each iteration fixes at least one flow (1 + 2 over the two
+        // solves), and scans at most the 4 loaded links twice.
+        assert!(campus.iterations <= 3, "{campus:?}");
+        assert!(
+            campus.link_visits <= 2 * 4 * campus.iterations,
+            "{campus:?}"
+        );
     }
 
     #[test]

@@ -12,6 +12,27 @@
 //! 2. **cap respect** — no flow exceeds its private cap;
 //! 3. **work conservation / max–min optimality** — every flow is limited by
 //!    a saturated link or by its own cap.
+//!
+//! [`max_min_fair_into`] touches only what the flows load:
+//!
+//! - the links the flows cross, gathered into an ascending list (via a
+//!   one-bit-per-link bitmap, so no sort) and compacted as each link's
+//!   last flow is fixed; the per-iteration minimum and the bottleneck
+//!   search scan only this list;
+//! - each link's flows, indexed in flow order, so fixing a bottleneck
+//!   visits only that link's flows;
+//! - the flows with a finite cap, in flow order, for the cap pass.
+//!
+//! One solve costs O(flows + loaded links × iterations) plus the bitmap
+//! sweep of links / 64 words; [`SolveWork`] counts the iterations and link
+//! visits. Every scan meets links and flows in the same ascending order a
+//! full scan would, every share is computed from the same operands, and
+//! capped flows are fixed in the same order, so the rates are bit-identical
+//! to [`max_min_fair_reference`], the full-scan original kept as the test
+//! oracle.
+
+/// Shares within this distance of the minimum count as the minimum.
+const EPS: f64 = 1e-9;
 
 /// One flow's constraints: the index of its egress link, the index of its
 /// ingress link, and an optional private rate cap (bytes/second).
@@ -25,13 +46,91 @@ pub struct FlowSpec {
     pub rate_cap: f64,
 }
 
+/// Work done by [`max_min_fair_into`] on one [`FairScratch`], summed over
+/// its calls. Exact counts, not times: equal inputs give equal counts.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SolveWork {
+    /// Solver calls.
+    pub solves: u64,
+    /// Water-filling iterations (passes of the main loop).
+    pub iterations: u64,
+    /// Link entries examined by the per-iteration minimum and bottleneck
+    /// search.
+    pub link_visits: u64,
+}
+
+/// One link's state during a solve. Meaningful only for the links the
+/// solve's flows cross.
+#[derive(Clone, Copy, Default)]
+struct LinkState {
+    /// Capacity not yet given to fixed flows.
+    remaining: f64,
+    /// `remaining.max(0.0) / load`, refreshed whenever either changes
+    /// (meaningless once the load is zero).
+    share: f64,
+    /// Number of active flows crossing the link. Zero between solves.
+    load: usize,
+    /// This link's run in `FairScratch::on_link`: `run_start..run_end`.
+    run_start: usize,
+    run_end: usize,
+}
+
+impl LinkState {
+    /// A flow crossing this link is fixed at rate `r` and leaves it.
+    fn take(&mut self, r: f64) {
+        self.remaining = (self.remaining - r).max(0.0);
+        self.load -= 1;
+        self.share = self.remaining.max(0.0) / self.load as f64;
+    }
+}
+
+/// Give flow `i` rate `r` and take it off its two links.
+fn fix_in_state(
+    i: usize,
+    r: f64,
+    flows: &[FlowSpec],
+    rate: &mut [f64],
+    links: &mut [LinkState],
+    active: &mut [bool],
+) {
+    let r = r.max(0.0);
+    rate[i] = r;
+    active[i] = false;
+    links[flows[i].egress_link].take(r);
+    links[flows[i].ingress_link].take(r);
+}
+
 /// Reusable working memory for [`max_min_fair_into`], so the per-event
-/// recompute in the fabric hot path allocates nothing.
+/// recompute in the fabric hot path allocates nothing. The per-link
+/// vectors are resized only when the link count changes; a solve reads
+/// and resets only the entries of the links its flows cross.
 #[derive(Default)]
 pub struct FairScratch {
-    remaining: Vec<f64>,
+    /// Per link of the capacity array.
+    links: Vec<LinkState>,
+    /// One bit per link, set while gathering the loaded links. All clear
+    /// between solves.
+    loaded: Vec<u64>,
+    /// Loaded links, ascending; compacted each iteration.
+    live: Vec<usize>,
+    /// Flow indices grouped by link, ascending within each link's run. A
+    /// flow whose egress and ingress are one link appears twice in its run.
+    on_link: Vec<usize>,
+    /// Per flow: its offset within its egress and its ingress link's run.
+    rank: Vec<[usize; 2]>,
+    /// Per flow: not yet given a rate.
     active: Vec<bool>,
-    load: Vec<usize>,
+    /// Flows with a finite private cap, ascending; compacted as they are
+    /// fixed.
+    capped: Vec<usize>,
+    work: SolveWork,
+}
+
+impl FairScratch {
+    /// Work done by solves on this scratch so far.
+    pub fn work(&self) -> SolveWork {
+        self.work
+    }
 }
 
 /// Compute max–min fair rates for `flows` over links with the given
@@ -55,29 +154,177 @@ pub fn max_min_fair_into(
     let n = flows.len();
     rate.clear();
     rate.resize(n, 0.0);
+    scratch.work.solves += 1;
     if n == 0 {
         return;
     }
 
     let FairScratch {
-        remaining,
+        links,
+        loaded,
+        live,
+        on_link,
+        rank,
         active,
-        load,
+        capped,
+        work,
     } = scratch;
-    remaining.clear();
-    remaining.extend_from_slice(link_capacity);
+    if links.len() != link_capacity.len() {
+        links.clear();
+        links.resize(link_capacity.len(), LinkState::default());
+        loaded.clear();
+        loaded.resize(link_capacity.len().div_ceil(64), 0);
+    }
+
+    // Count each link's flows, noting each flow's rank among them and
+    // marking links as they become loaded.
+    capped.clear();
+    rank.clear();
+    for (i, f) in flows.iter().enumerate() {
+        let mut ranks = [0; 2];
+        for (r, l) in ranks.iter_mut().zip([f.egress_link, f.ingress_link]) {
+            *r = links[l].load;
+            links[l].load += 1;
+            if *r == 0 {
+                loaded[l / 64] |= 1 << (l % 64);
+            }
+        }
+        rank.push(ranks);
+        if f.rate_cap.is_finite() {
+            capped.push(i);
+        }
+    }
+    // The loaded links, ascending, so that every scan below meets them in
+    // the order a scan of the whole capacity array would. Sweeping the
+    // bitmap (one word per 64 links) orders them without a sort.
+    live.clear();
+    let mut run = 0;
+    for (w, word) in loaded.iter_mut().enumerate() {
+        while *word != 0 {
+            let l = w * 64 + word.trailing_zeros() as usize;
+            *word &= *word - 1;
+            let link = &mut links[l];
+            link.remaining = link_capacity[l];
+            link.share = link.remaining.max(0.0) / link.load as f64;
+            link.run_start = run;
+            run += link.load;
+            link.run_end = run;
+            live.push(l);
+        }
+    }
+    // Each flow lands at its rank within its links' runs, so every run
+    // lists its flows in flow order.
+    on_link.clear();
+    on_link.resize(run, 0);
+    for (i, (f, r)) in flows.iter().zip(rank.iter()).enumerate() {
+        on_link[links[f.egress_link].run_start + r[0]] = i;
+        on_link[links[f.ingress_link].run_start + r[1]] = i;
+    }
     active.clear();
     active.resize(n, true);
     let mut active_count = n;
+
+    while active_count > 0 {
+        work.iterations += 1;
+        work.link_visits += live.len() as u64;
+        // Fair share offered by the most constrained link; drained links
+        // leave the live list.
+        let mut bottleneck_share = f64::INFINITY;
+        live.retain(|&l| {
+            let link = &links[l];
+            if link.load == 0 {
+                return false;
+            }
+            bottleneck_share = bottleneck_share.min(link.share);
+            true
+        });
+
+        // Flows whose private cap binds below the link share are fixed at
+        // their cap; this releases capacity, so redo the loop afterwards.
+        let mut fixed_any_cap = false;
+        capped.retain(|&i| {
+            if !active[i] {
+                return false;
+            }
+            if flows[i].rate_cap <= bottleneck_share + EPS {
+                fix_in_state(i, flows[i].rate_cap, flows, rate, links, active);
+                active_count -= 1;
+                fixed_any_cap = true;
+                return false;
+            }
+            true
+        });
+        if fixed_any_cap {
+            continue;
+        }
+
+        if !bottleneck_share.is_finite() {
+            // No finite constraint remains: uncapped flows on unconstrained
+            // links. Give them a huge-but-finite rate to keep downstream
+            // arithmetic sane, and stop.
+            for i in 0..n {
+                if active[i] {
+                    rate[i] = f64::MAX / 1e6;
+                    active[i] = false;
+                }
+            }
+            break;
+        }
+
+        // Fix every flow on the first (lowest-index) bottleneck link, then
+        // recompute.
+        let found = live
+            .iter()
+            .position(|&l| links[l].share <= bottleneck_share + EPS);
+        work.link_visits += found.map_or(live.len(), |p| p + 1) as u64;
+        let Some(p) = found else {
+            debug_assert!(false, "water-filling made no progress");
+            break;
+        };
+        let LinkState {
+            run_start, run_end, ..
+        } = links[live[p]];
+        let mut fixed_any = false;
+        for &i in &on_link[run_start..run_end] {
+            if active[i] {
+                fix_in_state(i, bottleneck_share, flows, rate, links, active);
+                active_count -= 1;
+                fixed_any = true;
+            }
+        }
+        debug_assert!(fixed_any, "bottleneck link had no active flows");
+        if !fixed_any {
+            break;
+        }
+    }
+
+    // Only an early exit leaves flows unfixed, and every link still loaded
+    // is on the live list.
+    for &l in live.iter() {
+        links[l].load = 0;
+    }
+}
+
+/// The full-scan water-filling [`max_min_fair_into`] replaced: every
+/// iteration scans all of `link_capacity` and all flows. Kept as the
+/// oracle the differential tests compare the fast solver against bit for
+/// bit.
+pub fn max_min_fair_reference(flows: &[FlowSpec], link_capacity: &[f64]) -> Vec<f64> {
+    let n = flows.len();
+    let mut rate = vec![0.0; n];
+    if n == 0 {
+        return rate;
+    }
+
+    let mut remaining = link_capacity.to_vec();
+    let mut active = vec![true; n];
+    let mut active_count = n;
     // Number of active flows on each link.
-    load.clear();
-    load.resize(link_capacity.len(), 0);
+    let mut load = vec![0usize; link_capacity.len()];
     for f in flows {
         load[f.egress_link] += 1;
         load[f.ingress_link] += 1;
     }
-
-    const EPS: f64 = 1e-9;
 
     while active_count > 0 {
         // Fair share offered by the most constrained link.
@@ -96,7 +343,15 @@ pub fn max_min_fair_into(
                 && flows[i].rate_cap.is_finite()
                 && flows[i].rate_cap <= bottleneck_share + EPS
             {
-                fix_flow(i, flows[i].rate_cap, flows, rate, remaining, load, active);
+                fix_flow(
+                    i,
+                    flows[i].rate_cap,
+                    flows,
+                    &mut rate,
+                    &mut remaining,
+                    &mut load,
+                    &mut active,
+                );
                 active_count -= 1;
                 fixed_any_cap = true;
             }
@@ -129,7 +384,15 @@ pub fn max_min_fair_into(
         let mut fixed_any = false;
         for i in 0..n {
             if active[i] && (flows[i].egress_link == l || flows[i].ingress_link == l) {
-                fix_flow(i, bottleneck_share, flows, rate, remaining, load, active);
+                fix_flow(
+                    i,
+                    bottleneck_share,
+                    flows,
+                    &mut rate,
+                    &mut remaining,
+                    &mut load,
+                    &mut active,
+                );
                 active_count -= 1;
                 fixed_any = true;
             }
@@ -139,6 +402,7 @@ pub fn max_min_fair_into(
             break;
         }
     }
+    rate
 }
 
 fn fix_flow(
@@ -258,6 +522,64 @@ mod tests {
         let rates = max_min_fair(&[spec(0, 1, INF)], &[INF, INF]);
         assert!(rates[0].is_finite());
         assert!(rates[0] > 1e12);
+    }
+
+    #[test]
+    fn matches_full_scan_reference_bit_for_bit() {
+        // Deterministic pseudo-random solves against the full-scan oracle.
+        // One scratch serves every call while link and flow counts change,
+        // so a load or bitmap bit left behind by an earlier solve would show.
+        // Capacities come from a palette with exact ties and sub-EPS
+        // near-ties, so the tie rule picks among several links.
+        const PALETTE: [f64; 7] = [INF, 0.0, 100.0, 100.0 + 4e-10, 250.0, 1.25e9, 3.0];
+        let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut scratch = FairScratch::default();
+        let mut rate = Vec::new();
+        for case in 0..4_000 {
+            let n_links = 1 + (next() % 80) as usize;
+            let caps: Vec<f64> = (0..n_links)
+                .map(|_| match next() % 4 {
+                    0 => 1.0 + (next() % 1_000_000) as f64 / 7.0,
+                    _ => PALETTE[(next() % PALETTE.len() as u64) as usize],
+                })
+                .collect();
+            let n_flows = if case % 50 == 0 {
+                0
+            } else {
+                (next() % 60) as usize
+            };
+            let flows: Vec<FlowSpec> = (0..n_flows)
+                .map(|_| {
+                    let e = (next() % n_links as u64) as usize;
+                    // Every eighth flow leaves and enters through one link.
+                    let g = if next() % 8 == 0 {
+                        e
+                    } else {
+                        (next() % n_links as u64) as usize
+                    };
+                    let cap = match next() % 4 {
+                        0 => PALETTE[(next() % PALETTE.len() as u64) as usize],
+                        1 => 0.5 + (next() % 100_000) as f64 / 3.0,
+                        _ => INF,
+                    };
+                    spec(e, g, cap)
+                })
+                .collect();
+            max_min_fair_into(&flows, &caps, &mut rate, &mut scratch);
+            let expected = max_min_fair_reference(&flows, &caps);
+            let bits = |r: &[f64]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&rate),
+                bits(&expected),
+                "case {case}: {flows:?} over {caps:?}"
+            );
+        }
     }
 
     /// Check the three max-min properties on a random-ish asymmetric case.

@@ -1,7 +1,7 @@
 //! Property-based tests for the fabric and the max–min fair allocator.
 
 use proptest::prelude::*;
-use vine_net::fairshare::{max_min_fair, FlowSpec};
+use vine_net::fairshare::{max_min_fair, max_min_fair_reference, FlowSpec};
 use vine_net::Fabric;
 use vine_simcore::SimTime;
 
@@ -29,57 +29,86 @@ fn flows_and_caps() -> impl Strategy<Value = (Vec<FlowSpec>, Vec<f64>)> {
     })
 }
 
-proptest! {
-    /// The allocator always produces a feasible, cap-respecting,
-    /// work-conserving (max-min) allocation.
-    #[test]
-    fn max_min_fair_properties((flows, caps) in flows_and_caps()) {
-        let rates = max_min_fair(&flows, &caps);
-        prop_assert_eq!(rates.len(), flows.len());
+/// The three max–min properties: feasible, cap-respecting and
+/// work-conserving.
+fn check_max_min(flows: &[FlowSpec], caps: &[f64], rates: &[f64]) {
+    assert_eq!(rates.len(), flows.len());
 
-        const TOL: f64 = 1e-6;
+    const TOL: f64 = 1e-6;
 
-        // Feasibility: per-link usage within capacity. A flow whose egress
-        // and ingress are the same link consumes it twice.
-        for (l, &cap) in caps.iter().enumerate() {
+    // Feasibility: per-link usage within capacity. A flow whose egress
+    // and ingress are the same link consumes it twice.
+    for (l, &cap) in caps.iter().enumerate() {
+        let used: f64 = flows
+            .iter()
+            .zip(rates)
+            .map(|(f, r)| {
+                let mut u = 0.0;
+                if f.egress_link == l {
+                    u += r;
+                }
+                if f.ingress_link == l {
+                    u += r;
+                }
+                u
+            })
+            .sum();
+        assert!(
+            used <= cap * (1.0 + TOL) + TOL,
+            "link {} over: {} > {}",
+            l,
+            used,
+            cap
+        );
+    }
+
+    // Cap respect and non-negativity.
+    for (f, &r) in flows.iter().zip(rates) {
+        assert!(r >= 0.0);
+        assert!(r <= f.rate_cap * (1.0 + TOL) + TOL);
+    }
+
+    // Work conservation: every flow is limited by a saturated link or
+    // its own cap.
+    for (f, &r) in flows.iter().zip(rates) {
+        let cap_binds = f.rate_cap.is_finite() && (r - f.rate_cap).abs() <= TOL * f.rate_cap + TOL;
+        let link_sat = [f.egress_link, f.ingress_link].iter().any(|&l| {
             let used: f64 = flows
                 .iter()
-                .zip(&rates)
-                .map(|(f, r)| {
+                .zip(rates)
+                .map(|(g, r2)| {
                     let mut u = 0.0;
-                    if f.egress_link == l { u += r; }
-                    if f.ingress_link == l { u += r; }
+                    if g.egress_link == l {
+                        u += r2;
+                    }
+                    if g.ingress_link == l {
+                        u += r2;
+                    }
                     u
                 })
                 .sum();
-            prop_assert!(used <= cap * (1.0 + TOL) + TOL, "link {} over: {} > {}", l, used, cap);
-        }
+            used >= caps[l] * (1.0 - 1e-3) - TOL
+        });
+        assert!(
+            cap_binds || link_sat,
+            "flow {:?} at {} not bottlenecked",
+            f,
+            r
+        );
+    }
+}
 
-        // Cap respect and non-negativity.
-        for (f, &r) in flows.iter().zip(&rates) {
-            prop_assert!(r >= 0.0);
-            prop_assert!(r <= f.rate_cap * (1.0 + TOL) + TOL);
-        }
-
-        // Work conservation: every flow is limited by a saturated link or
-        // its own cap.
-        for (f, &r) in flows.iter().zip(&rates) {
-            let cap_binds = f.rate_cap.is_finite() && (r - f.rate_cap).abs() <= TOL * f.rate_cap + TOL;
-            let link_sat = [f.egress_link, f.ingress_link].iter().any(|&l| {
-                let used: f64 = flows
-                    .iter()
-                    .zip(&rates)
-                    .map(|(g, r2)| {
-                        let mut u = 0.0;
-                        if g.egress_link == l { u += r2; }
-                        if g.ingress_link == l { u += r2; }
-                        u
-                    })
-                    .sum();
-                used >= caps[l] * (1.0 - 1e-3) - TOL
-            });
-            prop_assert!(cap_binds || link_sat, "flow {:?} at {} not bottlenecked", f, r);
-        }
+proptest! {
+    /// Both allocators always produce a feasible, cap-respecting,
+    /// work-conserving (max-min) allocation, and agree bit for bit.
+    #[test]
+    fn max_min_fair_properties((flows, caps) in flows_and_caps()) {
+        let rates = max_min_fair(&flows, &caps);
+        let reference = max_min_fair_reference(&flows, &caps);
+        check_max_min(&flows, &caps, &rates);
+        check_max_min(&flows, &caps, &reference);
+        let bits = |r: &[f64]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&rates), bits(&reference));
     }
 
     /// Conservation through the fabric: however flows are interleaved, the

@@ -18,7 +18,7 @@ echo "== cargo test =="
 cargo test --workspace -q "$@"
 
 echo "== criterion microbench smoke (--test mode) =="
-cargo bench -q -p vine-bench --bench event_queue --bench arena_lookup "$@" -- --test
+cargo bench -q -p vine-bench --bench event_queue --bench arena_lookup --bench substrates "$@" -- --test
 
 echo "== vine-audit (determinism/concurrency gate, ratcheted baseline) =="
 cargo run -q -p vine-audit "$@" -- --deny --baseline results/audit_baseline.txt
