@@ -5,7 +5,8 @@ use rand::{Rng, SeedableRng};
 use vine_dag::rewrite::add_tree_reduce;
 use vine_dag::{ReadyTracker, TaskGraph, TaskKind};
 use vine_data::{EventGenerator, Hist1D};
-use vine_net::fairshare::{max_min_fair, max_min_fair_into, FairScratch, FlowSpec};
+use vine_net::fairshare::{max_min_fair, max_min_fair_into, FairState, FlowSpec};
+use vine_net::{Fabric, NodeId};
 use vine_simcore::{EventQueue, SimTime};
 use vine_storage::{CacheEntryKind, CacheName, LocalCache};
 
@@ -81,16 +82,52 @@ fn bench_fairshare(c: &mut Criterion) {
         })
         .collect();
     let mut rate = Vec::new();
-    let mut scratch = FairScratch::default();
+    let mut state = FairState::default();
     c.bench_function("fairshare/campus_1200", |b| {
         b.iter(|| {
             max_min_fair_into(
                 black_box(&campus_flows),
                 black_box(&campus_caps),
                 &mut rate,
-                &mut scratch,
+                &mut state,
             );
             black_box(rate[0])
+        })
+    });
+
+    // The fabric as the engine drives it: ~900 flows over the same
+    // 1 201 nodes, where each cycle starts a flow, reads the next
+    // completion, completes that flow and reads again. Peer flows leave
+    // 40 producer workers, as staged outputs do, so a solve takes tens of
+    // water-filling iterations (the engine's campus runs take ~34) rather
+    // than one per loaded link.
+    let mut fab = Fabric::new();
+    let fs = fab.add_symmetric_node(12.5e9);
+    let nodes: Vec<NodeId> = (0..workers)
+        .map(|_| fab.add_symmetric_node(1.25e9))
+        .collect();
+    let mut start = move |fab: &mut Fabric, i: usize| {
+        let dst = rng.gen_range(0..workers);
+        let (src, rate_cap) = if i.is_multiple_of(3) {
+            (fs, 60e6)
+        } else {
+            let src = rng.gen_range(0..40);
+            (nodes[if src >= dst { src + 1 } else { src }], f64::INFINITY)
+        };
+        let bytes = rng.gen_range(1_000_000..1_000_000_000);
+        fab.start_flow(fab.now(), src, nodes[dst], bytes, rate_cap);
+    };
+    for i in 0..900 {
+        start(&mut fab, i);
+    }
+    let mut i = 900;
+    c.bench_function("fabric/campus_churn", |b| {
+        b.iter(|| {
+            i += 1;
+            start(&mut fab, i);
+            let (t, id) = fab.next_completion().expect("flows are active");
+            fab.complete_flow(t, id);
+            black_box(fab.next_completion())
         })
     });
 }

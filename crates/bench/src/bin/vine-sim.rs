@@ -23,8 +23,8 @@
 //! when it *finishes* — completed or gracefully degraded.
 //!
 //! `--bench-json FILE` writes a small machine-readable summary (makespan,
-//! events processed, events/sec, simulation wall-clock, peak cache bytes)
-//! for CI perf gates. `--bench-reps N` runs the simulation N times and
+//! events processed, events/sec, simulation wall-clock, peak cache bytes,
+//! and the exact flow-fabric work counters) for CI perf gates. `--bench-reps N` runs the simulation N times and
 //! reports the fastest repetition's wall-clock (the noise-robust minimum),
 //! which steadies the number for workloads that simulate in well under a
 //! millisecond.

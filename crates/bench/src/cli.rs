@@ -136,7 +136,9 @@ impl BenchCli {
     /// throughput gate tracks as `sim_wall_ms` /
     /// `sim_events_per_wall_sec`. `makespan_s` is simulated time and
     /// deterministic for a fixed workload and seed, which is what the
-    /// behavioral regression gate needs.
+    /// behavioral regression gate needs. The `fabric_*` and `solver_*`
+    /// fields are [`RunResult::fabric_work`]: exact, so the gate fails on
+    /// any rise.
     pub fn write_bench_json(
         &self,
         workload: &str,
@@ -158,14 +160,17 @@ impl BenchCli {
         let events_per_sec = per_sec(wall.as_secs_f64());
         let sim_wall_ms = sim_wall.as_secs_f64() * 1e3;
         let sim_events_per_wall_sec = per_sec(sim_wall.as_secs_f64());
+        let work = r.fabric_work;
         let json = format!(
             "{{\n  \"workload\": \"{workload}\",\n  \"seed\": {seed},\n  \
              \"makespan_s\": {makespan_s:.6},\n  \"events\": {events},\n  \
              \"events_per_sec\": {events_per_sec:.3},\n  \
              \"sim_wall_ms\": {sim_wall_ms:.3},\n  \
              \"sim_events_per_wall_sec\": {sim_events_per_wall_sec:.3},\n  \
-             \"peak_cache_bytes\": {}\n}}\n",
-            r.stats.peak_cache_bytes
+             \"peak_cache_bytes\": {},\n  \
+             \"fabric_changes\": {},\n  \"fabric_solves\": {},\n  \
+             \"solver_iterations\": {},\n  \"solver_link_visits\": {}\n}}\n",
+            r.stats.peak_cache_bytes, work.changes, work.solves, work.iterations, work.link_visits,
         );
         match std::fs::write(path, json) {
             Ok(()) => println!("[wrote {path}]"),

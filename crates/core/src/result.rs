@@ -131,6 +131,10 @@ pub struct RunResult {
     /// Per-task phase attributions and the run digest, when
     /// `TraceConfig::obs` was on.
     pub obs: Option<vine_obs::RunObs>,
+    /// Exact flow-fabric work: changes, solves, water-filling iterations
+    /// and link visits. Simulator cost, not simulated behaviour, so it is
+    /// kept out of [`RunStats`] and every digest.
+    pub fabric_work: vine_net::fairshare::SolveWork,
 }
 
 impl RunResult {
@@ -188,6 +192,7 @@ mod tests {
             cache_failures: Vec::new(),
             lint_findings: Vec::new(),
             obs: None,
+            fabric_work: Default::default(),
         }
     }
 

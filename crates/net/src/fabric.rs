@@ -14,10 +14,17 @@
 //! instant, so progress made at old rates is preserved when the allocation
 //! changes. The engine keeps exactly one "flow completion" event scheduled
 //! and reschedules it whenever `next_completion()` moves.
+//!
+//! Rates are settled lazily. A mutation updates the solver's persistent
+//! [`FairState`] and marks the rates stale; the solve runs when a rate or
+//! the next completion is read, or before time moves on. The solve is a
+//! pure function of the flow set and the capacities, so skipping the
+//! solves nobody read changes no rate: the results are bit-identical to
+//! solving after every mutation.
 
 use vine_simcore::{SimDur, SimTime};
 
-use crate::fairshare::{max_min_fair_into, FairScratch, FlowSpec, SolveWork};
+use crate::fairshare::{FairState, SolveWork};
 
 /// Identifies a node (endpoint) attached to the fabric.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -49,15 +56,32 @@ struct Flow {
     size: f64,
     remaining: f64,
     rate: f64,
-    rate_cap: f64,
     started: SimTime,
+    /// The flow's slot in the solver state.
+    slot: usize,
+}
+
+impl Flow {
+    fn record(&self, bytes_moved: u64) -> FlowRecord {
+        FlowRecord {
+            src: self.src,
+            dst: self.dst,
+            bytes_moved,
+            size: self.size as u64,
+            started: self.started,
+        }
+    }
+
+    fn delivered(&self) -> u64 {
+        (self.size - self.remaining).max(0.0) as u64
+    }
 }
 
 /// A star-topology fabric with per-node egress/ingress access links.
 pub struct Fabric {
-    /// Access-link capacities, bytes/second, in the solver's layout:
-    /// node i's egress link is 2i, its ingress link 2i + 1.
-    link_capacity: Vec<f64>,
+    /// Access links and active flows as the solver sees them: node i's
+    /// egress link is 2i, its ingress link 2i + 1.
+    fair: FairState,
     /// Active flows in ascending-id order. Ids are handed out
     /// monotonically, so inserts are appends and the order — which fixes
     /// float-summation and tie-break behaviour — matches the ordered map
@@ -66,27 +90,26 @@ pub struct Fabric {
     next_flow_id: u64,
     /// Instant to which all flow progress has been advanced.
     now: SimTime,
-    /// Monotone counter of rate recomputations (for tests/diagnostics).
-    recomputes: u64,
-    /// Reusable buffers for `recompute_rates`, which runs on every
-    /// flow-set change and dominated allocation in the hot path.
-    spec_scratch: Vec<FlowSpec>,
-    rate_scratch: Vec<f64>,
-    fair_scratch: FairScratch,
+    /// Flow-set and capacity changes (see [`SolveWork::changes`]).
+    changes: u64,
+    /// The flows' `rate` fields predate the last change.
+    stale: bool,
+    /// Earliest `(finish, id)` at the current rates and `now`, once
+    /// computed; cleared by every change and time advance.
+    next: Option<Option<(SimTime, FlowId)>>,
 }
 
 impl Fabric {
     /// An empty fabric.
     pub fn new() -> Self {
         Fabric {
-            link_capacity: Vec::new(),
+            fair: FairState::default(),
             flows: Vec::new(),
             next_flow_id: 0,
             now: SimTime::ZERO,
-            recomputes: 0,
-            spec_scratch: Vec::new(),
-            rate_scratch: Vec::new(),
-            fair_scratch: FairScratch::default(),
+            changes: 0,
+            stale: false,
+            next: None,
         }
     }
 
@@ -98,8 +121,8 @@ impl Fabric {
     /// Attach a node with the given egress/ingress link capacities
     /// (bytes/second; `f64::INFINITY` allowed).
     pub fn add_node(&mut self, egress_bw: f64, ingress_bw: f64) -> NodeId {
-        self.link_capacity.extend([egress_bw, ingress_bw]);
-        NodeId(self.link_capacity.len() / 2 - 1)
+        self.fair.add_link(egress_bw);
+        NodeId(self.fair.add_link(ingress_bw) / 2)
     }
 
     /// Attach a node with a symmetric access link.
@@ -109,7 +132,7 @@ impl Fabric {
 
     /// Number of attached nodes.
     pub fn node_count(&self) -> usize {
-        self.link_capacity.len() / 2
+        self.fair.link_count() / 2
     }
 
     /// Number of active flows.
@@ -117,20 +140,25 @@ impl Fabric {
         self.flows.len()
     }
 
-    /// How many times rates have been recomputed.
-    pub fn recompute_count(&self) -> u64 {
-        self.recomputes
+    /// The instant to which flow progress has been advanced: the latest
+    /// `now` passed to a mutation.
+    pub fn now(&self) -> SimTime {
+        self.now
     }
 
-    /// Work the max–min solver has done over this fabric's lifetime.
-    /// Deterministic counts for tests and diagnostics; never part of a
-    /// run's statistics or digest.
+    /// Changes made and work the max–min solver has done over this
+    /// fabric's lifetime. Deterministic counts for tests and diagnostics;
+    /// never part of a run's statistics or digest.
     pub fn solve_work(&self) -> SolveWork {
-        self.fair_scratch.work()
+        SolveWork {
+            changes: self.changes,
+            ..self.fair.work()
+        }
     }
 
     /// The current rate of an active flow, bytes/second.
-    pub fn flow_rate(&self, id: FlowId) -> Option<f64> {
+    pub fn flow_rate(&mut self, id: FlowId) -> Option<f64> {
+        self.settle();
         self.flow_index(id).ok().map(|i| self.flows[i].1.rate)
     }
 
@@ -154,6 +182,7 @@ impl Fabric {
         let id = FlowId(self.next_flow_id);
         self.next_flow_id += 1;
         debug_assert!(self.flows.last().is_none_or(|&(last, _)| last < id));
+        let slot = self.fair.add_flow(id.0, src.0 * 2, dst.0 * 2 + 1, rate_cap);
         self.flows.push((
             id,
             Flow {
@@ -162,34 +191,28 @@ impl Fabric {
                 size: bytes as f64,
                 remaining: bytes as f64,
                 rate: 0.0,
-                rate_cap,
                 started: now,
+                slot,
             },
         ));
-        self.recompute_rates();
+        self.changed();
         id
     }
 
     /// Projected `(time, flow)` of the earliest completion at current
     /// rates, or `None` if no flows are active. Stalled flows (rate 0)
-    /// never complete and are skipped.
-    pub fn next_completion(&self) -> Option<(SimTime, FlowId)> {
-        let mut best: Option<(SimTime, FlowId)> = None;
-        for &(id, ref f) in &self.flows {
-            if f.rate <= 0.0 {
-                continue;
+    /// never complete and are skipped. O(1) when nothing changed since the
+    /// last call.
+    pub fn next_completion(&mut self) -> Option<(SimTime, FlowId)> {
+        self.settle();
+        let (flows, now) = (&self.flows, self.now);
+        *self.next.get_or_insert_with(|| {
+            let mut earliest = Earliest::default();
+            for (id, f) in flows {
+                earliest.visit(now, *id, f);
             }
-            // Round up to the next microsecond so the flow is always fully
-            // drained (never early) when the completion event fires.
-            let finish =
-                self.now + SimDur::from_micros((f.remaining / f.rate * 1e6).ceil().max(0.0) as u64);
-            match best {
-                // Tie-break on FlowId for determinism.
-                Some((bt, bid)) if (finish, id) >= (bt, bid) => {}
-                _ => best = Some((finish, id)),
-            }
-        }
-        best
+            earliest.best
+        })
     }
 
     /// Complete `id` at `now` (which must be at or after its projected
@@ -199,6 +222,10 @@ impl Fabric {
     /// If the flow is unknown.
     pub fn complete_flow(&mut self, now: SimTime, id: FlowId) -> FlowRecord {
         self.advance(now);
+        if cfg!(debug_assertions) {
+            // The drain check below reads the flow's rate.
+            self.settle();
+        }
         let i = self.flow_index(id).expect("unknown flow");
         let (_, f) = self.flows.remove(i);
         debug_assert!(
@@ -208,14 +235,9 @@ impl Fabric {
             "flow completed with {} bytes remaining",
             f.remaining
         );
-        self.recompute_rates();
-        FlowRecord {
-            src: f.src,
-            dst: f.dst,
-            bytes_moved: f.size as u64,
-            size: f.size as u64,
-            started: f.started,
-        }
+        self.fair.remove_flow(f.slot);
+        self.changed();
+        f.record(f.size as u64)
     }
 
     /// Abort `id` at `now` (endpoint died). Returns a record with the bytes
@@ -224,14 +246,9 @@ impl Fabric {
         self.advance(now);
         let i = self.flow_index(id).ok()?;
         let (_, f) = self.flows.remove(i);
-        self.recompute_rates();
-        Some(FlowRecord {
-            src: f.src,
-            dst: f.dst,
-            bytes_moved: (f.size - f.remaining).max(0.0) as u64,
-            size: f.size as u64,
-            started: f.started,
-        })
+        self.fair.remove_flow(f.slot);
+        self.changed();
+        Some(f.record(f.delivered()))
     }
 
     /// Cancel every flow touching `node` (worker preempted). Returns their
@@ -241,20 +258,18 @@ impl Fabric {
         // The flow list is id-sorted and `retain` visits in order, so the
         // record order is deterministic without an explicit sort.
         let mut records = Vec::new();
+        let fair = &mut self.fair;
         self.flows.retain(|(_, f)| {
             if f.src != node && f.dst != node {
                 return true;
             }
-            records.push(FlowRecord {
-                src: f.src,
-                dst: f.dst,
-                bytes_moved: (f.size - f.remaining).max(0.0) as u64,
-                size: f.size as u64,
-                started: f.started,
-            });
+            records.push(f.record(f.delivered()));
+            fair.remove_flow(f.slot);
             false
         });
-        self.recompute_rates();
+        if !records.is_empty() {
+            self.changed();
+        }
         records
     }
 
@@ -273,17 +288,24 @@ impl Fabric {
         ingress_bw: f64,
     ) {
         self.advance(now);
-        self.link_capacity[node.0 * 2] = egress_bw.max(0.0);
-        self.link_capacity[node.0 * 2 + 1] = ingress_bw.max(0.0);
-        self.recompute_rates();
+        self.fair.set_capacity(node.0 * 2, egress_bw.max(0.0));
+        self.fair.set_capacity(node.0 * 2 + 1, ingress_bw.max(0.0));
+        self.changed();
     }
 
     /// The node's current (egress, ingress) access-link capacities.
     pub fn node_bandwidth(&self, node: NodeId) -> (f64, f64) {
         (
-            self.link_capacity[node.0 * 2],
-            self.link_capacity[node.0 * 2 + 1],
+            self.fair.capacity(node.0 * 2),
+            self.fair.capacity(node.0 * 2 + 1),
         )
+    }
+
+    /// The flow set or the capacities changed: the rates are stale.
+    fn changed(&mut self) {
+        self.changes += 1;
+        self.stale = true;
+        self.next = None;
     }
 
     /// Advance in-flight progress to `now` at current rates.
@@ -291,35 +313,71 @@ impl Fabric {
         debug_assert!(now >= self.now, "fabric time moved backwards");
         let dt = now.saturating_since(self.now).as_secs_f64();
         if dt > 0.0 {
+            self.settle();
             for (_, f) in &mut self.flows {
                 f.remaining = (f.remaining - f.rate * dt).max(0.0);
             }
+            self.next = None;
         }
         self.now = now;
     }
 
-    /// Recompute the max–min fair allocation over all active flows.
-    fn recompute_rates(&mut self) {
-        self.recomputes += 1;
-        if self.flows.is_empty() {
+    /// Bring stale rates up to date: solve, copy each flow's rate, and
+    /// cache the earliest completion found on the way.
+    fn settle(&mut self) {
+        if !self.stale {
             return;
         }
-        // Deterministic flow order: the list is id-sorted.
-        self.spec_scratch.clear();
-        self.spec_scratch
-            .extend(self.flows.iter().map(|(_, f)| FlowSpec {
-                egress_link: f.src.0 * 2,
-                ingress_link: f.dst.0 * 2 + 1,
-                rate_cap: f.rate_cap,
-            }));
-        max_min_fair_into(
-            &self.spec_scratch,
-            &self.link_capacity,
-            &mut self.rate_scratch,
-            &mut self.fair_scratch,
-        );
-        for ((_, f), &r) in self.flows.iter_mut().zip(&self.rate_scratch) {
-            f.rate = r;
+        self.stale = false;
+        if !self.flows.is_empty() {
+            self.fair.solve();
+        }
+        let mut earliest = Earliest::default();
+        for (id, f) in &mut self.flows {
+            f.rate = self.fair.rate(f.slot);
+            earliest.visit(self.now, *id, f);
+        }
+        self.next = Some(earliest.best);
+    }
+}
+
+/// The earliest projected `(finish, id)` among the flows visited, which
+/// must come in ascending id order. Ties go to the lower id; stalled
+/// flows (rate 0) never finish.
+struct Earliest {
+    best: Option<(SimTime, FlowId)>,
+    /// The best flow's drain time in microseconds, rounded up.
+    bound: f64,
+}
+
+impl Default for Earliest {
+    fn default() -> Self {
+        Earliest {
+            best: None,
+            bound: f64::INFINITY,
+        }
+    }
+}
+
+impl Earliest {
+    fn visit(&mut self, now: SimTime, id: FlowId, f: &Flow) {
+        if f.rate <= 0.0 {
+            return;
+        }
+        let us = f.remaining / f.rate * 1e6;
+        // Rounding up is monotone, so a flow whose unrounded drain time
+        // exceeds the best's rounded one finishes no earlier, and loses
+        // the tie on id: skip the rounding.
+        if us > self.bound {
+            return;
+        }
+        // Round up to the next microsecond so the flow is always fully
+        // drained (never early) when the completion event fires.
+        let us = us.ceil().max(0.0);
+        let finish = now + SimDur::from_micros(us as u64);
+        if self.best.is_none_or(|b| (finish, id) < b) {
+            self.best = Some((finish, id));
+            self.bound = us;
         }
     }
 }
@@ -507,17 +565,20 @@ mod tests {
     fn solve_cost_does_not_grow_with_node_count() {
         // The same two flows cost the same solver work on a 3-node and on
         // a 10 000-node fabric: a solve visits only the links they load.
+        // Each start is read, so each costs a solve.
         let work = |n_nodes: usize| {
             let mut fab = Fabric::new();
             let nodes: Vec<NodeId> = (0..n_nodes).map(|_| fab.add_symmetric_node(1e9)).collect();
             let far = nodes[n_nodes - 1];
             fab.start_flow(SimTime::ZERO, nodes[0], far, 1_000, f64::INFINITY);
+            fab.next_completion();
             fab.start_flow(SimTime::ZERO, nodes[1], nodes[0], 1_000, 1e6);
+            fab.next_completion();
             fab.solve_work()
         };
         let campus = work(10_000);
         assert_eq!(campus, work(3));
-        assert_eq!(campus.solves, 2);
+        assert_eq!((campus.changes, campus.solves), (2, 2));
         // Each iteration fixes at least one flow (1 + 2 over the two
         // solves), and scans at most the 4 loaded links twice.
         assert!(campus.iterations <= 3, "{campus:?}");
@@ -525,6 +586,55 @@ mod tests {
             campus.link_visits <= 2 * 4 * campus.iterations,
             "{campus:?}"
         );
+    }
+
+    #[test]
+    fn same_instant_changes_cost_one_solve_when_read() {
+        let mut fab = Fabric::new();
+        let nodes: Vec<NodeId> = (0..9).map(|_| fab.add_symmetric_node(1e9)).collect();
+        for k in 1..=8 {
+            fab.start_flow(t(1.0), nodes[0], nodes[k], 1_000, f64::INFINITY);
+        }
+        assert_eq!(fab.solve_work().solves, 0, "unread changes do not solve");
+        let first = fab.next_completion();
+        assert!(first.is_some());
+        // Reads between changes hit the cache.
+        assert_eq!(fab.next_completion(), first);
+        assert_eq!(fab.flow_rate(FlowId(3)), Some(1e9 / 8.0));
+        let work = fab.solve_work();
+        assert_eq!((work.changes, work.solves), (8, 1), "{work:?}");
+    }
+
+    #[test]
+    fn finished_flows_leave_no_solver_work_behind() {
+        let mut fab = Fabric::new();
+        let nodes: Vec<NodeId> = (0..100).map(|_| fab.add_symmetric_node(1e9)).collect();
+        for k in 1..100 {
+            let id = fab.start_flow(SimTime::ZERO, nodes[k], nodes[k - 1], 1_000, 1e6);
+            fab.cancel_flow(SimTime::ZERO, id);
+        }
+        fab.start_flow(SimTime::ZERO, nodes[0], nodes[99], 1_000, f64::INFINITY);
+        fab.next_completion();
+        // One solve over one flow: a single iteration scans its two links
+        // and stops the bottleneck search at the first.
+        let w = fab.solve_work();
+        assert_eq!((w.solves, w.iterations, w.link_visits), (1, 1, 3), "{w:?}");
+    }
+
+    #[test]
+    fn unread_change_is_solved_before_time_moves() {
+        // The first flow's progress up to t=4 must be made at the rate
+        // the two-flow set gets (50 B/s each), although nothing read it.
+        let mut fab = Fabric::new();
+        let src = fab.add_symmetric_node(100.0);
+        let d1 = fab.add_symmetric_node(1000.0);
+        let d2 = fab.add_symmetric_node(1000.0);
+        let f1 = fab.start_flow(SimTime::ZERO, src, d1, 1000, f64::INFINITY);
+        let f2 = fab.start_flow(SimTime::ZERO, src, d2, 1000, f64::INFINITY);
+        let rec = fab.cancel_flow(t(4.0), f2).unwrap();
+        assert_eq!(rec.bytes_moved, 200);
+        // f1: 800 left at 100 B/s.
+        assert_eq!(fab.next_completion(), Some((t(12.0), f1)));
     }
 
     #[test]

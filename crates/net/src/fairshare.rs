@@ -13,22 +13,24 @@
 //! 3. **work conservation / max–min optimality** — every flow is limited by
 //!    a saturated link or by its own cap.
 //!
-//! [`max_min_fair_into`] touches only what the flows load:
+//! [`FairState`] holds the solver's input between solves, so an owner
+//! whose flow set changes a little at a time (the [`crate::Fabric`])
+//! updates it per change instead of rebuilding it per solve:
 //!
-//! - the links the flows cross, gathered into an ascending list (via a
-//!   one-bit-per-link bitmap, so no sort) and compacted as each link's
-//!   last flow is fixed; the per-iteration minimum and the bottleneck
-//!   search scan only this list;
-//! - each link's flows, indexed in flow order, so fixing a bottleneck
-//!   visits only that link's flows;
-//! - the flows with a finite cap, in flow order, for the cap pass.
+//! - each flow sits in a stable slot holding its two links and its cap;
+//! - each link keeps its flows in ascending id order, and a
+//!   one-bit-per-link bitmap marks the links that carry any;
+//! - the flows with a finite cap are kept in ascending id order.
 //!
-//! One solve costs O(flows + loaded links × iterations) plus the bitmap
-//! sweep of links / 64 words; [`SolveWork`] counts the iterations and link
-//! visits. Every scan meets links and flows in the same ascending order a
-//! full scan would, every share is computed from the same operands, and
-//! capped flows are fixed in the same order, so the rates are bit-identical
-//! to [`max_min_fair_reference`], the full-scan original kept as the test
+//! A solve (`FairState::solve`) sweeps the bitmap for the ascending list
+//! of loaded links, scans only that list for the per-iteration minimum
+//! and the bottleneck, and visits only the bottleneck's flows. It costs
+//! O(loaded links × iterations + flows fixed) plus links / 64 bitmap
+//! words; [`SolveWork`] counts the iterations and link visits. Every scan
+//! meets links and flows in the same ascending order a full scan would,
+//! every share is computed from the same operands, and capped flows are
+//! fixed in the same order, so the rates are bit-identical to
+//! [`max_min_fair_reference`], the full-scan original kept as the test
 //! oracle.
 
 /// Shares within this distance of the minimum count as the minimum.
@@ -46,10 +48,14 @@ pub struct FlowSpec {
     pub rate_cap: f64,
 }
 
-/// Work done by [`max_min_fair_into`] on one [`FairScratch`], summed over
-/// its calls. Exact counts, not times: equal inputs give equal counts.
+/// Work counts of a solver and its owner, summed over their lifetime.
+/// Exact counts, not times: equal inputs give equal counts.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SolveWork {
+    /// Flow-set and capacity changes the owner made. Counted by the
+    /// owner ([`crate::Fabric`]), which solves at most once per change;
+    /// zero for a bare [`FairState`].
+    pub changes: u64,
     /// Solver calls.
     pub solves: u64,
     /// Water-filling iterations (passes of the main loop).
@@ -59,20 +65,19 @@ pub struct SolveWork {
     pub link_visits: u64,
 }
 
-/// One link's state during a solve. Meaningful only for the links the
-/// solve's flows cross.
+/// One link: its capacity, and its numbers during a solve (meaningful
+/// only for the links that carry flows).
 #[derive(Clone, Copy, Default)]
 struct LinkState {
+    /// Capacity, bytes/second.
+    capacity: f64,
     /// Capacity not yet given to fixed flows.
     remaining: f64,
     /// `remaining.max(0.0) / load`, refreshed whenever either changes
     /// (meaningless once the load is zero).
     share: f64,
-    /// Number of active flows crossing the link. Zero between solves.
+    /// Number of flows crossing the link not yet given a rate.
     load: usize,
-    /// This link's run in `FairScratch::on_link`: `run_start..run_end`.
-    run_start: usize,
-    run_end: usize,
 }
 
 impl LinkState {
@@ -84,52 +89,312 @@ impl LinkState {
     }
 }
 
-/// Give flow `i` rate `r` and take it off its two links.
-fn fix_in_state(
-    i: usize,
-    r: f64,
-    flows: &[FlowSpec],
-    rate: &mut [f64],
-    links: &mut [LinkState],
-    active: &mut [bool],
-) {
-    let r = r.max(0.0);
-    rate[i] = r;
-    active[i] = false;
-    links[flows[i].egress_link].take(r);
-    links[flows[i].ingress_link].take(r);
+/// One flow's stable slot.
+#[derive(Clone, Copy)]
+struct Slot {
+    id: u64,
+    egress: usize,
+    ingress: usize,
+    cap: f64,
+    rate: f64,
+    /// Equals `FairState::epoch` once the current solve has fixed the
+    /// flow, so starting a solve (bumping the epoch) un-fixes every flow
+    /// without touching any.
+    fixed_in: u64,
 }
 
-/// Reusable working memory for [`max_min_fair_into`], so the per-event
-/// recompute in the fabric hot path allocates nothing. The per-link
-/// vectors are resized only when the link count changes; a solve reads
-/// and resets only the entries of the links its flows cross.
+/// Give the flow in slot `s` rate `r` and take it off its two links.
+fn fix(s: usize, r: f64, slots: &mut [Slot], links: &mut [LinkState], epoch: u64) {
+    let r = r.max(0.0);
+    let slot = &mut slots[s];
+    slot.rate = r;
+    slot.fixed_in = epoch;
+    links[slot.egress].take(r);
+    links[slot.ingress].take(r);
+}
+
+/// Remove one `(id, slot)` entry from an id-sorted list.
+fn remove_sorted(list: &mut Vec<(u64, usize)>, id: u64) {
+    match list.binary_search_by_key(&id, |e| e.0) {
+        Ok(pos) => {
+            list.remove(pos);
+        }
+        Err(_) => debug_assert!(false, "flow {id} missing from a list"),
+    }
+}
+
+/// The water-filling solver's input, kept between solves: link
+/// capacities, and the flows with their links and caps. The owner adds
+/// links, sets capacities and adds and removes flows as they change, then
+/// solves when it needs rates. Flow ids must be added
+/// in ascending order; that order fixes float-summation and tie-break
+/// behaviour.
 #[derive(Default)]
-pub struct FairScratch {
-    /// Per link of the capacity array.
+pub struct FairState {
+    /// Per link.
     links: Vec<LinkState>,
-    /// One bit per link, set while gathering the loaded links. All clear
-    /// between solves.
+    /// Per link: its flows' `(id, slot)`, ascending by id. A flow whose
+    /// egress and ingress are one link appears twice.
+    on_link: Vec<Vec<(u64, usize)>>,
+    /// One bit per link, set iff its `on_link` list is non-empty.
     loaded: Vec<u64>,
-    /// Loaded links, ascending; compacted each iteration.
+    /// Flow slots; `free` lists the vacant ones.
+    slots: Vec<Slot>,
+    free: Vec<usize>,
+    /// Flows with a finite private cap, ascending by id.
+    capped: Vec<(u64, usize)>,
+    /// Solves started; see `Slot::fixed_in`.
+    epoch: u64,
+    /// Per-solve working lists: the loaded links and the capped flows,
+    /// compacted as they drain.
     live: Vec<usize>,
-    /// Flow indices grouped by link, ascending within each link's run. A
-    /// flow whose egress and ingress are one link appears twice in its run.
-    on_link: Vec<usize>,
-    /// Per flow: its offset within its egress and its ingress link's run.
-    rank: Vec<[usize; 2]>,
-    /// Per flow: not yet given a rate.
-    active: Vec<bool>,
-    /// Flows with a finite private cap, ascending; compacted as they are
-    /// fixed.
-    capped: Vec<usize>,
+    capped_live: Vec<usize>,
     work: SolveWork,
 }
 
-impl FairScratch {
-    /// Work done by solves on this scratch so far.
+impl FairState {
+    /// Work done by solves on this state so far (`changes` is zero: the
+    /// owner counts those).
     pub fn work(&self) -> SolveWork {
         self.work
+    }
+
+    /// Number of links.
+    pub(crate) fn link_count(&self) -> usize {
+        self.links.len()
+    }
+
+    /// Add a link with the given capacity (bytes/second; may be
+    /// `f64::INFINITY`) and return its index.
+    pub(crate) fn add_link(&mut self, capacity: f64) -> usize {
+        let l = self.links.len();
+        self.links.push(LinkState {
+            capacity,
+            ..LinkState::default()
+        });
+        self.on_link.push(Vec::new());
+        self.loaded.resize((l + 1).div_ceil(64), 0);
+        l
+    }
+
+    /// Link `l`'s capacity.
+    pub(crate) fn capacity(&self, l: usize) -> f64 {
+        self.links[l].capacity
+    }
+
+    /// Replace link `l`'s capacity.
+    pub(crate) fn set_capacity(&mut self, l: usize, capacity: f64) {
+        self.links[l].capacity = capacity;
+    }
+
+    /// Add flow `id` over `egress` and `ingress` with private cap
+    /// `rate_cap` (`f64::INFINITY` if uncapped). Returns its slot, stable
+    /// until the flow is removed. `id` must not be below any id added
+    /// before it that is still present.
+    pub(crate) fn add_flow(
+        &mut self,
+        id: u64,
+        egress: usize,
+        ingress: usize,
+        rate_cap: f64,
+    ) -> usize {
+        let slot = Slot {
+            id,
+            egress,
+            ingress,
+            cap: rate_cap,
+            rate: 0.0,
+            fixed_in: 0,
+        };
+        let s = match self.free.pop() {
+            Some(s) => {
+                self.slots[s] = slot;
+                s
+            }
+            None => {
+                self.slots.push(slot);
+                self.slots.len() - 1
+            }
+        };
+        for l in [egress, ingress] {
+            let list = &mut self.on_link[l];
+            debug_assert!(list.last().is_none_or(|&(last, _)| last <= id));
+            if list.is_empty() {
+                self.loaded[l / 64] |= 1 << (l % 64);
+            }
+            list.push((id, s));
+        }
+        if rate_cap.is_finite() {
+            debug_assert!(self.capped.last().is_none_or(|&(last, _)| last < id));
+            self.capped.push((id, s));
+        }
+        s
+    }
+
+    /// Remove the flow in slot `s`.
+    pub(crate) fn remove_flow(&mut self, s: usize) {
+        let Slot {
+            id,
+            egress,
+            ingress,
+            cap,
+            ..
+        } = self.slots[s];
+        for l in [egress, ingress] {
+            let list = &mut self.on_link[l];
+            remove_sorted(list, id);
+            if list.is_empty() {
+                self.loaded[l / 64] &= !(1 << (l % 64));
+            }
+        }
+        if cap.is_finite() {
+            remove_sorted(&mut self.capped, id);
+        }
+        self.free.push(s);
+    }
+
+    /// Drop every flow and replace the links with `link_capacity`,
+    /// keeping the allocations.
+    fn reset(&mut self, link_capacity: &[f64]) {
+        self.links.clear();
+        self.links
+            .extend(link_capacity.iter().map(|&capacity| LinkState {
+                capacity,
+                ..LinkState::default()
+            }));
+        for list in &mut self.on_link {
+            list.clear();
+        }
+        self.on_link.resize_with(link_capacity.len(), Vec::new);
+        self.loaded.clear();
+        self.loaded.resize(link_capacity.len().div_ceil(64), 0);
+        self.slots.clear();
+        self.free.clear();
+        self.capped.clear();
+    }
+
+    /// The rate the last solve gave the flow in slot `s` (0 before any).
+    pub(crate) fn rate(&self, s: usize) -> f64 {
+        self.slots[s].rate
+    }
+
+    /// Compute the max–min fair rate of every flow; read them with
+    /// [`FairState::rate`].
+    pub(crate) fn solve(&mut self) {
+        self.work.solves += 1;
+        self.epoch += 1;
+        let mut active_count = self.slots.len() - self.free.len();
+        if active_count == 0 {
+            return;
+        }
+        let FairState {
+            links,
+            on_link,
+            loaded,
+            slots,
+            capped,
+            epoch,
+            live,
+            capped_live,
+            work,
+            ..
+        } = self;
+        let epoch = *epoch;
+
+        // The loaded links, ascending, so that every scan below meets
+        // them in the order a scan of all links would. Sweeping the
+        // bitmap (one word per 64 links) orders them without a sort.
+        live.clear();
+        for (w, mut word) in loaded.iter().copied().enumerate() {
+            while word != 0 {
+                let l = w * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                let link = &mut links[l];
+                link.remaining = link.capacity;
+                link.load = on_link[l].len();
+                link.share = link.remaining.max(0.0) / link.load as f64;
+                live.push(l);
+            }
+        }
+        capped_live.clear();
+        capped_live.extend(capped.iter().map(|&(_, s)| s));
+
+        while active_count > 0 {
+            work.iterations += 1;
+            work.link_visits += live.len() as u64;
+            // Fair share offered by the most constrained link; drained
+            // links leave the live list.
+            let mut bottleneck_share = f64::INFINITY;
+            live.retain(|&l| {
+                let link = &links[l];
+                if link.load == 0 {
+                    return false;
+                }
+                bottleneck_share = bottleneck_share.min(link.share);
+                true
+            });
+
+            // Flows whose private cap binds below the link share are fixed
+            // at their cap; this releases capacity, so redo the loop
+            // afterwards.
+            let mut fixed_any_cap = false;
+            capped_live.retain(|&s| {
+                if slots[s].fixed_in == epoch {
+                    return false;
+                }
+                let cap = slots[s].cap;
+                if cap <= bottleneck_share + EPS {
+                    fix(s, cap, slots, links, epoch);
+                    active_count -= 1;
+                    fixed_any_cap = true;
+                    return false;
+                }
+                true
+            });
+            if fixed_any_cap {
+                continue;
+            }
+
+            if !bottleneck_share.is_finite() {
+                // No finite constraint remains: uncapped flows on
+                // unconstrained links, all of them on live links. Give
+                // them a huge-but-finite rate to keep downstream
+                // arithmetic sane, and stop.
+                for &l in live.iter() {
+                    for &(_, s) in &on_link[l] {
+                        let slot = &mut slots[s];
+                        if slot.fixed_in != epoch {
+                            slot.rate = f64::MAX / 1e6;
+                            slot.fixed_in = epoch;
+                        }
+                    }
+                }
+                break;
+            }
+
+            // Fix every flow on the first (lowest-index) bottleneck link,
+            // in id order, then recompute.
+            let found = live
+                .iter()
+                .position(|&l| links[l].share <= bottleneck_share + EPS);
+            work.link_visits += found.map_or(live.len(), |p| p + 1) as u64;
+            let Some(p) = found else {
+                debug_assert!(false, "water-filling made no progress");
+                break;
+            };
+            let mut fixed_any = false;
+            for &(_, s) in &on_link[live[p]] {
+                if slots[s].fixed_in != epoch {
+                    fix(s, bottleneck_share, slots, links, epoch);
+                    active_count -= 1;
+                    fixed_any = true;
+                }
+            }
+            debug_assert!(fixed_any, "bottleneck link had no active flows");
+            if !fixed_any {
+                break;
+            }
+        }
     }
 }
 
@@ -139,173 +404,29 @@ impl FairScratch {
 /// Returns one rate per flow, in order.
 pub fn max_min_fair(flows: &[FlowSpec], link_capacity: &[f64]) -> Vec<f64> {
     let mut rate = Vec::new();
-    max_min_fair_into(flows, link_capacity, &mut rate, &mut FairScratch::default());
+    max_min_fair_into(flows, link_capacity, &mut rate, &mut FairState::default());
     rate
 }
 
-/// Allocation-free variant of [`max_min_fair`]: writes one rate per flow
-/// (in order) into `rate`, reusing `scratch` across calls.
+/// [`max_min_fair`] into a caller's buffer: loads `flows` (as ids
+/// `0..n`) and `link_capacity` into `state`, replacing whatever it held,
+/// solves, and writes one rate per flow (in order) into `rate`. Reusing
+/// `state` across calls reuses its allocations.
 pub fn max_min_fair_into(
     flows: &[FlowSpec],
     link_capacity: &[f64],
     rate: &mut Vec<f64>,
-    scratch: &mut FairScratch,
+    state: &mut FairState,
 ) {
-    let n = flows.len();
-    rate.clear();
-    rate.resize(n, 0.0);
-    scratch.work.solves += 1;
-    if n == 0 {
-        return;
-    }
-
-    let FairScratch {
-        links,
-        loaded,
-        live,
-        on_link,
-        rank,
-        active,
-        capped,
-        work,
-    } = scratch;
-    if links.len() != link_capacity.len() {
-        links.clear();
-        links.resize(link_capacity.len(), LinkState::default());
-        loaded.clear();
-        loaded.resize(link_capacity.len().div_ceil(64), 0);
-    }
-
-    // Count each link's flows, noting each flow's rank among them and
-    // marking links as they become loaded.
-    capped.clear();
-    rank.clear();
+    state.reset(link_capacity);
     for (i, f) in flows.iter().enumerate() {
-        let mut ranks = [0; 2];
-        for (r, l) in ranks.iter_mut().zip([f.egress_link, f.ingress_link]) {
-            *r = links[l].load;
-            links[l].load += 1;
-            if *r == 0 {
-                loaded[l / 64] |= 1 << (l % 64);
-            }
-        }
-        rank.push(ranks);
-        if f.rate_cap.is_finite() {
-            capped.push(i);
-        }
+        state.add_flow(i as u64, f.egress_link, f.ingress_link, f.rate_cap);
     }
-    // The loaded links, ascending, so that every scan below meets them in
-    // the order a scan of the whole capacity array would. Sweeping the
-    // bitmap (one word per 64 links) orders them without a sort.
-    live.clear();
-    let mut run = 0;
-    for (w, word) in loaded.iter_mut().enumerate() {
-        while *word != 0 {
-            let l = w * 64 + word.trailing_zeros() as usize;
-            *word &= *word - 1;
-            let link = &mut links[l];
-            link.remaining = link_capacity[l];
-            link.share = link.remaining.max(0.0) / link.load as f64;
-            link.run_start = run;
-            run += link.load;
-            link.run_end = run;
-            live.push(l);
-        }
-    }
-    // Each flow lands at its rank within its links' runs, so every run
-    // lists its flows in flow order.
-    on_link.clear();
-    on_link.resize(run, 0);
-    for (i, (f, r)) in flows.iter().zip(rank.iter()).enumerate() {
-        on_link[links[f.egress_link].run_start + r[0]] = i;
-        on_link[links[f.ingress_link].run_start + r[1]] = i;
-    }
-    active.clear();
-    active.resize(n, true);
-    let mut active_count = n;
-
-    while active_count > 0 {
-        work.iterations += 1;
-        work.link_visits += live.len() as u64;
-        // Fair share offered by the most constrained link; drained links
-        // leave the live list.
-        let mut bottleneck_share = f64::INFINITY;
-        live.retain(|&l| {
-            let link = &links[l];
-            if link.load == 0 {
-                return false;
-            }
-            bottleneck_share = bottleneck_share.min(link.share);
-            true
-        });
-
-        // Flows whose private cap binds below the link share are fixed at
-        // their cap; this releases capacity, so redo the loop afterwards.
-        let mut fixed_any_cap = false;
-        capped.retain(|&i| {
-            if !active[i] {
-                return false;
-            }
-            if flows[i].rate_cap <= bottleneck_share + EPS {
-                fix_in_state(i, flows[i].rate_cap, flows, rate, links, active);
-                active_count -= 1;
-                fixed_any_cap = true;
-                return false;
-            }
-            true
-        });
-        if fixed_any_cap {
-            continue;
-        }
-
-        if !bottleneck_share.is_finite() {
-            // No finite constraint remains: uncapped flows on unconstrained
-            // links. Give them a huge-but-finite rate to keep downstream
-            // arithmetic sane, and stop.
-            for i in 0..n {
-                if active[i] {
-                    rate[i] = f64::MAX / 1e6;
-                    active[i] = false;
-                }
-            }
-            break;
-        }
-
-        // Fix every flow on the first (lowest-index) bottleneck link, then
-        // recompute.
-        let found = live
-            .iter()
-            .position(|&l| links[l].share <= bottleneck_share + EPS);
-        work.link_visits += found.map_or(live.len(), |p| p + 1) as u64;
-        let Some(p) = found else {
-            debug_assert!(false, "water-filling made no progress");
-            break;
-        };
-        let LinkState {
-            run_start, run_end, ..
-        } = links[live[p]];
-        let mut fixed_any = false;
-        for &i in &on_link[run_start..run_end] {
-            if active[i] {
-                fix_in_state(i, bottleneck_share, flows, rate, links, active);
-                active_count -= 1;
-                fixed_any = true;
-            }
-        }
-        debug_assert!(fixed_any, "bottleneck link had no active flows");
-        if !fixed_any {
-            break;
-        }
-    }
-
-    // Only an early exit leaves flows unfixed, and every link still loaded
-    // is on the live list.
-    for &l in live.iter() {
-        links[l].load = 0;
-    }
+    state.solve();
+    rate.clear();
+    rate.extend(state.slots.iter().map(|s| s.rate));
 }
-
-/// The full-scan water-filling [`max_min_fair_into`] replaced: every
+/// The full-scan water-filling `FairState::solve` replaced: every
 /// iteration scans all of `link_capacity` and all flows. Kept as the
 /// oracle the differential tests compare the fast solver against bit for
 /// bit.
@@ -527,8 +648,9 @@ mod tests {
     #[test]
     fn matches_full_scan_reference_bit_for_bit() {
         // Deterministic pseudo-random solves against the full-scan oracle.
-        // One scratch serves every call while link and flow counts change,
-        // so a load or bitmap bit left behind by an earlier solve would show.
+        // One state serves every call while link and flow counts change,
+        // so a list entry or bitmap bit left behind by an earlier load
+        // would show.
         // Capacities come from a palette with exact ties and sub-EPS
         // near-ties, so the tie rule picks among several links.
         const PALETTE: [f64; 7] = [INF, 0.0, 100.0, 100.0 + 4e-10, 250.0, 1.25e9, 3.0];
@@ -539,7 +661,7 @@ mod tests {
             x ^= x << 17;
             x
         };
-        let mut scratch = FairScratch::default();
+        let mut state = FairState::default();
         let mut rate = Vec::new();
         for case in 0..4_000 {
             let n_links = 1 + (next() % 80) as usize;
@@ -571,7 +693,7 @@ mod tests {
                     spec(e, g, cap)
                 })
                 .collect();
-            max_min_fair_into(&flows, &caps, &mut rate, &mut scratch);
+            max_min_fair_into(&flows, &caps, &mut rate, &mut state);
             let expected = max_min_fair_reference(&flows, &caps);
             let bits = |r: &[f64]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(

@@ -16,8 +16,9 @@
 //!
 //! [`Fabric`] is engine-driven: the simulation engine starts flows, asks
 //! for the next projected completion, and advances the fabric to that
-//! instant. Rates are recomputed on every change of the active-flow set,
-//! and in-flight progress is preserved across recomputations.
+//! instant. Rates are re-solved lazily, once per read after any change of
+//! the active-flow set or the capacities, and in-flight progress is
+//! preserved across re-solves.
 
 pub mod fabric;
 pub mod fairshare;

@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 use vine_net::{Fabric, NodeId};
 use vine_obs::MetricsRegistry;
 use vine_simcore::units::{gbit_per_sec, GB};
-use vine_simcore::{SimDur, SimTime};
+use vine_simcore::SimDur;
 use vine_storage::CacheName;
 
 /// Knobs for one shared store tier.
@@ -289,8 +289,12 @@ impl ObjectStore {
             return SimDur::ZERO;
         }
         self.counters[shard].fetched_bytes += bytes;
+        // The fabric's clock sits at the previous fetch's finish; the
+        // flow is alone on the fabric, so its drain time does not depend
+        // on when it starts.
+        let start = self.fabric.now();
         let flow = self.fabric.start_flow(
-            SimTime::ZERO,
+            start,
             self.store_node,
             self.shard_nodes[shard],
             bytes,
@@ -302,7 +306,7 @@ impl ObjectStore {
             .expect("a just-started flow has a completion");
         debug_assert_eq!(id, flow);
         self.fabric.complete_flow(finish, id);
-        self.cfg.fetch_latency + finish.saturating_since(SimTime::ZERO)
+        self.cfg.fetch_latency + finish.saturating_since(start)
     }
 
     /// Fold the store's state and per-shard counters into `m`. Metric
@@ -430,6 +434,25 @@ mod tests {
         assert!((d.as_secs_f64() - 1.001).abs() < 1e-3, "{d:?}");
         assert_eq!(s.counters(0).fetched_bytes, 50_000_000);
         assert_eq!(s.fetch_cost(1, 0), SimDur::ZERO);
+    }
+
+    #[test]
+    fn consecutive_fetches_cost_the_same() {
+        // Each fetch starts where the previous one left the store
+        // fabric's clock, so the second neither rewinds time nor pays
+        // for the first.
+        let mut s = ObjectStore::new(
+            StoreConfig {
+                capacity_bytes: GB,
+                fetch_latency: SimDur::from_millis(1),
+                store_bw: 100e6,
+                shard_bw: 50e6,
+            },
+            2,
+        );
+        let first = s.fetch_cost(0, 50_000_000);
+        assert_eq!(s.fetch_cost(1, 50_000_000), first);
+        assert_eq!(s.fetch_cost(0, 50_000_000), first);
     }
 
     #[test]
