@@ -327,9 +327,7 @@ impl Default for AuditConfig {
         );
         layering.insert(
             "watch".into(),
-            dep(&[
-                "simcore", "storage", "dag", "lint", "obs", "data", "analysis", "core", "serve",
-            ]),
+            dep(&["dag", "lint", "obs", "data", "analysis", "core", "serve"]),
         );
         layering.insert(
             "bench".into(),

@@ -4,8 +4,8 @@
 //! Usage: ablations `[scale_down] [--trace-out DIR] [--metrics]`
 //! (default 10)
 
+use vine_bench::cli::BenchCli;
 use vine_bench::experiments::ablations;
-use vine_bench::obsout::ObsCli;
 use vine_bench::report;
 use vine_simcore::units::fmt_bytes;
 
@@ -45,8 +45,8 @@ fn section(title: &str, rows: &[ablations::AblationRow]) {
 }
 
 fn main() {
-    let obs = ObsCli::parse();
-    let scale: usize = obs.rest.first().and_then(|s| s.parse().ok()).unwrap_or(10);
+    let cli = BenchCli::parse();
+    let scale: usize = cli.rest.first().and_then(|s| s.parse().ok()).unwrap_or(10);
     eprintln!("Ablations at scale 1/{scale} ...");
     let workers = (200 / scale.max(1)).max(4);
     let cfg = vine_core::EngineConfig::stack4(vine_cluster::ClusterSpec::standard(workers), 42);
@@ -84,8 +84,8 @@ fn main() {
     );
 
     // Recorded baseline (stack 4, DV3-Large) for trace/metrics export.
-    if obs.enabled() {
-        obs.export_engine_run(
+    if cli.enabled() {
+        cli.export_engine_run(
             "ablations-baseline",
             vine_core::EngineConfig::stack4(vine_cluster::ClusterSpec::standard(workers), 42),
             vine_analysis::WorkloadSpec::dv3_large()

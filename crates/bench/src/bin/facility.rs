@@ -14,9 +14,15 @@
 //! (default scale 20; larger = smaller workloads)
 
 use vine_analysis::WorkloadSpec;
-use vine_bench::obsout::ObsCli;
+use vine_bench::cli::BenchCli;
 use vine_bench::report;
-use vine_serve::{Facility, FacilityConfig, LoadGen};
+use vine_serve::{FacilityConfig, LoadGen, ShardedConfig, ShardedFacility};
+
+/// The demo facility as a single shard.
+fn demo_facility(seed: u64) -> ShardedFacility {
+    ShardedFacility::new(ShardedConfig::single(FacilityConfig::demo(seed)))
+        .expect("demo config is clean")
+}
 
 /// `cold/this` as a readable factor; a fully-memoized run finishes in
 /// (essentially) zero simulated time, which reads better as a floor.
@@ -30,20 +36,21 @@ fn speedup_label(cold_s: f64, this_s: f64) -> String {
 }
 
 fn main() {
-    let obs = ObsCli::parse();
-    let scale = if obs.rest.is_empty() { 20 } else { obs.scale() };
+    let cli = BenchCli::parse();
+    let scale = if cli.rest.is_empty() { 20 } else { cli.scale() };
     let seed = 42;
     eprintln!("Facility: warm-start + multi-tenant fair share (scale 1/{scale}) ...");
 
     // ---- Part 1: cold → warm → edited, one analyst ------------------
     let spec = WorkloadSpec::dv3_small().scaled_down(scale);
-    let mut facility = Facility::new(FacilityConfig::demo(seed)).expect("demo config is clean");
+    let mut facility = demo_facility(seed);
     for d in facility.preflight().diagnostics() {
         eprintln!("  preflight: {d}");
     }
-    let cold = facility.run_now(0, spec.to_graph(), "cold");
-    let warm = facility.run_now(0, spec.to_graph(), "warm");
-    let edited = facility.run_now(0, spec.clone().with_edit_generation(1).to_graph(), "edited");
+    let cold = facility.run_now(0, spec.to_graph(), "cold", None);
+    let warm = facility.run_now(0, spec.to_graph(), "warm", None);
+    let edited_graph = spec.clone().with_edit_generation(1).to_graph();
+    let edited = facility.run_now(0, edited_graph, "edited", None);
 
     let header = [
         "Submission",
@@ -81,12 +88,12 @@ fn main() {
         scale_down: scale.max(20),
         ..LoadGen::default()
     };
-    let mut facility = Facility::new(FacilityConfig::demo(seed)).expect("demo config is clean");
+    let mut facility = demo_facility(seed);
     let subs = loadgen.generate(2, seed);
     let n = subs.len();
     eprintln!("  driving {n} submissions from 2 tenants ...");
     facility.ingest(subs);
-    let rep = facility.drain();
+    let rep = facility.drain().shards.remove(0);
 
     let header = [
         "Tenant",
@@ -128,9 +135,9 @@ fn main() {
     report::write_csv("facility_metrics.txt", &rep.to_metrics().to_text());
 
     // ---- Observability passthrough ----------------------------------
-    if obs.enabled() {
+    if cli.enabled() {
         let cluster = vine_cluster::ClusterSpec::standard(4);
         let cfg = vine_core::EngineConfig::stack(3, cluster, seed).deterministic();
-        obs.export_engine_run("facility_cold", cfg, spec.to_graph());
+        cli.export_engine_run("facility_cold", cfg, spec.to_graph());
     }
 }

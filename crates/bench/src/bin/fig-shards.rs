@@ -12,8 +12,8 @@
 //!
 //! The binary exits non-zero unless
 //!
-//! * shards=1 with the store disabled is **byte-identical** to the
-//!   plain single-[`Facility`] path on the same submissions,
+//! * shards=1 with the store disabled reproduces the pinned digest of
+//!   the single-facility CSV export on the same submissions,
 //! * every cell replays with a bit-identical digest, and
 //! * for every tenant population, the warm-hit ratio at shards=8 stays
 //!   within 5 % (relative) of shards=1 — the shared tier must make a
@@ -25,8 +25,9 @@
 //! and against the committed baseline.
 
 use vine_bench::report;
+use vine_data::fnv1a64;
 use vine_serve::{
-    Facility, FacilityConfig, LoadGen, ShardedConfig, ShardedFacility, ShardedReport, Submission,
+    FacilityConfig, LoadGen, ShardedConfig, ShardedFacility, ShardedReport, Submission,
 };
 use vine_store::{ShardCounters, StoreConfig};
 
@@ -105,28 +106,36 @@ fn run_cell(
     (rep, t)
 }
 
-/// The shards=1 degeneracy check: with the store disabled, the
-/// federation must be byte-identical to the plain facility event loop.
-fn assert_single_shard_identity(n_tenants: usize, subs: usize, scale: usize) {
-    let sharded_cfg = config(n_tenants, 1, SEED, false);
-    let mut plain =
-        Facility::new(sharded_cfg.base.clone()).expect("plain facility config is clean");
-    plain.ingest(schedule(n_tenants, subs, scale, SEED));
-    let baseline = plain.drain().to_csv();
+/// FNV-1a digests of the single-facility CSV export for each tenant
+/// population of the sweep (store off, no stealing), captured before the
+/// one-shard federation became the only facility.
+const SINGLE_SHARD_CSV_DIGESTS: [(usize, u64); 3] = [
+    (1_000, 0xeeb5_ba8c_d04e_e61b),
+    (10_000, 0x6f66_9405_8f9f_0441),
+    (100_000, 0x2013_0224_c4eb_4d65),
+];
 
+/// The shards=1 degeneracy check: with the store disabled and no
+/// stealing, the federation's one shard must export exactly the pinned
+/// single-facility CSV.
+fn assert_single_shard_identity(n_tenants: usize, subs: usize, scale: usize) {
     let mut fed = ShardedFacility::new(ShardedConfig {
         work_stealing: false,
-        ..sharded_cfg
+        ..config(n_tenants, 1, SEED, false)
     })
     .expect("single-shard config is clean");
     fed.ingest(schedule(n_tenants, subs, scale, SEED));
     let rep = fed.drain();
+    let (_, pinned) = SINGLE_SHARD_CSV_DIGESTS
+        .into_iter()
+        .find(|&(t, _)| t == n_tenants)
+        .expect("every swept population has a pinned digest");
     assert_eq!(
-        rep.shards[0].to_csv(),
-        baseline,
-        "a 1-shard storeless federation must degenerate to the plain facility"
+        fnv1a64(rep.shards[0].to_csv().as_bytes()),
+        pinned,
+        "a 1-shard storeless federation must reproduce the pinned single-facility CSV"
     );
-    eprintln!("  identity: shards=1 (store off) is byte-identical to the plain facility");
+    eprintln!("  identity: shards=1 (store off) matches the pinned single-facility CSV");
 }
 
 struct Row {

@@ -27,7 +27,7 @@
 use vine_analysis::{StreamAccumulator, WorkloadSpec};
 use vine_bench::report;
 use vine_core::{ObserverControl, PartialUpdate, RunObserver};
-use vine_serve::{Facility, FacilityConfig};
+use vine_serve::{FacilityConfig, ShardedConfig, ShardedFacility};
 use vine_watch::{GraphTemplate, StandingSubmission, TriggerPolicy, WatchSession};
 
 const SEED: u64 = 42;
@@ -37,6 +37,12 @@ const SAVED_GATE: f64 = 0.60;
 
 fn spec() -> WorkloadSpec {
     WorkloadSpec::dv3_small().scaled_down(SCALE)
+}
+
+/// The demo facility as a single shard.
+fn demo_facility(seed: u64) -> ShardedFacility {
+    ShardedFacility::new(ShardedConfig::single(FacilityConfig::demo(seed)))
+        .expect("demo config is lint-clean")
 }
 
 fn policies() -> Vec<(&'static str, TriggerPolicy)> {
@@ -75,8 +81,7 @@ struct Cell {
 /// One standing-analysis timeline: register, grow by `events` appends
 /// (one epoch each), two quiet epochs, one catch-up refresh.
 fn run_cell(trigger: TriggerPolicy, events: usize, seed: u64) -> Cell {
-    let facility = Facility::new(FacilityConfig::demo(seed)).expect("demo config is lint-clean");
-    let mut ws = WatchSession::new(facility, seed);
+    let mut ws = WatchSession::new(demo_facility(seed), seed);
     let id = ws.register(StandingSubmission::new(
         0,
         GraphTemplate::new(spec()),
@@ -117,10 +122,8 @@ fn cold_digest(events: usize, seed: u64) -> (u64, u64) {
     let template = GraphTemplate::new(spec());
     let graph = template.graph_at(&log, log.epoch());
     let tasks = graph.task_count() as u64;
-    let mut facility =
-        Facility::new(FacilityConfig::demo(seed)).expect("demo config is lint-clean");
     let mut obs = Collect(StreamAccumulator::new());
-    let record = facility.run_standing(0, graph, "cold-full", &mut obs);
+    let record = demo_facility(seed).run_standing(0, graph, "cold-full", &mut obs, None);
     assert!(record.completed, "cold recompute must complete");
     (obs.0.digest(), tasks)
 }

@@ -5,14 +5,14 @@
 //! Usage: fig10 `[n_tasks] [--trace-out DIR] [--metrics]`
 //! (default 15000 = paper scale)
 
+use vine_bench::cli::BenchCli;
 use vine_bench::experiments::fig10;
-use vine_bench::obsout::ObsCli;
 use vine_bench::report;
 use vine_core::ImportSource;
 
 fn main() {
-    let obs = ObsCli::parse();
-    let n: usize = obs
+    let cli = BenchCli::parse();
+    let n: usize = cli
         .rest
         .first()
         .and_then(|s| s.parse().ok())
@@ -85,7 +85,7 @@ fn main() {
 
     // Recorded hoisted vs unhoisted runs (complexity 1, local imports):
     // the imports phase in the digests shows exactly what hoisting saves.
-    if obs.enabled() {
+    if cli.enabled() {
         let mut runs = Vec::new();
         for hoist in [false, true] {
             let mut cfg = vine_core::EngineConfig::stack4(fig10::hoisting_cluster(), 42);
@@ -97,7 +97,7 @@ fn main() {
             } else {
                 "fig10-unhoisted"
             };
-            runs.push(obs.export_engine_run(label, cfg, fig10::workflow(n, 1.0)));
+            runs.push(cli.export_engine_run(label, cfg, fig10::workflow(n, 1.0)));
         }
         if let (Some(Some(un)), Some(Some(ho))) = (runs.first(), runs.get(1)) {
             if let (Some(ou), Some(oh)) = (&un.obs, &ho.obs) {

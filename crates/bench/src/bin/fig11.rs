@@ -10,17 +10,17 @@
 //! paper's left panel, while the tree completes cleanly.
 
 use vine_analysis::{ReductionShape, WorkloadSpec};
+use vine_bench::cli::BenchCli;
 use vine_bench::experiments::fig11;
-use vine_bench::obsout::ObsCli;
 use vine_bench::{preflight, report};
 use vine_core::EngineConfig;
 use vine_simcore::trace::series_to_csv;
 use vine_simcore::units::fmt_bytes;
 
 fn main() {
-    let obs = ObsCli::parse();
-    let workers: usize = obs.rest.first().and_then(|s| s.parse().ok()).unwrap_or(14);
-    let scale: usize = obs.rest.get(1).and_then(|s| s.parse().ok()).unwrap_or(1);
+    let cli = BenchCli::parse();
+    let workers: usize = cli.rest.first().and_then(|s| s.parse().ok()).unwrap_or(14);
+    let scale: usize = cli.rest.get(1).and_then(|s| s.parse().ok()).unwrap_or(1);
     eprintln!("Fig 11: reduction shaping, RS-TriPhoton on {workers} workers (scale 1/{scale}) ...");
 
     // Static verdicts first: vine-lint predicts the left panel's failure
@@ -83,11 +83,11 @@ fn main() {
     }
 
     // Recorded tree-reduction run for export (the shape that completes).
-    if obs.enabled() {
+    if cli.enabled() {
         let spec = WorkloadSpec::rs_triphoton()
             .scaled_down(scale)
             .with_reduction(ReductionShape::Tree { arity: 8 });
-        obs.export_engine_run(
+        cli.export_engine_run(
             "fig11-tree",
             EngineConfig::stack4(fig11::rs_cluster(workers), 42),
             spec.to_graph(),

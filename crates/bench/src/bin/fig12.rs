@@ -4,13 +4,13 @@
 //! Usage: fig12 `[scale_down] [--trace-out DIR] [--metrics]`
 //! (default 1 = paper scale)
 
+use vine_bench::cli::BenchCli;
 use vine_bench::experiments::fig12;
-use vine_bench::obsout::ObsCli;
 use vine_bench::report;
 
 fn main() {
-    let obs = ObsCli::parse();
-    let scale: usize = obs.scale();
+    let cli = BenchCli::parse();
+    let scale: usize = cli.scale();
     eprintln!("Fig 12: stack timelines, DV3-Large (scale 1/{scale}) ...");
     let workers = (200 / scale).max(2);
     let spec = vine_analysis::WorkloadSpec::dv3_large().scaled_down(scale);
@@ -78,14 +78,14 @@ fn main() {
     report::write_csv("fig12_timeline.csv", &csv);
 
     // Recorded runs of every stack for trace/metrics export.
-    if obs.enabled() {
+    if cli.enabled() {
         for stack in 1..=4 {
             let cfg = vine_core::EngineConfig::stack(
                 stack,
                 vine_cluster::ClusterSpec::standard(workers),
                 42,
             );
-            obs.export_engine_run(&format!("fig12-stack{stack}"), cfg, spec.to_graph());
+            cli.export_engine_run(&format!("fig12-stack{stack}"), cfg, spec.to_graph());
         }
     }
 }

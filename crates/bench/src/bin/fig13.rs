@@ -5,13 +5,13 @@
 //!        `[--trace-out DIR] [--metrics]`
 //! (defaults: 20, 200, 1 = paper scale)
 
+use vine_bench::cli::BenchCli;
 use vine_bench::experiments::fig13;
-use vine_bench::obsout::ObsCli;
 use vine_bench::report;
 
 fn main() {
-    let obs = ObsCli::parse();
-    let mut args = obs.rest.iter();
+    let cli = BenchCli::parse();
+    let mut args = cli.rest.iter();
     let small: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(20);
     let large: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(200);
     let scale: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(1);
@@ -78,10 +78,10 @@ fn main() {
 
     // Recorded Stack 4 run at the wide cluster for export — the TASK
     // spans in the trace are the Gantt bars above, one per execution.
-    if obs.enabled() {
+    if cli.enabled() {
         let mut cfg =
             vine_core::EngineConfig::stack(4, vine_cluster::ClusterSpec::standard(large), 42);
         cfg.trace.gantt = true;
-        obs.export_engine_run(&format!("fig13-stack4-{large}w"), cfg, spec.to_graph());
+        cli.export_engine_run(&format!("fig13-stack4-{large}w"), cfg, spec.to_graph());
     }
 }

@@ -4,13 +4,13 @@
 //! Usage: fig14a `[scale_down] [--trace-out DIR] [--metrics]`
 //! (default 1 = paper scale)
 
+use vine_bench::cli::BenchCli;
 use vine_bench::experiments::fig14a;
-use vine_bench::obsout::ObsCli;
 use vine_bench::report;
 
 fn main() {
-    let obs = ObsCli::parse();
-    let scale: usize = obs.scale();
+    let cli = BenchCli::parse();
+    let scale: usize = cli.scale();
     eprintln!("Fig 14a: TaskVine vs Dask.Distributed, DV3-Small/Medium (scale 1/{scale}) ...");
     let cluster = vine_cluster::ClusterSpec::standard(5);
     for (wl, spec) in [
@@ -69,14 +69,14 @@ fn main() {
     report::write_csv("fig14a.csv", &report::to_csv(&header, &data));
 
     // Recorded runs of both schedulers on DV3-Small for export.
-    if obs.enabled() {
+    if cli.enabled() {
         let spec = vine_analysis::WorkloadSpec::dv3_small().scaled_down(scale);
-        obs.export_engine_run(
+        cli.export_engine_run(
             "fig14a-taskvine",
             vine_core::EngineConfig::stack4(cluster, 42),
             spec.to_graph(),
         );
-        obs.export_engine_run(
+        cli.export_engine_run(
             "fig14a-dask",
             vine_core::EngineConfig::dask_distributed(cluster, 42),
             spec.to_graph(),

@@ -4,13 +4,13 @@
 //! Usage: fig14b `[scale_down] [--trace-out DIR] [--metrics]`
 //! (default 1 = paper scale)
 
+use vine_bench::cli::BenchCli;
 use vine_bench::experiments::fig14b;
-use vine_bench::obsout::ObsCli;
 use vine_bench::report;
 
 fn main() {
-    let obs = ObsCli::parse();
-    let scale: usize = obs.scale();
+    let cli = BenchCli::parse();
+    let scale: usize = cli.scale();
     eprintln!("Fig 14b: large-scale scaling (scale 1/{scale}) ...");
     let cfg = vine_core::EngineConfig::stack4(vine_cluster::ClusterSpec::standard(200), 42);
     for (wl, spec) in [
@@ -62,8 +62,8 @@ fn main() {
     report::write_csv("fig14b.csv", &report::to_csv(&header, &data));
 
     // Recorded DV3-Large run on the 200-worker cluster for export.
-    if obs.enabled() {
-        obs.export_engine_run(
+    if cli.enabled() {
+        cli.export_engine_run(
             "fig14b-dv3large",
             vine_core::EngineConfig::stack4(
                 vine_cluster::ClusterSpec::standard((200 / scale).max(2)),

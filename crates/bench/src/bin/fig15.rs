@@ -4,13 +4,13 @@
 //! Usage: fig15 `[scale_down] [--trace-out DIR] [--metrics]`
 //! (default 1 = paper scale; expect minutes)
 
+use vine_bench::cli::BenchCli;
 use vine_bench::experiments::fig15;
-use vine_bench::obsout::ObsCli;
 use vine_bench::report;
 
 fn main() {
-    let obs = ObsCli::parse();
-    let scale: usize = obs.scale();
+    let cli = BenchCli::parse();
+    let scale: usize = cli.scale();
     eprintln!("Fig 15: DV3-Huge on 7200 cores (scale 1/{scale}) — this is the big one ...");
     let workers = (600 / scale).max(4);
     vine_bench::preflight::announce_spec(
@@ -54,8 +54,8 @@ fn main() {
     report::write_csv("fig15_timeline.csv", &csv);
 
     // Recorded DV3-Huge run for export (as expensive as the run above).
-    if obs.enabled() {
-        obs.export_engine_run(
+    if cli.enabled() {
+        cli.export_engine_run(
             "fig15-dv3huge",
             vine_core::EngineConfig::stack4(vine_cluster::ClusterSpec::standard(workers), 42),
             vine_analysis::WorkloadSpec::dv3_huge()

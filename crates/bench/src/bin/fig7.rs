@@ -3,15 +3,15 @@
 //! Usage: fig7 `[scale_down] [--trace-out DIR] [--metrics]`
 //! (default 1 = paper scale)
 
+use vine_bench::cli::BenchCli;
 use vine_bench::experiments::fig7;
-use vine_bench::obsout::ObsCli;
 use vine_bench::report;
 use vine_simcore::trace::matrix_to_csv;
 use vine_simcore::units::fmt_bytes;
 
 fn main() {
-    let obs = ObsCli::parse();
-    let scale: usize = obs.scale();
+    let cli = BenchCli::parse();
+    let scale: usize = cli.scale();
     eprintln!("Fig 7: transfer heatmap, DV3-Large (scale 1/{scale}) ...");
     let workers = (200 / scale).max(2);
     let spec = vine_analysis::WorkloadSpec::dv3_large().scaled_down(scale);
@@ -57,14 +57,14 @@ fn main() {
 
     // Recorded WQ and TaskVine runs for export — the transfer instants in
     // the trace are the raw events behind the heatmaps above.
-    if obs.enabled() {
+    if cli.enabled() {
         for stack in [2usize, 3] {
             let cfg = vine_core::EngineConfig::stack(
                 stack,
                 vine_cluster::ClusterSpec::standard(workers),
                 42,
             );
-            obs.export_engine_run(&format!("fig7-stack{stack}"), cfg, spec.to_graph());
+            cli.export_engine_run(&format!("fig7-stack{stack}"), cfg, spec.to_graph());
         }
     }
 }

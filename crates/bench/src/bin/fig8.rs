@@ -8,13 +8,13 @@
 //! prints their digest diff: where the function-call speedup comes from,
 //! phase by phase.
 
+use vine_bench::cli::BenchCli;
 use vine_bench::experiments::fig8;
-use vine_bench::obsout::ObsCli;
 use vine_bench::report;
 
 fn main() {
-    let obs = ObsCli::parse();
-    let scale: usize = obs.scale();
+    let cli = BenchCli::parse();
+    let scale: usize = cli.scale();
     eprintln!("Fig 8: task time distribution, DV3-Large (scale 1/{scale}) ...");
     let workers = (200 / scale).max(2);
     let spec = vine_analysis::WorkloadSpec::dv3_large().scaled_down(scale);
@@ -50,7 +50,7 @@ fn main() {
 
     // Recorded Stack 3 vs Stack 4 runs: export both and show which paper
     // phases the per-task speedup comes from.
-    if obs.enabled() {
+    if cli.enabled() {
         let mut runs = Vec::new();
         for stack in [3usize, 4] {
             let cfg = vine_core::EngineConfig::stack(
@@ -58,7 +58,7 @@ fn main() {
                 vine_cluster::ClusterSpec::standard(workers),
                 42,
             );
-            runs.push(obs.export_engine_run(&format!("fig8-stack{stack}"), cfg, spec.to_graph()));
+            runs.push(cli.export_engine_run(&format!("fig8-stack{stack}"), cfg, spec.to_graph()));
         }
         if let (Some(Some(s3)), Some(Some(s4))) = (runs.first(), runs.get(1)) {
             if let (Some(o3), Some(o4)) = (&s3.obs, &s4.obs) {

@@ -4,13 +4,13 @@
 //! (default 1 = paper scale: 17 000 tasks, 200 x 12-core workers;
 //! e.g. 10 runs a 1/10-size configuration)
 
+use vine_bench::cli::BenchCli;
 use vine_bench::experiments::table1;
-use vine_bench::obsout::ObsCli;
 use vine_bench::report;
 
 fn main() {
-    let obs = ObsCli::parse();
-    let scale: usize = obs.scale();
+    let cli = BenchCli::parse();
+    let scale: usize = cli.scale();
     eprintln!("Table I: DV3-Large stack evolution (scale 1/{scale}) ...");
     let workers = (200 / scale).max(2);
     let spec = vine_analysis::WorkloadSpec::dv3_large().scaled_down(scale);
@@ -46,9 +46,9 @@ fn main() {
     report::write_csv("table1.csv", &report::to_csv(&header, &data));
 
     // Representative recorded run (Stack 4) for trace/metrics export.
-    if obs.enabled() {
+    if cli.enabled() {
         let cfg =
             vine_core::EngineConfig::stack(4, vine_cluster::ClusterSpec::standard(workers), 42);
-        obs.export_engine_run("table1-stack4", cfg, spec.to_graph());
+        cli.export_engine_run("table1-stack4", cfg, spec.to_graph());
     }
 }

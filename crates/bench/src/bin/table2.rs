@@ -4,12 +4,12 @@
 //! flags record one DV3-Small reference run (Table II itself needs no
 //! engine runs).
 
+use vine_bench::cli::BenchCli;
 use vine_bench::experiments::table2;
-use vine_bench::obsout::ObsCli;
 use vine_bench::report;
 
 fn main() {
-    let obs = ObsCli::parse();
+    let cli = BenchCli::parse();
     // Structural lint of every Table II workload graph (no engine runs
     // here, so only the G family applies).
     for spec in vine_analysis::WorkloadSpec::table2() {
@@ -58,8 +58,8 @@ fn main() {
     println!("       RS-TriPhoton = 4K tasks / 500 GB; Small/Medium = 25 GB / 200 GB.");
     report::write_csv("table2.csv", &report::to_csv(&header, &data));
 
-    if obs.enabled() {
-        obs.export_engine_run(
+    if cli.enabled() {
+        cli.export_engine_run(
             "table2-dv3small",
             vine_core::EngineConfig::stack4(vine_cluster::ClusterSpec::standard(5), 42),
             vine_analysis::WorkloadSpec::dv3_small().to_graph(),

@@ -181,7 +181,6 @@ fn parse_args(argv: Vec<String>) -> Result<Args, String> {
 
 fn main() {
     let cli = BenchCli::parse();
-    let obs = cli.obs.clone();
     let args = match parse_args(cli.rest.clone()) {
         Ok(a) => a,
         Err(e) => {
@@ -250,7 +249,7 @@ fn main() {
     }
     cfg = cli.apply(cfg);
     cfg.trace.cache = true;
-    if obs.enabled() {
+    if cli.enabled() {
         cfg.trace.obs = true;
     }
     cfg.preflight = if args.no_preflight {
@@ -319,7 +318,7 @@ fn main() {
         best_rep_wall = Some(best_rep_wall.map_or(d, |b| b.min(d)));
     }
     let mut request = RunRequest::new(cfg, graph);
-    if obs.enabled() {
+    if cli.enabled() {
         request = request.recorder(&mut rec);
     }
     if let Some(conv) = &mut conv {
@@ -387,13 +386,13 @@ fn main() {
         "{}",
         plot::ascii_series(&r.running_series, r.makespan_secs().max(1.0), 100, 8)
     );
-    if obs.enabled() {
+    if cli.enabled() {
         let label = if args.dask {
             format!("{}-dask-seed{}", args.workload, args.seed)
         } else {
             format!("{}-stack{}-seed{}", args.workload, args.stack, args.seed)
         };
-        obs.export(&label, &rec, &r);
+        cli.export(&label, &rec, &r);
         if let Some(o) = &r.obs {
             println!();
             print!("{}", o.digest.to_text());

@@ -1,13 +1,11 @@
-//! Shared engine-facing CLI plumbing for the bench binaries.
+//! The shared CLI flag layer of the bench binaries.
 //!
-//! Before this module, `--chaos`, `--recovery`, and `--bench-json` were
-//! re-parsed (and re-documented, and re-diverged) by each binary that
-//! wanted them, while `--trace-out`/`--metrics` lived in
-//! [`ObsCli`](crate::obsout::ObsCli). [`BenchCli`] is the one place the
-//! whole flag family lives now:
+//! Every binary calls [`BenchCli::parse`], which strips the whole shared
+//! flag family and leaves the binary's own arguments in
+//! [`BenchCli::rest`]:
 //!
-//! * `--trace-out DIR` / `--metrics` — observability export (delegated
-//!   to [`ObsCli`]);
+//! * `--trace-out DIR` / `--metrics` — observability export (the
+//!   artifacts are listed in [`crate::obsout`]);
 //! * `--chaos PRESET|SPEC` — a deterministic fault plan
 //!   ([`FaultPlan::parse`]);
 //! * `--recovery default|hardened|fragile` — the engine recovery
@@ -17,20 +15,23 @@
 //!   [`vine_analysis::ConvergenceObserver`] with threshold `T` ∈ (0, 1]
 //!   and let the run stop early at convergence.
 //!
-//! Binaries call [`BenchCli::parse`], use [`BenchCli::apply`] to fold
-//! the chaos/recovery choices into an [`EngineConfig`], and parse their
-//! own flags from [`BenchCli::rest`].
+//! [`BenchCli::apply`] folds the chaos/recovery choices into an
+//! [`EngineConfig`]; [`BenchCli::export_engine_run`] records one
+//! representative run when an observability flag was given.
+
+use std::path::PathBuf;
 
 use vine_core::{EngineConfig, FaultPlan, RecoveryPolicy, RunResult};
 
-use crate::obsout::ObsCli;
-
-/// The shared engine-facing flags, stripped from the command line, plus
-/// the untouched remainder.
+/// The shared flags, stripped from the command line, plus the untouched
+/// remainder.
 #[derive(Clone, Debug, Default)]
 pub struct BenchCli {
-    /// `--trace-out` / `--metrics`.
-    pub obs: ObsCli,
+    /// Directory for trace artifacts (`--trace-out DIR`), created on
+    /// demand.
+    pub trace_dir: Option<PathBuf>,
+    /// Also export the metrics registry (`--metrics`).
+    pub metrics: bool,
     /// Parsed `--chaos` plan, if given.
     pub chaos: Option<FaultPlan>,
     /// `--recovery` policy (default policy when the flag is absent).
@@ -47,8 +48,7 @@ pub struct BenchCli {
 
 impl BenchCli {
     /// Strip the shared flags from the process arguments. Exits with a
-    /// usage error (status 2) on a malformed value, like the binaries
-    /// always did.
+    /// usage error (status 2) on a malformed value.
     pub fn parse() -> BenchCli {
         match Self::from_args(std::env::args().skip(1)) {
             Ok(cli) => cli,
@@ -60,22 +60,19 @@ impl BenchCli {
     }
 
     /// Same, from an explicit argument list (tests).
-    pub fn from_args(args: impl Iterator<Item = String>) -> Result<BenchCli, String> {
+    pub fn from_args(mut args: impl Iterator<Item = String>) -> Result<BenchCli, String> {
         let mut cli = BenchCli {
             recovery_name: "default".into(),
             ..BenchCli::default()
         };
-        let obs = ObsCli::from_args(args);
-        let mut it = obs.rest.clone().into_iter();
-        cli.obs = ObsCli {
-            trace_dir: obs.trace_dir,
-            metrics: obs.metrics,
-            rest: Vec::new(),
-        };
-        while let Some(a) = it.next() {
-            let mut value =
-                |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
+        while let Some(a) = args.next() {
+            let mut value = |name: &str| {
+                args.next()
+                    .ok_or_else(|| format!("{name} requires a value"))
+            };
             match a.as_str() {
+                "--trace-out" => cli.trace_dir = Some(PathBuf::from(value("--trace-out")?)),
+                "--metrics" => cli.metrics = true,
                 "--chaos" => {
                     let spec = value("--chaos")?;
                     cli.chaos = Some(FaultPlan::parse(&spec).map_err(|e| format!("--chaos: {e}"))?);
@@ -107,9 +104,6 @@ impl BenchCli {
                 _ => cli.rest.push(a),
             }
         }
-        // Keep the ObsCli's view of the remainder coherent for callers
-        // that pass `obs.rest` onward.
-        cli.obs.rest = cli.rest.clone();
         Ok(cli)
     }
 
@@ -124,7 +118,16 @@ impl BenchCli {
     /// The customary first positional argument of the fig binaries
     /// (scale-down factor), default 1.
     pub fn scale(&self) -> usize {
-        self.obs.scale()
+        self.rest
+            .first()
+            .and_then(|s| s.parse().ok())
+            .filter(|&s| s > 0)
+            .unwrap_or(1)
+    }
+
+    /// True when any observability output was requested.
+    pub fn enabled(&self) -> bool {
+        self.trace_dir.is_some() || self.metrics
     }
 
     /// Write the `--bench-json` summary for a finished run, if the flag
@@ -215,9 +218,22 @@ mod tests {
         assert_eq!(cli.recovery_name, "hardened");
         assert_eq!(cli.bench_json.as_deref(), Some("out.json"));
         assert_eq!(cli.stream_threshold, Some(0.5));
-        assert!(cli.obs.metrics);
+        assert!(cli.metrics);
         assert_eq!(cli.rest, ["--workload", "dv3-small", "--stack", "3"]);
-        assert_eq!(cli.obs.rest, cli.rest);
+    }
+
+    #[test]
+    fn strips_obs_flags_and_reads_the_scale() {
+        let cli =
+            BenchCli::from_args(args(&["10", "--trace-out", "/tmp/t", "--metrics", "x"])).unwrap();
+        assert_eq!(
+            cli.trace_dir.as_deref(),
+            Some(std::path::Path::new("/tmp/t"))
+        );
+        assert!(cli.metrics);
+        assert_eq!(cli.rest, ["10", "x"]);
+        assert_eq!(cli.scale(), 10);
+        assert!(cli.enabled());
     }
 
     #[test]
@@ -226,6 +242,7 @@ mod tests {
         assert!(BenchCli::from_args(args(&["--stream-threshold", "0"])).is_err());
         assert!(BenchCli::from_args(args(&["--stream-threshold", "1.5"])).is_err());
         assert!(BenchCli::from_args(args(&["--chaos"])).is_err());
+        assert!(BenchCli::from_args(args(&["--trace-out"])).is_err());
     }
 
     #[test]
@@ -234,6 +251,9 @@ mod tests {
         assert!(cli.chaos.is_none());
         assert_eq!(cli.recovery_name, "default");
         assert!(cli.stream_threshold.is_none());
+        assert!(!cli.enabled());
         assert_eq!(cli.rest, ["positional"]);
+        assert_eq!(BenchCli::from_args(args(&["3"])).unwrap().scale(), 3);
+        assert_eq!(BenchCli::from_args(args(&[])).unwrap().scale(), 1);
     }
 }

@@ -1,10 +1,9 @@
-//! Shared `--trace-out` / `--metrics` plumbing for every bench binary.
+//! The `--trace-out` / `--metrics` exports of the bench binaries.
 //!
-//! Each binary strips the observability flags with [`ObsCli::parse`] and,
-//! when they are present, records one representative run with
-//! [`ObsCli::export_engine_run`]: the engine executes with a
-//! [`MemoryRecorder`] attached and the artifacts land under the trace
-//! directory —
+//! When [`BenchCli`] saw an observability flag, a binary records one
+//! representative run with [`BenchCli::export_engine_run`]: the engine
+//! executes with a [`MemoryRecorder`] attached and the artifacts land
+//! under the trace directory —
 //!
 //! * `<label>.trace.json` — Chrome `trace_event` JSON (open in Perfetto
 //!   or `chrome://tracing`),
@@ -15,67 +14,15 @@
 //! * `<label>.metrics.txt` — the metrics-registry export (with
 //!   `--metrics`; printed to stdout when no trace dir is given).
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use vine_core::{EngineConfig, RunRequest, RunResult};
 use vine_dag::TaskGraph;
 use vine_obs::{chrome, csv, MemoryRecorder, MetricsRegistry};
 
-/// Observability flags shared by the bench binaries, plus the untouched
-/// remainder of the command line.
-#[derive(Clone, Debug, Default)]
-pub struct ObsCli {
-    /// Directory for trace artifacts (`--trace-out DIR`), created on
-    /// demand.
-    pub trace_dir: Option<PathBuf>,
-    /// Also export the metrics registry (`--metrics`).
-    pub metrics: bool,
-    /// Arguments that were not observability flags, in order.
-    pub rest: Vec<String>,
-}
+use crate::cli::BenchCli;
 
-impl ObsCli {
-    /// Strip `--trace-out DIR` and `--metrics` from the process arguments.
-    /// Exits with a usage error if `--trace-out` lacks a value.
-    pub fn parse() -> ObsCli {
-        Self::from_args(std::env::args().skip(1))
-    }
-
-    /// Same, from an explicit argument list (tests).
-    pub fn from_args(args: impl Iterator<Item = String>) -> ObsCli {
-        let mut cli = ObsCli::default();
-        let mut it = args;
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "--trace-out" => match it.next() {
-                    Some(dir) => cli.trace_dir = Some(PathBuf::from(dir)),
-                    None => {
-                        eprintln!("--trace-out requires a directory");
-                        std::process::exit(2);
-                    }
-                },
-                "--metrics" => cli.metrics = true,
-                _ => cli.rest.push(a),
-            }
-        }
-        cli
-    }
-
-    /// The customary first positional argument of the fig binaries
-    /// (scale-down factor), default 1.
-    pub fn scale(&self) -> usize {
-        self.rest
-            .first()
-            .and_then(|s| s.parse().ok())
-            .filter(|&s| s > 0)
-            .unwrap_or(1)
-    }
-
-    /// True when any observability output was requested.
-    pub fn enabled(&self) -> bool {
-        self.trace_dir.is_some() || self.metrics
-    }
-
+impl BenchCli {
     /// Record one run of `(cfg, graph)` and export the requested
     /// artifacts. Returns the result so callers can reuse it, or `None`
     /// when no observability flag was given (nothing runs).
@@ -166,31 +113,6 @@ fn write_file(dir: &Path, label: &str, suffix: &str, content: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn args(v: &[&str]) -> std::vec::IntoIter<String> {
-        v.iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>()
-            .into_iter()
-    }
-
-    #[test]
-    fn parse_strips_obs_flags_and_keeps_the_rest() {
-        let cli = ObsCli::from_args(args(&["10", "--trace-out", "/tmp/t", "--metrics", "x"]));
-        assert_eq!(cli.trace_dir.as_deref(), Some(Path::new("/tmp/t")));
-        assert!(cli.metrics);
-        assert_eq!(cli.rest, vec!["10".to_string(), "x".to_string()]);
-        assert_eq!(cli.scale(), 10);
-        assert!(cli.enabled());
-    }
-
-    #[test]
-    fn defaults_are_off() {
-        let cli = ObsCli::from_args(args(&["3"]));
-        assert!(!cli.enabled());
-        assert_eq!(cli.scale(), 3);
-        assert!(ObsCli::from_args(args(&[])).scale() == 1);
-    }
 
     #[test]
     fn metrics_registry_round_trips() {

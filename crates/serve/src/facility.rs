@@ -1,16 +1,17 @@
-//! The facility: persistent worker caches, admission control, and the
-//! two-level event loop.
+//! One facility shard: persistent worker caches, admission control,
+//! quotas, and the shared-store consult.
 //!
-//! A [`Facility`] is a discrete-event simulation *above* the engine's: it
-//! owns the facility clock, the per-tenant submission queues, and one
-//! [`LocalCache`] per cluster worker that survives between runs. Each
-//! admitted submission gets an exclusive slice of `workers_per_run`
-//! workers; the slice's caches are checked out into a
-//! [`SessionState`], the inner engine run executes (its own full DES),
-//! and the post-run caches are written back **only when the facility
-//! clock reaches the run's completion** — an earlier-finishing or
-//! later-admitted run can never observe outputs of a run that is still
-//! logically in flight.
+//! A `Shard` is the per-shard state machine of a
+//! [`ShardedFacility`](crate::ShardedFacility), which owns the event loop
+//! and is the only serving type (a single facility is the one-shard
+//! case). A shard owns its clock, the per-tenant submission queues, and
+//! one [`LocalCache`] per cluster worker that survives between runs.
+//! Each admitted submission gets an exclusive slice of `workers_per_run`
+//! workers; the slice's caches are checked out into a [`SessionState`],
+//! the inner engine run executes (its own full DES), and the post-run
+//! caches are written back **only when the shard clock reaches the run's
+//! completion** — an earlier-finishing or later-admitted run can never
+//! observe outputs of a run that is still logically in flight.
 //!
 //! Admission (on every state change) is weighted fair-share with quotas:
 //! among tenants with queued work whose in-flight core quota has room,
@@ -33,7 +34,7 @@ use vine_core::{
     RunStats, SessionState,
 };
 use vine_dag::{FileId, MemoPlan, TaskGraph};
-use vine_lint::{lint_facility, FacilityFacts, Report, SchedulerFamily};
+use vine_lint::{FacilityFacts, SchedulerFamily};
 use vine_simcore::{RngHub, SimDur, SimTime};
 use vine_storage::{CacheEntryKind, CacheName, LocalCache};
 use vine_store::ObjectStore;
@@ -229,9 +230,9 @@ struct ActiveRun {
 /// Caller-supplied streaming hooks for an externally driven (standing)
 /// admission: the observer receives every partition delta, and the
 /// recorder — when present — the inner run's full span/metric stream.
-pub(crate) struct ExternalHooks<'a> {
-    pub(crate) observer: &'a mut dyn RunObserver,
-    pub(crate) recorder: Option<&'a mut dyn vine_obs::Recorder>,
+pub(crate) struct ExternalHooks<'o, 'r> {
+    pub(crate) observer: &'o mut dyn RunObserver,
+    pub(crate) recorder: Option<&'r mut dyn vine_obs::Recorder>,
 }
 
 /// The cachename a graph's final answer lives under: its first produced
@@ -251,15 +252,8 @@ pub fn graph_result_name(graph: &TaskGraph) -> Option<CacheName> {
         .map(|(i, _)| graph_file_cachename(graph, FileId(i as u32)))
 }
 
-/// This facility's handle onto a federation's shared object tier.
-pub(crate) struct SharedStore {
-    pub(crate) tier: Rc<RefCell<ObjectStore>>,
-    /// This facility's shard index in the tier's accounting.
-    pub(crate) shard: usize,
-}
-
-/// The multi-tenant facility. See the module docs for the model.
-pub struct Facility {
+/// One facility shard. See the module docs for the model.
+pub(crate) struct Shard {
     cfg: FacilityConfig,
     /// Per-worker persistent caches; a zero-capacity placeholder while a
     /// worker's cache is checked out into a running session.
@@ -278,40 +272,41 @@ pub struct Facility {
     inflight_cores: Vec<u64>,
     /// Which tenant first materialized each resident cachename.
     owner: BTreeMap<CacheName, usize>,
-    pending: Vec<Submission>, // sorted by (arrival, seq) descending; pop from back
-    pending_seq: Vec<usize>,
+    /// Staged `(seq, submission)` pairs, sorted by (arrival, seq)
+    /// descending; pop from the back.
+    pending: Vec<(usize, Submission)>,
     active: Vec<ActiveRun>,
     records: Vec<SubmissionRecord>,
     now: SimTime,
     next_seq: usize,
-    runs_admitted: u64,
     peak_inflight_cores: u64,
-    preflight: Report,
-    /// Physics results (final and live partial) across runs.
-    results: ResultStore,
-    /// The federation's shared object tier, when this facility is a
-    /// shard of a [`crate::ShardedFacility`]. `None` for a standalone
-    /// facility — and a standalone facility then behaves byte-identically
-    /// to the pre-federation code path.
-    store: Option<SharedStore>,
-    /// Next seq advances by this much (1 standalone; the shard count in
-    /// a federation, so seqs stay globally unique across shards).
+    /// Physics results across runs: final blobs plus the live partial
+    /// entries streaming runs publish (keyed by cachename + fraction).
+    pub(crate) results: ResultStore,
+    /// The federation's shared object tier, if it has one.
+    store: Option<Rc<RefCell<ObjectStore>>>,
+    /// This shard's index: its slot in the tier's accounting and its
+    /// first seq.
+    index: usize,
+    /// Seqs advance by the shard count, so they stay globally unique
+    /// across the federation and inner run seeds — derived from the seq —
+    /// are stable under work stealing.
     seq_stride: usize,
 }
 
-impl Facility {
-    /// Build a facility, running the pre-flight facility lints. With
-    /// [`FacilityConfig::enforce_preflight`], a config with lint errors
-    /// (no tenants, zero weights, impossible quotas or slices) is
-    /// refused and the report returned as `Err`.
-    pub fn new(cfg: FacilityConfig) -> Result<Self, Report> {
-        let preflight = lint_facility(&cfg.lint_facts());
-        if cfg.enforce_preflight && preflight.has_errors() {
-            return Err(preflight);
-        }
+impl Shard {
+    /// Shard `index` of a `count`-shard federation over `store`. The
+    /// federation has already run the pre-flight lints.
+    pub(crate) fn new(
+        cfg: FacilityConfig,
+        store: Option<Rc<RefCell<ObjectStore>>>,
+        index: usize,
+        count: usize,
+    ) -> Self {
+        assert!(index < count, "shard numbering out of range");
         let n = cfg.tenants.len();
         let weights = cfg.tenants.iter().map(|t| t.weight).collect();
-        Ok(Facility {
+        Shard {
             caches: (0..cfg.cluster.workers)
                 .map(|_| LocalCache::new(cfg.cluster.worker.disk_bytes))
                 .collect(),
@@ -323,56 +318,39 @@ impl Facility {
             inflight_cores: vec![0; n],
             owner: BTreeMap::new(),
             pending: Vec::new(),
-            pending_seq: Vec::new(),
             active: Vec::new(),
             records: Vec::new(),
             now: SimTime::ZERO,
-            next_seq: 0,
-            runs_admitted: 0,
+            next_seq: index,
             peak_inflight_cores: 0,
             cfg,
-            preflight,
             results: ResultStore::new(),
-            store: None,
-            seq_stride: 1,
-        })
+            store,
+            index,
+            seq_stride: count,
+        }
     }
 
-    /// Attach the federation's shared object tier and take `base` /
-    /// `stride` seq numbering (shard index / shard count), so seqs stay
-    /// globally unique across the federation and inner run seeds —
-    /// derived from the seq — are stable under work stealing.
-    pub(crate) fn federate(&mut self, store: Option<SharedStore>, base: usize, stride: usize) {
-        assert!(stride > 0 && base < stride, "shard numbering out of range");
-        self.store = store;
-        self.next_seq = base;
-        self.seq_stride = stride;
-    }
-
-    /// The pre-flight lint report (warnings survive even when clean
-    /// enough to start).
-    pub fn preflight(&self) -> &Report {
-        &self.preflight
-    }
-
-    /// The facility clock.
-    pub fn now(&self) -> SimTime {
+    /// The shard clock.
+    pub(crate) fn now(&self) -> SimTime {
         self.now
     }
 
-    /// The persistent per-worker caches (placeholders while checked out).
-    pub fn caches(&self) -> &[LocalCache] {
-        &self.caches
+    /// The seq the next staged or standing submission receives.
+    pub(crate) fn next_seq(&self) -> usize {
+        self.next_seq
     }
 
-    /// The facility's result store: final blobs plus the live partial
-    /// entries streaming runs publish (keyed by cachename + fraction).
-    pub fn results(&self) -> &ResultStore {
-        &self.results
+    /// Swap the fault plan and recovery policy injected into subsequent
+    /// inner runs; runs already in flight keep the plan they started
+    /// with.
+    pub(crate) fn set_chaos(&mut self, chaos: FaultPlan, recovery: RecoveryPolicy) {
+        self.cfg.chaos = chaos;
+        self.cfg.recovery = recovery;
     }
 
     /// Unique resident bytes currently attributed to `tenant`.
-    pub fn tenant_resident_bytes(&self, tenant: usize) -> u64 {
+    fn tenant_resident_bytes(&self, tenant: usize) -> u64 {
         self.owner
             .iter()
             .filter(|&(_, &o)| o == tenant)
@@ -380,56 +358,25 @@ impl Facility {
             .sum()
     }
 
-    /// A preemption landing between runs: worker `w` loses its disk.
-    /// (Preemptions *during* a run are the inner engine's business.)
-    pub fn preempt_worker(&mut self, w: usize) {
-        assert!(!self.busy[w], "cannot preempt a checked-out worker slot");
-        self.caches[w].clear_pins();
-        self.caches[w].clear();
-    }
-
     /// Stage submissions for the event loop. Seqs are assigned in the
     /// order given; arrivals may be in any time order.
-    pub fn ingest(&mut self, subs: Vec<Submission>) {
+    pub(crate) fn ingest(&mut self, subs: Vec<Submission>) {
         for s in subs {
             assert!(s.tenant < self.cfg.tenants.len(), "unknown tenant");
-            let seq = self.next_seq;
+            self.pending.push((self.next_seq, s));
             self.next_seq += self.seq_stride;
-            self.pending_seq.push(seq);
-            self.pending.push(s);
         }
         // Pop-from-back order: latest arrival first in the vector.
-        let mut paired: Vec<(Submission, usize)> = self
-            .pending
-            .drain(..)
-            .zip(self.pending_seq.drain(..))
-            .collect();
-        paired.sort_by_key(|p| std::cmp::Reverse((p.0.arrival, p.1)));
-        for (s, q) in paired {
-            self.pending.push(s);
-            self.pending_seq.push(q);
-        }
+        self.pending
+            .sort_by_key(|(seq, s)| std::cmp::Reverse((s.arrival, *seq)));
     }
 
-    /// Run the event loop until every staged submission has completed,
-    /// then return the report. Completions are processed before arrivals
-    /// at equal times; admission is retried after every state change.
-    pub fn drain(&mut self) -> FacilityReport {
-        loop {
-            self.step_now();
-            let Some(next) = self.next_event_time() else {
-                break;
-            };
-            self.now = self.now.max(next);
-        }
-        self.report()
-    }
-
-    /// Settle every event due at the current clock: completions, then
-    /// arrivals, then admissions — repeated until quiescent (a warm run
-    /// can finish in ~zero time, re-enabling completions at the same
-    /// instant).
-    pub(crate) fn step_now(&mut self) {
+    /// Advance the shard clock to `t` (monotone) and settle every event
+    /// due: completions, then arrivals, then admissions — repeated until
+    /// quiescent (a warm run can finish in ~zero time, re-enabling
+    /// completions at the same instant).
+    pub(crate) fn advance_to(&mut self, t: SimTime) {
+        self.now = self.now.max(t);
         loop {
             self.complete_due();
             self.arrive_due();
@@ -439,114 +386,42 @@ impl Facility {
         }
     }
 
-    /// Advance the facility clock to `t` (monotone) and settle. The
-    /// federation's lockstep driver steps every shard with this.
-    pub fn advance_to(&mut self, t: SimTime) {
-        self.now = self.now.max(t);
-        self.step_now();
-    }
-
     /// The earliest future event — run completion or staged arrival —
-    /// or `None` when the facility is fully drained.
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        let next_completion = self.active.iter().map(|r| r.record.finished).min();
-        let next_arrival = self.pending.last().map(|s| s.arrival);
-        match (next_completion, next_arrival) {
-            (None, None) => None,
-            (Some(c), None) => Some(c),
-            (None, Some(a)) => Some(a),
-            (Some(c), Some(a)) => Some(c.min(a)),
-        }
-    }
-
-    /// Submit one graph at the current facility time and run it to
-    /// completion (the interactive, single-analyst path). Returns the
-    /// submission's record.
-    pub fn run_now(&mut self, tenant: usize, graph: TaskGraph, label: &str) -> SubmissionRecord {
-        let seq = self.next_seq;
-        self.ingest(vec![Submission {
-            tenant,
-            graph,
-            priority: 0,
-            arrival: self.now,
-            label: label.to_string(),
-            stream_threshold: None,
-        }]);
-        self.drain();
-        self.records
+    /// or `None` when the shard is fully drained.
+    pub(crate) fn next_event_time(&self) -> Option<SimTime> {
+        let next_arrival = self.pending.last().map(|(_, s)| s.arrival);
+        self.active
             .iter()
-            .find(|r| r.seq == seq)
-            .expect("drained facility must have recorded the submission")
-            .clone()
+            .map(|r| r.record.finished)
+            .chain(next_arrival)
+            .min()
     }
 
-    /// [`run_now`](Self::run_now) with streaming: the run pushes partial
-    /// results into the [`ResultStore`] as partitions complete and may
-    /// stop early once it reaches `threshold` of the full run's
-    /// statistical precision.
-    pub fn run_now_streaming(
+    /// The completed record of submission `seq`, if it has finished here.
+    pub(crate) fn record(&self, seq: usize) -> Option<&SubmissionRecord> {
+        self.records.iter().find(|r| r.seq == seq)
+    }
+
+    /// Whether a standing run for `tenant` could be admitted right now: a
+    /// free slice and room under the tenant's core quota.
+    pub(crate) fn can_admit_standing(&self, tenant: usize) -> bool {
+        self.free_workers() >= self.cfg.workers_per_run && self.tenant_has_quota_room(tenant)
+    }
+
+    /// Admit a standing (reactive) run now, bypassing the queue: every
+    /// partition delta streams into the caller's hooks instead of a
+    /// shard-owned convergence loop. The run is charged against
+    /// `tenant`'s fair share and core quota exactly like a queued
+    /// admission. Requires [`can_admit_standing`](Self::can_admit_standing);
+    /// returns the run's seq.
+    pub(crate) fn admit_standing(
         &mut self,
         tenant: usize,
         graph: TaskGraph,
         label: &str,
-        threshold: f64,
-    ) -> SubmissionRecord {
-        let seq = self.next_seq;
-        self.ingest(vec![Submission {
-            tenant,
-            graph,
-            priority: 0,
-            arrival: self.now,
-            label: label.to_string(),
-            stream_threshold: Some(threshold),
-        }]);
-        self.drain();
-        self.records
-            .iter()
-            .find(|r| r.seq == seq)
-            .expect("drained facility must have recorded the submission")
-            .clone()
-    }
-
-    /// Run a standing (reactive) submission right now: like
-    /// [`run_now`](Self::run_now), but every partition delta streams into
-    /// the caller's `observer` instead of a facility-owned convergence
-    /// loop, so a reactive scheduler can fold refresh deltas into a
-    /// persistent accumulator. The run is charged against `tenant`'s
-    /// fair share and core quota exactly like a queued admission.
-    pub fn run_standing(
-        &mut self,
-        tenant: usize,
-        graph: TaskGraph,
-        label: &str,
-        observer: &mut dyn RunObserver,
-    ) -> SubmissionRecord {
-        self.run_standing_recorded(tenant, graph, label, observer, None)
-    }
-
-    /// [`run_standing`](Self::run_standing) with the inner run's full
-    /// span/metric stream forwarded to `recorder` (for executed-task-set
-    /// introspection and per-epoch digests).
-    pub fn run_standing_recorded<'a>(
-        &mut self,
-        tenant: usize,
-        graph: TaskGraph,
-        label: &str,
-        observer: &'a mut dyn RunObserver,
-        recorder: Option<&'a mut dyn vine_obs::Recorder>,
-    ) -> SubmissionRecord {
+        hooks: ExternalHooks,
+    ) -> usize {
         assert!(tenant < self.cfg.tenants.len(), "unknown tenant");
-        self.step_now();
-        // A standing run needs an exclusive slice and quota room like any
-        // other; advance the clock through queued work until both hold.
-        while self.free_workers() < self.cfg.workers_per_run || !self.tenant_has_quota_room(tenant)
-        {
-            let next = self
-                .next_event_time()
-                .expect("no future event can free a slice for the standing run");
-            self.now = self.now.max(next);
-            self.step_now();
-        }
         let seq = self.next_seq;
         self.next_seq += self.seq_stride;
         // Charge the refresh against the owning tenant: remove its (stale
@@ -566,36 +441,14 @@ impl Facility {
                 stream_threshold: None,
             },
             &free,
-            Some(ExternalHooks { observer, recorder }),
+            Some(hooks),
         );
         self.mark_admissible(tenant);
-        loop {
-            self.step_now();
-            if let Some(r) = self.records.iter().find(|r| r.seq == seq) {
-                return r.clone();
-            }
-            let next = self
-                .next_event_time()
-                .expect("admitted standing run must complete");
-            self.now = self.now.max(next);
-        }
-    }
-
-    /// Swap the fault plan and recovery policy injected into *subsequent*
-    /// inner runs — mid-timeline chaos for reactive sessions. Runs
-    /// already in flight keep the plan they started with.
-    pub fn inject_chaos(&mut self, chaos: FaultPlan, recovery: RecoveryPolicy) {
-        self.cfg.chaos = chaos;
-        self.cfg.recovery = recovery;
-    }
-
-    /// Mutable access to the result store (epoch publication).
-    pub fn results_mut(&mut self) -> &mut ResultStore {
-        &mut self.results
+        seq
     }
 
     /// The report so far (records in seq order).
-    pub fn report(&self) -> FacilityReport {
+    pub(crate) fn report(&self) -> FacilityReport {
         let mut records = self.records.clone();
         records.sort_by_key(|r| r.seq);
         FacilityReport {
@@ -644,14 +497,14 @@ impl Facility {
         // are externally re-readable, not store material) and release
         // the pins its pre-fetch took.
         if let Some(store) = &self.store {
-            let mut tier = store.tier.borrow_mut();
+            let mut tier = store.borrow_mut();
             for &name in &run.pinned {
                 tier.unpin(name);
             }
             for &w in &run.record.workers {
                 for (name, size, kind) in self.caches[w].iter() {
                     if kind == CacheEntryKind::Intermediate {
-                        let _ = tier.put(store.shard, name, size);
+                        let _ = tier.put(self.index, name, size);
                     }
                 }
             }
@@ -714,9 +567,12 @@ impl Facility {
     }
 
     fn arrive_due(&mut self) {
-        while self.pending.last().is_some_and(|s| s.arrival <= self.now) {
-            let s = self.pending.pop().expect("checked non-empty");
-            let seq = self.pending_seq.pop().expect("parallel to pending");
+        while self
+            .pending
+            .last()
+            .is_some_and(|(_, s)| s.arrival <= self.now)
+        {
+            let (seq, s) = self.pending.pop().expect("checked non-empty");
             let tenant = s.tenant;
             self.enqueue(
                 tenant,
@@ -846,8 +702,8 @@ impl Facility {
         let mut store_fetch = SimDur::ZERO;
         let mut pinned: Vec<CacheName> = Vec::new();
         if let Some(store) = &self.store {
-            let mut tier = store.tier.borrow_mut();
-            let shard = store.shard;
+            let mut tier = store.borrow_mut();
+            let shard = self.index;
             let plan = {
                 let tier = &mut *tier;
                 let caches = &run_caches;
@@ -940,7 +796,6 @@ impl Facility {
         self.inflight_cores[tenant] += self.cfg.run_cores();
         let inflight: u64 = self.inflight_cores.iter().sum();
         self.peak_inflight_cores = self.peak_inflight_cores.max(inflight);
-        self.runs_admitted += 1;
 
         self.active.push(ActiveRun {
             record: SubmissionRecord {
@@ -979,7 +834,7 @@ impl Facility {
     }
 
     /// Workers not checked out to a run.
-    pub fn free_workers(&self) -> usize {
+    pub(crate) fn free_workers(&self) -> usize {
         self.busy.iter().filter(|&&b| !b).count()
     }
 
@@ -1009,15 +864,21 @@ impl Facility {
     /// tenant and settle admissions at the current clock.
     pub(crate) fn accept_stolen(&mut self, tenant: usize, q: Queued) {
         self.enqueue(tenant, q);
-        self.step_now();
+        self.advance_to(self.now);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ShardedConfig, ShardedFacility};
     use vine_analysis::WorkloadSpec;
     use vine_simcore::units::GB;
+
+    /// A single facility: the one-shard, storeless federation.
+    fn single(cfg: FacilityConfig) -> ShardedFacility {
+        ShardedFacility::new(ShardedConfig::single(cfg)).unwrap()
+    }
 
     fn spec() -> WorkloadSpec {
         WorkloadSpec::dv3_small().scaled_down(20)
@@ -1036,9 +897,9 @@ mod tests {
 
     #[test]
     fn warm_resubmission_is_much_faster_and_fully_memoized() {
-        let mut f = Facility::new(FacilityConfig::demo(7)).unwrap();
-        let cold = f.run_now(0, spec().to_graph(), "cold");
-        let warm = f.run_now(0, spec().to_graph(), "warm");
+        let mut f = single(FacilityConfig::demo(7));
+        let cold = f.run_now(0, spec().to_graph(), "cold", None);
+        let warm = f.run_now(0, spec().to_graph(), "warm", None);
         assert!(cold.completed && warm.completed);
         assert_eq!(warm.stats.task_executions, 0, "everything memoized");
         assert_eq!(warm.stats.memoized_tasks as usize, warm.stats.tasks_total);
@@ -1048,9 +909,9 @@ mod tests {
 
     #[test]
     fn edited_resubmission_reruns_only_reductions() {
-        let mut f = Facility::new(FacilityConfig::demo(7)).unwrap();
-        let cold = f.run_now(0, spec().to_graph(), "cold");
-        let edited = f.run_now(0, spec().with_edit_generation(1).to_graph(), "edit");
+        let mut f = single(FacilityConfig::demo(7));
+        let cold = f.run_now(0, spec().to_graph(), "cold", None);
+        let edited = f.run_now(0, spec().with_edit_generation(1).to_graph(), "edit", None);
         assert!(edited.completed);
         // Process stage (the bulk) memoized; reductions re-ran.
         assert!(edited.stats.memoized_tasks > 0);
@@ -1063,9 +924,9 @@ mod tests {
         let mut cfg = FacilityConfig::demo(11);
         // Tenant 0 may hold only one run's cores in flight.
         cfg.tenants[0].max_inflight_cores = cfg.run_cores() as u32;
-        let mut f = Facility::new(cfg).unwrap();
+        let mut f = single(cfg);
         f.ingest(vec![sub(0, 0, "a0"), sub(0, 0, "a1"), sub(1, 0, "b0")]);
-        let report = f.drain();
+        let report = f.drain().shards.remove(0);
         assert_eq!(report.records.len(), 3);
         let a1 = report.records.iter().find(|r| r.label == "a1").unwrap();
         let b0 = report.records.iter().find(|r| r.label == "b0").unwrap();
@@ -1078,12 +939,12 @@ mod tests {
     fn byte_quota_evicts_deterministically() {
         let mut cfg = FacilityConfig::demo(13);
         cfg.tenants[0].max_resident_bytes = GB / 2;
-        let mut f = Facility::new(cfg).unwrap();
-        f.run_now(0, spec().to_graph(), "big");
+        let mut f = single(cfg);
+        f.run_now(0, spec().to_graph(), "big", None);
+        let resident = f.shards[0].tenant_resident_bytes(0);
         assert!(
-            f.tenant_resident_bytes(0) <= GB / 2,
-            "quota enforced after writeback: {} bytes",
-            f.tenant_resident_bytes(0)
+            resident <= GB / 2,
+            "quota enforced after writeback: {resident} bytes"
         );
     }
 
@@ -1091,13 +952,15 @@ mod tests {
     fn preflight_errors_refuse_service() {
         let mut cfg = FacilityConfig::demo(1);
         cfg.tenants[0].weight = 0.0;
-        let err = Facility::new(cfg).err().expect("zero weight must refuse");
+        let err = ShardedFacility::new(ShardedConfig::single(cfg))
+            .err()
+            .expect("zero weight must refuse");
         assert!(err.has_code(vine_lint::Code::F002));
     }
 
     #[test]
     fn higher_priority_jumps_the_tenant_queue() {
-        let mut f = Facility::new(FacilityConfig::demo(3)).unwrap();
+        let mut f = single(FacilityConfig::demo(3));
         // Fill the cluster so later arrivals queue.
         f.ingest(vec![sub(0, 0, "w0"), sub(1, 0, "w1")]);
         let mut low = sub(0, 1, "low");
@@ -1105,7 +968,7 @@ mod tests {
         let mut high = sub(0, 1, "high");
         high.priority = 5;
         f.ingest(vec![low, high]);
-        let report = f.drain();
+        let report = f.drain().shards.remove(0);
         let admitted = |label: &str| {
             report
                 .records
@@ -1119,18 +982,21 @@ mod tests {
 
     #[test]
     fn between_run_preemption_forces_partial_rerun() {
-        let mut f = Facility::new(FacilityConfig::demo(17)).unwrap();
-        let cold = f.run_now(0, spec().to_graph(), "cold");
-        // Preempt all but one warm worker: entries replicated only among
-        // the victims are lost for good, the survivor's copies still hit.
-        let warm_workers: Vec<usize> = (0..f.caches().len())
-            .filter(|&w| !f.caches()[w].is_empty())
+        let mut f = single(FacilityConfig::demo(17));
+        let cold = f.run_now(0, spec().to_graph(), "cold", None);
+        // Preempt all but one warm worker between runs (each loses its
+        // disk): entries replicated only among the victims are lost for
+        // good, the survivor's copies still hit.
+        let caches = &mut f.shards[0].caches;
+        let warm_workers: Vec<usize> = (0..caches.len())
+            .filter(|&w| !caches[w].is_empty())
             .collect();
         assert!(warm_workers.len() > 1, "need survivors and victims");
         for &w in &warm_workers[1..] {
-            f.preempt_worker(w);
+            caches[w].clear_pins();
+            caches[w].clear();
         }
-        let warm = f.run_now(0, spec().to_graph(), "after-preempt");
+        let warm = f.run_now(0, spec().to_graph(), "after-preempt", None);
         assert!(warm.completed);
         assert!(warm.stats.task_executions > 0, "lost entries must re-run");
         assert!(
@@ -1142,9 +1008,9 @@ mod tests {
     #[test]
     fn same_seed_same_report_bytes() {
         let run = |seed| {
-            let mut f = Facility::new(FacilityConfig::demo(seed)).unwrap();
+            let mut f = single(FacilityConfig::demo(seed));
             f.ingest(vec![sub(0, 0, "x"), sub(1, 3, "y"), sub(0, 5, "z")]);
-            let r = f.drain();
+            let r = f.drain().shards.remove(0);
             (r.to_csv(), r.to_metrics().to_text())
         };
         let (csv_a, metrics_a) = run(99);
@@ -1158,14 +1024,14 @@ mod tests {
         let mut cfg = FacilityConfig::demo(23);
         cfg.chaos = FaultPlan::preset("storm").unwrap().with_seed(23);
         cfg.recovery = RecoveryPolicy::hardened();
-        let mut f = Facility::new(cfg).unwrap();
+        let mut f = single(cfg);
         f.ingest(vec![
             sub(0, 0, "a0"),
             sub(1, 0, "b0"),
             sub(0, 2, "a1"),
             sub(1, 2, "b1"),
         ]);
-        let report = f.drain();
+        let report = f.drain().shards.remove(0);
         // Every submission is served even while every inner run is being
         // bombarded; hardened recovery completes or degrades, never
         // wedges the facility.
@@ -1187,26 +1053,26 @@ mod tests {
         let mut cfg2 = FacilityConfig::demo(23);
         cfg2.chaos = FaultPlan::preset("storm").unwrap().with_seed(23);
         cfg2.recovery = RecoveryPolicy::hardened();
-        let mut f2 = Facility::new(cfg2).unwrap();
+        let mut f2 = single(cfg2);
         f2.ingest(vec![
             sub(0, 0, "a0"),
             sub(1, 0, "b0"),
             sub(0, 2, "a1"),
             sub(1, 2, "b1"),
         ]);
-        assert_eq!(report.to_csv(), f2.drain().to_csv());
+        assert_eq!(report.to_csv(), f2.drain().shards[0].to_csv());
     }
 
     #[test]
     fn streaming_submission_publishes_partials_and_saves_cores() {
-        let mut f = Facility::new(FacilityConfig::demo(29)).unwrap();
-        let full = f.run_now(0, spec().to_graph(), "full");
+        let mut f = single(FacilityConfig::demo(29));
+        let full = f.run_now(0, spec().to_graph(), "full", None);
         assert!(full.completed);
 
         // Fresh facility (cold caches) so the streaming run is not
         // trivially memoized; low threshold → stop at 25% precision.
-        let mut fs = Facility::new(FacilityConfig::demo(29)).unwrap();
-        let streamed = fs.run_now_streaming(0, spec().to_graph(), "stream", 0.5);
+        let mut fs = single(FacilityConfig::demo(29));
+        let streamed = fs.run_now(0, spec().to_graph(), "stream", Some(0.5));
         assert!(streamed.completed, "early stop is Completed, not Degraded");
         assert!(!streamed.degraded);
         assert!(
@@ -1216,7 +1082,7 @@ mod tests {
         assert!(streamed.stats.early_stopped);
         assert!(streamed.stats.early_stop_cancelled > 0, "cone cancelled");
         assert!(streamed.partials_published > 0, "partials in the store");
-        assert!(fs.results().partial_count() > 0);
+        assert!(fs.results_for(0).partial_count() > 0);
         assert!(streamed.stream_digest.is_some());
         assert!(
             streamed.stats.total_task_busy_us < full.stats.total_task_busy_us,
@@ -1229,10 +1095,10 @@ mod tests {
 
     #[test]
     fn streaming_threshold_one_matches_plain_run() {
-        let mut a = Facility::new(FacilityConfig::demo(31)).unwrap();
-        let plain = a.run_now(0, spec().to_graph(), "plain");
-        let mut b = Facility::new(FacilityConfig::demo(31)).unwrap();
-        let streamed = b.run_now_streaming(0, spec().to_graph(), "stream", 1.0);
+        let mut a = single(FacilityConfig::demo(31));
+        let plain = a.run_now(0, spec().to_graph(), "plain", None);
+        let mut b = single(FacilityConfig::demo(31));
+        let streamed = b.run_now(0, spec().to_graph(), "stream", Some(1.0));
         assert_eq!(plain.makespan, streamed.makespan);
         assert_eq!(plain.stats.task_executions, streamed.stats.task_executions);
         assert!(!streamed.stats.early_stopped);

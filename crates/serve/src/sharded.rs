@@ -1,12 +1,14 @@
-//! The federated facility: N independent [`Facility`] shards advanced in
-//! lockstep over a shared clock, backed by one shared content-addressed
-//! object tier ([`vine_store::ObjectStore`]).
+//! The facility: N `Shard`s advanced in lockstep over a shared clock,
+//! optionally backed by one shared content-addressed object tier
+//! ([`vine_store::ObjectStore`]). A single facility is the one-shard,
+//! storeless case ([`ShardedConfig::single`]).
 //!
 //! ## Model
 //!
 //! A production HEP facility is not one manager over one worker pool; it
 //! is several manager instances, each with its own pool, serving a common
-//! tenant population. This module federates the single-shard [`Facility`]:
+//! tenant population. This module federates the per-shard state machine
+//! in [`crate::facility`]:
 //!
 //! * **Routing** — each tenant has a home shard chosen by rendezvous
 //!   (highest-random-weight) hashing over `(tenant name, shard index)`.
@@ -19,7 +21,8 @@
 //!   global clock to the earliest next event across shards. Determinism
 //!   follows by induction: each settle round's outcome depends only on
 //!   shard states at the same global instant and the fixed iteration
-//!   order, never on wall-clock interleaving.
+//!   order, never on wall-clock interleaving. Batch drains, interactive
+//!   submissions, and standing refreshes all run this one loop.
 //! * **Shared warm tier** — every shard consults the [`ObjectStore`]
 //!   during admission (a `MemoPlan` "warm-in-store" residency source):
 //!   intermediates produced on shard A satisfy recompute on shard B at
@@ -31,22 +34,22 @@
 //!   gated by the tenant's aggregate (federation-wide) in-flight core
 //!   quota, so stealing can never launder a quota violation across
 //!   shards.
-//!
-//! A single-shard federation with no store degenerates to exactly the
-//! plain [`Facility`] event loop — byte-identical reports, which
-//! `tests/sharded.rs` pins.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use vine_core::{FaultPlan, RecoveryPolicy, RunObserver};
+use vine_dag::TaskGraph;
 use vine_lint::{lint_sharded, Report, ShardFacts};
+use vine_obs::Recorder;
 use vine_simcore::SimTime;
 use vine_store::{ObjectStore, StoreConfig};
 
-use crate::facility::{Facility, FacilityConfig, SharedStore, Submission};
+use crate::facility::{ExternalHooks, FacilityConfig, Shard, Submission, SubmissionRecord};
 use crate::report::{percentile, FacilityReport};
+use crate::resultstore::ResultStore;
 
-/// Knobs for a federated facility.
+/// Knobs for a facility of one or more shards.
 #[derive(Clone, Debug)]
 pub struct ShardedConfig {
     /// The per-shard facility template: every shard runs this config
@@ -62,6 +65,16 @@ pub struct ShardedConfig {
 }
 
 impl ShardedConfig {
+    /// A single facility: one shard, no shared tier, no stealing.
+    pub fn single(base: FacilityConfig) -> Self {
+        ShardedConfig {
+            base,
+            shards: 1,
+            store: None,
+            work_stealing: false,
+        }
+    }
+
     /// A demonstration federation: the [`FacilityConfig::demo`] shard
     /// template, four shards, the demo store tier, stealing on.
     pub fn demo(seed: u64) -> Self {
@@ -217,19 +230,23 @@ impl ShardedReport {
     }
 }
 
-/// The federated facility. See the module docs for the model.
+/// The serving facility: one or more shards in lockstep. See the module
+/// docs for the model.
 pub struct ShardedFacility {
     cfg: ShardedConfig,
-    facilities: Vec<Facility>,
+    /// The shards, in index order.
+    pub(crate) shards: Vec<Shard>,
     store: Option<Rc<RefCell<ObjectStore>>>,
     preflight: Report,
     steals: u64,
 }
 
 impl ShardedFacility {
-    /// Build a federation, running the facility lints plus the sharding
+    /// Build a facility, running the facility lints plus the sharding
     /// lints (F006–F008) against the combined configuration. With
-    /// `base.enforce_preflight`, lint errors refuse service.
+    /// `base.enforce_preflight`, a config with lint errors (no tenants,
+    /// zero weights, impossible quotas or slices, no shards, a broken
+    /// store) is refused and the report returned as `Err`.
     pub fn new(cfg: ShardedConfig) -> Result<Self, Report> {
         let preflight = lint_sharded(&cfg.base.lint_facts(), &cfg.shard_facts());
         if cfg.base.enforce_preflight && preflight.has_errors() {
@@ -239,39 +256,22 @@ impl ShardedFacility {
             .store
             .as_ref()
             .map(|sc| Rc::new(RefCell::new(ObjectStore::new(sc.clone(), cfg.shards))));
-        let mut facilities = Vec::with_capacity(cfg.shards);
-        for shard in 0..cfg.shards {
-            let mut inner = cfg.base.clone();
-            // The shards' own lint pass already ran above.
-            inner.enforce_preflight = false;
-            let mut f = Facility::new(inner).expect("per-shard lints subsumed by lint_sharded");
-            f.federate(
-                store.as_ref().map(|tier| SharedStore {
-                    tier: Rc::clone(tier),
-                    shard,
-                }),
-                shard,
-                cfg.shards,
-            );
-            facilities.push(f);
-        }
+        let shards = (0..cfg.shards)
+            .map(|i| Shard::new(cfg.base.clone(), store.clone(), i, cfg.shards))
+            .collect();
         Ok(ShardedFacility {
             cfg,
-            facilities,
+            shards,
             store,
             preflight,
             steals: 0,
         })
     }
 
-    /// The combined pre-flight lint report.
+    /// The combined pre-flight lint report (warnings survive even when
+    /// clean enough to start).
     pub fn preflight(&self) -> &Report {
         &self.preflight
-    }
-
-    /// The shards, in index order.
-    pub fn shards(&self) -> &[Facility] {
-        &self.facilities
     }
 
     /// The shared tier, when configured.
@@ -294,86 +294,108 @@ impl ShardedFacility {
             let home = self.home_shard(s.tenant);
             per_shard[home].push(s);
         }
-        for (f, batch) in self.facilities.iter_mut().zip(per_shard) {
-            f.ingest(batch);
+        for (shard, batch) in self.shards.iter_mut().zip(per_shard) {
+            shard.ingest(batch);
         }
     }
 
     /// Run the lockstep event loop until every shard is drained, then
-    /// return the combined report.
+    /// return the combined report. Completions are processed before
+    /// arrivals at equal times; admission is retried after every state
+    /// change.
     pub fn drain(&mut self) -> ShardedReport {
-        let mut now = SimTime::ZERO;
-        loop {
-            // Settle every shard at the global clock, in index order.
-            for f in &mut self.facilities {
-                f.advance_to(now);
-            }
-            if self.cfg.work_stealing {
-                while self.steal_once() {}
-            }
-            let next = self
-                .facilities
-                .iter()
-                .filter_map(Facility::next_event_time)
-                .min();
-            let Some(next) = next else { break };
-            now = now.max(next);
-        }
+        self.run_until(|_| false);
         self.report()
     }
 
-    /// Run a standing (reactive) submission on `tenant`'s home shard and
-    /// re-settle every other shard to the home shard's clock, preserving
-    /// the lockstep-determinism induction (see the module docs). See
-    /// [`Facility::run_standing`].
+    /// Submit one graph for `tenant` at the current facility time and
+    /// drain (the interactive, single-analyst path). With a
+    /// `stream_threshold`, the run pushes partial results into the
+    /// result store as partitions complete and may stop early once it
+    /// reaches that fraction of the full run's statistical precision
+    /// (see [`Submission::stream_threshold`]). Returns the submission's
+    /// record.
+    pub fn run_now(
+        &mut self,
+        tenant: usize,
+        graph: TaskGraph,
+        label: &str,
+        stream_threshold: Option<f64>,
+    ) -> SubmissionRecord {
+        let home = self.home_shard(tenant);
+        let seq = self.shards[home].next_seq();
+        let arrival = self.now();
+        self.shards[home].ingest(vec![Submission {
+            tenant,
+            graph,
+            priority: 0,
+            arrival,
+            label: label.to_string(),
+            stream_threshold,
+        }]);
+        self.drain();
+        self.record(seq)
+            .expect("drained facility must have recorded the submission")
+    }
+
+    /// Run a standing (reactive) submission on `tenant`'s home shard
+    /// right now: like [`run_now`](Self::run_now), but every partition
+    /// delta streams into the caller's `observer` (and the inner run's
+    /// span/metric stream into `recorder`, when given) instead of a
+    /// facility-owned convergence loop, so a reactive scheduler can fold
+    /// refresh deltas into a persistent accumulator. The run needs an
+    /// exclusive slice and quota room like any other, so the lockstep
+    /// loop advances through queued work until the home shard has both;
+    /// it is then charged against `tenant`'s fair share and core quota
+    /// exactly like a queued admission, and the loop advances until it
+    /// completes.
     pub fn run_standing(
         &mut self,
         tenant: usize,
-        graph: vine_dag::TaskGraph,
+        graph: TaskGraph,
         label: &str,
-        observer: &mut dyn vine_core::RunObserver,
-    ) -> crate::SubmissionRecord {
-        self.run_standing_recorded(tenant, graph, label, observer, None)
-    }
-
-    /// [`run_standing`](Self::run_standing) with a recorder attached to
-    /// the inner run. See [`Facility::run_standing_recorded`].
-    pub fn run_standing_recorded<'a>(
-        &mut self,
-        tenant: usize,
-        graph: vine_dag::TaskGraph,
-        label: &str,
-        observer: &'a mut dyn vine_core::RunObserver,
-        recorder: Option<&'a mut dyn vine_obs::Recorder>,
-    ) -> crate::SubmissionRecord {
+        observer: &mut dyn RunObserver,
+        recorder: Option<&mut dyn Recorder>,
+    ) -> SubmissionRecord {
         let home = self.home_shard(tenant);
-        let record =
-            self.facilities[home].run_standing_recorded(tenant, graph, label, observer, recorder);
-        let t = self.facilities[home].now();
-        for (i, f) in self.facilities.iter_mut().enumerate() {
-            if i != home {
-                f.advance_to(t);
-            }
-        }
-        record
+        let room = self.run_until(|f| f.shards[home].can_admit_standing(tenant));
+        assert!(
+            room,
+            "no future event can free a slice for the standing run"
+        );
+        let hooks = ExternalHooks { observer, recorder };
+        let seq = self.shards[home].admit_standing(tenant, graph, label, hooks);
+        let done = self.run_until(|f| f.record(seq).is_some());
+        assert!(done, "admitted standing run must complete");
+        self.record(seq).expect("checked above")
     }
 
-    /// The result store of `tenant`'s home shard (where its standing
-    /// results are published).
-    pub fn results_for(&self, tenant: usize) -> &crate::ResultStore {
-        self.facilities[self.home_shard(tenant)].results()
+    /// Swap the fault plan and recovery policy injected into
+    /// *subsequent* inner runs on every shard — mid-timeline chaos for
+    /// reactive sessions. Runs already in flight keep the plan they
+    /// started with.
+    pub fn inject_chaos(&mut self, chaos: FaultPlan, recovery: RecoveryPolicy) {
+        for shard in &mut self.shards {
+            shard.set_chaos(chaos.clone(), recovery);
+        }
+    }
+
+    /// The result store of `tenant`'s home shard (where its streamed
+    /// partials and standing results are published).
+    pub fn results_for(&self, tenant: usize) -> &ResultStore {
+        &self.shards[self.home_shard(tenant)].results
     }
 
     /// Mutable access to `tenant`'s home-shard result store.
-    pub fn results_mut_for(&mut self, tenant: usize) -> &mut crate::ResultStore {
+    pub fn results_mut_for(&mut self, tenant: usize) -> &mut ResultStore {
         let home = self.home_shard(tenant);
-        self.facilities[home].results_mut()
+        &mut self.shards[home].results
     }
 
     /// The combined report so far.
     pub fn report(&self) -> ShardedReport {
         ShardedReport {
-            shards: self.facilities.iter().map(Facility::report).collect(),
+            shards: self.shards.iter().map(Shard::report).collect(),
             store_metrics: self
                 .store
                 .as_ref()
@@ -383,29 +405,67 @@ impl ShardedFacility {
         }
     }
 
+    /// The facility clock: every shard sits at it between calls.
+    fn now(&self) -> SimTime {
+        self.shards
+            .iter()
+            .map(Shard::now)
+            .max()
+            .unwrap_or(SimTime::ZERO)
+    }
+
+    /// The completed record of submission `seq`, on whichever shard ran
+    /// it (stealing may move work off its home shard).
+    fn record(&self, seq: usize) -> Option<SubmissionRecord> {
+        self.shards.iter().find_map(|s| s.record(seq)).cloned()
+    }
+
+    /// The lockstep event loop. Each round settles every shard at the
+    /// global clock, in index order, then steals while an idle shard can;
+    /// the clock then advances to the earliest next event across shards.
+    /// Returns `true` as soon as `done` holds after a round, `false` once
+    /// no event is left.
+    fn run_until(&mut self, done: impl Fn(&Self) -> bool) -> bool {
+        let mut now = self.now();
+        loop {
+            for shard in &mut self.shards {
+                shard.advance_to(now);
+            }
+            if self.cfg.work_stealing {
+                while self.steal_once() {}
+            }
+            if done(self) {
+                return true;
+            }
+            let next = self.shards.iter().filter_map(Shard::next_event_time).min();
+            let Some(next) = next else { return false };
+            now = now.max(next);
+        }
+    }
+
     /// One steal: the first idle shard (free slice, nothing admissible
     /// of its own) takes the globally longest-waiting admissible entry
     /// whose tenant has aggregate quota room, and admits it at the
     /// current clock. Returns whether a steal happened.
     fn steal_once(&mut self) -> bool {
         let wpr = self.cfg.base.workers_per_run;
-        let thief = (0..self.facilities.len()).find(|&i| {
-            let f = &self.facilities[i];
-            !f.has_admissible_work() && f.free_workers() >= wpr
+        let thief = (0..self.shards.len()).find(|&i| {
+            let s = &self.shards[i];
+            !s.has_admissible_work() && s.free_workers() >= wpr
         });
         let Some(thief) = thief else { return false };
 
         // The longest-waiting candidate across the other shards whose
         // tenant's federation-wide in-flight cores leave quota room.
         let run_cores = self.cfg.base.run_cores();
-        let victim = (0..self.facilities.len())
+        let victim = (0..self.shards.len())
             .filter(|&i| i != thief)
             .filter_map(|i| {
-                let (tenant, arrival, seq) = self.facilities[i].steal_candidate()?;
+                let (tenant, arrival, seq) = self.shards[i].steal_candidate()?;
                 let aggregate: u64 = self
-                    .facilities
+                    .shards
                     .iter()
-                    .map(|f| f.tenant_inflight_cores(tenant))
+                    .map(|s| s.tenant_inflight_cores(tenant))
                     .sum();
                 let quota = u64::from(self.cfg.base.tenants[tenant].max_inflight_cores);
                 (aggregate + run_cores <= quota).then_some((arrival, seq, i, tenant))
@@ -414,10 +474,10 @@ impl ShardedFacility {
         let Some((_, _, victim, tenant)) = victim else {
             return false;
         };
-        let Some(q) = self.facilities[victim].take_steal(tenant) else {
+        let Some(q) = self.shards[victim].take_steal(tenant) else {
             return false;
         };
-        self.facilities[thief].accept_stolen(tenant, q);
+        self.shards[thief].accept_stolen(tenant, q);
         self.steals += 1;
         true
     }

@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use vine_cluster::ClusterSpec;
 use vine_dag::{TaskGraph, TaskKind};
-use vine_serve::{Facility, FacilityConfig, Submission, TenantSpec};
+use vine_serve::{FacilityConfig, ShardedConfig, ShardedFacility, Submission, TenantSpec};
 use vine_simcore::SimTime;
 
 /// A small process→reduce graph, distinct per (tenant, index) so graphs
@@ -36,7 +36,8 @@ fn small_graph(tag: usize, width: usize) -> TaskGraph {
     g
 }
 
-fn facility(weights: &[f64], workers: usize, workers_per_run: usize, seed: u64) -> Facility {
+/// A single facility (one shard, no shared tier, no stealing).
+fn facility(weights: &[f64], workers: usize, workers_per_run: usize, seed: u64) -> ShardedFacility {
     let cfg = FacilityConfig {
         cluster: ClusterSpec::standard(workers),
         tenants: weights
@@ -56,7 +57,7 @@ fn facility(weights: &[f64], workers: usize, workers_per_run: usize, seed: u64) 
         chaos: vine_core::FaultPlan::none(),
         recovery: vine_core::RecoveryPolicy::default(),
     };
-    Facility::new(cfg).expect("generated configs are lint-clean")
+    ShardedFacility::new(ShardedConfig::single(cfg)).expect("generated configs are lint-clean")
 }
 
 fn submissions(orders: &[(usize, u64)], n_tenants: usize) -> Vec<Submission> {
@@ -91,7 +92,7 @@ proptest! {
         let wpr = wpr.min(workers);
         let mut f = facility(&weights, workers, wpr, seed);
         f.ingest(submissions(&orders, weights.len()));
-        let report = f.drain();
+        let report = f.drain().shards.remove(0);
         let total = ClusterSpec::standard(workers).total_cores() as u64;
         prop_assert!(
             report.peak_inflight_cores <= total,
@@ -123,7 +124,7 @@ proptest! {
         let subs = submissions(&orders, weights.len());
         let n = subs.len();
         f.ingest(subs);
-        let report = f.drain();
+        let report = f.drain().shards.remove(0);
         prop_assert_eq!(report.records.len(), n);
         let mut seqs: Vec<usize> = report.records.iter().map(|r| r.seq).collect();
         seqs.sort_unstable();
@@ -143,7 +144,7 @@ proptest! {
         let run = || {
             let mut f = facility(&weights, 3, 1, seed);
             f.ingest(submissions(&orders, weights.len()));
-            let report = f.drain();
+            let report = f.drain().shards.remove(0);
             let admissions: Vec<(usize, SimTime)> = report
                 .records
                 .iter()
@@ -211,7 +212,7 @@ proptest! {
         // Everything arrives at t=0: pure weight competition.
         let orders: Vec<(usize, u64)> = (0..8).map(|i| (i % 2, 0)).collect();
         f.ingest(submissions(&orders, 2));
-        let report = f.drain();
+        let report = f.drain().shards.remove(0);
         let mut by_admission: Vec<_> = report.records.iter().collect();
         by_admission.sort_by_key(|r| (r.admitted, r.seq));
         let first_half = &by_admission[..4];

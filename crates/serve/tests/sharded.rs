@@ -1,11 +1,9 @@
-//! Federation acceptance: single-shard identity with the plain facility,
-//! cross-shard warm hits through the shared tier, lockstep determinism,
+//! Federation acceptance: the pinned single-shard output, cross-shard
+//! warm hits through the shared tier, lockstep determinism,
 //! and quota-gated work stealing.
 
 use vine_analysis::WorkloadSpec;
-use vine_serve::{
-    assign_shard, Facility, FacilityConfig, ShardedConfig, ShardedFacility, Submission,
-};
+use vine_serve::{assign_shard, FacilityConfig, ShardedConfig, ShardedFacility, Submission};
 use vine_simcore::SimTime;
 use vine_store::StoreConfig;
 
@@ -28,28 +26,36 @@ fn subs() -> Vec<Submission> {
     vec![sub(0, 0, "x"), sub(1, 3, "y"), sub(0, 5, "z")]
 }
 
-#[test]
-fn single_shard_no_store_is_byte_identical_to_plain_facility() {
-    let mut plain = Facility::new(FacilityConfig::demo(99)).unwrap();
-    plain.ingest(subs());
-    let baseline = plain.drain().to_csv();
+/// 64-bit FNV-1a, the repo's standard content hash.
+fn fnv1a_64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x1_0000_01b3);
+    }
+    h
+}
 
-    let cfg = ShardedConfig {
-        base: FacilityConfig::demo(99),
-        shards: 1,
-        store: None,
-        work_stealing: false,
-    };
-    let mut fed = ShardedFacility::new(cfg).unwrap();
+#[test]
+fn single_shard_no_store_output_is_pinned() {
+    // The digests of the single-facility event loop's CSV and metrics
+    // exports for this case, captured before the one-shard federation
+    // became the only facility. Any change to admission, checkout,
+    // writeback, or the report format moves them.
+    let mut fed = ShardedFacility::new(ShardedConfig::single(FacilityConfig::demo(99))).unwrap();
     fed.ingest(subs());
     let report = fed.drain();
     assert_eq!(report.shards.len(), 1);
     assert_eq!(report.steals, 0);
     assert_eq!(report.store_metrics, "");
+    let shard = &report.shards[0];
     assert_eq!(
-        report.shards[0].to_csv(),
-        baseline,
-        "a 1-shard storeless federation must degenerate to the plain facility"
+        format!("{:016x}", fnv1a_64(shard.to_csv().as_bytes())),
+        "7d643530842862fe"
+    );
+    assert_eq!(
+        format!("{:016x}", fnv1a_64(shard.to_metrics().to_text().as_bytes())),
+        "36da96ec9b8343fa"
     );
 }
 

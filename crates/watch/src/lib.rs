@@ -22,9 +22,8 @@
 //!   every epoch, batched appends, debounced quiet windows, or manual;
 //! * [`WatchSession`] — the reactive scheduler: assigns run IDs, diffs
 //!   input content hashes against the last completed epoch, charges each
-//!   refresh to the owning tenant through a [`StandingBackend`]
-//!   ([`vine_serve::Facility`] or [`vine_serve::ShardedFacility`]),
-//!   folds streamed partition deltas exactly-once into a persistent
+//!   refresh to the owning tenant on a [`vine_serve::ShardedFacility`]
+//!   (one shard or many), folds streamed partition deltas exactly-once into a persistent
 //!   [`vine_analysis::StreamAccumulator`], and publishes epoch-versioned
 //!   results (stale partials invalidated) — so the served histogram
 //!   after any refresh is **bit-identical** to a cold full recompute of
@@ -41,4 +40,4 @@ pub mod watcher;
 
 pub use template::GraphTemplate;
 pub use trigger::TriggerPolicy;
-pub use watcher::{RefreshRecord, StandingBackend, StandingSubmission, WatchReport, WatchSession};
+pub use watcher::{RefreshRecord, StandingSubmission, WatchReport, WatchSession};

@@ -14,10 +14,11 @@
 //! Run with: `cargo run --release --example interactive_session`
 
 use reshaping_hep::analysis::WorkloadSpec;
-use reshaping_hep::serve::{Facility, FacilityConfig};
+use reshaping_hep::serve::{FacilityConfig, ShardedConfig, ShardedFacility};
 
 fn main() {
-    let mut facility = Facility::new(FacilityConfig::demo(42)).expect("demo config is clean");
+    let mut facility = ShardedFacility::new(ShardedConfig::single(FacilityConfig::demo(42)))
+        .expect("demo config is clean");
     let spec = WorkloadSpec::dv3_small().scaled_down(20);
 
     println!("interactive session: DV3-Small, one analyst, warm facility\n");
@@ -32,7 +33,7 @@ fn main() {
 
     let mut cold_makespan = None;
     for (what, spec) in session {
-        let r = facility.run_now(0, spec.to_graph(), what);
+        let r = facility.run_now(0, spec.to_graph(), what, None);
         let cold = *cold_makespan.get_or_insert(r.makespan.as_secs_f64());
         let speedup = cold / r.makespan.as_secs_f64().max(1e-9);
         println!(

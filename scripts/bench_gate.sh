@@ -18,8 +18,8 @@
 #    solver_link_visits): they are deterministic for a fixed (workload,
 #    seed), so any rise above the baseline fails, with no noise margin.
 #
-# Also runs the streaming gates (ISSUE 6), the shard gate (ISSUE 8), and
-# the watch gate (ISSUE 9) — see the sections below.
+# Also runs the streaming gates (ISSUE 6), the facility gate, the shard
+# gate (ISSUE 8), and the watch gate (ISSUE 9) — see the sections below.
 #
 # Usage: scripts/bench_gate.sh [--throughput-only|--no-throughput]
 #                              [baseline.json] [out.json]
@@ -189,10 +189,22 @@ cargo build --release -p vine-bench --bin fig-stream
 ./target/release/fig-stream
 echo "stream gate: early-stop saving >= 20%"
 
+# Facility gate: the single-facility experiment must rewrite its
+# committed exports (per-submission CSV and metrics text) byte for byte.
+# To refresh them after an intentional change, run the binary and commit
+# the two files.
+cargo build --release -p vine-bench --bin facility
+./target/release/facility > /dev/null
+if ! git diff --exit-code results/facility.csv results/facility_metrics.txt; then
+  echo "facility gate: results/facility.csv or facility_metrics.txt changed" >&2
+  exit 1
+fi
+echo "facility gate: exports byte-identical to the committed files"
+
 # Shard gate (ISSUE 8): the federated facility's CI cell (shards=4,
 # 1000 tenants, seed 42) must replay bit-identically across two process
-# invocations, and its warm-hit ratio must stay within 2% of the
-# committed baseline (results/shards_gate.txt). fig-shards --gate also
+# invocations, print exactly the committed digest, and keep its warm-hit
+# ratio within 2% of the committed baseline (results/shards_gate.txt). fig-shards --gate also
 # replays the cell twice in-process and asserts digest equality itself.
 # To refresh the baseline after an intentional change:
 #   ./target/release/fig-shards --gate > results/shards_gate.txt
@@ -212,6 +224,11 @@ if [ "${a%% *}" != "${b%% *}" ]; then
   exit 1
 fi
 echo "shard gate: cross-process replay bit-identical"
+if [ "${a%% *}" != "$(cut -d' ' -f1 "$SHARD_BASELINE")" ]; then
+  echo "shard gate: ${a%% *} differs from the baseline $(cat "$SHARD_BASELINE")" >&2
+  exit 1
+fi
+echo "shard gate: digest equals the baseline"
 wh_new=${a##*warm_hit=}
 wh_old=$(sed 's/.*warm_hit=//' "$SHARD_BASELINE")
 awk -v new="$wh_new" -v old="$wh_old" 'BEGIN {
@@ -223,7 +240,7 @@ awk -v new="$wh_new" -v old="$wh_old" 'BEGIN {
 
 # Watch gate (ISSUE 9): the reactive standing-analysis CI cell (batched
 # growth preset, seed 42) must replay bit-identically across two process
-# invocations, its served estimate must match a cold full recompute
+# invocations and print exactly the committed digest, its served estimate must match a cold full recompute
 # bit-for-bit (asserted inside the binary), and the reactive path must
 # save >= 60% of task executions vs cold re-runs. The saved ratio must
 # also stay within 2% of the committed baseline (results/watch_gate.txt).
@@ -245,6 +262,11 @@ if [ "${a%% *}" != "${b%% *}" ]; then
   exit 1
 fi
 echo "watch gate: cross-process replay bit-identical"
+if [ "${a%% *}" != "$(cut -d' ' -f1 "$WATCH_BASELINE")" ]; then
+  echo "watch gate: ${a%% *} differs from the baseline $(cat "$WATCH_BASELINE")" >&2
+  exit 1
+fi
+echo "watch gate: digest equals the baseline"
 sv_new=${a##*saved=}
 sv_old=$(sed 's/.*saved=//' "$WATCH_BASELINE")
 awk -v new="$sv_new" -v old="$sv_old" 'BEGIN {

@@ -9,7 +9,7 @@ use reshaping_hep::cluster::ClusterSpec;
 use reshaping_hep::core::{graph_file_cachename, EngineConfig, RunRequest, SessionState};
 use reshaping_hep::data::{encode_histogram_set, Dataset};
 use reshaping_hep::exec::{ExecMode, Executor};
-use reshaping_hep::serve::{Facility, FacilityConfig, LoadGen, ResultStore};
+use reshaping_hep::serve::{FacilityConfig, LoadGen, ResultStore, ShardedConfig, ShardedFacility};
 use reshaping_hep::simcore::units::KB;
 
 fn base_cfg() -> EngineConfig {
@@ -132,14 +132,15 @@ fn memoized_run_serves_bit_identical_histograms() {
 #[test]
 fn facility_metrics_export_is_byte_stable_per_seed() {
     let run = || {
-        let mut facility = Facility::new(FacilityConfig::demo(9)).expect("demo config is clean");
+        let mut facility = ShardedFacility::new(ShardedConfig::single(FacilityConfig::demo(9)))
+            .expect("demo config is clean");
         let loadgen = LoadGen {
             scale_down: 60,
             submissions_per_tenant: 3,
             ..LoadGen::default()
         };
         facility.ingest(loadgen.generate(2, 9));
-        let report = facility.drain();
+        let report = facility.drain().shards.remove(0);
         (report.to_csv(), report.to_metrics().to_text())
     };
     let (csv_a, metrics_a) = run();
