@@ -20,7 +20,9 @@
 //! the next completion is read, or before time moves on. The solve is a
 //! pure function of the flow set and the capacities, so skipping the
 //! solves nobody read changes no rate: the results are bit-identical to
-//! solving after every mutation.
+//! solving after every mutation. Each solve resumes from the previous
+//! one's trace, re-running only the water-filling steps the changes since
+//! can reach (see [`crate::fairshare`]); a bandwidth change re-runs all.
 
 use vine_simcore::{SimDur, SimTime};
 
@@ -586,6 +588,34 @@ mod tests {
             campus.link_visits <= 2 * 4 * campus.iterations,
             "{campus:?}"
         );
+    }
+
+    #[test]
+    fn resumed_solve_reruns_only_the_steps_a_change_reaches() {
+        // Ten flows, each alone on its links, bottlenecked by ten distinct
+        // ingress capacities: a full solve takes one step per flow.
+        let mut fab = Fabric::new();
+        let dsts: Vec<NodeId> = (1..=10)
+            .map(|i| fab.add_symmetric_node(100.0 * i as f64))
+            .collect();
+        for &dst in &dsts {
+            let src = fab.add_symmetric_node(1e9);
+            fab.start_flow(SimTime::ZERO, src, dst, 1_000, f64::INFINITY);
+        }
+        fab.next_completion();
+        assert_eq!(fab.solve_work().iterations, 10);
+        // A flow whose links are bottlenecked after all ten replays every
+        // step and runs one more; a full solve would run eleven.
+        let src = fab.add_symmetric_node(1e9);
+        let late = fab.add_symmetric_node(2_000.0);
+        fab.start_flow(SimTime::ZERO, src, late, 1_000, f64::INFINITY);
+        fab.next_completion();
+        assert_eq!(fab.solve_work().iterations, 10 + 1);
+        // A bandwidth change, even to the same value, re-runs them all.
+        fab.set_node_bandwidth(SimTime::ZERO, dsts[0], 100.0, 100.0);
+        fab.next_completion();
+        let work = fab.solve_work();
+        assert_eq!((work.solves, work.iterations), (3, 11 + 11), "{work:?}");
     }
 
     #[test]

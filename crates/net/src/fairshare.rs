@@ -23,18 +23,61 @@
 //! - the flows with a finite cap are kept in ascending id order.
 //!
 //! A solve (`FairState::solve`) sweeps the bitmap for the ascending list
-//! of loaded links, scans only that list for the per-iteration minimum
-//! and the bottleneck, and visits only the bottleneck's flows. It costs
-//! O(loaded links × iterations + flows fixed) plus links / 64 bitmap
-//! words; [`SolveWork`] counts the iterations and link visits. Every scan
-//! meets links and flows in the same ascending order a full scan would,
-//! every share is computed from the same operands, and capped flows are
-//! fixed in the same order, so the rates are bit-identical to
+//! of loaded links, scans only that list for each step's minimum and
+//! bottleneck, and visits only the bottleneck's flows. [`SolveWork`]
+//! counts the steps (iterations) and link visits. Every scan meets links
+//! and flows in the same ascending order a full scan would, every share
+//! is computed from the same operands, and capped flows are fixed in the
+//! same order, so the rates are bit-identical to
 //! [`max_min_fair_reference`], the full-scan original kept as the test
 //! oracle.
+//!
+//! # Resuming a solve
+//!
+//! Consecutive solves differ by a few flows, and most of the previous
+//! solve's steps would repeat bit for bit. So each solve keeps a trace:
+//! every step's level (its bottleneck share) and where its fixes end in a
+//! fix-order list; per link, its `remaining` before each fix on it (kept
+//! in the fix records, which chain each link's fixes, so a link needs no
+//! list of its own); and per flow slot, the step that fixed it. The next
+//! solve finds the first step k that its changes can reach, restores
+//! every link to its state at step k by undoing the later fixes from the
+//! per-link history, and re-runs only the steps from k on. A step is
+//! replayed only if all of these hold:
+//!
+//! - **changed links**: each link that gained or lost a flow since the
+//!   last solve has a share above `level + EPS` at that step, both with
+//!   its old flow set and with its new one, so it is neither the minimum
+//!   nor the chosen bottleneck in either solve. The old-set check is
+//!   needed: a removed flow's link can hold the strict minimum while a
+//!   lower-index link within EPS is the one chosen, and removing the flow
+//!   raises the minimum;
+//! - **added capped flows**: each one's cap exceeds `level + EPS`, so the
+//!   cap pass does not fix it;
+//! - **removed flows**: the step comes before the first step that fixed
+//!   a removed flow;
+//! - **full solves**: a capacity change restarts from step 0, and the
+//!   infinite-share step is always re-run.
+//!
+//! Two pitfalls. A link's load at step j is derived as its flow count
+//! minus its history entries before j, never stored: a stored load goes
+//! stale when the link's flow set changes while its early entries
+//! survive. And a removed flow's slot can be reused before the next
+//! solve, so the fix-order list records each fix's two links, not just
+//! its slot.
+//!
+//! A solve costs O(loaded links × steps from the resume point + fixes
+//! undone + loaded links + capped flows), plus links / 64 bitmap words,
+//! plus the stop-rule scan: O(resume point + history) per changed link.
 
 /// Shares within this distance of the minimum count as the minimum.
 const EPS: f64 = 1e-9;
+
+/// A slot's step when no step of the last solve fixed its flow.
+const UNFIXED: usize = usize::MAX;
+
+/// The end of a link's chain of fixes.
+const NO_FIX: usize = usize::MAX;
 
 /// One flow's constraints: the index of its egress link, the index of its
 /// ingress link, and an optional private rate cap (bytes/second).
@@ -58,7 +101,8 @@ pub struct SolveWork {
     pub changes: u64,
     /// Solver calls.
     pub solves: u64,
-    /// Water-filling iterations (passes of the main loop).
+    /// Water-filling iterations (passes of the main loop) run; the steps
+    /// a solve replays from the previous one are not counted.
     pub iterations: u64,
     /// Link entries examined by the per-iteration minimum and bottleneck
     /// search.
@@ -78,6 +122,12 @@ struct LinkState {
     share: f64,
     /// Number of flows crossing the link not yet given a rate.
     load: usize,
+    /// The link gained or lost a flow since the last solve.
+    changed: bool,
+    /// How many fixes of the last solve were on the link, and the latest
+    /// as `2 * fix + side` ([`NO_FIX`] if none).
+    fixed: usize,
+    last_fix: usize,
 }
 
 impl LinkState {
@@ -89,6 +139,16 @@ impl LinkState {
     }
 }
 
+/// A link's share with `remaining` capacity left over `load` flows;
+/// infinite when it carries none, since it then bounds nothing.
+fn share(remaining: f64, load: usize) -> f64 {
+    if load == 0 {
+        f64::INFINITY
+    } else {
+        remaining.max(0.0) / load as f64
+    }
+}
+
 /// One flow's stable slot.
 #[derive(Clone, Copy)]
 struct Slot {
@@ -97,20 +157,150 @@ struct Slot {
     ingress: usize,
     cap: f64,
     rate: f64,
-    /// Equals `FairState::epoch` once the current solve has fixed the
-    /// flow, so starting a solve (bumping the epoch) un-fixes every flow
-    /// without touching any.
-    fixed_in: u64,
+    /// The step of the last solve that fixed the flow, or [`UNFIXED`].
+    step: usize,
 }
 
-/// Give the flow in slot `s` rate `r` and take it off its two links.
-fn fix(s: usize, r: f64, slots: &mut [Slot], links: &mut [LinkState], epoch: u64) {
-    let r = r.max(0.0);
-    let slot = &mut slots[s];
-    slot.rate = r;
-    slot.fixed_in = epoch;
-    links[slot.egress].take(r);
-    links[slot.ingress].take(r);
+/// One step (pass of the main loop) of the last solve.
+#[derive(Clone, Copy)]
+struct Step {
+    /// The step's bottleneck share.
+    level: f64,
+    /// The step's fixes end at this index of [`Trace::fixes`].
+    end: usize,
+}
+
+/// One fix of the last solve. Its links are kept because the slot may
+/// hold another flow by the next solve. Side 0 is the egress link and
+/// side 1 the ingress link; the fixes on one link form a chain through
+/// `prev`, which is each link's history.
+#[derive(Clone, Copy)]
+struct Fix {
+    slot: usize,
+    step: usize,
+    links: [usize; 2],
+    /// Each link's `remaining` just before the fix.
+    before: [f64; 2],
+    /// Each link's previous fix as `2 * fix + side` ([`NO_FIX`] if none).
+    prev: [usize; 2],
+}
+
+/// What the last solve did, for the next one to resume from.
+#[derive(Default)]
+struct Trace {
+    steps: Vec<Step>,
+    /// Every fix, in order.
+    fixes: Vec<Fix>,
+    /// The slots the infinite-share step gave the unconstrained rate.
+    unbounded: Vec<usize>,
+}
+
+impl Trace {
+    /// Give the flow in slot `s` rate `r` at step `step` and take it off
+    /// its two links.
+    fn fix(&mut self, s: usize, r: f64, step: usize, slots: &mut [Slot], links: &mut [LinkState]) {
+        let r = r.max(0.0);
+        let slot = &mut slots[s];
+        slot.rate = r;
+        slot.step = step;
+        let i = self.fixes.len();
+        let mut fix = Fix {
+            slot: s,
+            step,
+            links: [slot.egress, slot.ingress],
+            before: [0.0; 2],
+            prev: [NO_FIX; 2],
+        };
+        for side in 0..2 {
+            let link = &mut links[fix.links[side]];
+            fix.before[side] = link.remaining;
+            fix.prev[side] = link.last_fix;
+            link.last_fix = 2 * i + side;
+            link.fixed += 1;
+            link.take(r);
+        }
+        self.fixes.push(fix);
+    }
+
+    /// The current step, at `level`, has made all its fixes.
+    fn end_step(&mut self, level: f64) {
+        self.steps.push(Step {
+            level,
+            end: self.fixes.len(),
+        });
+    }
+
+    /// Undo every step from `k` on: un-fix its flows and give each link
+    /// back the `remaining` it had before them.
+    fn rewind(&mut self, k: usize, slots: &mut [Slot], links: &mut [LinkState]) {
+        if k >= self.steps.len() {
+            return;
+        }
+        let start = k.checked_sub(1).map_or(0, |j| self.steps[j].end);
+        for fix in self.fixes.drain(start..).rev() {
+            slots[fix.slot].step = UNFIXED;
+            for side in [1, 0] {
+                let link = &mut links[fix.links[side]];
+                link.remaining = fix.before[side];
+                link.last_fix = fix.prev[side];
+                link.fixed -= 1;
+            }
+        }
+        for s in self.unbounded.drain(..) {
+            slots[s].step = UNFIXED;
+        }
+        self.steps.truncate(k);
+    }
+
+    /// `link`'s fixes, oldest first, as (step, `remaining` just before),
+    /// into `out`.
+    fn history_of(&self, link: &LinkState, out: &mut Vec<(usize, f64)>) {
+        out.clear();
+        let mut at = link.last_fix;
+        for _ in 0..link.fixed {
+            let (fix, side) = (&self.fixes[at / 2], at % 2);
+            out.push((fix.step, fix.before[side]));
+            at = fix.prev[side];
+        }
+        debug_assert_eq!(at, NO_FIX, "a link's chain is longer than its fixes");
+        out.reverse();
+    }
+}
+
+/// What changed since the last solve.
+struct Changes {
+    /// The links that gained or lost a flow, each with its flow count at
+    /// the last solve.
+    links: Vec<(usize, usize)>,
+    /// The earliest step that fixed a removed flow ([`UNFIXED`] if none).
+    removed_step: usize,
+    /// The smallest cap of an added capped flow (infinite if none).
+    added_cap: f64,
+    /// A capacity changed: the next solve starts from step 0.
+    full: bool,
+}
+
+impl Default for Changes {
+    fn default() -> Self {
+        Changes {
+            links: Vec::new(),
+            removed_step: UNFIXED,
+            added_cap: f64::INFINITY,
+            full: false,
+        }
+    }
+}
+
+impl Changes {
+    /// Forget every change, clearing the links' `changed` marks.
+    fn clear(&mut self, states: &mut [LinkState]) {
+        for (l, _) in self.links.drain(..) {
+            states[l].changed = false;
+        }
+        self.removed_step = UNFIXED;
+        self.added_cap = f64::INFINITY;
+        self.full = false;
+    }
 }
 
 /// Remove one `(id, slot)` entry from an id-sorted list.
@@ -143,8 +333,11 @@ pub struct FairState {
     free: Vec<usize>,
     /// Flows with a finite private cap, ascending by id.
     capped: Vec<(u64, usize)>,
-    /// Solves started; see `Slot::fixed_in`.
-    epoch: u64,
+    /// The last solve, and the changes since.
+    trace: Trace,
+    changes: Changes,
+    /// A reused buffer for one changed link's history.
+    history: Vec<(usize, f64)>,
     /// Per-solve working lists: the loaded links and the capped flows,
     /// compacted as they drain.
     live: Vec<usize>,
@@ -170,6 +363,7 @@ impl FairState {
         let l = self.links.len();
         self.links.push(LinkState {
             capacity,
+            last_fix: NO_FIX,
             ..LinkState::default()
         });
         self.on_link.push(Vec::new());
@@ -185,6 +379,16 @@ impl FairState {
     /// Replace link `l`'s capacity.
     pub(crate) fn set_capacity(&mut self, l: usize, capacity: f64) {
         self.links[l].capacity = capacity;
+        self.changes.full = true;
+    }
+
+    /// Link `l` is about to gain or lose a flow.
+    fn note_changed(&mut self, l: usize) {
+        let link = &mut self.links[l];
+        if !link.changed {
+            link.changed = true;
+            self.changes.links.push((l, self.on_link[l].len()));
+        }
     }
 
     /// Add flow `id` over `egress` and `ingress` with private cap
@@ -204,7 +408,7 @@ impl FairState {
             ingress,
             cap: rate_cap,
             rate: 0.0,
-            fixed_in: 0,
+            step: UNFIXED,
         };
         let s = match self.free.pop() {
             Some(s) => {
@@ -217,6 +421,7 @@ impl FairState {
             }
         };
         for l in [egress, ingress] {
+            self.note_changed(l);
             let list = &mut self.on_link[l];
             debug_assert!(list.last().is_none_or(|&(last, _)| last <= id));
             if list.is_empty() {
@@ -227,6 +432,7 @@ impl FairState {
         if rate_cap.is_finite() {
             debug_assert!(self.capped.last().is_none_or(|&(last, _)| last < id));
             self.capped.push((id, s));
+            self.changes.added_cap = self.changes.added_cap.min(rate_cap);
         }
         s
     }
@@ -238,9 +444,11 @@ impl FairState {
             egress,
             ingress,
             cap,
+            step,
             ..
         } = self.slots[s];
         for l in [egress, ingress] {
+            self.note_changed(l);
             let list = &mut self.on_link[l];
             remove_sorted(list, id);
             if list.is_empty() {
@@ -250,6 +458,7 @@ impl FairState {
         if cap.is_finite() {
             remove_sorted(&mut self.capped, id);
         }
+        self.changes.removed_step = self.changes.removed_step.min(step);
         self.free.push(s);
     }
 
@@ -260,6 +469,7 @@ impl FairState {
         self.links
             .extend(link_capacity.iter().map(|&capacity| LinkState {
                 capacity,
+                last_fix: NO_FIX,
                 ..LinkState::default()
             }));
         for list in &mut self.on_link {
@@ -271,6 +481,11 @@ impl FairState {
         self.slots.clear();
         self.free.clear();
         self.capped.clear();
+        let trace = &mut self.trace;
+        trace.steps.clear();
+        trace.fixes.clear();
+        trace.unbounded.clear();
+        self.changes = Changes::default();
     }
 
     /// The rate the last solve gave the flow in slot `s` (0 before any).
@@ -278,48 +493,110 @@ impl FairState {
         self.slots[s].rate
     }
 
+    /// How many of the last solve's steps the changes since leave
+    /// bit-identical: the stop rule of the module doc.
+    fn resume_point(&mut self) -> usize {
+        let FairState {
+            links,
+            on_link,
+            trace,
+            changes,
+            history,
+            ..
+        } = self;
+        if changes.full {
+            return 0;
+        }
+        let steps = &trace.steps;
+        let before_removed = steps.len().min(changes.removed_step);
+        // No cap exceeds an infinite level, so the infinite-share step
+        // always stops the replay.
+        let mut k = steps[..before_removed]
+            .iter()
+            .position(|st| changes.added_cap <= st.level + EPS)
+            .unwrap_or(before_removed);
+        for &(l, before) in &changes.links {
+            trace.history_of(&links[l], history);
+            let after = on_link[l].len();
+            // `seen` counts the link's fixes before step j. They belong to
+            // flows in both the old and the new set, since j precedes
+            // every removed flow's fix.
+            let mut seen = 0;
+            for (j, st) in steps[..k].iter().enumerate() {
+                while history.get(seen).is_some_and(|&(at, _)| at < j) {
+                    seen += 1;
+                }
+                let remaining = match history.get(seen) {
+                    Some(&(_, r)) => r,
+                    None if seen > 0 => links[l].remaining,
+                    None => links[l].capacity,
+                };
+                let bound = st.level + EPS;
+                if share(remaining, before - seen) <= bound
+                    || share(remaining, after - seen) <= bound
+                {
+                    k = j;
+                    break;
+                }
+            }
+        }
+        k
+    }
+
     /// Compute the max–min fair rate of every flow; read them with
     /// [`FairState::rate`].
     pub(crate) fn solve(&mut self) {
         self.work.solves += 1;
-        self.epoch += 1;
-        let mut active_count = self.slots.len() - self.free.len();
-        if active_count == 0 {
-            return;
-        }
+        let k = self.resume_point();
         let FairState {
             links,
             on_link,
             loaded,
             slots,
+            free,
             capped,
-            epoch,
+            trace,
+            changes,
             live,
             capped_live,
             work,
             ..
         } = self;
-        let epoch = *epoch;
+        trace.rewind(k, slots, links);
+        changes.clear(links);
 
-        // The loaded links, ascending, so that every scan below meets
-        // them in the order a scan of all links would. Sweeping the
-        // bitmap (one word per 64 links) orders them without a sort.
+        // The links with unfixed flows at step k, ascending, so that
+        // every scan below meets them in the order a scan of all links
+        // would. Sweeping the bitmap (one word per 64 links) orders them
+        // without a sort. A link's load is its flow count less the fixes
+        // on it so far.
         live.clear();
         for (w, mut word) in loaded.iter().copied().enumerate() {
             while word != 0 {
                 let l = w * 64 + word.trailing_zeros() as usize;
                 word &= word - 1;
                 let link = &mut links[l];
-                link.remaining = link.capacity;
-                link.load = on_link[l].len();
-                link.share = link.remaining.max(0.0) / link.load as f64;
-                live.push(l);
+                if link.fixed == 0 {
+                    link.remaining = link.capacity;
+                }
+                link.load = on_link[l].len() - link.fixed;
+                if link.load > 0 {
+                    link.share = link.remaining.max(0.0) / link.load as f64;
+                    live.push(l);
+                }
             }
         }
         capped_live.clear();
-        capped_live.extend(capped.iter().map(|&(_, s)| s));
+        capped_live.extend(
+            capped
+                .iter()
+                .map(|&(_, s)| s)
+                .filter(|&s| slots[s].step == UNFIXED),
+        );
+        let mut active_count = slots.len() - free.len() - trace.fixes.len();
 
         while active_count > 0 {
+            let step = trace.steps.len();
             work.iterations += 1;
             work.link_visits += live.len() as u64;
             // Fair share offered by the most constrained link; drained
@@ -339,12 +616,12 @@ impl FairState {
             // afterwards.
             let mut fixed_any_cap = false;
             capped_live.retain(|&s| {
-                if slots[s].fixed_in == epoch {
+                if slots[s].step != UNFIXED {
                     return false;
                 }
                 let cap = slots[s].cap;
                 if cap <= bottleneck_share + EPS {
-                    fix(s, cap, slots, links, epoch);
+                    trace.fix(s, cap, step, slots, links);
                     active_count -= 1;
                     fixed_any_cap = true;
                     return false;
@@ -352,6 +629,7 @@ impl FairState {
                 true
             });
             if fixed_any_cap {
+                trace.end_step(bottleneck_share);
                 continue;
             }
 
@@ -363,12 +641,14 @@ impl FairState {
                 for &l in live.iter() {
                     for &(_, s) in &on_link[l] {
                         let slot = &mut slots[s];
-                        if slot.fixed_in != epoch {
+                        if slot.step == UNFIXED {
                             slot.rate = f64::MAX / 1e6;
-                            slot.fixed_in = epoch;
+                            slot.step = step;
+                            trace.unbounded.push(s);
                         }
                     }
                 }
+                trace.end_step(bottleneck_share);
                 break;
             }
 
@@ -380,18 +660,23 @@ impl FairState {
             work.link_visits += found.map_or(live.len(), |p| p + 1) as u64;
             let Some(p) = found else {
                 debug_assert!(false, "water-filling made no progress");
+                // The trace stops short, so the next solve must not
+                // resume from it.
+                changes.full = true;
                 break;
             };
             let mut fixed_any = false;
             for &(_, s) in &on_link[live[p]] {
-                if slots[s].fixed_in != epoch {
-                    fix(s, bottleneck_share, slots, links, epoch);
+                if slots[s].step == UNFIXED {
+                    trace.fix(s, bottleneck_share, step, slots, links);
                     active_count -= 1;
                     fixed_any = true;
                 }
             }
+            trace.end_step(bottleneck_share);
             debug_assert!(fixed_any, "bottleneck link had no active flows");
             if !fixed_any {
+                changes.full = true;
                 break;
             }
         }
@@ -702,6 +987,136 @@ mod tests {
                 "case {case}: {flows:?} over {caps:?}"
             );
         }
+    }
+
+    /// Solve `state` and compare every flow's rate, bit for bit, with a
+    /// full reference solve of `flows` (slot and spec, in id order).
+    fn solve_and_check(state: &mut FairState, flows: &[(usize, FlowSpec)], caps: &[f64]) {
+        state.solve();
+        let specs: Vec<FlowSpec> = flows.iter().map(|&(_, f)| f).collect();
+        let expected = max_min_fair_reference(&specs, caps);
+        for (&(s, f), want) in flows.iter().zip(expected) {
+            assert_eq!(state.rate(s).to_bits(), want.to_bits(), "{f:?}");
+        }
+    }
+
+    #[test]
+    fn resumed_solves_match_reference_under_random_changes() {
+        // One state through many solves, each after a few flow additions
+        // and removals, so most solves resume. Links are paired at random,
+        // and some flows leave and enter through one link, which a fabric
+        // never does.
+        const PALETTE: [f64; 8] = [INF, 0.0, 100.0, 100.0 + 4e-10, 250.0, 0.3, 0.7, 3.0];
+        let mut x: u64 = 0xD1B5_4A32_D192_ED03;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for _ in 0..200 {
+            let caps: Vec<f64> = (0..1 + next() % 12)
+                .map(|_| PALETTE[(next() % PALETTE.len() as u64) as usize])
+                .collect();
+            let n_links = caps.len() as u64;
+            let mut state = FairState::default();
+            for &c in &caps {
+                state.add_link(c);
+            }
+            let mut flows: Vec<(usize, FlowSpec)> = Vec::new();
+            for id in 0..60 {
+                if flows.is_empty() || next() % 5 < 3 {
+                    let e = (next() % n_links) as usize;
+                    let g = if next() % 4 == 0 {
+                        e
+                    } else {
+                        (next() % n_links) as usize
+                    };
+                    let cap = match next() % 3 {
+                        0 => PALETTE[(next() % PALETTE.len() as u64) as usize],
+                        _ => INF,
+                    };
+                    flows.push((state.add_flow(id, e, g, cap), spec(e, g, cap)));
+                } else {
+                    let (s, _) = flows.remove((next() % flows.len() as u64) as usize);
+                    state.remove_flow(s);
+                }
+                if next() % 2 == 0 {
+                    solve_and_check(&mut state, &flows, &caps);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn removed_flow_on_the_minimum_link_reruns_the_step_that_chose_another() {
+        // Link 1 holds the strict minimum (100), but link 0 is within EPS
+        // of it and has the lower index, so step 0 fixes link 0's flow at
+        // 100. Once link 1's flow is gone its new share bounds nothing,
+        // yet step 0 must re-run: its minimum came from link 1.
+        let caps = [100.0 + 4e-10, 100.0, INF, INF];
+        let mut state = FairState::default();
+        for &c in &caps {
+            state.add_link(c);
+        }
+        let a = (state.add_flow(0, 0, 2, INF), spec(0, 2, INF));
+        let b = (state.add_flow(1, 1, 3, INF), spec(1, 3, INF));
+        solve_and_check(&mut state, &[a, b], &caps);
+        assert_eq!(state.rate(a.0), 100.0);
+        state.remove_flow(b.0);
+        solve_and_check(&mut state, &[a], &caps);
+        assert_eq!(state.rate(a.0), 100.0 + 4e-10);
+    }
+
+    #[test]
+    fn added_capped_flow_below_a_replayed_level_reruns_from_that_step() {
+        // Without F, step 0 fixes G at link 1's 0.3 and H takes link 0's
+        // 1.0 - 0.3 = 0.7. F's cap 0.1 is below step 0's level, so a full
+        // solve fixes F first and H gets (1.0 - 0.1) - 0.3, which is not
+        // the 0.7 - 0.1 a resume after step 0 would give.
+        let caps = [1.0, 0.3, 1e6, 1e6];
+        let mut state = FairState::default();
+        for &c in &caps {
+            state.add_link(c);
+        }
+        let mut flows = vec![
+            (state.add_flow(0, 0, 1, INF), spec(0, 1, INF)),
+            (state.add_flow(1, 0, 3, INF), spec(0, 3, INF)),
+        ];
+        solve_and_check(&mut state, &flows, &caps);
+        flows.push((state.add_flow(2, 0, 2, 0.1), spec(0, 2, 0.1)));
+        solve_and_check(&mut state, &flows, &caps);
+        assert_eq!(state.rate(flows[1].0), (1.0 - 0.1) - 0.3);
+    }
+
+    #[test]
+    fn consecutive_resumes_add_flows_to_a_link_with_surviving_history() {
+        // Link 0 (1000) feeds flows A, B, C, D, one joining per solve from
+        // the second on. The first solve fixes E at link 5's 100 (step 0),
+        // A at link 1's 300 (step 1) and B at 700 (step 2). Adding C
+        // replays steps 0 and 1, so link 0's entry for A's fix survives.
+        // Adding D must then re-run step 1: link 0's share there is
+        // 1000 / 4 = 250, below 300. A load stored with that entry would
+        // count only A and B and give 1000 / 3.
+        let caps = [1000.0, 300.0, 1e6, 1e6, 1e6, 100.0, 1e6];
+        let mut state = FairState::default();
+        for &c in &caps {
+            state.add_link(c);
+        }
+        let mut flows = vec![(state.add_flow(0, 6, 5, INF), spec(6, 5, INF))];
+        for (id, ingress) in [(1, 1), (2, 2)] {
+            flows.push((state.add_flow(id, 0, ingress, INF), spec(0, ingress, INF)));
+        }
+        solve_and_check(&mut state, &flows, &caps);
+        assert_eq!(state.work().iterations, 3);
+        for (id, ingress) in [(3, 3), (4, 4)] {
+            flows.push((state.add_flow(id, 0, ingress, INF), spec(0, ingress, INF)));
+            solve_and_check(&mut state, &flows, &caps);
+        }
+        // Each of the two resumed solves re-ran a single step.
+        assert_eq!(state.work().iterations, 5);
+        assert_eq!(state.rate(flows[0].0), 100.0);
+        assert_eq!(state.rate(flows[4].0), 250.0);
     }
 
     /// Check the three max-min properties on a random-ish asymmetric case.

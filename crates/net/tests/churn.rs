@@ -8,6 +8,12 @@
 //! sequences of starts, completions, cancellations, node cancellations
 //! and bandwidth changes, often several at one instant, and every rate
 //! (bit for bit), next completion and flow record must agree.
+//!
+//! Two operation mixes run. In the first, one operation in five changes a
+//! node's bandwidth, which forces a full solve. In the second, bandwidth
+//! changes are rare, so most solves resume from the previous solve's
+//! trace, and some capacities and caps are values whose differences
+//! round.
 
 use vine_net::fairshare::{max_min_fair_reference, FlowSpec};
 use vine_net::{Fabric, FlowId, FlowRecord, NodeId};
@@ -163,22 +169,61 @@ fn assert_same_reads(fab: &mut Fabric, eager: &EagerFabric, ids: &[FlowId], ctx:
     assert_eq!(fab.next_completion(), expected, "{ctx}");
 }
 
-#[test]
-fn lazy_fabric_matches_eager_reference_bit_for_bit() {
-    // Node capacities include 0 (partitioned) and INF; flow caps include
-    // 0 (stalled forever) and binding finite caps. Exact and sub-EPS
-    // near-ties make the tie rule choose among several links.
-    const NODE_BW: [f64; 8] = [100.0, 100.0 + 4e-10, 250.0, 1.25e9, 3.0, 0.0, INF, 1e6];
-    const FLOW_CAP: [f64; 5] = [INF, 0.0, 40.0, 100.0, 7e5];
-    let mut x: u64 = 0x2545_F491_4F6C_DD1D;
+/// Node capacities include 0 (partitioned) and INF; flow caps include 0
+/// (stalled forever) and binding finite caps. Exact and sub-EPS near-ties
+/// make the tie rule choose among several links.
+const NODE_BW: [f64; 8] = [100.0, 100.0 + 4e-10, 250.0, 1.25e9, 3.0, 0.0, INF, 1e6];
+const FLOW_CAP: [f64; 5] = [INF, 0.0, 40.0, 100.0, 7e5];
+
+/// One fabric operation a churn run can draw.
+#[derive(Clone, Copy)]
+enum Op {
+    Start,
+    Complete,
+    Cancel,
+    CancelTouching,
+    SetBandwidth,
+}
+
+/// A churn run: `cases` fabrics of `2..2 + node_spread` nodes, each driven
+/// through `steps` operations drawn from `ops` in proportion to their
+/// weights, with every rate and the next completion compared after about
+/// one operation in `read_one_in`.
+struct Churn {
+    seed: u64,
+    cases: usize,
+    node_spread: u64,
+    steps: usize,
+    ops: &'static [(Op, u64)],
+    read_one_in: u64,
+    /// The node bandwidths and flow caps drawn from.
+    node_bw: &'static [f64],
+    flow_cap: &'static [f64],
+}
+
+/// The operation a draw in `0..total weight` picks.
+fn pick(ops: &[(Op, u64)], mut draw: u64) -> Op {
+    for &(op, weight) in ops {
+        if draw < weight {
+            return op;
+        }
+        draw -= weight;
+    }
+    unreachable!("draw beyond the total weight")
+}
+
+fn run_churn(churn: &Churn) {
+    let total_weight: u64 = churn.ops.iter().map(|&(_, w)| w).sum();
+    let (node_bw, flow_cap) = (churn.node_bw, churn.flow_cap);
+    let mut x: u64 = churn.seed;
     let mut next = move || {
         x ^= x << 13;
         x ^= x >> 7;
         x ^= x << 17;
         x
     };
-    for case in 0..300 {
-        let n_nodes = 2 + (next() % 10) as usize;
+    for case in 0..churn.cases {
+        let n_nodes = 2 + (next() % churn.node_spread) as usize;
         let mut fab = Fabric::new();
         let mut eager = EagerFabric {
             caps: Vec::new(),
@@ -190,8 +235,8 @@ fn lazy_fabric_matches_eager_reference_bit_for_bit() {
             let (e, i) = match next() % 3 {
                 0 => (1e3, 1e3),
                 _ => (
-                    NODE_BW[(next() % NODE_BW.len() as u64) as usize],
-                    NODE_BW[(next() % NODE_BW.len() as u64) as usize],
+                    node_bw[(next() % node_bw.len() as u64) as usize],
+                    node_bw[(next() % node_bw.len() as u64) as usize],
                 ),
             };
             fab.add_node(e, i);
@@ -199,7 +244,7 @@ fn lazy_fabric_matches_eager_reference_bit_for_bit() {
         }
         let mut ids: Vec<FlowId> = Vec::new();
         let mut now = SimTime::ZERO;
-        for step in 0..200 {
+        for step in 0..churn.steps {
             let ctx = format!("case {case} step {step}");
             // Most steps stay at the current instant, so changes come in
             // bursts that nobody reads in between.
@@ -213,8 +258,8 @@ fn lazy_fabric_matches_eager_reference_bit_for_bit() {
                 }
                 _ => {}
             }
-            match next() % 10 {
-                0..=3 => {
+            match pick(churn.ops, next() % total_weight) {
+                Op::Start => {
                     let src = (next() % n_nodes as u64) as usize;
                     let dst = (src + 1 + (next() % (n_nodes as u64 - 1)) as usize) % n_nodes;
                     let bytes = match next() % 6 {
@@ -222,7 +267,7 @@ fn lazy_fabric_matches_eager_reference_bit_for_bit() {
                         _ => 1 + next() % 10_000_000,
                     };
                     let cap = match next() % 3 {
-                        0 => FLOW_CAP[(next() % FLOW_CAP.len() as u64) as usize],
+                        0 => flow_cap[(next() % flow_cap.len() as u64) as usize],
                         _ => INF,
                     };
                     let id = fab.start_flow(now, NodeId(src), NodeId(dst), bytes, cap);
@@ -230,7 +275,7 @@ fn lazy_fabric_matches_eager_reference_bit_for_bit() {
                     ids.push(id);
                     eager.start(now, src, dst, bytes, cap);
                 }
-                4..=5 => {
+                Op::Complete => {
                     // Complete the flow that is due now, if any.
                     if let Some((t, k)) = eager.next_completion() {
                         if t <= now {
@@ -239,7 +284,7 @@ fn lazy_fabric_matches_eager_reference_bit_for_bit() {
                         }
                     }
                 }
-                6 => {
+                Op::Cancel => {
                     // Cancel a random flow, possibly one already gone.
                     if !ids.is_empty() {
                         let k = (next() % ids.len() as u64) as usize;
@@ -247,21 +292,21 @@ fn lazy_fabric_matches_eager_reference_bit_for_bit() {
                         assert_eq!(got, eager.cancel(now, k), "{ctx}");
                     }
                 }
-                7 => {
+                Op::CancelTouching => {
                     let node = (next() % n_nodes as u64) as usize;
                     let got = fab.cancel_flows_touching(now, NodeId(node));
                     assert_eq!(got, eager.cancel_touching(now, node), "{ctx}");
                 }
-                _ => {
+                Op::SetBandwidth => {
                     let node = (next() % n_nodes as u64) as usize;
-                    let e = NODE_BW[(next() % NODE_BW.len() as u64) as usize];
-                    let i = NODE_BW[(next() % NODE_BW.len() as u64) as usize];
+                    let e = node_bw[(next() % node_bw.len() as u64) as usize];
+                    let i = node_bw[(next() % node_bw.len() as u64) as usize];
                     fab.set_node_bandwidth(now, NodeId(node), e, i);
                     eager.set_bandwidth(now, node, e, i);
                     assert_eq!(fab.node_bandwidth(NodeId(node)), (e, i), "{ctx}");
                 }
             }
-            if next() % 3 == 0 {
+            if next() % churn.read_one_in == 0 {
                 assert_same_reads(&mut fab, &eager, &ids, &ctx);
             }
         }
@@ -269,4 +314,65 @@ fn lazy_fabric_matches_eager_reference_bit_for_bit() {
         let work = fab.solve_work();
         assert!(work.solves <= work.changes, "case {case}: {work:?}");
     }
+}
+
+#[test]
+fn lazy_fabric_matches_eager_reference_bit_for_bit() {
+    use Op::*;
+    run_churn(&Churn {
+        seed: 0x2545_F491_4F6C_DD1D,
+        cases: 300,
+        node_spread: 10,
+        steps: 200,
+        // One operation in five is a bandwidth change.
+        ops: &[
+            (Start, 4),
+            (Complete, 2),
+            (Cancel, 1),
+            (CancelTouching, 1),
+            (SetBandwidth, 2),
+        ],
+        read_one_in: 3,
+        node_bw: &NODE_BW,
+        flow_cap: &FLOW_CAP,
+    });
+}
+
+#[test]
+fn resumed_solves_match_eager_reference_bit_for_bit() {
+    // A bandwidth change forces a full solve, so here it is one operation
+    // in 64 and most solves resume from the previous one's trace. Reads
+    // follow about every second operation, so most solves see only one
+    // or two changes.
+    use Op::*;
+    run_churn(&Churn {
+        seed: 0x9E37_79B9_7F4A_7C15,
+        cases: 100,
+        node_spread: 40,
+        steps: 400,
+        ops: &[
+            (Start, 28),
+            (Complete, 18),
+            (Cancel, 9),
+            (CancelTouching, 8),
+            (SetBandwidth, 1),
+        ],
+        read_one_in: 2,
+        // The palettes above, plus values whose differences round, so
+        // that fixing the same flows in another order changes the bits.
+        node_bw: &[
+            100.0,
+            100.0 + 4e-10,
+            250.0,
+            1.25e9,
+            3.0,
+            0.0,
+            INF,
+            1e6,
+            0.7,
+            0.3,
+            1e3 / 3.0,
+        ],
+        flow_cap: &[INF, 0.0, 40.0, 100.0, 7e5, 0.1, 0.2, 0.3],
+    });
 }
