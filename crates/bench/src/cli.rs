@@ -140,8 +140,9 @@ impl BenchCli {
     /// `sim_events_per_wall_sec`. `makespan_s` is simulated time and
     /// deterministic for a fixed workload and seed, which is what the
     /// behavioral regression gate needs. The `fabric_*` and `solver_*`
-    /// fields are [`RunResult::fabric_work`]: exact, so the gate fails on
-    /// any rise.
+    /// fields are [`RunResult::fabric_work`], and `peer_wait_visits` and
+    /// `pick_visits` are [`RunResult::placement_work`]: exact, so the gate
+    /// fails on any rise.
     pub fn write_bench_json(
         &self,
         workload: &str,
@@ -164,6 +165,7 @@ impl BenchCli {
         let sim_wall_ms = sim_wall.as_secs_f64() * 1e3;
         let sim_events_per_wall_sec = per_sec(sim_wall.as_secs_f64());
         let work = r.fabric_work;
+        let placement = r.placement_work;
         let json = format!(
             "{{\n  \"workload\": \"{workload}\",\n  \"seed\": {seed},\n  \
              \"makespan_s\": {makespan_s:.6},\n  \"events\": {events},\n  \
@@ -172,8 +174,15 @@ impl BenchCli {
              \"sim_events_per_wall_sec\": {sim_events_per_wall_sec:.3},\n  \
              \"peak_cache_bytes\": {},\n  \
              \"fabric_changes\": {},\n  \"fabric_solves\": {},\n  \
-             \"solver_iterations\": {},\n  \"solver_link_visits\": {}\n}}\n",
-            r.stats.peak_cache_bytes, work.changes, work.solves, work.iterations, work.link_visits,
+             \"solver_iterations\": {},\n  \"solver_link_visits\": {},\n  \
+             \"peer_wait_visits\": {},\n  \"pick_visits\": {}\n}}\n",
+            r.stats.peak_cache_bytes,
+            work.changes,
+            work.solves,
+            work.iterations,
+            work.link_visits,
+            placement.peer_wait_visits,
+            placement.pick_visits,
         );
         match std::fs::write(path, json) {
             Ok(()) => println!("[wrote {path}]"),

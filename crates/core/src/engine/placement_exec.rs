@@ -8,6 +8,35 @@
 
 use super::*;
 
+/// Where a peer transfer of a file toward a worker could come from.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum PeerSource {
+    /// No live worker other than the destination holds a copy.
+    NoCopy,
+    /// Every live holder is at its peer-transfer limit.
+    Throttled,
+    /// The least-busy live holder with a free slot.
+    Free(usize),
+}
+
+/// What examining a queued peer wait would do. Everything but `Stay` is
+/// actionable: a drain that reaches the entry acts and dequeues it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum PeerWaitStep {
+    /// The destination died or the task is no longer assigned.
+    Moot,
+    /// The destination's cache holds the file (corrupt or not).
+    Cached,
+    /// A flow of the file toward the destination is active.
+    JoinFlow,
+    /// No copy is left to pull from.
+    Lost,
+    /// Pull from this source.
+    Pull(usize),
+    /// Every source is still throttled.
+    Stay,
+}
+
 impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
     // ----- input staging ---------------------------------------------------
 
@@ -126,11 +155,12 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
             return;
         }
         // Destination: least-loaded alive worker without a copy.
-        let dst = least_loaded_pick(&self.workers, |w| {
+        let (workers, replicas, inflight) = (&self.workers, &self.replicas, &self.inflight);
+        let dst = self.loads.pick(|w| {
             w != src
-                && self.workers[w].alive
-                && !self.replicas[f.0 as usize].contains(&w)
-                && !self.inflight[w].contains(f)
+                && workers[w].alive
+                && !replicas[f.0 as usize].contains(&w)
+                && !inflight[w].contains(f)
         });
         let Some(dst) = dst else {
             return;
@@ -153,24 +183,19 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
             },
         );
         self.inflight[dst].get_or_insert_default(f);
+        self.peer_waits.wake_file(f, Wake::FlowStarted);
         self.reschedule_flow_event();
     }
 
     pub(super) fn start_peer_or_queue(&mut self, f: FileId, w: usize, task: TaskId) {
-        let any_live = self.replicas[f.0 as usize]
-            .iter()
-            .any(|&src| src != w && self.workers[src].alive);
-        if !any_live {
+        let source = self.peer_source(f, w);
+        if source == PeerSource::NoCopy {
             // No copy exists anywhere (e.g. the file was consumed, its
             // copies evicted as garbage, and now a revived consumer needs
             // it again). Declare the loss so the tracker re-runs the
             // producer, then tear this assignment down; the task
             // re-dispatches once the file is regenerated.
-            self.declare_file_lost(f);
-            if self.tracker.state(task) == TaskState::Running {
-                self.tracker.mark_task_failed(task);
-            }
-            self.release_assignment(task);
+            self.fail_over_lost(f, task);
             return;
         }
         if !self.cfg.peer_transfers {
@@ -179,85 +204,185 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
             self.start_input_flow(f, w, task, Source::Manager);
             return;
         }
-        let best = self.replicas[f.0 as usize]
-            .iter()
-            .copied()
-            .filter(|&src| {
-                src != w
-                    && self.workers[src].alive
-                    && self.workers[src].outgoing < self.cfg.max_peer_transfers_per_worker
-            })
-            .min_by_key(|&src| (self.workers[src].outgoing, src));
-        match best {
-            Some(src) => {
-                self.workers[src].outgoing += 1;
-                self.start_input_flow(f, w, task, Source::Peer(src));
-            }
-            None => {
-                // All sources throttled: queue until a slot frees. No
-                // inflight entry is created — the wait queue owns this
-                // request until a flow actually starts.
-                self.peer_waitq.push_back((f, w, task));
+        match source {
+            PeerSource::Free(src) => self.start_peer_flow(f, w, task, src),
+            // All sources throttled: queue until a slot frees. No
+            // inflight entry is created — the wait queue owns this
+            // request until a flow actually starts.
+            PeerSource::Throttled | PeerSource::NoCopy => {
+                debug_assert!(
+                    !self.peer_waits.draining(),
+                    "a peer wait was queued during a drain"
+                );
+                let behind = self.live_holders(f, w);
+                let seq = self
+                    .peer_waits
+                    .push(PeerWait { file: f, w, task }, behind.iter().copied());
+                self.rewake_if_resident(seq, f, w);
             }
         }
     }
 
+    /// Where a peer transfer of `f` toward `w` would come from now: the
+    /// live holder other than `w` with the fewest outgoing transfers
+    /// (ties to the lower index) among those below the throttle.
+    fn peer_source(&self, f: FileId, w: usize) -> PeerSource {
+        let mut any_live = false;
+        let mut best: Option<(usize, usize)> = None;
+        for &src in &self.replicas[f.0 as usize] {
+            if src == w || !self.workers[src].alive {
+                continue;
+            }
+            any_live = true;
+            let out = self.workers[src].outgoing;
+            if out < self.cfg.max_peer_transfers_per_worker && best.is_none_or(|b| (out, src) < b) {
+                best = Some((out, src));
+            }
+        }
+        match best {
+            Some((_, src)) => PeerSource::Free(src),
+            None if any_live => PeerSource::Throttled,
+            None => PeerSource::NoCopy,
+        }
+    }
+
+    /// The live holders of `f` other than `w`: the sources a throttled
+    /// wait stays behind.
+    fn live_holders(&self, f: FileId, w: usize) -> Vec<usize> {
+        self.replicas[f.0 as usize]
+            .iter()
+            .copied()
+            .filter(|&src| src != w && self.workers[src].alive)
+            .collect()
+    }
+
+    fn start_peer_flow(&mut self, f: FileId, w: usize, task: TaskId, src: usize) {
+        self.workers[src].outgoing += 1;
+        self.start_input_flow(f, w, task, Source::Peer(src));
+    }
+
+    /// `f` has no copy left for `task`: make sure the tracker knows (it may
+    /// still believe the file exists if the last copy was evicted after
+    /// consumption), then fail the task's assignment over.
+    fn fail_over_lost(&mut self, f: FileId, task: TaskId) {
+        self.declare_file_lost(f);
+        if self.tracker.state(task) == TaskState::Running {
+            self.tracker.mark_task_failed(task);
+        }
+        self.release_assignment(task);
+    }
+
+    /// A wait whose destination still holds a copy of its file can only be
+    /// a corrupt copy that a pin keeps resident. Every drain re-reads it
+    /// (and counts the corruption again), so the wait stays woken.
+    fn rewake_if_resident(&mut self, seq: u64, f: FileId, w: usize) {
+        if self.workers[w].cache.contains(self.cnames[f.0 as usize]) {
+            self.peer_waits.wake(seq, Wake::CorruptResident);
+        }
+    }
+
+    /// What examining the queued wait for `f` on `w` for `task` would do.
+    /// Pure: the drain acts on it, and the debug sanitizer checks with it
+    /// that no unwoken entry is actionable.
+    fn peer_wait_step(&self, f: FileId, w: usize, task: TaskId) -> PeerWaitStep {
+        if !self.workers[w].alive || !self.assignments.contains(task.0) {
+            return PeerWaitStep::Moot;
+        }
+        if self.workers[w].cache.contains(self.cnames[f.0 as usize]) {
+            return PeerWaitStep::Cached;
+        }
+        self.peer_fetch_step(f, w)
+    }
+
+    /// The part of [`Sim::peer_wait_step`] after the cache check: join an
+    /// active flow, fail over, pull, or stay.
+    fn peer_fetch_step(&self, f: FileId, w: usize) -> PeerWaitStep {
+        if self.inflight[w].contains(f) {
+            return PeerWaitStep::JoinFlow;
+        }
+        match self.peer_source(f, w) {
+            PeerSource::NoCopy => PeerWaitStep::Lost,
+            PeerSource::Throttled => PeerWaitStep::Stay,
+            PeerSource::Free(src) => PeerWaitStep::Pull(src),
+        }
+    }
+
+    /// Visit the woken peer waits in arrival order (see [`PeerWaits`]).
+    /// Serving one never queues another, so the drain only shrinks the
+    /// queue.
     pub(super) fn drain_peer_waitq(&mut self) {
-        let n = self.peer_waitq.len();
-        for _ in 0..n {
-            let Some((f, w, task)) = self.peer_waitq.pop_front() else {
-                break;
-            };
-            if !self.workers[w].alive || !self.assignments.contains(task.0) {
-                continue; // request is moot
-            }
-            // Arrived meanwhile via another task's transfer?
-            let name = self.cnames[f.0 as usize];
-            if self.workers[w].cache.contains(name) && !self.detect_corruption(w, f, name) {
-                self.workers[w].cache.touch(name);
-                let _ = self.workers[w].cache.pin(name);
-                let a = self.assignments.get_mut(task.0).expect("checked above");
-                a.pinned.push(f);
-                a.missing = a.missing.saturating_sub(1);
-                if a.missing == 0 {
-                    self.maybe_start_compute(task, w);
-                }
-                continue;
-            }
-            // A flow toward (w, f) is already active: join its waiters.
-            if let Some(ws) = self.inflight[w].get_mut(f) {
-                ws.push(task);
-                continue;
-            }
-            let live_exists = self.replicas[f.0 as usize]
-                .iter()
-                .any(|&src| src != w && self.workers[src].alive);
-            if !live_exists {
-                // Sole replica died while queued; make sure the tracker
-                // knows (it may still believe the file exists if the last
-                // copy was evicted after consumption), then fail over.
-                self.declare_file_lost(f);
-                if self.tracker.state(task) == TaskState::Running {
-                    self.tracker.mark_task_failed(task);
-                }
-                self.release_assignment(task);
-                continue;
-            }
-            let best = self.replicas[f.0 as usize]
-                .iter()
-                .copied()
-                .filter(|&src| {
-                    src != w
-                        && self.workers[src].alive
-                        && self.workers[src].outgoing < self.cfg.max_peer_transfers_per_worker
-                })
-                .min_by_key(|&src| (self.workers[src].outgoing, src));
-            if let Some(src) = best {
-                self.workers[src].outgoing += 1;
-                self.start_input_flow(f, w, task, Source::Peer(src));
+        #[cfg(debug_assertions)]
+        self.sanitize_peer_waits();
+        self.peer_waits.begin_drain();
+        while let Some((seq, PeerWait { file, w, task })) = self.peer_waits.next_woken() {
+            if self.serve_peer_wait(file, w, task) {
+                self.peer_waits.remove(seq);
             } else {
-                self.peer_waitq.push_back((f, w, task));
+                let behind = self.live_holders(file, w);
+                self.peer_waits.stay(seq, behind.iter().copied());
+                self.rewake_if_resident(seq, file, w);
             }
+        }
+        self.peer_waits.end_drain();
+        #[cfg(debug_assertions)]
+        self.sanitize_peer_waits();
+    }
+
+    /// Act on one queued peer wait; false when it keeps waiting.
+    fn serve_peer_wait(&mut self, f: FileId, w: usize, task: TaskId) -> bool {
+        let step = match self.peer_wait_step(f, w, task) {
+            PeerWaitStep::Cached => {
+                // Arrived meanwhile via another task's transfer? A corrupt
+                // copy is dropped (if unpinned) and the wait looks on.
+                let name = self.cnames[f.0 as usize];
+                if !self.detect_corruption(w, f, name) {
+                    self.workers[w].cache.touch(name);
+                    let _ = self.workers[w].cache.pin(name);
+                    let ready = self.assignments.get_mut(task.0).is_some_and(|a| {
+                        a.pinned.push(f);
+                        a.missing = a.missing.saturating_sub(1);
+                        a.missing == 0
+                    });
+                    if ready {
+                        self.maybe_start_compute(task, w);
+                    }
+                    return true;
+                }
+                self.peer_fetch_step(f, w)
+            }
+            step => step,
+        };
+        match step {
+            PeerWaitStep::Moot => true,
+            PeerWaitStep::JoinFlow => {
+                if let Some(ws) = self.inflight[w].get_mut(f) {
+                    ws.push(task);
+                }
+                true
+            }
+            PeerWaitStep::Lost => {
+                // Sole replica died while queued.
+                self.fail_over_lost(f, task);
+                true
+            }
+            PeerWaitStep::Pull(src) => {
+                self.start_peer_flow(f, w, task, src);
+                true
+            }
+            PeerWaitStep::Cached | PeerWaitStep::Stay => false,
+        }
+    }
+
+    /// Sanitizer (debug builds only): no peer wait that the drain would
+    /// skip is actionable — the wake rules missed nothing.
+    #[cfg(debug_assertions)]
+    fn sanitize_peer_waits(&self) {
+        for wait in self.peer_waits.unwoken() {
+            let step = self.peer_wait_step(wait.file, wait.w, wait.task);
+            assert!(
+                step == PeerWaitStep::Stay,
+                "sanitizer: unwoken peer wait {wait:?} is actionable ({step:?})"
+            );
         }
     }
 
@@ -287,6 +412,7 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
             },
         );
         self.inflight[w].get_or_insert_default(f).push(task);
+        self.peer_waits.wake_file(f, Wake::FlowStarted);
         self.reschedule_flow_event();
     }
 
@@ -388,6 +514,7 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
                 if let Some(src) = peer_src {
                     self.workers[src].outgoing = self.workers[src].outgoing.saturating_sub(1);
                     self.stats.peer_bytes += record.bytes_moved;
+                    self.peer_waits.wake_source(src, Wake::SlotFreed);
                 }
                 self.on_input_arrived(file, w);
                 self.drain_peer_waitq();
@@ -456,6 +583,7 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
                     self.handle_eviction(w, victim);
                 }
                 self.replicas[f.0 as usize].push(w);
+                self.peer_waits.wake_file(f, Wake::InputArrived);
                 self.record_cache(w);
             }
             Err(_) => {
@@ -517,6 +645,7 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
         let reps = &mut self.replicas[f.0 as usize];
         if let Some(pos) = reps.iter().position(|&rw| rw == w) {
             reps.remove(pos);
+            self.peer_waits.wake_file(f, Wake::Corrupted);
         }
         self.record_cache(w);
         true
@@ -531,6 +660,7 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
         let fi = f.0 as usize;
         if let Some(pos) = self.replicas[fi].iter().position(|&rw| rw == w) {
             self.replicas[fi].remove(pos);
+            self.peer_waits.wake_file(f, Wake::Evicted);
             if self.replicas[fi].is_empty()
                 && !self.at_manager[fi]
                 && self.graph.file(f).producer.is_some()

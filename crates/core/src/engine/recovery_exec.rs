@@ -29,13 +29,10 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
     /// ready, and charge the retry budget. The worker stays alive — only
     /// this attempt is gone.
     pub(super) fn fail_running_attempt(&mut self, task: TaskId, w: usize) {
-        let a = self
-            .assignments
-            .remove(task.0)
-            .expect("attempt_current checked");
+        let a = self.end_assignment(task).expect("attempt_current checked");
         debug_assert!(a.computing && a.w == w);
         self.running_delta(-1);
-        self.workers[w].busy = self.workers[w].busy.saturating_sub(1);
+        self.set_busy(w, self.workers[w].busy.saturating_sub(1));
         for f in a.pinned {
             let name = self.cnames[f.0 as usize];
             if self.workers[w].cache.is_pinned(name) {
@@ -110,10 +107,10 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
     pub(super) fn withdraw_task(&mut self, m: TaskId) -> bool {
         if let Some(a) = self.assignments.get(m.0) {
             if a.computing {
-                let a = self.assignments.remove(m.0).expect("present");
+                let a = self.end_assignment(m).expect("present");
                 self.running_delta(-1);
                 if self.workers[a.w].alive {
-                    self.workers[a.w].busy = self.workers[a.w].busy.saturating_sub(1);
+                    self.set_busy(a.w, self.workers[a.w].busy.saturating_sub(1));
                 }
                 for f in a.pinned {
                     let name = self.cnames[f.0 as usize];
@@ -185,7 +182,7 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
     pub(super) fn cancel_spec(&mut self, task: TaskId) {
         if let Some(s) = self.spec.remove(task.0) {
             if self.workers[s.w].alive && self.workers[s.w].epoch == s.epoch {
-                self.workers[s.w].busy = self.workers[s.w].busy.saturating_sub(1);
+                self.set_busy(s.w, self.workers[s.w].busy.saturating_sub(1));
             }
             self.stats.speculative_losses += 1;
             self.mgr_kick();
@@ -205,16 +202,18 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
         if self.spec.contains(task.0) {
             return;
         }
-        let candidate = least_loaded_pick(&self.workers, |sw| {
+        let serverless = self.serverless();
+        let (workers, blocklisted) = (&self.workers, &self.blocklisted);
+        let candidate = self.loads.pick_with_free_core(|sw| {
             sw != primary_w
-                && self.worker_eligible(sw)
-                && self.workers[sw].busy < self.workers[sw].cores
-                && (!self.serverless() || self.workers[sw].lib == LibState::Ready)
+                && workers[sw].alive
+                && !blocklisted[sw]
+                && (!serverless || workers[sw].lib == LibState::Ready)
         });
         let Some(sw) = candidate else {
             return; // no second worker free; let the primary ride
         };
-        self.workers[sw].busy += 1;
+        self.set_busy(sw, self.workers[sw].busy + 1);
         let epoch = self.workers[sw].epoch;
         self.spec.insert(
             task.0,
@@ -261,12 +260,11 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
         // Tear down the primary attempt by hand: release its core and
         // pins (no running_delta — the task is still running, just here).
         let a = self
-            .assignments
-            .remove(task.0)
+            .end_assignment(task)
             .expect("spec invariant: primary computing");
         debug_assert!(a.computing && a.w != w);
         if self.workers[a.w].alive {
-            self.workers[a.w].busy = self.workers[a.w].busy.saturating_sub(1);
+            self.set_busy(a.w, self.workers[a.w].busy.saturating_sub(1));
         }
         for f in a.pinned {
             let name = self.cnames[f.0 as usize];
@@ -288,19 +286,18 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
         self.on_task_compute_done(task, w);
     }
 
-    /// Scheduler-level worker eligibility (alive and not blocklisted).
-    pub(super) fn worker_eligible(&self, w: usize) -> bool {
-        self.workers[w].alive && !self.blocklisted[w]
-    }
-
     // ----- worker lifecycle ------------------------------------------------
 
     pub(super) fn on_worker_start(&mut self, w: usize) {
-        {
-            let wk = &mut self.workers[w];
-            wk.alive = true;
-            wk.busy = 0;
-            wk.outgoing = 0;
+        self.workers[w].alive = true;
+        self.set_busy(w, 0);
+        self.workers[w].outgoing = 0;
+        // The copies this worker holds (from a warm session; a restarted
+        // worker holds none) are live sources now.
+        for (name, _, _) in self.workers[w].cache.iter() {
+            if let Some(&f) = self.name_to_file.get(&name) {
+                self.peer_waits.wake_file(f, Wake::WorkerStarted);
+            }
         }
         if self.serverless() {
             self.workers[w].lib = LibState::Installing;
@@ -428,7 +425,7 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
         self.workers[w].alive = false;
         self.workers[w].epoch += 1;
         self.workers[w].lib = LibState::NotNeeded;
-        self.workers[w].busy = 0;
+        self.set_busy(w, 0);
         self.workers[w].outgoing = 0;
         self.note_worker_failure(w);
 
@@ -509,7 +506,7 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
             .map(|(t, _)| TaskId(t))
             .collect();
         for t in doomed {
-            let a = self.assignments.remove(t.0).expect("listed above");
+            let a = self.end_assignment(t).expect("listed above");
             if a.computing {
                 self.running_delta(-1);
                 if let Some(obs) = &mut self.obs {
@@ -565,6 +562,7 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
 
         self.reschedule_flow_event();
         self.record_cache(w);
+        self.peer_waits.wake_all(Wake::WorkerKilled);
         self.drain_peer_waitq();
         self.mgr_kick();
     }
@@ -591,13 +589,13 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
     /// Tear down a non-computing assignment: release its core, unpin its
     /// staged inputs, unregister it from arrival waits.
     pub(super) fn release_assignment(&mut self, t: TaskId) {
-        let Some(a) = self.assignments.remove(t.0) else {
+        let Some(a) = self.end_assignment(t) else {
             return;
         };
         debug_assert!(!a.computing);
         let w = a.w;
         if self.workers[w].alive {
-            self.workers[w].busy = self.workers[w].busy.saturating_sub(1);
+            self.set_busy(w, self.workers[w].busy.saturating_sub(1));
         }
         for f in a.pinned {
             let name = self.cnames[f.0 as usize];
@@ -609,6 +607,14 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
         for (_, waiters) in self.inflight[w].iter_mut() {
             waiters.retain(|&wt| wt != t);
         }
+    }
+
+    /// Remove `t`'s assignment. Its queued peer waits (if any) turn moot,
+    /// so they are woken for the next drain to drop.
+    pub(super) fn end_assignment(&mut self, t: TaskId) -> Option<Assignment> {
+        let a = self.assignments.remove(t.0)?;
+        self.peer_waits.wake_task(t, Wake::AssignmentEnded);
+        Some(a)
     }
 
     pub(super) fn file_needed(&self, f: FileId) -> bool {

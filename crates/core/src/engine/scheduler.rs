@@ -89,13 +89,16 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
                 self.loc_touched.clear();
                 let workers = &self.workers;
                 let blocklisted = &self.blocklisted;
+                let loads = &mut self.loads;
                 data_aware_pick(
                     &pairs,
                     |w| eligible(w, &workers[w], blocklisted),
                     // The least-loaded fallback is only computed when the
-                    // locality pass yields no eligible worker.
+                    // locality pass yields no eligible worker. Eligible
+                    // workers have a free core, so the walk stops at the
+                    // first full one.
                     std::iter::once_with(|| {
-                        least_loaded_pick(workers, |w| eligible(w, &workers[w], blocklisted))
+                        loads.pick_with_free_core(|w| eligible(w, &workers[w], blocklisted))
                     })
                     .flatten(),
                 )
@@ -120,7 +123,7 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
             return false;
         };
         self.tracker.mark_running(task);
-        self.workers[w].busy += 1;
+        self.set_busy(w, self.workers[w].busy + 1);
         self.assignments.insert(
             task.0,
             Assignment {
@@ -430,14 +433,14 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
     }
 
     pub(super) fn on_task_compute_done(&mut self, task: TaskId, w: usize) {
-        let Some(a) = self.assignments.remove(task.0) else {
+        let Some(a) = self.end_assignment(task) else {
             return; // stale event (task was failed over)
         };
         debug_assert!(a.computing && a.w == w);
         // First-finisher-wins: a still-running duplicate loses here.
         self.cancel_spec(task);
         self.running_delta(-1);
-        self.workers[w].busy = self.workers[w].busy.saturating_sub(1);
+        self.set_busy(w, self.workers[w].busy.saturating_sub(1));
 
         // Release this task's input pins.
         for f in a.pinned {
@@ -480,6 +483,7 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
                                 let _ = self.workers[w].cache.pin(name);
                             }
                             self.replicas[f.0 as usize].push(w);
+                            self.peer_waits.wake_file(f, Wake::OutputRetained);
                         }
                         Err(_) => {
                             // The producing worker dies before collect: the

