@@ -185,15 +185,12 @@ impl MetricsRegistry {
                         }
                     }
                     let min = min.ok_or_else(|| format!("line {}: hist missing min", i + 1))?;
+                    if min.is_nan() || min <= 0.0 {
+                        return Err(format!("line {}: hist min must be > 0", i + 1));
+                    }
                     let counts =
                         counts.ok_or_else(|| format!("line {}: hist missing counts", i + 1))?;
-                    let mut h = LogHistogram::new(min, counts.len().max(1));
-                    // Reconstruct by filling each bin's lower edge.
-                    for (b, &c) in counts.iter().enumerate() {
-                        for _ in 0..c {
-                            h.record(h.bin_lo(b));
-                        }
-                    }
+                    let h = LogHistogram::from_counts(min, counts);
                     reg.items.insert(name.to_string(), Metric::Histogram(h));
                 }
                 other => return Err(format!("line {}: unknown metric kind {other}", i + 1)),

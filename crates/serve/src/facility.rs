@@ -252,6 +252,15 @@ pub fn graph_result_name(graph: &TaskGraph) -> Option<CacheName> {
         .map(|(i, _)| graph_file_cachename(graph, FileId(i as u32)))
 }
 
+/// The size `residency` (a [`Shard::residency`] snapshot) records for
+/// `name`.
+fn size_in(residency: &[(CacheName, u64)], name: CacheName) -> Option<u64> {
+    residency
+        .binary_search_by_key(&name, |&(n, _)| n)
+        .ok()
+        .map(|i| residency[i].1)
+}
+
 /// One facility shard. See the module docs for the model.
 pub(crate) struct Shard {
     cfg: FacilityConfig,
@@ -350,12 +359,39 @@ impl Shard {
     }
 
     /// Unique resident bytes currently attributed to `tenant`.
+    #[cfg(test)]
     fn tenant_resident_bytes(&self, tenant: usize) -> u64 {
+        self.owned_bytes(tenant, &self.residency())
+    }
+
+    /// Bytes of `tenant`'s owned names, sized by `residency`.
+    fn owned_bytes(&self, tenant: usize, residency: &[(CacheName, u64)]) -> u64 {
         self.owner
             .iter()
             .filter(|&(_, &o)| o == tenant)
-            .filter_map(|(name, _)| self.resident_size(*name))
+            .filter_map(|(&name, _)| size_in(residency, name))
             .sum()
+    }
+
+    /// Every name resident in a checked-in cache with its largest
+    /// copy's size, sorted by name. Checked-out workers hold empty
+    /// placeholders, so they contribute nothing.
+    fn residency(&self) -> Vec<(CacheName, u64)> {
+        let mut all = Vec::with_capacity(self.caches.iter().map(LocalCache::len).sum());
+        for c in &self.caches {
+            all.extend(c.iter().map(|(name, size, _)| (name, size)));
+        }
+        all.sort_unstable();
+        // Ascending (name, size): fold each run of one name into its last
+        // (largest) size.
+        all.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 = later.1;
+            }
+            same
+        });
+        all
     }
 
     /// Stage submissions for the event loop. Seqs are assigned in the
@@ -517,30 +553,20 @@ impl Shard {
                 self.owner.entry(name).or_insert(tenant);
             }
         }
-        let gone: Vec<CacheName> = self
-            .owner
-            .keys()
-            .filter(|&&n| self.resident_size(n).is_none())
-            .copied()
-            .collect();
-        for n in gone {
-            self.owner.remove(&n);
-        }
-        self.enforce_byte_quota(tenant);
+        let residency = self.residency();
+        self.owner.retain(|&n, _| size_in(&residency, n).is_some());
+        self.enforce_byte_quota(tenant, &residency);
         self.records.push(run.record);
-    }
-
-    /// Largest resident copy of `name` across checked-in caches.
-    fn resident_size(&self, name: CacheName) -> Option<u64> {
-        self.caches.iter().filter_map(|c| c.size_of(name)).max()
     }
 
     /// Evict `tenant`-owned entries (sorted cachename order — oldest
     /// names are not privileged, but the order is reproducible) until
-    /// the tenant is back under its resident-byte quota.
-    fn enforce_byte_quota(&mut self, tenant: usize) {
+    /// the tenant is back under its resident-byte quota. `residency` is
+    /// the writeback's snapshot; it stays exact through the loop, since
+    /// removing one name leaves every other name's largest copy as is.
+    fn enforce_byte_quota(&mut self, tenant: usize, residency: &[(CacheName, u64)]) {
         let quota = self.cfg.tenants[tenant].max_resident_bytes;
-        let mut usage = self.tenant_resident_bytes(tenant);
+        let mut usage = self.owned_bytes(tenant, residency);
         if usage <= quota {
             return;
         }
@@ -554,7 +580,7 @@ impl Shard {
             if usage <= quota {
                 break;
             }
-            let Some(size) = self.resident_size(name) else {
+            let Some(size) = size_in(residency, name) else {
                 continue;
             };
             for c in &mut self.caches {
@@ -945,6 +971,42 @@ mod tests {
         assert!(
             resident <= GB / 2,
             "quota enforced after writeback: {resident} bytes"
+        );
+    }
+
+    #[test]
+    fn residency_snapshot_is_the_per_name_max() {
+        let mut shard = Shard::new(FacilityConfig::demo(5), None, 0, 1);
+        let name = |i: u32| CacheName::for_dataset_file("residency-test", i);
+        let kind = CacheEntryKind::Intermediate;
+        for (w, cache) in shard.caches.iter_mut().enumerate().take(4) {
+            for i in 0..6 {
+                let size = 100 * (i + 1) + 10 * w as u64;
+                cache
+                    .insert(name(i as u32 * 3 + w as u32), size, kind)
+                    .unwrap();
+            }
+            // One name held by every cache, at a different size in each.
+            cache.insert(name(99), 60 + 10 * w as u64, kind).unwrap();
+        }
+        // Worker 3's slice is checked out: only its placeholder remains.
+        shard.caches[3] = LocalCache::new(0);
+        let mut want: BTreeMap<CacheName, u64> = BTreeMap::new();
+        for c in &shard.caches {
+            for (n, size, _) in c.iter() {
+                let e = want.entry(n).or_insert(size);
+                *e = (*e).max(size);
+            }
+        }
+        let snapshot = shard.residency();
+        assert_eq!(snapshot, want.into_iter().collect::<Vec<_>>());
+        assert_eq!(size_in(&snapshot, name(99)), Some(80));
+        // Name 3 is on workers 0 (200) and 3 (130); name 18 only on 3.
+        assert_eq!(size_in(&snapshot, name(3)), Some(200));
+        assert_eq!(size_in(&snapshot, name(18)), None);
+        assert!(
+            snapshot.windows(2).all(|p| p[0].0 < p[1].0),
+            "sorted, unique"
         );
     }
 

@@ -99,9 +99,17 @@ impl ShardedConfig {
     }
 }
 
+/// The 64-bit FNV-1a offset basis: the hash of no bytes.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// 64-bit FNV-1a, the repo's standard content hash.
 fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a_64_extend(FNV_OFFSET, bytes)
+}
+
+/// Continue an FNV-1a hash `h` over `bytes`: the hash of `a ‖ b` is
+/// `fnv1a_64_extend(fnv1a_64(a), b)`.
+fn fnv1a_64_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x1_0000_01b3);
@@ -130,11 +138,11 @@ fn fmix64(mut h: u64) -> u64 {
 /// onto the new shard (property-tested in `tests/properties.rs`).
 pub fn assign_shard(tenant_name: &str, shards: usize) -> usize {
     assert!(shards > 0, "federation needs at least one shard");
+    let name_hash = fnv1a_64(tenant_name.as_bytes());
     (0..shards)
         .max_by_key(|&s| {
-            let mut key = tenant_name.as_bytes().to_vec();
-            key.extend_from_slice(&(s as u64).to_le_bytes());
-            (fmix64(fnv1a_64(&key)), std::cmp::Reverse(s))
+            let h = fnv1a_64_extend(name_hash, &(s as u64).to_le_bytes());
+            (fmix64(h), std::cmp::Reverse(s))
         })
         .expect("non-empty shard range")
 }
@@ -511,6 +519,32 @@ mod tests {
             let old = assign_shard(&name, 4);
             let new = assign_shard(&name, 5);
             assert!(new == old || new == 4, "{name}: {old} -> {new}");
+        }
+    }
+
+    #[test]
+    fn streamed_hash_matches_the_concatenated_key() {
+        // The formula before the name's hash was reused across shards:
+        // hash a fresh copy of `name ‖ shard` for every shard.
+        fn concatenated(tenant_name: &str, shards: usize) -> usize {
+            (0..shards)
+                .max_by_key(|&s| {
+                    let mut key = tenant_name.as_bytes().to_vec();
+                    key.extend_from_slice(&(s as u64).to_le_bytes());
+                    (fmix64(fnv1a_64(&key)), std::cmp::Reverse(s))
+                })
+                .unwrap()
+        }
+        let mut names: Vec<String> = (0..300).map(|i| format!("tenant-{i}")).collect();
+        names.extend(["", "atlas", "cms", "ü-группа"].map(String::from));
+        for name in &names {
+            for shards in 1..=9 {
+                assert_eq!(
+                    assign_shard(name, shards),
+                    concatenated(name, shards),
+                    "{name}/{shards}"
+                );
+            }
         }
     }
 

@@ -303,6 +303,13 @@ impl LogHistogram {
         }
     }
 
+    /// A histogram with the given per-bin counts (at least one bin)
+    /// starting at `min` (> 0).
+    pub fn from_counts(min: f64, counts: Vec<u64>) -> Self {
+        assert!(min > 0.0 && !counts.is_empty());
+        LogHistogram { min, counts }
+    }
+
     /// Record one value.
     pub fn record(&mut self, value: f64) {
         let idx = if value <= self.min {

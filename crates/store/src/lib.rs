@@ -19,7 +19,9 @@
 //!   byte capacity; pins are refcounts taken by shards while a fetch's
 //!   run is in flight, so an object can never be evicted between the
 //!   moment a shard decided to rely on it and the moment the run's
-//!   writeback completes.
+//!   writeback completes. An ordered `(last_use, name)` index of the
+//!   unpinned entries makes each eviction O(log n) rather than a scan of
+//!   every entry.
 //! * **Accounting** is per shard: hit/miss/eviction/put counters and
 //!   fetched bytes, exported deterministically through a
 //!   [`vine_obs::MetricsRegistry`] (sorted text dump, byte-stable).

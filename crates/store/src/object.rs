@@ -1,5 +1,6 @@
 //! The shared object tier: immutable content-addressed entries, LRU +
-//! refcount eviction, per-shard accounting, and a fabric-backed fetch
+//! refcount eviction (O(log n) per victim, from an index of the
+//! unpinned entries), per-shard accounting, and a fabric-backed fetch
 //! cost model.
 //!
 //! The store holds *index* state only — `(cachename, size)` pairs — on
@@ -8,7 +9,7 @@
 //! [`ResultStore`](https://docs.rs) keeps actual physics blobs; this
 //! tier is the inter-shard warm-cache fabric.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use vine_net::{Fabric, NodeId};
 use vine_obs::MetricsRegistry;
@@ -97,6 +98,9 @@ struct Entry {
 pub struct ObjectStore {
     cfg: StoreConfig,
     entries: BTreeMap<CacheName, Entry>,
+    /// LRU index: `(last_use, name)` of exactly the entries with
+    /// `pins == 0`. Its first element is the next eviction victim.
+    lru: BTreeSet<(u64, CacheName)>,
     used: u64,
     peak_used: u64,
     tick: u64,
@@ -118,6 +122,7 @@ impl ObjectStore {
         ObjectStore {
             cfg,
             entries: BTreeMap::new(),
+            lru: BTreeSet::new(),
             used: 0,
             peak_used: 0,
             tick: 0,
@@ -182,8 +187,14 @@ impl ObjectStore {
         self.tick += 1;
         match self.entries.get_mut(&name) {
             Some(e) if e.size == size => {
+                if e.pins == 0 {
+                    self.lru.remove(&(e.last_use, name));
+                    self.lru.insert((self.tick, name));
+                }
                 e.last_use = self.tick;
                 self.counters[shard].hits += 1;
+                #[cfg(debug_assertions)]
+                self.check_lru_index();
                 true
             }
             _ => {
@@ -210,16 +221,13 @@ impl ObjectStore {
             return PutOutcome::WontFit;
         }
         while self.used + size > self.cfg.capacity_bytes {
-            let victim = self
-                .entries
-                .iter()
-                .filter(|(_, e)| e.pins == 0)
-                .min_by_key(|(n, e)| (e.last_use, **n))
-                .map(|(n, _)| *n);
-            let Some(v) = victim else {
+            let Some((_, victim)) = self.lru.pop_first() else {
                 return PutOutcome::WontFit;
             };
-            let gone = self.entries.remove(&v).expect("victim is resident");
+            let gone = self
+                .entries
+                .remove(&victim)
+                .expect("indexed victim is resident");
             self.used -= gone.size;
             self.counters[shard].evictions += 1;
         }
@@ -231,36 +239,45 @@ impl ObjectStore {
                 last_use: self.tick,
             },
         );
+        self.lru.insert((self.tick, name));
         self.used += size;
         self.peak_used = self.peak_used.max(self.used);
         self.counters[shard].puts += 1;
+        #[cfg(debug_assertions)]
+        self.check_lru_index();
         PutOutcome::Inserted
     }
 
     /// Pin an object (refcount up); pinned objects are never evicted.
     /// Returns false when the object is not resident.
     pub fn pin(&mut self, name: CacheName) -> bool {
-        match self.entries.get_mut(&name) {
-            Some(e) => {
-                e.pins += 1;
-                true
-            }
-            None => false,
+        let Some(e) = self.entries.get_mut(&name) else {
+            return false;
+        };
+        if e.pins == 0 {
+            self.lru.remove(&(e.last_use, name));
         }
+        e.pins += 1;
+        #[cfg(debug_assertions)]
+        self.check_lru_index();
+        true
     }
 
     /// Drop one pin. Returns false when the object is not resident (an
     /// unpin for an entry that was never pinned is a logic error and
     /// panics in debug builds).
     pub fn unpin(&mut self, name: CacheName) -> bool {
-        match self.entries.get_mut(&name) {
-            Some(e) => {
-                debug_assert!(e.pins > 0, "unpin without a matching pin");
-                e.pins = e.pins.saturating_sub(1);
-                true
-            }
-            None => false,
+        let Some(e) = self.entries.get_mut(&name) else {
+            return false;
+        };
+        debug_assert!(e.pins > 0, "unpin without a matching pin");
+        if e.pins == 1 {
+            self.lru.insert((e.last_use, name));
         }
+        e.pins = e.pins.saturating_sub(1);
+        #[cfg(debug_assertions)]
+        self.check_lru_index();
+        true
     }
 
     /// Forcibly drop an object (operator invalidation). Pinned objects
@@ -269,12 +286,28 @@ impl ObjectStore {
         match self.entries.get(&name) {
             Some(e) if e.pins == 0 => {
                 let size = e.size;
+                self.lru.remove(&(e.last_use, name));
                 self.entries.remove(&name);
                 self.used -= size;
+                #[cfg(debug_assertions)]
+                self.check_lru_index();
                 Some(size)
             }
             _ => None,
         }
+    }
+
+    /// Debug-build invariant: `lru` holds exactly the unpinned entries,
+    /// each under its current `(last_use, name)` key.
+    #[cfg(debug_assertions)]
+    fn check_lru_index(&self) {
+        let unpinned: BTreeSet<(u64, CacheName)> = self
+            .entries
+            .iter()
+            .filter(|(_, e)| e.pins == 0)
+            .map(|(n, e)| (e.last_use, *n))
+            .collect();
+        assert!(self.lru == unpinned, "LRU index out of step with entries");
     }
 
     /// The simulated cost for `shard` to fetch `bytes` out of the store:

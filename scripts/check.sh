@@ -17,6 +17,9 @@ cargo build --workspace --all-targets "$@"
 echo "== cargo test =="
 cargo test --workspace -q "$@"
 
+echo "== perfbench unit tests (a separate workspace) =="
+cargo test -q --manifest-path perfbench/Cargo.toml "$@"
+
 echo "== criterion microbench smoke (--test mode) =="
 cargo bench -q -p vine-bench --bench event_queue --bench arena_lookup --bench substrates "$@" -- --test
 
