@@ -138,6 +138,8 @@ fn main() {
     if cli.enabled() {
         let cluster = vine_cluster::ClusterSpec::standard(4);
         let cfg = vine_core::EngineConfig::stack(3, cluster, seed).deterministic();
-        cli.export_engine_run("facility_cold", cfg, spec.to_graph());
+        let mut lab = vine_bench::lab::Lab::new(cli.trace_dir.clone(), cli.metrics);
+        lab.run("facility_cold", Some("facility_cold"), cfg, spec.to_graph());
+        print!("{}", lab.take_stdout());
     }
 }

@@ -1,8 +1,9 @@
 //! The shared CLI flag layer of the bench binaries.
 //!
-//! Every binary calls [`BenchCli::parse`], which strips the whole shared
-//! flag family and leaves the binary's own arguments in
-//! [`BenchCli::rest`]:
+//! Every binary parses its command line with [`BenchCli::parse`] (or,
+//! for `vine-fig`, [`crate::experiments::parse_invocation`], which
+//! builds on [`BenchCli::from_args`]). It strips the whole shared flag
+//! family and leaves the binary's own arguments in [`BenchCli::rest`]:
 //!
 //! * `--trace-out DIR` / `--metrics` — observability export (the
 //!   artifacts are listed in [`crate::obsout`]);
@@ -16,8 +17,8 @@
 //!   and let the run stop early at convergence.
 //!
 //! [`BenchCli::apply`] folds the chaos/recovery choices into an
-//! [`EngineConfig`]; [`BenchCli::export_engine_run`] records one
-//! representative run when an observability flag was given.
+//! [`EngineConfig`]; [`BenchCli::export`] writes a recorded run's
+//! artifacts when an observability flag was given.
 
 use std::path::PathBuf;
 
@@ -115,8 +116,8 @@ impl BenchCli {
         cfg.with_recovery(self.recovery)
     }
 
-    /// The customary first positional argument of the fig binaries
-    /// (scale-down factor), default 1.
+    /// The first positional argument read as a scale-down factor,
+    /// default 1.
     pub fn scale(&self) -> usize {
         self.rest
             .first()

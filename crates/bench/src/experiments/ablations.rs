@@ -15,7 +15,11 @@
 
 use vine_analysis::WorkloadSpec;
 use vine_cluster::{ClusterSpec, PreemptionModel};
-use vine_core::{DataSource, EngineConfig, Placement, RunRequest, RunResult};
+use vine_core::{DataSource, EngineConfig, Placement, RunResult};
+use vine_simcore::units::fmt_bytes;
+
+use super::Output;
+use crate::lab::Lab;
 
 /// A labeled makespan measurement with supporting counters.
 #[derive(Clone, Debug)]
@@ -42,8 +46,9 @@ fn row(variant: String, r: RunResult) -> AblationRow {
     }
 }
 
-/// Replication on/off under increasing preemption pressure.
-pub fn replication(seed: u64, scale_down: usize) -> Vec<AblationRow> {
+/// Replication on/off under increasing preemption pressure. The campus
+/// pool with two replicas is Stack 4 unchanged: the recorded baseline.
+pub fn replication(lab: &mut Lab, seed: u64, scale_down: usize) -> Vec<AblationRow> {
     let spec = WorkloadSpec::dv3_large().scaled_down(scale_down.max(1));
     let workers = (200 / scale_down.max(1)).max(4);
     let mut out = Vec::new();
@@ -61,15 +66,17 @@ pub fn replication(seed: u64, scale_down: usize) -> Vec<AblationRow> {
             let mut cfg = EngineConfig::stack4(ClusterSpec::standard(workers), seed);
             cfg.preemption = preemption;
             cfg.replica_target = replicas;
-            let r = RunRequest::new(cfg, spec.to_graph()).run();
-            out.push(row(format!("{plabel}/replicas={replicas}"), r));
+            let variant = format!("{plabel}/replicas={replicas}");
+            let record = (plabel == "campus" && replicas == 2).then_some("ablations-baseline");
+            let r = lab.run(&variant, record, cfg, spec.to_graph());
+            out.push(row(variant, r));
         }
     }
     out
 }
 
 /// Data-aware vs round-robin placement (TaskVine, serverless).
-pub fn placement(seed: u64, scale_down: usize) -> Vec<AblationRow> {
+pub fn placement(lab: &mut Lab, seed: u64, scale_down: usize) -> Vec<AblationRow> {
     let spec = WorkloadSpec::dv3_large().scaled_down(scale_down.max(1));
     let workers = (200 / scale_down.max(1)).max(4);
     [Placement::DataAware, Placement::RoundRobin]
@@ -78,14 +85,17 @@ pub fn placement(seed: u64, scale_down: usize) -> Vec<AblationRow> {
             let mut cfg =
                 EngineConfig::stack4(ClusterSpec::standard(workers), seed).deterministic();
             cfg.placement = p;
-            let r = RunRequest::new(cfg, spec.to_graph()).run();
-            row(format!("{p:?}"), r)
+            let variant = format!("{p:?}");
+            row(
+                variant.clone(),
+                lab.run(&variant, None, cfg, spec.to_graph()),
+            )
         })
         .collect()
 }
 
 /// Sweep of the per-worker concurrent peer-transfer limit.
-pub fn throttle(seed: u64, scale_down: usize) -> Vec<AblationRow> {
+pub fn throttle(lab: &mut Lab, seed: u64, scale_down: usize) -> Vec<AblationRow> {
     let spec = WorkloadSpec::rs_triphoton().scaled_down(scale_down.max(1));
     let workers = (40 / scale_down.max(1)).max(4);
     [1usize, 2, 3, 8, 64]
@@ -94,8 +104,11 @@ pub fn throttle(seed: u64, scale_down: usize) -> Vec<AblationRow> {
             let mut cfg =
                 EngineConfig::stack4(ClusterSpec::standard(workers), seed).deterministic();
             cfg.max_peer_transfers_per_worker = limit;
-            let r = RunRequest::new(cfg, spec.to_graph()).run();
-            row(format!("throttle={limit}"), r)
+            let variant = format!("throttle={limit}");
+            row(
+                variant.clone(),
+                lab.run(&variant, None, cfg, spec.to_graph()),
+            )
         })
         .collect()
 }
@@ -105,7 +118,7 @@ pub fn throttle(seed: u64, scale_down: usize) -> Vec<AblationRow> {
 /// The worker count stays fixed: the WAN hurts when the cluster's input
 /// demand exceeds the wide-area path, which is a property of cluster
 /// width, not workload size.
-pub fn datasource(seed: u64, scale_down: usize) -> Vec<AblationRow> {
+pub fn datasource(lab: &mut Lab, seed: u64, scale_down: usize) -> Vec<AblationRow> {
     let spec = WorkloadSpec::dv3_medium().scaled_down(scale_down.max(1));
     let workers = 40;
     [
@@ -116,10 +129,69 @@ pub fn datasource(seed: u64, scale_down: usize) -> Vec<AblationRow> {
     .map(|(label, src)| {
         let mut cfg = EngineConfig::stack4(ClusterSpec::standard(workers), seed).deterministic();
         cfg.data_source = src;
-        let r = RunRequest::new(cfg, spec.to_graph()).run();
-        row(label.to_string(), r)
+        row(
+            label.to_string(),
+            lab.run(label, None, cfg, spec.to_graph()),
+        )
     })
     .collect()
+}
+
+/// One section of the console report, and its CSV `file`.
+fn section(out: &mut Output, file: &str, title: &str, rows: &[AblationRow]) {
+    let header = [
+        "Variant",
+        "Runtime",
+        "Task executions",
+        "Peer transfer volume",
+    ];
+    let data: Vec<Vec<String>> = rows
+        .iter()
+        .map(|r| {
+            vec![
+                r.variant.clone(),
+                if r.completed {
+                    format!("{:.0}s", r.makespan_s)
+                } else {
+                    "FAILED".into()
+                },
+                r.executions.to_string(),
+                fmt_bytes(r.peer_bytes),
+            ]
+        })
+        .collect();
+    out.line(format!("\n== {title} ==\n"));
+    out.table(&header, &data, Some(file));
+}
+
+pub(super) fn figure(lab: &mut Lab, args: &[usize]) -> Output {
+    let scale = args[0];
+    let mut out = Output::default();
+    section(
+        &mut out,
+        "ablation_replication.csv",
+        "Replication under preemption (DV3-Large)",
+        &replication(lab, 42, scale),
+    );
+    section(
+        &mut out,
+        "ablation_placement.csv",
+        "Placement policy (DV3-Large)",
+        &placement(lab, 42, scale),
+    );
+    section(
+        &mut out,
+        "ablation_peer-transfer.csv",
+        "Peer-transfer throttle (RS-TriPhoton)",
+        &throttle(lab, 42, scale),
+    );
+    section(
+        &mut out,
+        "ablation_datasource.csv",
+        "Datasource: site storage vs wide-area XRootD (DV3-Medium)",
+        &datasource(lab, 42, scale),
+    );
+    out
 }
 
 #[cfg(test)]
@@ -128,7 +200,7 @@ mod tests {
 
     #[test]
     fn replication_reduces_reruns_under_storm() {
-        let rows = replication(5, 40);
+        let rows = replication(&mut Lab::quiet(), 5, 40);
         let find = |v: &str| rows.iter().find(|r| r.variant == v).unwrap();
         // Replication costs (almost) nothing when calm...
         let calm1 = find("calm/replicas=1");
@@ -148,7 +220,7 @@ mod tests {
 
     #[test]
     fn data_aware_placement_moves_fewer_bytes() {
-        let rows = placement(5, 40);
+        let rows = placement(&mut Lab::quiet(), 5, 40);
         let aware = &rows[0];
         let oblivious = &rows[1];
         assert!(aware.completed && oblivious.completed);
@@ -162,7 +234,7 @@ mod tests {
 
     #[test]
     fn over_throttling_slows_the_workflow() {
-        let rows = throttle(5, 20);
+        let rows = throttle(&mut Lab::quiet(), 5, 20);
         assert!(rows.iter().all(|r| r.completed));
         let t1 = rows[0].makespan_s; // limit 1
         let t3 = rows[2].makespan_s; // limit 3 (default)
@@ -174,7 +246,7 @@ mod tests {
 
     #[test]
     fn remote_xrootd_is_much_slower() {
-        let rows = datasource(5, 4);
+        let rows = datasource(&mut Lab::quiet(), 5, 4);
         let site = &rows[0];
         let wan = &rows[1];
         assert!(site.completed && wan.completed);

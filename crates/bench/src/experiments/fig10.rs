@@ -13,10 +13,13 @@
 //! slightly outperforms the shared filesystem throughout.
 
 use vine_cluster::{ClusterSpec, WorkerSpec};
-use vine_core::{EngineConfig, ExecMode, ImportSource, RunRequest};
+use vine_core::{EngineConfig, ExecMode, ImportSource};
 use vine_dag::{TaskGraph, TaskKind};
 use vine_simcore::units::{gbit_per_sec, KB};
 use vine_simcore::Dist;
+
+use super::Output;
+use crate::lab::Lab;
 
 /// One point of the sweep.
 #[derive(Clone, Debug)]
@@ -65,8 +68,10 @@ pub fn workflow(n: usize, complexity: f64) -> TaskGraph {
 }
 
 /// Run the full sweep. `n_tasks = 15_000` reproduces the paper exactly;
-/// smaller values keep tests quick.
-pub fn run(seed: u64, n_tasks: usize) -> Vec<HoistPoint> {
+/// smaller values keep tests quick. The hoisted and unhoisted cells at
+/// complexity 1 with local imports are recorded: the imports phase in
+/// their digests shows exactly what hoisting saves.
+pub fn run(lab: &mut Lab, seed: u64, n_tasks: usize) -> Vec<HoistPoint> {
     let cluster = hoisting_cluster();
     let mut out = Vec::new();
     for &complexity in &complexities() {
@@ -81,7 +86,12 @@ pub fn run(seed: u64, n_tasks: usize) -> Vec<HoistPoint> {
                 // complexity 1, scaled linearly (0.125 -> ~0.07 s,
                 // 64 -> ~35 s).
                 cfg.time_model.base_compute = Dist::Constant(0.55);
-                let r = RunRequest::new(cfg, workflow(n_tasks, complexity)).run();
+                let hoist = if hoisted { "hoisted" } else { "unhoisted" };
+                let label = format!("complexity {complexity} / {import_source:?} / {hoist}");
+                let record = format!("fig10-{hoist}");
+                let record = (complexity == 1.0 && import_source == ImportSource::WorkerLocal)
+                    .then_some(record.as_str());
+                let r = lab.run(&label, record, cfg, workflow(n_tasks, complexity));
                 assert!(r.completed(), "{:?}", r.outcome);
                 out.push(HoistPoint {
                     complexity,
@@ -92,6 +102,73 @@ pub fn run(seed: u64, n_tasks: usize) -> Vec<HoistPoint> {
                 });
             }
         }
+    }
+    out
+}
+
+pub(super) fn figure(lab: &mut Lab, args: &[usize]) -> Output {
+    let n = args[0];
+    let pts = run(lab, 42, n);
+    let header = [
+        "Complexity",
+        "Mean task (hoisted, local)",
+        "Mean task (unhoisted, local)",
+        "Speedup local",
+        "Mean task (hoisted, shared)",
+        "Mean task (unhoisted, shared)",
+        "Speedup shared",
+    ];
+    let find = |c: f64, src: ImportSource, h: bool| {
+        pts.iter()
+            .find(|p| p.complexity == c && p.import_source == src && p.hoisted == h)
+            .expect("point exists")
+    };
+    let data: Vec<Vec<String>> = complexities()
+        .into_iter()
+        .map(|c| {
+            let hl = find(c, ImportSource::WorkerLocal, true);
+            let ul = find(c, ImportSource::WorkerLocal, false);
+            let hs = find(c, ImportSource::SharedFilesystem, true);
+            let us = find(c, ImportSource::SharedFilesystem, false);
+            vec![
+                format!("{c}"),
+                format!("{:.3}s", hl.mean_task_s),
+                format!("{:.3}s", ul.mean_task_s),
+                format!("{:.2}x", ul.mean_task_s / hl.mean_task_s),
+                format!("{:.3}s", hs.mean_task_s),
+                format!("{:.3}s", us.mean_task_s),
+                format!("{:.2}x", us.mean_task_s / hs.mean_task_s),
+            ]
+        })
+        .collect();
+    let mut out = Output::default();
+    out.line("\nFIG 10: Import hoisting (task execution time)\n");
+    out.table(&header, &data, Some("fig10.csv"));
+    out.line("Paper: significant speedup for short fine-grained tasks, fading for long");
+    out.line("       tasks; local storage slightly outperforms the shared filesystem.");
+    let raw_header = [
+        "complexity",
+        "source",
+        "hoisted",
+        "makespan_s",
+        "mean_task_s",
+    ];
+    let raw: Vec<Vec<String>> = pts
+        .iter()
+        .map(|p| {
+            vec![
+                p.complexity.to_string(),
+                format!("{:?}", p.import_source),
+                p.hoisted.to_string(),
+                format!("{:.3}", p.makespan_s),
+                format!("{:.4}", p.mean_task_s),
+            ]
+        })
+        .collect();
+    out.file("fig10_raw.csv", crate::report::to_csv(&raw_header, &raw));
+    if let (Some(un), Some(ho)) = (lab.digest("fig10-unhoisted"), lab.digest("fig10-hoisted")) {
+        out.line("\nUnhoisted -> hoisted digest diff:");
+        out.console.push_str(&un.diff(ho).to_text());
     }
     out
 }
@@ -115,7 +192,7 @@ mod tests {
 
     #[test]
     fn hoisting_helps_most_at_fine_granularity() {
-        let pts = run(3, 1500);
+        let pts = run(&mut Lab::quiet(), 3, 1500);
         let fine = hoist_speedup(&pts, 0.125, ImportSource::WorkerLocal);
         let coarse = hoist_speedup(&pts, 64.0, ImportSource::WorkerLocal);
         assert!(fine > 1.5, "fine-grained speedup only {fine}");
@@ -128,7 +205,7 @@ mod tests {
 
     #[test]
     fn local_storage_beats_shared_fs_when_unhoisted() {
-        let pts = run(3, 1500);
+        let pts = run(&mut Lab::quiet(), 3, 1500);
         // Unhoisted fine-grained functions re-import constantly: the
         // filesystem serving the imports matters.
         let local = pts

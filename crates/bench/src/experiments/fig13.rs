@@ -8,8 +8,12 @@
 
 use vine_analysis::WorkloadSpec;
 use vine_cluster::ClusterSpec;
-use vine_core::{EngineConfig, RunRequest};
+use vine_core::EngineConfig;
 use vine_simcore::trace::IntervalTrace;
+
+use super::Output;
+use crate::lab::Lab;
+use crate::plot::ascii_gantt;
 
 /// One (stack, workers) cell of the figure.
 #[derive(Clone, Debug)]
@@ -26,12 +30,20 @@ pub struct GanttCell {
     pub gantt: IntervalTrace,
 }
 
-/// Run one cell.
-pub fn run_cell(stack: usize, workers: usize, seed: u64, scale_down: usize) -> GanttCell {
+/// Run one cell, recorded under `record` when given.
+pub fn run_cell(
+    lab: &mut Lab,
+    stack: usize,
+    workers: usize,
+    seed: u64,
+    scale_down: usize,
+    record: Option<&str>,
+) -> GanttCell {
     let spec = WorkloadSpec::dv3_large().scaled_down(scale_down.max(1));
     let mut cfg = EngineConfig::stack(stack, ClusterSpec::standard(workers), seed);
     cfg.trace.gantt = true;
-    let r = RunRequest::new(cfg, spec.to_graph()).run();
+    let label = format!("stack {stack} / {workers}w");
+    let r = lab.run(&label, record, cfg, spec.to_graph());
     assert!(
         r.completed(),
         "stack {stack}/{workers}w failed: {:?}",
@@ -51,12 +63,75 @@ pub fn run_cell(stack: usize, workers: usize, seed: u64, scale_down: usize) -> G
 }
 
 /// All four cells of the figure: stacks {3, 4} × workers {small, large}.
-pub fn run(seed: u64, small: usize, large: usize, scale_down: usize) -> Vec<GanttCell> {
+/// Stack 4 on the wide cluster is recorded: the TASK spans in its trace
+/// are the Gantt bars, one per execution.
+pub fn run(
+    lab: &mut Lab,
+    seed: u64,
+    small: usize,
+    large: usize,
+    scale_down: usize,
+) -> Vec<GanttCell> {
+    let record = format!("fig13-stack4-{large}w");
     let mut out = Vec::new();
     for stack in [3, 4] {
-        for workers in [small, large] {
-            out.push(run_cell(stack, workers, seed, scale_down));
+        for (workers, wide) in [(small, false), (large, true)] {
+            let rec = (stack == 4 && wide).then_some(record.as_str());
+            out.push(run_cell(lab, stack, workers, seed, scale_down, rec));
         }
+    }
+    out
+}
+
+pub(super) fn figure(lab: &mut Lab, args: &[usize]) -> Output {
+    let (small, large, scale) = (args[0], args[1], args[2]);
+    let cells = run(lab, 42, small, large, scale);
+    let header = ["Stack", "Workers", "Cores", "Makespan", "Core utilization"];
+    let data: Vec<Vec<String>> = cells
+        .iter()
+        .map(|c| {
+            vec![
+                format!("Stack {}", c.stack),
+                c.workers.to_string(),
+                (c.workers * 12).to_string(),
+                format!("{:.0}s", c.makespan_s),
+                format!("{:.1}%", 100.0 * c.mean_utilization),
+            ]
+        })
+        .collect();
+    let mut out = Output::default();
+    out.line("\nFIG 13: Worker occupancy by stack and cluster width\n");
+    out.table(&header, &data, Some("fig13_summary.csv"));
+    out.line(format!(
+        "Paper: Stack 3 keeps {small} workers busy but cannot feed {large};"
+    ));
+    out.line(format!(
+        "       Stack 4 is marginally faster at {small} and much better at {large}."
+    ));
+    // ASCII Gantt strips (the figure itself).
+    for c in &cells {
+        out.line(format!(
+            "Stack {} on {} workers (shade = core occupancy per time bucket):",
+            c.stack, c.workers
+        ));
+        out.line(ascii_gantt(&c.gantt, c.workers, 12, c.makespan_s, 100, 20));
+    }
+    // Gantt intervals (worker, start, end, kind) per cell.
+    for c in &cells {
+        let mut csv = String::from("worker,start_s,end_s,kind\n");
+        for iv in c.gantt.intervals() {
+            csv.push_str(&format!(
+                "{},{:.3},{:.3},{}\n",
+                iv.entity,
+                iv.start.as_secs_f64(),
+                iv.end.as_secs_f64(),
+                if iv.tag == 0 { "process" } else { "accumulate" },
+            ));
+        }
+        out.file(
+            format!("fig13_gantt_stack{}_{}w.csv", c.stack, c.workers),
+            csv,
+        );
     }
     out
 }
@@ -70,7 +145,7 @@ mod tests {
         // 1/4-scale DV3-Large on 2 vs 50 workers: with 600 cores the
         // standard-task dispatch rate (~37 ms × 4250 tasks ≈ 157 s)
         // starves workers, as in the paper's 200-worker panel.
-        let cells = run(13, 2, 50, 4);
+        let cells = run(&mut Lab::quiet(), 13, 2, 50, 4);
         let find = |s: usize, w: usize| {
             cells
                 .iter()

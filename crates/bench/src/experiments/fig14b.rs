@@ -7,33 +7,40 @@
 
 use vine_analysis::WorkloadSpec;
 use vine_cluster::{ClusterSpec, WorkerSpec};
-use vine_core::{EngineConfig, RunRequest};
+use vine_core::EngineConfig;
 use vine_simcore::units::gbit_per_sec;
 
 pub use super::fig14a::ScalePoint;
+use super::Output;
+use crate::lab::Lab;
 
 /// The paper's large-scale worker grid (12-core workers; ×12 = cores).
 pub fn worker_grid() -> Vec<usize> {
     vec![10, 25, 50, 100, 150, 200]
 }
 
-/// Run one workload across the grid on TaskVine (Stack 4).
+/// Run one workload across the grid on TaskVine (Stack 4); the cell at
+/// the grid's last (widest) point is recorded under `record`.
 pub fn run_workload(
+    lab: &mut Lab,
     spec: &WorkloadSpec,
     name: &'static str,
     worker_spec: WorkerSpec,
     seed: u64,
     grid: &[usize],
+    record: Option<&str>,
 ) -> Vec<ScalePoint> {
     let mut out = Vec::new();
-    for &workers in grid {
+    for (i, &workers) in grid.iter().enumerate() {
         let cluster = ClusterSpec {
             workers,
             worker: worker_spec,
             manager_link_bw: gbit_per_sec(12.0),
         };
         let cfg = EngineConfig::stack4(cluster, seed);
-        let r = RunRequest::new(cfg, spec.to_graph()).run();
+        let cell = format!("{name} / {workers}w");
+        let export = record.filter(|_| i + 1 == grid.len());
+        let r = lab.run(&cell, export, cfg, spec.to_graph());
         out.push(ScalePoint {
             workload: name,
             scheduler: "TaskVine",
@@ -45,29 +52,36 @@ pub fn run_workload(
 }
 
 /// Full figure: both workloads across 120–2400 cores, plus the
-/// Dask.Distributed non-result.
-pub fn run(seed: u64, scale_down: usize) -> Vec<ScalePoint> {
+/// Dask.Distributed non-result at paper scale. DV3-Large on 200 workers
+/// is recorded.
+pub fn run(lab: &mut Lab, seed: u64, scale_down: usize) -> Vec<ScalePoint> {
     let scale_down = scale_down.max(1);
     let grid = worker_grid();
     let mut out = run_workload(
+        lab,
         &WorkloadSpec::dv3_large().scaled_down(scale_down),
         "DV3-Large",
         WorkerSpec::dv3_standard(),
         seed,
         &grid,
+        Some("fig14b-dv3large"),
     );
     out.extend(run_workload(
+        lab,
         &WorkloadSpec::rs_triphoton().scaled_down(scale_down),
         "RS-TriPhoton",
         WorkerSpec::rs_triphoton(),
         seed,
         &grid,
+        None,
     ));
-    // Dask.Distributed at this scale: reported failure (paper §V-B).
+    // Dask.Distributed at this scale: reported failure (paper §V-B). The
+    // C005 lint predicts it before the engine refuses to run it.
     if scale_down == 1 {
         let cluster = ClusterSpec::standard(10);
         let cfg = EngineConfig::dask_distributed(cluster, seed);
-        let r = RunRequest::new(cfg, WorkloadSpec::dv3_large().to_graph()).run();
+        let graph = WorkloadSpec::dv3_large().to_graph();
+        let r = lab.run("DV3-Large / Dask", None, cfg, graph);
         out.push(ScalePoint {
             workload: "DV3-Large",
             scheduler: "Dask.Distributed",
@@ -92,6 +106,21 @@ pub fn best_cores(points: &[ScalePoint], workload: &str) -> Option<u32> {
         .map(|p| p.cores)
 }
 
+pub(super) fn figure(lab: &mut Lab, args: &[usize]) -> Output {
+    let pts = run(lab, 42, args[0]);
+    let mut out = Output::default();
+    out.line("\nFIG 14b: Scaling of standard configurations\n");
+    super::fig14a::scale_table(&mut out, &pts, "FAILED (crashes/hangs)", "fig14b.csv");
+    for wl in ["DV3-Large", "RS-TriPhoton"] {
+        if let Some(best) = best_cores(&pts, wl) {
+            out.line(format!("{wl}: best makespan at {best} cores"));
+        }
+    }
+    out.line("Paper: DV3-Large peaks at 1200 cores; RS-TriPhoton keeps gaining to 2400;");
+    out.line("       Dask.Distributed cannot execute these workflows at this scale.");
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,11 +131,13 @@ mod tests {
         // the paper's 1200-core plateau scales with task count, so the
         // plateau appears at proportionally fewer cores.
         let pts = run_workload(
+            &mut Lab::quiet(),
             &WorkloadSpec::dv3_large().scaled_down(10),
             "DV3-Large",
             WorkerSpec::dv3_standard(),
             31,
             &[5, 10, 20, 40, 80],
+            None,
         );
         let times: Vec<f64> = pts.iter().map(|p| p.makespan_s.unwrap()).collect();
         // More cores help at first...
@@ -125,11 +156,13 @@ mod tests {
     #[test]
     fn rs_triphoton_keeps_gaining() {
         let pts = run_workload(
+            &mut Lab::quiet(),
             &WorkloadSpec::rs_triphoton().scaled_down(10),
             "RS-TriPhoton",
             WorkerSpec::rs_triphoton(),
             31,
             &[5, 10, 20],
+            None,
         );
         let times: Vec<f64> = pts.iter().map(|p| p.makespan_s.unwrap()).collect();
         assert!(times[1] < times[0], "{times:?}");

@@ -6,10 +6,13 @@
 //! the maximum amount of data transferred between any two nodes tops off
 //! at around 4 GB."
 
-use vine_analysis::WorkloadSpec;
-use vine_cluster::ClusterSpec;
-use vine_core::{EngineConfig, RunRequest};
-use vine_simcore::trace::TransferMatrix;
+use vine_core::EngineConfig;
+use vine_simcore::trace::{matrix_to_csv, TransferMatrix};
+use vine_simcore::units::fmt_bytes;
+
+use super::Output;
+use crate::lab::Lab;
+use crate::plot::ascii_heatmap;
 
 /// Heatmap summary for one scheduler.
 #[derive(Clone, Debug)]
@@ -63,22 +66,65 @@ fn summarize(label: &'static str, m: TransferMatrix, n_workers: usize) -> Heatma
 }
 
 /// Run DV3-Large under Work Queue (Stack 2) and TaskVine (Stack 3) and
-/// return both transfer summaries. `scale_down = 1` is paper scale.
-pub fn run(seed: u64, scale_down: usize) -> (HeatmapSummary, HeatmapSummary) {
-    let scale_down = scale_down.max(1);
-    let spec = WorkloadSpec::dv3_large().scaled_down(scale_down);
-    let workers = (200 / scale_down).max(2);
-    let mk = |stack: usize| {
-        let mut cfg = EngineConfig::stack(stack, ClusterSpec::standard(workers), seed);
+/// return both transfer summaries. `scale_down = 1` is paper scale. Both
+/// cells are recorded: the transfer instants in their traces are the raw
+/// events behind the heatmaps.
+pub fn run(lab: &mut Lab, seed: u64, scale_down: usize) -> (HeatmapSummary, HeatmapSummary) {
+    let (spec, cluster) = super::dv3_large(scale_down);
+    let mut mk = |stack: usize| {
+        let mut cfg = EngineConfig::stack(stack, cluster, seed);
         cfg.trace.transfers = true;
-        let r = RunRequest::new(cfg, spec.to_graph()).run();
+        let record = format!("fig7-stack{stack}");
+        let r = lab.run(
+            &format!("stack {stack}"),
+            Some(&record),
+            cfg,
+            spec.to_graph(),
+        );
         assert!(r.completed(), "stack {stack} failed: {:?}", r.outcome);
         r.transfers.expect("transfer trace enabled")
     };
     (
-        summarize("WorkQueue", mk(2), workers),
-        summarize("TaskVine", mk(3), workers),
+        summarize("WorkQueue", mk(2), cluster.workers),
+        summarize("TaskVine", mk(3), cluster.workers),
     )
+}
+
+pub(super) fn figure(lab: &mut Lab, args: &[usize]) -> Output {
+    let (wq, tv) = run(lab, 42, args[0]);
+    let header = [
+        "Scheduler",
+        "Max mgr->worker",
+        "Mean mgr->worker",
+        "Max worker pair",
+        "Total peer",
+        "Total via manager",
+    ];
+    let data: Vec<Vec<String>> = [&wq, &tv]
+        .iter()
+        .map(|s| {
+            vec![
+                s.label.to_string(),
+                fmt_bytes(s.max_manager_to_worker),
+                fmt_bytes(s.mean_manager_to_worker),
+                fmt_bytes(s.max_worker_pair),
+                fmt_bytes(s.total_peer),
+                fmt_bytes(s.total_manager),
+            ]
+        })
+        .collect();
+    let mut out = Output::default();
+    out.line("\nFIG 7: Data transfer between node pairs\n");
+    out.table(&header, &data, Some("fig7_summary.csv"));
+    out.line("Paper: WQ sends upwards of 40 GB to each worker from the manager;");
+    out.line("       TaskVine peer transfers top out around 4 GB per node pair.");
+    out.line("\nWork Queue heatmap (node 0 = manager):");
+    out.line(ascii_heatmap(&wq.matrix, 40));
+    out.line("TaskVine heatmap (node 0 = manager):");
+    out.line(ascii_heatmap(&tv.matrix, 40));
+    out.file("fig7_heatmap_wq.csv", matrix_to_csv(&wq.matrix));
+    out.file("fig7_heatmap_taskvine.csv", matrix_to_csv(&tv.matrix));
+    out
 }
 
 #[cfg(test)]
@@ -87,7 +133,7 @@ mod tests {
 
     #[test]
     fn heatmap_contrast_matches_paper() {
-        let (wq, tv) = run(5, 40);
+        let (wq, tv) = run(&mut Lab::quiet(), 5, 40);
         // WQ: everything through the manager, nothing peer-to-peer.
         assert_eq!(wq.max_worker_pair, 0);
         assert!(wq.max_manager_to_worker > 0);

@@ -6,10 +6,11 @@
 //! shifts the whole distribution left because per-task overhead
 //! (interpreter start + imports) disappears.
 
-use vine_analysis::WorkloadSpec;
-use vine_cluster::ClusterSpec;
-use vine_core::{EngineConfig, RunRequest};
+use vine_core::EngineConfig;
 use vine_simcore::trace::LogHistogram;
+
+use super::Output;
+use crate::lab::Lab;
 
 /// The two measured distributions.
 #[derive(Clone, Debug)]
@@ -20,14 +21,19 @@ pub struct TaskTimeDistributions {
     pub functions: LogHistogram,
 }
 
-/// Run both execution modes and return their task-time histograms.
-pub fn run(seed: u64, scale_down: usize) -> TaskTimeDistributions {
-    let scale_down = scale_down.max(1);
-    let spec = WorkloadSpec::dv3_large().scaled_down(scale_down);
-    let workers = (200 / scale_down).max(2);
-    let mk = |stack: usize| {
-        let cfg = EngineConfig::stack(stack, ClusterSpec::standard(workers), seed);
-        let r = RunRequest::new(cfg, spec.to_graph()).run();
+/// Run both execution modes and return their task-time histograms. Both
+/// cells are recorded, so their digests can be diffed phase by phase.
+pub fn run(lab: &mut Lab, seed: u64, scale_down: usize) -> TaskTimeDistributions {
+    let (spec, cluster) = super::dv3_large(scale_down);
+    let mut mk = |stack: usize| {
+        let cfg = EngineConfig::stack(stack, cluster, seed);
+        let record = format!("fig8-stack{stack}");
+        let r = lab.run(
+            &format!("stack {stack}"),
+            Some(&record),
+            cfg,
+            spec.to_graph(),
+        );
         assert!(r.completed(), "stack {stack} failed: {:?}", r.outcome);
         r.task_time_hist.expect("task-time trace on by default")
     };
@@ -37,21 +43,37 @@ pub fn run(seed: u64, scale_down: usize) -> TaskTimeDistributions {
     }
 }
 
-/// Median-ish summary: the lower edge of the first bin at or above the
-/// 50th percentile.
-pub fn approx_median(h: &LogHistogram) -> f64 {
-    let total = h.total();
-    if total == 0 {
-        return 0.0;
+pub(super) fn figure(lab: &mut Lab, args: &[usize]) -> Output {
+    let d = run(lab, 42, args[0]);
+    let header = ["Bin lower edge (s)", "Standard tasks", "Function calls"];
+    let data: Vec<Vec<String>> = (0..d.standard.counts().len())
+        .map(|i| {
+            vec![
+                format!("{:.3}", d.standard.bin_lo(i)),
+                d.standard.counts()[i].to_string(),
+                d.functions.counts()[i].to_string(),
+            ]
+        })
+        .collect();
+    let mut out = Output::default();
+    out.line("\nFIG 8: Task execution time distribution (log2 bins)\n");
+    out.table(&header, &data, Some("fig8.csv"));
+    out.line(format!(
+        "In [1s, 16s): standard {:.1}%, functions {:.1}%  (paper: majority in 1-10s)",
+        100.0 * d.standard.fraction_between(1.0, 16.0),
+        100.0 * d.functions.fraction_between(1.0, 16.0),
+    ));
+    out.line(format!(
+        "Below 4s: standard {:.1}%, functions {:.1}%  (functions shift left)",
+        100.0 * d.standard.fraction_between(0.0, 4.0),
+        100.0 * d.functions.fraction_between(0.0, 4.0),
+    ));
+    // Which paper phases the per-task speedup comes from.
+    if let (Some(s3), Some(s4)) = (lab.digest("fig8-stack3"), lab.digest("fig8-stack4")) {
+        out.line("\nStack 3 -> Stack 4 digest diff:");
+        out.console.push_str(&s3.diff(s4).to_text());
     }
-    let mut seen = 0u64;
-    for (i, &c) in h.counts().iter().enumerate() {
-        seen += c;
-        if seen * 2 >= total {
-            return h.bin_lo(i);
-        }
-    }
-    h.bin_lo(h.counts().len() - 1)
+    out
 }
 
 #[cfg(test)]
@@ -60,7 +82,7 @@ mod tests {
 
     #[test]
     fn bulk_between_one_and_ten_seconds() {
-        let d = run(3, 40);
+        let d = run(&mut Lab::quiet(), 3, 40);
         // Function-call tasks: bulk in [1, 10)s as the paper reports.
         let frac = d.functions.fraction_between(1.0, 16.0);
         assert!(frac > 0.55, "only {frac} of function tasks in bulk");
@@ -68,7 +90,7 @@ mod tests {
 
     #[test]
     fn functions_shift_distribution_left() {
-        let d = run(3, 40);
+        let d = run(&mut Lab::quiet(), 3, 40);
         // Standard tasks carry ~2 s of interpreter/import overhead, so far
         // less of their mass sits below 4 s.
         let below_std = d.standard.fraction_between(0.0, 4.0);

@@ -10,9 +10,10 @@
 //! | 3 | WQ → TaskVine | 730 s | 4.86× |
 //! | 4 | Tasks → Functions | 272 s | 13.03× |
 
-use vine_analysis::WorkloadSpec;
-use vine_cluster::ClusterSpec;
-use vine_core::{EngineConfig, RunRequest, RunResult};
+use vine_core::EngineConfig;
+
+use super::Output;
+use crate::lab::Lab;
 
 /// One measured row of Table I.
 #[derive(Clone, Debug)]
@@ -46,24 +47,17 @@ const CHANGES: [&str; 4] = [
     "Tasks -> Functions",
 ];
 
-/// Run one stack on a workload and return the result.
-pub fn run_stack(stack: usize, spec: &WorkloadSpec, workers: usize, seed: u64) -> RunResult {
-    let cluster = ClusterSpec::standard(workers);
-    let cfg = EngineConfig::stack(stack, cluster, seed);
-    RunRequest::new(cfg, spec.to_graph()).run()
-}
-
 /// Run all four stacks. `scale_down = 1` is the paper's full configuration
 /// (17 000 tasks on 200 workers); larger values shrink both workload and
-/// cluster proportionally for quick runs.
-pub fn run(seed: u64, scale_down: usize) -> Vec<StackRow> {
-    let scale_down = scale_down.max(1);
-    let spec = WorkloadSpec::dv3_large().scaled_down(scale_down);
-    let workers = (200 / scale_down).max(2);
+/// cluster proportionally for quick runs. Stack 4 is the recorded cell.
+pub fn run(lab: &mut Lab, seed: u64, scale_down: usize) -> Vec<StackRow> {
+    let (spec, cluster) = super::dv3_large(scale_down);
     let mut rows = Vec::with_capacity(4);
     let mut base = None;
     for stack in 1..=4 {
-        let r = run_stack(stack, &spec, workers, seed);
+        let cfg = EngineConfig::stack(stack, cluster, seed);
+        let record = (stack == 4).then_some("table1-stack4");
+        let r = lab.run(&format!("stack {stack}"), record, cfg, spec.to_graph());
         assert!(r.completed(), "stack {stack} failed: {:?}", r.outcome);
         let runtime = r.makespan_secs();
         let base_rt = *base.get_or_insert(runtime);
@@ -79,6 +73,35 @@ pub fn run(seed: u64, scale_down: usize) -> Vec<StackRow> {
     rows
 }
 
+pub(super) fn figure(lab: &mut Lab, args: &[usize]) -> Output {
+    let rows = run(lab, 42, args[0]);
+    let header = [
+        "Stack",
+        "Change",
+        "Runtime",
+        "Speedup",
+        "Paper Runtime",
+        "Paper Speedup",
+    ];
+    let data: Vec<Vec<String>> = rows
+        .iter()
+        .map(|r| {
+            vec![
+                format!("Stack {}", r.stack),
+                r.change.to_string(),
+                format!("{:.0}s", r.runtime_s),
+                format!("{:.2}x", r.speedup),
+                format!("{:.0}s", r.paper_runtime_s),
+                format!("{:.2}x", r.paper_speedup),
+            ]
+        })
+        .collect();
+    let mut out = Output::default();
+    out.line("\nTABLE I: Overall Stack Performance (measured vs paper)\n");
+    out.table(&header, &data, Some("table1.csv"));
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -87,7 +110,7 @@ mod tests {
     /// Stack 1; Stack 3 is a large win; Stack 4 beats Stack 3.
     #[test]
     fn stack_ordering_holds_at_small_scale() {
-        let rows = run(7, 10);
+        let rows = run(&mut Lab::quiet(), 7, 10);
         assert_eq!(rows.len(), 4);
         let rt: Vec<f64> = rows.iter().map(|r| r.runtime_s).collect();
         assert!(rt[1] <= rt[0] * 1.05, "VAST should not slow things down");

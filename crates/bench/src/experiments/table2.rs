@@ -7,6 +7,9 @@
 use vine_analysis::WorkloadSpec;
 use vine_simcore::units::fmt_bytes;
 
+use super::Output;
+use crate::lab::Lab;
+
 /// One row of Table II, measured from the generated graph.
 #[derive(Clone, Debug)]
 pub struct WorkloadRow {
@@ -30,12 +33,16 @@ pub struct WorkloadRow {
     pub critical_path: usize,
 }
 
-/// Generate all Table II rows.
-pub fn run() -> Vec<WorkloadRow> {
+/// Generate all Table II rows. Each graph gets the structural lint
+/// (only the G family applies without an engine config), announced
+/// through `lab`.
+pub fn run(lab: &Lab) -> Vec<WorkloadRow> {
     WorkloadSpec::table2()
         .into_iter()
         .map(|spec| {
             let g = spec.to_graph();
+            let report = vine_lint::lint_graph(&g);
+            lab.announce(spec.name, g.task_count(), report.diagnostics());
             let (p, a, _) = g.kind_counts();
             WorkloadRow {
                 name: spec.name,
@@ -52,9 +59,41 @@ pub fn run() -> Vec<WorkloadRow> {
         .collect()
 }
 
-/// Render a size for display.
-pub fn fmt_size(bytes: u64) -> String {
-    fmt_bytes(bytes)
+pub(super) fn figure(lab: &mut Lab, _args: &[usize]) -> Output {
+    let rows = run(lab);
+    let header = [
+        "Application",
+        "Input",
+        "Tasks",
+        "Process",
+        "Accum",
+        "Datasets",
+        "Chunk",
+        "Intermediates",
+        "Depth",
+    ];
+    let data: Vec<Vec<String>> = rows
+        .iter()
+        .map(|r| {
+            vec![
+                r.name.to_string(),
+                fmt_bytes(r.input_bytes),
+                r.total_tasks.to_string(),
+                r.process_tasks.to_string(),
+                r.accum_tasks.to_string(),
+                r.datasets.to_string(),
+                fmt_bytes(r.chunk_bytes),
+                fmt_bytes(r.intermediate_bytes),
+                r.critical_path.to_string(),
+            ]
+        })
+        .collect();
+    let mut out = Output::default();
+    out.line("\nTABLE II: Application workloads (generated graphs)\n");
+    out.table(&header, &data, Some("table2.csv"));
+    out.line("Paper: DV3-Large = 17K tasks / 1.2 TB; DV3-Huge = 185K tasks / 1.2 TB;");
+    out.line("       RS-TriPhoton = 4K tasks / 500 GB; Small/Medium = 25 GB / 200 GB.");
+    out
 }
 
 #[cfg(test)]
@@ -64,7 +103,7 @@ mod tests {
 
     #[test]
     fn rows_match_paper_table2() {
-        let rows = run();
+        let rows = run(&Lab::quiet());
         assert_eq!(rows.len(), 5);
         let by_name = |n: &str| rows.iter().find(|r| r.name == n).unwrap();
 

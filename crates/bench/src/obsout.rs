@@ -1,9 +1,9 @@
 //! The `--trace-out` / `--metrics` exports of the bench binaries.
 //!
-//! When [`BenchCli`] saw an observability flag, a binary records one
-//! representative run with [`BenchCli::export_engine_run`]: the engine
-//! executes with a [`MemoryRecorder`] attached and the artifacts land
-//! under the trace directory —
+//! When an observability flag was given, a run executes with a
+//! [`MemoryRecorder`] attached — `vine-sim`'s run, or the cells an
+//! experiment marks as recorded ([`crate::lab::Lab`]) — and the
+//! artifacts land under the trace directory —
 //!
 //! * `<label>.trace.json` — Chrome `trace_event` JSON (open in Perfetto
 //!   or `chrome://tracing`),
@@ -16,60 +16,56 @@
 
 use std::path::Path;
 
-use vine_core::{EngineConfig, RunRequest, RunResult};
-use vine_dag::TaskGraph;
+use vine_core::RunResult;
 use vine_obs::{chrome, csv, MemoryRecorder, MetricsRegistry};
 
 use crate::cli::BenchCli;
 
 impl BenchCli {
-    /// Record one run of `(cfg, graph)` and export the requested
-    /// artifacts. Returns the result so callers can reuse it, or `None`
-    /// when no observability flag was given (nothing runs).
-    pub fn export_engine_run(
-        &self,
-        label: &str,
-        mut cfg: EngineConfig,
-        graph: TaskGraph,
-    ) -> Option<RunResult> {
-        if !self.enabled() {
+    /// Write the artifacts for an already-recorded run (the metrics
+    /// text goes to stdout when no trace directory was given).
+    pub fn export(&self, label: &str, rec: &MemoryRecorder, result: &RunResult) {
+        let dir = self.trace_dir.as_deref();
+        if let Some(text) = write_artifacts(dir, self.metrics, label, rec, result) {
+            print!("{text}");
+        }
+    }
+}
+
+/// Write a recorded run's artifacts under `trace_dir`, plus its metrics
+/// export with `metrics`. Returns the metrics text instead when there is
+/// no trace directory to write it into.
+pub fn write_artifacts(
+    trace_dir: Option<&Path>,
+    metrics: bool,
+    label: &str,
+    rec: &MemoryRecorder,
+    result: &RunResult,
+) -> Option<String> {
+    if let Some(dir) = trace_dir {
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            eprintln!("cannot create {}: {e}", dir.display());
             return None;
         }
-        cfg.trace.obs = true;
-        let mut rec = MemoryRecorder::new();
-        let result = RunRequest::new(cfg, graph).recorder(&mut rec).run();
-        self.export(label, &rec, &result);
-        Some(result)
-    }
-
-    /// Write the artifacts for an already-recorded run.
-    pub fn export(&self, label: &str, rec: &MemoryRecorder, result: &RunResult) {
-        if let Some(dir) = &self.trace_dir {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                eprintln!("cannot create {}: {e}", dir.display());
-                return;
-            }
-            write_file(dir, label, "trace.json", &chrome::to_chrome_json(rec));
-            write_file(dir, label, "spans.csv", &csv::spans_to_csv(rec));
-            write_file(dir, label, "counters.csv", &csv::counters_to_csv(rec));
-            if let Some(obs) = &result.obs {
-                write_file(
-                    dir,
-                    label,
-                    "attrib.csv",
-                    &vine_obs::attrib::attributions_to_csv(&obs.attributions),
-                );
-                write_file(dir, label, "digest.txt", &obs.digest.to_text());
-            }
-        }
-        if self.metrics {
-            let text = run_metrics(result).to_text();
-            match &self.trace_dir {
-                Some(dir) => write_file(dir, label, "metrics.txt", &text),
-                None => print!("{text}"),
-            }
+        write_file(dir, label, "trace.json", &chrome::to_chrome_json(rec));
+        write_file(dir, label, "spans.csv", &csv::spans_to_csv(rec));
+        write_file(dir, label, "counters.csv", &csv::counters_to_csv(rec));
+        if let Some(obs) = &result.obs {
+            write_file(
+                dir,
+                label,
+                "attrib.csv",
+                &vine_obs::attrib::attributions_to_csv(&obs.attributions),
+            );
+            write_file(dir, label, "digest.txt", &obs.digest.to_text());
         }
     }
+    let text = metrics.then(|| run_metrics(result).to_text())?;
+    let Some(dir) = trace_dir else {
+        return Some(text);
+    };
+    write_file(dir, label, "metrics.txt", &text);
+    None
 }
 
 /// Fold a run's aggregate numbers into a metrics registry (deterministic
@@ -116,7 +112,7 @@ mod tests {
 
     #[test]
     fn metrics_registry_round_trips() {
-        use vine_core::EngineConfig;
+        use vine_core::{EngineConfig, RunRequest};
         let cluster = vine_cluster::ClusterSpec::standard(2);
         let cfg = EngineConfig::stack(4, cluster, 7)
             .deterministic()
