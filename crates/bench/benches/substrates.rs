@@ -5,7 +5,7 @@ use rand::{Rng, SeedableRng};
 use vine_dag::rewrite::add_tree_reduce;
 use vine_dag::{ReadyTracker, TaskGraph, TaskKind};
 use vine_data::{EventGenerator, Hist1D};
-use vine_net::fairshare::{max_min_fair, max_min_fair_into, FairState, FlowSpec};
+use vine_net::fairshare::{max_min_fair, FlowSpec};
 use vine_net::{Fabric, NodeId};
 use vine_simcore::{EventQueue, SimTime};
 use vine_storage::{CacheEntryKind, CacheName, LocalCache};
@@ -81,17 +81,12 @@ fn bench_fairshare(c: &mut Criterion) {
             }
         })
         .collect();
-    let mut rate = Vec::new();
-    let mut state = FairState::default();
     c.bench_function("fairshare/campus_1200", |b| {
         b.iter(|| {
-            max_min_fair_into(
+            black_box(max_min_fair(
                 black_box(&campus_flows),
                 black_box(&campus_caps),
-                &mut rate,
-                &mut state,
-            );
-            black_box(rate[0])
+            ))
         })
     });
 

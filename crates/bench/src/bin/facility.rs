@@ -139,7 +139,13 @@ fn main() {
         let cluster = vine_cluster::ClusterSpec::standard(4);
         let cfg = vine_core::EngineConfig::stack(3, cluster, seed).deterministic();
         let mut lab = vine_bench::lab::Lab::new(cli.trace_dir.clone(), cli.metrics);
-        lab.run("facility_cold", Some("facility_cold"), cfg, spec.to_graph());
+        lab.run(
+            "facility_cold",
+            Some("facility_cold"),
+            cfg,
+            spec.to_graph(),
+            vine_obs::FigureSet::NONE,
+        );
         print!("{}", lab.take_stdout());
     }
 }

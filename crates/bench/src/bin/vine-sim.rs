@@ -56,128 +56,11 @@
 use vine_analysis::{ConvergenceObserver, ReductionShape, WorkloadSpec};
 use vine_bench::cli::BenchCli;
 use vine_bench::plot;
+use vine_bench::simargs::parse_args;
 use vine_cluster::{ClusterSpec, WorkerSpec};
 use vine_core::{DataSource, EngineConfig, Placement, Preflight, RunRequest};
+use vine_obs::{FigureRecorder, FigureSet, MemoryRecorder, Recorder, Tee};
 use vine_simcore::units::{fmt_bytes, gbit_per_sec};
-
-struct Args {
-    workload: String,
-    stack: usize,
-    dask: bool,
-    workers: usize,
-    scale: usize,
-    seed: u64,
-    single_node: bool,
-    no_peer: bool,
-    round_robin: bool,
-    replicas: Option<u32>,
-    remote_inputs: bool,
-    dot: Option<String>,
-    explain_memo: Option<String>,
-    lint_only: bool,
-    lint_deny_warn: bool,
-    no_preflight: bool,
-    bench_reps: usize,
-}
-
-fn parse_args(argv: Vec<String>) -> Result<Args, String> {
-    let mut args = Args {
-        workload: "dv3-large".into(),
-        stack: 4,
-        dask: false,
-        workers: 0,
-        scale: 1,
-        seed: 42,
-        single_node: false,
-        no_peer: false,
-        round_robin: false,
-        replicas: None,
-        remote_inputs: false,
-        dot: None,
-        explain_memo: None,
-        lint_only: false,
-        lint_deny_warn: false,
-        no_preflight: false,
-        bench_reps: 1,
-    };
-    let mut it = argv.into_iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
-        match flag.as_str() {
-            "--workload" => args.workload = value("--workload")?,
-            "--stack" => {
-                args.stack = value("--stack")?
-                    .parse()
-                    .map_err(|e| format!("--stack: {e}"))?
-            }
-            "--scheduler" => {
-                let v = value("--scheduler")?;
-                match v.as_str() {
-                    "dask" => args.dask = true,
-                    "taskvine" => args.stack = 4,
-                    "workqueue" => args.stack = 2,
-                    other => return Err(format!("unknown scheduler {other}")),
-                }
-            }
-            "--workers" => {
-                args.workers = value("--workers")?
-                    .parse()
-                    .map_err(|e| format!("--workers: {e}"))?
-            }
-            "--scale" => {
-                args.scale = value("--scale")?
-                    .parse()
-                    .map_err(|e| format!("--scale: {e}"))?
-            }
-            "--seed" => {
-                args.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
-            }
-            "--replicas" => {
-                args.replicas = Some(
-                    value("--replicas")?
-                        .parse()
-                        .map_err(|e| format!("--replicas: {e}"))?,
-                )
-            }
-            "--single-node-reduction" => args.single_node = true,
-            "--no-peer-transfers" => args.no_peer = true,
-            "--placement" => {
-                let v = value("--placement")?;
-                match v.as_str() {
-                    "round-robin" => args.round_robin = true,
-                    "data-aware" => args.round_robin = false,
-                    other => return Err(format!("unknown placement {other}")),
-                }
-            }
-            "--remote-inputs" => args.remote_inputs = true,
-            "--dot" => args.dot = Some(value("--dot")?),
-            "--explain-memo" => args.explain_memo = Some(value("--explain-memo")?),
-            "--lint" => args.lint_only = true,
-            "--lint-deny=warn" => args.lint_deny_warn = true,
-            "--lint-deny" => match value("--lint-deny")?.as_str() {
-                "warn" => args.lint_deny_warn = true,
-                other => return Err(format!("unknown --lint-deny level {other}")),
-            },
-            "--no-preflight" => args.no_preflight = true,
-            "--bench-reps" => {
-                args.bench_reps = value("--bench-reps")?
-                    .parse::<usize>()
-                    .map_err(|e| format!("--bench-reps: {e}"))?
-                    .max(1)
-            }
-            "--help" | "-h" => {
-                return Err(
-                    "usage: see module docs (vine-sim --workload dv3-large --stack 4 ...)"
-                        .to_string(),
-                )
-            }
-            other => return Err(format!("unknown flag {other}")),
-        }
-    }
-    Ok(args)
-}
 
 fn main() {
     let cli = BenchCli::parse();
@@ -248,7 +131,6 @@ fn main() {
         cfg.data_source = DataSource::remote_xrootd_default();
     }
     cfg = cli.apply(cfg);
-    cfg.trace.cache = true;
     if cli.enabled() {
         cfg.trace.obs = true;
     }
@@ -292,7 +174,8 @@ fn main() {
         args.seed
     );
 
-    let mut rec = vine_obs::MemoryRecorder::new();
+    let mut rec = MemoryRecorder::new();
+    let mut figs = FigureRecorder::new(FigureSet::TIMELINE, cfg.worker_slots());
     let mut conv = cli.stream_threshold.map(ConvergenceObserver::new);
     // --explain-memo needs the post-run caches, so that run (and only
     // that run) is threaded through a session.
@@ -317,10 +200,9 @@ fn main() {
         let d = t.elapsed();
         best_rep_wall = Some(best_rep_wall.map_or(d, |b| b.min(d)));
     }
-    let mut request = RunRequest::new(cfg, graph);
-    if cli.enabled() {
-        request = request.recorder(&mut rec);
-    }
+    let mut export = Tee(&mut figs, &mut rec);
+    let recorder: &mut dyn Recorder = if cli.enabled() { &mut export } else { export.0 };
+    let mut request = RunRequest::new(cfg, graph).recorder(recorder);
     if let Some(conv) = &mut conv {
         request = request.observer(conv);
     }
@@ -384,7 +266,12 @@ fn main() {
     println!("running tasks:");
     println!(
         "{}",
-        plot::ascii_series(&r.running_series, r.makespan_secs().max(1.0), 100, 8)
+        plot::ascii_series(
+            &figs.into_sinks().running_series,
+            r.makespan_secs().max(1.0),
+            100,
+            8
+        )
     );
     if cli.enabled() {
         let label = if args.dask {

@@ -18,6 +18,8 @@ use vine_cluster::{ClusterSpec, PreemptionModel};
 use vine_core::{DataSource, EngineConfig, Placement, RunResult};
 use vine_simcore::units::fmt_bytes;
 
+use vine_obs::FigureSet;
+
 use super::Output;
 use crate::lab::Lab;
 
@@ -68,7 +70,7 @@ pub fn replication(lab: &mut Lab, seed: u64, scale_down: usize) -> Vec<AblationR
             cfg.replica_target = replicas;
             let variant = format!("{plabel}/replicas={replicas}");
             let record = (plabel == "campus" && replicas == 2).then_some("ablations-baseline");
-            let r = lab.run(&variant, record, cfg, spec.to_graph());
+            let (r, _) = lab.run(&variant, record, cfg, spec.to_graph(), FigureSet::NONE);
             out.push(row(variant, r));
         }
     }
@@ -88,7 +90,8 @@ pub fn placement(lab: &mut Lab, seed: u64, scale_down: usize) -> Vec<AblationRow
             let variant = format!("{p:?}");
             row(
                 variant.clone(),
-                lab.run(&variant, None, cfg, spec.to_graph()),
+                lab.run(&variant, None, cfg, spec.to_graph(), FigureSet::NONE)
+                    .0,
             )
         })
         .collect()
@@ -107,7 +110,8 @@ pub fn throttle(lab: &mut Lab, seed: u64, scale_down: usize) -> Vec<AblationRow>
             let variant = format!("throttle={limit}");
             row(
                 variant.clone(),
-                lab.run(&variant, None, cfg, spec.to_graph()),
+                lab.run(&variant, None, cfg, spec.to_graph(), FigureSet::NONE)
+                    .0,
             )
         })
         .collect()
@@ -131,7 +135,8 @@ pub fn datasource(lab: &mut Lab, seed: u64, scale_down: usize) -> Vec<AblationRo
         cfg.data_source = src;
         row(
             label.to_string(),
-            lab.run(label, None, cfg, spec.to_graph()),
+            lab.run(label, None, cfg, spec.to_graph(), FigureSet::NONE)
+                .0,
         )
     })
     .collect()

@@ -18,6 +18,8 @@ use vine_dag::{TaskGraph, TaskKind};
 use vine_simcore::units::{gbit_per_sec, KB};
 use vine_simcore::Dist;
 
+use vine_obs::FigureSet;
+
 use super::Output;
 use crate::lab::Lab;
 
@@ -91,7 +93,15 @@ pub fn run(lab: &mut Lab, seed: u64, n_tasks: usize) -> Vec<HoistPoint> {
                 let record = format!("fig10-{hoist}");
                 let record = (complexity == 1.0 && import_source == ImportSource::WorkerLocal)
                     .then_some(record.as_str());
-                let r = lab.run(&label, record, cfg, workflow(n_tasks, complexity));
+                let r = lab
+                    .run(
+                        &label,
+                        record,
+                        cfg,
+                        workflow(n_tasks, complexity),
+                        FigureSet::NONE,
+                    )
+                    .0;
                 assert!(r.completed(), "{:?}", r.outcome);
                 out.push(HoistPoint {
                     complexity,

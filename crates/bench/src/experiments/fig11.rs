@@ -11,6 +11,7 @@
 use vine_analysis::{ReductionShape, WorkloadSpec};
 use vine_cluster::{ClusterSpec, WorkerSpec};
 use vine_core::{EngineConfig, Preflight, RunResult};
+use vine_obs::{FigureSet, FigureSinks};
 use vine_simcore::trace::{series_to_csv, TimeSeries};
 use vine_simcore::units::{fmt_bytes, gbit_per_sec};
 
@@ -33,7 +34,7 @@ pub struct ReductionRun {
     /// Mean of per-worker peak cache occupancy, bytes.
     pub mean_peak_cache: u64,
     /// Per-worker occupancy series (for the figure's curves).
-    pub result: RunResult,
+    pub cache_series: Vec<TimeSeries>,
 }
 
 /// The RS-class cluster this figure runs on (700 GB worker disks).
@@ -45,8 +46,8 @@ pub fn rs_cluster(workers: usize) -> ClusterSpec {
     }
 }
 
-fn summarize(label: &'static str, r: RunResult) -> ReductionRun {
-    let series = r.cache_series.as_ref().expect("cache trace enabled");
+fn summarize(label: &'static str, (r, figs): (RunResult, FigureSinks)) -> ReductionRun {
+    let series = figs.cache_series.expect("cache sink selected");
     let peaks: Vec<u64> = series.iter().map(|s| s.max_value() as u64).collect();
     let peak = peaks.iter().copied().max().unwrap_or(0);
     let mean = if peaks.is_empty() {
@@ -61,7 +62,7 @@ fn summarize(label: &'static str, r: RunResult) -> ReductionRun {
         cache_failures: r.stats.cache_overflow_failures,
         peak_cache: peak,
         mean_peak_cache: mean,
-        result: r,
+        cache_series: series,
     }
 }
 
@@ -81,7 +82,6 @@ pub fn run(
             .scaled_down(scale_down)
             .with_reduction(shape);
         let mut cfg = EngineConfig::stack4(rs_cluster(workers), seed);
-        cfg.trace.cache = true;
         // Replication keeps every disk full of evictable spare copies,
         // which would mask the reduction-shape signal this figure is
         // about; isolate the shape effect.
@@ -90,7 +90,10 @@ pub fn run(
         // run must actually happen to produce the cache-occupancy curves.
         // The lab still announces the verdict vine-lint predicts.
         cfg.preflight = Preflight::Off;
-        summarize(label, lab.run(label, record, cfg, spec.to_graph()))
+        summarize(
+            label,
+            lab.run(label, record, cfg, spec.to_graph(), FigureSet::CACHE),
+        )
     };
     (
         mk(ReductionShape::SingleNode, "single-node"),
@@ -132,15 +135,15 @@ pub(super) fn figure(lab: &mut Lab, args: &[usize]) -> Output {
         (&single, "fig11_cache_single.csv"),
         (&tree, "fig11_cache_tree.csv"),
     ] {
-        if let Some(series) = &run.result.cache_series {
-            let labels: Vec<String> = (0..series.len()).map(|w| format!("worker{w}")).collect();
-            let named: Vec<(&str, &TimeSeries)> = labels
-                .iter()
-                .map(|l| l.as_str())
-                .zip(series.iter())
-                .collect();
-            out.file(name, series_to_csv(&named));
-        }
+        let labels: Vec<String> = (0..run.cache_series.len())
+            .map(|w| format!("worker{w}"))
+            .collect();
+        let named: Vec<(&str, &TimeSeries)> = labels
+            .iter()
+            .map(|l| l.as_str())
+            .zip(&run.cache_series)
+            .collect();
+        out.file(name, series_to_csv(&named));
     }
     out
 }
@@ -148,7 +151,6 @@ pub(super) fn figure(lab: &mut Lab, args: &[usize]) -> Output {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vine_core::RunRequest;
 
     #[test]
     fn tree_reduction_flattens_cache_usage() {
@@ -163,7 +165,6 @@ mod tests {
             let mut cluster = rs_cluster(workers);
             cluster.worker.disk_bytes /= scale as u64;
             let mut cfg = EngineConfig::stack4(cluster, seed);
-            cfg.trace.cache = true;
             // Measuring the runtime failure the pre-flight lint predicts.
             cfg.preflight = Preflight::Off;
             // Same isolation as `run()`: spare replica copies and
@@ -171,7 +172,8 @@ mod tests {
             // cap, masking the reduction-shape signal.
             cfg.replica_target = 1;
             cfg.preemption = vine_cluster::PreemptionModel::none();
-            summarize(label, RunRequest::new(cfg, spec.to_graph()).run())
+            let cell = Lab::quiet().run(label, None, cfg, spec.to_graph(), FigureSet::CACHE);
+            summarize(label, cell)
         };
         let single = mk(ReductionShape::SingleNode, "single-node");
         let tree = mk(ReductionShape::Tree { arity: 8 }, "tree");

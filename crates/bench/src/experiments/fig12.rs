@@ -8,6 +8,7 @@
 //! to stay busy.
 
 use vine_core::EngineConfig;
+use vine_obs::FigureSet;
 use vine_simcore::trace::TimeSeries;
 use vine_simcore::{SimDur, SimTime};
 
@@ -50,18 +51,19 @@ pub fn run(lab: &mut Lab, seed: u64, scale_down: usize) -> Vec<StackTimeline> {
         .map(|stack| {
             let cfg = EngineConfig::stack(stack, cluster, seed);
             let record = format!("fig12-stack{stack}");
-            let r = lab.run(
+            let (r, figs) = lab.run(
                 &format!("stack {stack}"),
                 Some(&record),
                 cfg,
                 spec.to_graph(),
+                FigureSet::TIMELINE,
             );
             assert!(r.completed(), "stack {stack} failed: {:?}", r.outcome);
             StackTimeline {
                 stack,
                 makespan_s: r.makespan_secs(),
-                running: r.running_series,
-                waiting: r.waiting_series,
+                running: figs.running_series,
+                waiting: figs.waiting_series,
             }
         })
         .collect()

@@ -9,6 +9,7 @@
 use vine_analysis::WorkloadSpec;
 use vine_cluster::ClusterSpec;
 use vine_core::EngineConfig;
+use vine_obs::FigureSet;
 use vine_simcore::trace::IntervalTrace;
 
 use super::Output;
@@ -40,10 +41,9 @@ pub fn run_cell(
     record: Option<&str>,
 ) -> GanttCell {
     let spec = WorkloadSpec::dv3_large().scaled_down(scale_down.max(1));
-    let mut cfg = EngineConfig::stack(stack, ClusterSpec::standard(workers), seed);
-    cfg.trace.gantt = true;
+    let cfg = EngineConfig::stack(stack, ClusterSpec::standard(workers), seed);
     let label = format!("stack {stack} / {workers}w");
-    let r = lab.run(&label, record, cfg, spec.to_graph());
+    let (r, figs) = lab.run(&label, record, cfg, spec.to_graph(), FigureSet::GANTT);
     assert!(
         r.completed(),
         "stack {stack}/{workers}w failed: {:?}",
@@ -51,7 +51,7 @@ pub fn run_cell(
     );
     let makespan = r.makespan_secs();
     let cores = ClusterSpec::standard(workers).total_cores() as f64;
-    let gantt = r.gantt.expect("gantt enabled");
+    let gantt = figs.gantt.expect("gantt sink selected");
     let busy: f64 = (0..workers).map(|w| gantt.busy_time(w).as_secs_f64()).sum();
     GanttCell {
         stack,

@@ -8,6 +8,8 @@ use vine_analysis::WorkloadSpec;
 use vine_cluster::ClusterSpec;
 use vine_core::EngineConfig;
 
+use vine_obs::FigureSet;
+
 use super::Output;
 use crate::lab::Lab;
 
@@ -57,7 +59,7 @@ pub fn run_workload(
         ] {
             let cell = format!("{name} / {label} / {workers}w");
             let export = (record && i == 0).then_some(export);
-            let r = lab.run(&cell, export, cfg, spec.to_graph());
+            let (r, _) = lab.run(&cell, export, cfg, spec.to_graph(), FigureSet::NONE);
             out.push(ScalePoint {
                 workload: name,
                 scheduler: label,

@@ -11,6 +11,8 @@ use vine_core::EngineConfig;
 use vine_simcore::units::gbit_per_sec;
 
 pub use super::fig14a::ScalePoint;
+use vine_obs::FigureSet;
+
 use super::Output;
 use crate::lab::Lab;
 
@@ -40,7 +42,7 @@ pub fn run_workload(
         let cfg = EngineConfig::stack4(cluster, seed);
         let cell = format!("{name} / {workers}w");
         let export = record.filter(|_| i + 1 == grid.len());
-        let r = lab.run(&cell, export, cfg, spec.to_graph());
+        let (r, _) = lab.run(&cell, export, cfg, spec.to_graph(), FigureSet::NONE);
         out.push(ScalePoint {
             workload: name,
             scheduler: "TaskVine",
@@ -81,7 +83,7 @@ pub fn run(lab: &mut Lab, seed: u64, scale_down: usize) -> Vec<ScalePoint> {
         let cluster = ClusterSpec::standard(10);
         let cfg = EngineConfig::dask_distributed(cluster, seed);
         let graph = WorkloadSpec::dv3_large().to_graph();
-        let r = lab.run("DV3-Large / Dask", None, cfg, graph);
+        let (r, _) = lab.run("DV3-Large / Dask", None, cfg, graph, FigureSet::NONE);
         out.push(ScalePoint {
             workload: "DV3-Large",
             scheduler: "Dask.Distributed",

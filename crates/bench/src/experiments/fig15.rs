@@ -8,6 +8,7 @@
 use vine_analysis::WorkloadSpec;
 use vine_cluster::ClusterSpec;
 use vine_core::{EngineConfig, RunResult};
+use vine_obs::{FigureSet, FigureSinks};
 use vine_simcore::{SimDur, SimTime};
 
 use super::Output;
@@ -25,8 +26,10 @@ pub struct HugeRun {
     pub peak_concurrency: f64,
     /// Mean concurrency over the middle half of the run.
     pub mid_run_concurrency: f64,
-    /// Full result (timeline series for the figure).
+    /// Full result (counters for the figure's summary).
     pub result: RunResult,
+    /// The run's running/waiting timeline.
+    pub figures: FigureSinks,
 }
 
 /// Run DV3-Huge on Stack 4 (a recorded cell). `scale_down = 1` is the
@@ -36,17 +39,23 @@ pub fn run(lab: &mut Lab, seed: u64, scale_down: usize) -> HugeRun {
     let spec = WorkloadSpec::dv3_huge().scaled_down(scale_down);
     let workers = (600 / scale_down).max(4);
     let cfg = EngineConfig::stack4(ClusterSpec::standard(workers), seed);
-    let r = lab.run("DV3-Huge", Some("fig15-dv3huge"), cfg, spec.to_graph());
+    let (r, figs) = lab.run(
+        "DV3-Huge",
+        Some("fig15-dv3huge"),
+        cfg,
+        spec.to_graph(),
+        FigureSet::TIMELINE,
+    );
     assert!(r.completed(), "DV3-Huge failed: {:?}", r.outcome);
 
     let makespan = r.makespan_secs();
-    let peak = r.running_series.max_value();
+    let peak = figs.running_series.max_value();
     // Mean over [25%, 75%] of the run.
     let samples = 40;
     let mut sum = 0.0;
     for i in 0..samples {
         let t = makespan * (0.25 + 0.5 * i as f64 / samples as f64);
-        sum += r.running_series.value_at(SimTime::from_secs_f64(t));
+        sum += figs.running_series.value_at(SimTime::from_secs_f64(t));
     }
     HugeRun {
         makespan_s: makespan,
@@ -54,6 +63,7 @@ pub fn run(lab: &mut Lab, seed: u64, scale_down: usize) -> HugeRun {
         peak_concurrency: peak,
         mid_run_concurrency: sum / samples as f64,
         result: r,
+        figures: figs,
     }
 }
 
@@ -80,7 +90,7 @@ pub(super) fn figure(lab: &mut Lab, args: &[usize]) -> Output {
     out.line("       high concurrency until the reduction phase of the graph.");
     out.line("Running tasks over the full run:");
     out.line(ascii_series(
-        &h.result.running_series,
+        &h.figures.running_series,
         h.makespan_s,
         110,
         10,
@@ -89,11 +99,11 @@ pub(super) fn figure(lab: &mut Lab, args: &[usize]) -> Output {
     let mut csv = String::from("time_s,running,waiting\n");
     let until = SimTime::from_secs_f64(h.makespan_s);
     for (t, r) in h
-        .result
+        .figures
         .running_series
         .resample(until, SimDur::from_secs(5))
     {
-        let w = h.result.waiting_series.value_at(t);
+        let w = h.figures.waiting_series.value_at(t);
         csv.push_str(&format!("{:.0},{:.0},{:.0}\n", t.as_secs_f64(), r, w));
     }
     out.file("fig15_timeline.csv", csv);

@@ -7,6 +7,7 @@
 //! at around 4 GB."
 
 use vine_core::EngineConfig;
+use vine_obs::FigureSet;
 use vine_simcore::trace::{matrix_to_csv, TransferMatrix};
 use vine_simcore::units::fmt_bytes;
 
@@ -72,17 +73,17 @@ fn summarize(label: &'static str, m: TransferMatrix, n_workers: usize) -> Heatma
 pub fn run(lab: &mut Lab, seed: u64, scale_down: usize) -> (HeatmapSummary, HeatmapSummary) {
     let (spec, cluster) = super::dv3_large(scale_down);
     let mut mk = |stack: usize| {
-        let mut cfg = EngineConfig::stack(stack, cluster, seed);
-        cfg.trace.transfers = true;
+        let cfg = EngineConfig::stack(stack, cluster, seed);
         let record = format!("fig7-stack{stack}");
-        let r = lab.run(
+        let (r, figs) = lab.run(
             &format!("stack {stack}"),
             Some(&record),
             cfg,
             spec.to_graph(),
+            FigureSet::TRANSFERS,
         );
         assert!(r.completed(), "stack {stack} failed: {:?}", r.outcome);
-        r.transfers.expect("transfer trace enabled")
+        figs.transfers.expect("transfer sink selected")
     };
     (
         summarize("WorkQueue", mk(2), cluster.workers),

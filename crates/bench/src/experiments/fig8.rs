@@ -7,6 +7,7 @@
 //! (interpreter start + imports) disappears.
 
 use vine_core::EngineConfig;
+use vine_obs::FigureSet;
 use vine_simcore::trace::LogHistogram;
 
 use super::Output;
@@ -28,14 +29,15 @@ pub fn run(lab: &mut Lab, seed: u64, scale_down: usize) -> TaskTimeDistributions
     let mut mk = |stack: usize| {
         let cfg = EngineConfig::stack(stack, cluster, seed);
         let record = format!("fig8-stack{stack}");
-        let r = lab.run(
+        let (r, figs) = lab.run(
             &format!("stack {stack}"),
             Some(&record),
             cfg,
             spec.to_graph(),
+            FigureSet::TASK_TIMES,
         );
         assert!(r.completed(), "stack {stack} failed: {:?}", r.outcome);
-        r.task_time_hist.expect("task-time trace on by default")
+        figs.task_time_hist.expect("task-time sink selected")
     };
     TaskTimeDistributions {
         standard: mk(3),

@@ -12,6 +12,8 @@
 
 use vine_core::EngineConfig;
 
+use vine_obs::FigureSet;
+
 use super::Output;
 use crate::lab::Lab;
 
@@ -57,7 +59,15 @@ pub fn run(lab: &mut Lab, seed: u64, scale_down: usize) -> Vec<StackRow> {
     for stack in 1..=4 {
         let cfg = EngineConfig::stack(stack, cluster, seed);
         let record = (stack == 4).then_some("table1-stack4");
-        let r = lab.run(&format!("stack {stack}"), record, cfg, spec.to_graph());
+        let r = lab
+            .run(
+                &format!("stack {stack}"),
+                record,
+                cfg,
+                spec.to_graph(),
+                FigureSet::NONE,
+            )
+            .0;
         assert!(r.completed(), "stack {stack} failed: {:?}", r.outcome);
         let runtime = r.makespan_secs();
         let base_rt = *base.get_or_insert(runtime);

@@ -9,17 +9,20 @@
 //! Experiments that deliberately reproduce a failure still announce it,
 //! so the prediction and the measured outcome can be compared.
 //!
-//! An experiment marks some cells as recorded. When `--trace-out` or
-//! `--metrics` was given, the lab attaches a [`MemoryRecorder`] to that
-//! same run and exports its artifacts under the cell's export label
-//! ([`crate::obsout`]); nothing runs a second time.
+//! A cell names the figure sinks it draws from ([`FigureSet`]); the lab
+//! attaches a [`FigureRecorder`] for them and hands back its
+//! [`FigureSinks`]. An experiment also marks some cells as recorded.
+//! When `--trace-out` or `--metrics` was given, the lab tees a
+//! [`MemoryRecorder`] into that same run and exports its artifacts under
+//! the cell's export label ([`crate::obsout`]); nothing runs a second
+//! time.
 
 use std::path::PathBuf;
 
 use vine_core::{EngineConfig, Preflight, RunRequest, RunResult};
 use vine_dag::TaskGraph;
 use vine_lint::{Diagnostic, Report};
-use vine_obs::{MemoryRecorder, RunDigest};
+use vine_obs::{FigureRecorder, FigureSet, FigureSinks, MemoryRecorder, RunDigest, Tee};
 
 use crate::obsout;
 
@@ -52,15 +55,18 @@ impl Lab {
         }
     }
 
-    /// Run one cell: `label` names it in the verdict line, and `record`
-    /// is its export label when the experiment marks it as recorded.
+    /// Run one cell: `label` names it in the verdict line, `record` is
+    /// its export label when the experiment marks it as recorded, and
+    /// `figures` selects the sinks returned beside the result (empty
+    /// unless selected).
     pub fn run(
         &mut self,
         label: &str,
         record: Option<&str>,
         mut cfg: EngineConfig,
         graph: TaskGraph,
-    ) -> RunResult {
+        figures: FigureSet,
+    ) -> (RunResult, FigureSinks) {
         self.runs += 1;
         let tasks = graph.task_count();
         let gated = cfg.preflight != Preflight::Off;
@@ -68,13 +74,17 @@ impl Lab {
             let report = vine_lint::lint_all(&graph, &cfg.lint_facts());
             self.announce(label, tasks, report.diagnostics());
         }
+        let mut figs = FigureRecorder::new(figures, cfg.worker_slots());
         let export = record.filter(|_| self.trace_dir.is_some() || self.metrics);
         let result = match export {
-            None => RunRequest::new(cfg, graph).run(),
+            None if figures.is_empty() => RunRequest::new(cfg, graph).run(),
+            None => RunRequest::new(cfg, graph).recorder(&mut figs).run(),
             Some(name) => {
                 cfg.trace.obs = true;
                 let mut rec = MemoryRecorder::new();
-                let r = RunRequest::new(cfg, graph).recorder(&mut rec).run();
+                let r = RunRequest::new(cfg, graph)
+                    .recorder(&mut Tee(&mut figs, &mut rec))
+                    .run();
                 let dir = self.trace_dir.as_deref();
                 if let Some(text) = obsout::write_artifacts(dir, self.metrics, name, &rec, &r) {
                     self.stdout.push_str(&text);
@@ -87,7 +97,7 @@ impl Lab {
         if gated {
             self.announce(label, tasks, &result.lint_findings);
         }
-        result
+        (result, figs.into_sinks())
     }
 
     /// Print a verdict line (and each finding, when there are any) on

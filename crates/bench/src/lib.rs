@@ -31,3 +31,4 @@ pub mod lab;
 pub mod obsout;
 pub mod plot;
 pub mod report;
+pub mod simargs;

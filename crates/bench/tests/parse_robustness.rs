@@ -1,12 +1,13 @@
-//! `BenchCli::from_args` and `vine-fig`'s argument parsing return `Ok` or
-//! `Err` on arbitrary argument vectors; they never panic. Most tokens
-//! are the words the parsers look for — flags, experiment names,
-//! numbers at the edges of `usize` and `f64` — so vectors reach past the
-//! first token; the rest are arbitrary strings.
+//! `BenchCli::from_args`, `vine-fig`'s and `vine-sim`'s argument parsing
+//! return `Ok` or `Err` on arbitrary argument vectors; they never panic.
+//! Most tokens are the words the parsers look for — flags, experiment
+//! names, numbers at the edges of `usize` and `f64` — so vectors reach
+//! past the first token; the rest are arbitrary strings.
 
 use proptest::prelude::*;
 use vine_bench::cli::BenchCli;
 use vine_bench::experiments::{self, Target};
+use vine_bench::simargs::parse_args;
 
 const WORDS: &[&str] = &[
     "--trace-out",
@@ -42,6 +43,43 @@ const WORDS: &[&str] = &[
     "",
 ];
 
+/// `vine-sim`'s own flags and values, with the numeric edge cases.
+const SIM_WORDS: &[&str] = &[
+    "--workload",
+    "--stack",
+    "--scheduler",
+    "--workers",
+    "--scale",
+    "--seed",
+    "--replicas",
+    "--single-node-reduction",
+    "--no-peer-transfers",
+    "--placement",
+    "--remote-inputs",
+    "--dot",
+    "--explain-memo",
+    "--lint",
+    "--lint-deny=warn",
+    "--lint-deny",
+    "--no-preflight",
+    "--bench-reps",
+    "--help",
+    "-h",
+    "dv3-small",
+    "dask",
+    "taskvine",
+    "workqueue",
+    "round-robin",
+    "data-aware",
+    "warn",
+    "0",
+    "4",
+    "-1",
+    "4294967296",
+    "18446744073709551616",
+    "",
+];
+
 /// Any string, as a run of arbitrary scalars and ASCII characters.
 fn text() -> BoxedStrategy<String> {
     proptest::collection::vec(
@@ -63,6 +101,11 @@ fn token() -> BoxedStrategy<String> {
 
 fn argv() -> BoxedStrategy<Vec<String>> {
     proptest::collection::vec(token(), 0..8).boxed()
+}
+
+fn sim_argv() -> BoxedStrategy<Vec<String>> {
+    let word = || (0..SIM_WORDS.len()).prop_map(|i| SIM_WORDS[i].to_string());
+    proptest::collection::vec(prop_oneof![word(), word(), word(), text()], 0..8).boxed()
 }
 
 proptest! {
@@ -91,6 +134,50 @@ proptest! {
             Ok((Target::List, _)) => {}
             Err(e) => prop_assert!(e.contains("usage: vine-fig"), "{args:?}: {e}"),
         }
+    }
+
+    /// `vine-sim`'s parser returns an error message or arguments with
+    /// at least one benchmark repetition.
+    #[test]
+    fn vine_sim_parse_never_panics(args in sim_argv()) {
+        match parse_args(args.clone()) {
+            Ok(a) => prop_assert!(a.bench_reps >= 1),
+            Err(e) => prop_assert!(!e.is_empty(), "{args:?}"),
+        }
+    }
+}
+
+fn sim(args: &[&str]) -> Result<vine_bench::simargs::Args, String> {
+    parse_args(args.iter().map(|s| s.to_string()).collect())
+}
+
+#[test]
+fn vine_sim_defaults_and_errors() {
+    let a = sim(&[]).unwrap();
+    assert_eq!((a.workload.as_str(), a.stack, a.seed), ("dv3-large", 4, 42));
+    assert_eq!((a.workers, a.scale, a.bench_reps), (0, 1, 1));
+    let a = sim(&[
+        "--scheduler",
+        "dask",
+        "--bench-reps",
+        "0",
+        "--lint-deny",
+        "warn",
+    ])
+    .unwrap();
+    assert!(a.dask && a.lint_deny_warn);
+    assert_eq!(a.bench_reps, 1);
+    for (bad, msg) in [
+        (&["--stack"][..], "--stack requires a value"),
+        (&["--stack", "x"], "--stack: "),
+        (&["--scheduler", "slurm"], "unknown scheduler slurm"),
+        (&["--placement", "random"], "unknown placement random"),
+        (&["--lint-deny", "info"], "unknown --lint-deny level info"),
+        (&["--frobnicate"], "unknown flag --frobnicate"),
+        (&["--help"], "usage: "),
+    ] {
+        let err = sim(bad).expect_err(&format!("{bad:?} parsed"));
+        assert!(err.starts_with(msg), "{bad:?}: {err}");
     }
 }
 

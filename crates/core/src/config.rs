@@ -98,36 +98,14 @@ pub enum Preflight {
     DenyWarnings,
 }
 
-/// Which traces to record (all cheap; Gantt can be large at 185 K tasks).
-#[derive(Clone, Copy, Debug)]
+/// What the engine itself traces. Figure series are not here: a figure
+/// attaches a `vine_obs::FigureRecorder` through `RunRequest::recorder`.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct TraceConfig {
-    /// Running/waiting counters (Figs 12, 15).
-    pub timeline: bool,
-    /// Per-worker busy intervals (Fig 13).
-    pub gantt: bool,
-    /// Node-pair transfer matrix (Fig 7).
-    pub transfers: bool,
-    /// Per-worker cache occupancy series (Fig 11).
-    pub cache: bool,
-    /// Task execution time histograms (Fig 8).
-    pub task_times: bool,
     /// Per-task phase attribution and run digest (`RunResult::obs`).
     /// Off by default: the attribution map costs memory per in-flight
     /// task and the digest is only needed for analysis runs.
     pub obs: bool,
-}
-
-impl Default for TraceConfig {
-    fn default() -> Self {
-        TraceConfig {
-            timeline: true,
-            gantt: false,
-            transfers: false,
-            cache: false,
-            task_times: true,
-            obs: false,
-        }
-    }
 }
 
 /// Everything the engine needs to execute one run.
@@ -307,23 +285,21 @@ impl EngineConfig {
         self
     }
 
-    /// Enable every trace sink.
-    pub fn with_full_traces(mut self) -> Self {
-        self.trace = TraceConfig {
-            timeline: true,
-            gantt: true,
-            transfers: true,
-            cache: true,
-            task_times: true,
-            obs: true,
-        };
-        self
-    }
-
     /// Enable per-task phase attribution and the run digest.
     pub fn with_obs(mut self) -> Self {
         self.trace.obs = true;
         self
+    }
+
+    /// The engine's worker count. Under Dask.Distributed each physical
+    /// worker runs share-nothing as one single-core worker per core, so
+    /// the count is `workers × cores`. Sizes per-worker figure sinks.
+    pub fn worker_slots(&self) -> usize {
+        if self.scheduler == SchedulerKind::DaskDistributed {
+            self.cluster.workers * self.cluster.worker.cores as usize
+        } else {
+            self.cluster.workers
+        }
     }
 
     /// Snapshot the knobs `vine-lint` reads. Mirrors the engine's worker
@@ -333,20 +309,11 @@ impl EngineConfig {
     /// lints bound the same caches the simulation will run against.
     pub fn lint_facts(&self) -> vine_lint::EngineFacts {
         let per = self.cluster.worker;
-        let (workers, cores, mem, disk) = if self.scheduler == SchedulerKind::DaskDistributed {
-            (
-                self.cluster.workers * per.cores as usize,
-                1,
-                per.mem_bytes / per.cores as u64,
-                per.mem_bytes / per.cores as u64,
-            )
+        let (cores, mem, disk) = if self.scheduler == SchedulerKind::DaskDistributed {
+            let share = per.mem_bytes / per.cores as u64;
+            (1, share, share)
         } else {
-            (
-                self.cluster.workers,
-                per.cores,
-                per.mem_bytes,
-                per.disk_bytes,
-            )
+            (per.cores, per.mem_bytes, per.disk_bytes)
         };
         let (serverless, hoist_imports) = match self.exec_mode {
             ExecMode::StandardTasks => (false, false),
@@ -377,10 +344,8 @@ impl EngineConfig {
             retry_budget: self.recovery.retry_budget,
             timeout_factor: self.recovery.timeout_factor,
             speculation: self.recovery.speculation,
-            trace_timeline: self.trace.timeline,
-            trace_gantt: self.trace.gantt,
             dask_unstable_above_bytes: self.dask_unstable_above_bytes,
-            workers,
+            workers: self.worker_slots(),
             cores_per_worker: cores,
             mem_per_worker: mem,
             disk_per_worker: disk,

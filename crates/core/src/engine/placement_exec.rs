@@ -538,7 +538,7 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
         if src == self.fs_node || Some(src) == self.remote_node {
             self.stats.shared_fs_bytes += bytes;
         }
-        if self.figures.wants_transfers() || self.rec.is_enabled() {
+        if self.rec.is_enabled() {
             let n_workers = self.workers.len();
             let mgr = self.mgr_node;
             let fs = self.fs_node;
@@ -552,7 +552,7 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
                     n.0 // workers were added right after the manager
                 }
             };
-            self.emit_instant(InstantEvent {
+            self.rec.instant(InstantEvent {
                 name: "transfer".into(),
                 category: category::TRANSFER,
                 t_us: self.now.as_micros(),
@@ -621,13 +621,15 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
         // fails and is re-submitted.
         self.stats.cache_overflow_failures += 1;
         self.crash_count += 1;
-        self.emit_instant(InstantEvent {
-            name: CACHE_OVERFLOW.into(),
-            category: category::WORKER,
-            t_us: self.now.as_micros(),
-            track: worker_track(w),
-            attrs: Vec::new(),
-        });
+        if self.rec.is_enabled() {
+            self.rec.instant(InstantEvent {
+                name: CACHE_OVERFLOW.into(),
+                category: category::WORKER,
+                t_us: self.now.as_micros(),
+                track: worker_track(w),
+                attrs: Vec::new(),
+            });
+        }
         self.kill_worker(w);
     }
 

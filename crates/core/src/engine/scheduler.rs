@@ -305,21 +305,14 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
             .expect("assigned")
             .busy_until = self.now + total;
         self.running_delta(1);
-        if self.figures.wants_task_spans() || self.rec.is_enabled() {
+        if self.rec.is_enabled() {
             let tag = match task_node.kind {
                 TaskKind::Process => 0,
                 TaskKind::Accumulate => 1,
                 TaskKind::Generic => 2,
             };
-            // The span name only matters to external exporters; the
-            // figure sinks read the attributes.
-            let name = if self.rec.is_enabled() {
-                task_node.name.clone()
-            } else {
-                String::new()
-            };
-            self.emit_span(Span {
-                name,
+            self.rec.span(Span {
+                name: task_node.name.clone(),
                 category: category::TASK,
                 start_us: self.now.as_micros(),
                 end_us: (self.now + total).as_micros(),

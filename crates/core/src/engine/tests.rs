@@ -1,6 +1,7 @@
 use super::*;
 use vine_cluster::ClusterSpec;
 use vine_dag::TaskKind;
+use vine_obs::{FigureRecorder, FigureSet, FigureSinks};
 use vine_simcore::units::{GB, MB};
 
 /// A small map+reduce graph: `n` process tasks into one accumulate.
@@ -14,6 +15,13 @@ fn small_graph(n: usize, chunk: u64, partial: u64) -> TaskGraph {
     }
     g.add_task("acc", TaskKind::Accumulate, partials, &[MB], 0.5);
     g
+}
+
+/// Run with a [`FigureRecorder`] attached, filling every sink.
+fn run_with_figures(cfg: EngineConfig, graph: TaskGraph) -> (RunResult, FigureSinks) {
+    let mut figs = FigureRecorder::new(FigureSet::ALL, cfg.worker_slots());
+    let r = RunRequest::new(cfg, graph).recorder(&mut figs).run();
+    (r, figs.into_sinks())
 }
 
 fn run_stack(stack: usize, n_tasks: usize) -> RunResult {
@@ -54,12 +62,11 @@ fn serverless_beats_standard_tasks_on_taskvine() {
 #[test]
 fn workqueue_routes_all_bytes_through_manager() {
     let cluster = ClusterSpec::standard(3);
-    let mut cfg = EngineConfig::stack2(cluster, 7).deterministic();
-    cfg.trace.transfers = true;
-    let r = RunRequest::new(cfg, small_graph(12, 10 * MB, MB)).run();
+    let cfg = EngineConfig::stack2(cluster, 7).deterministic();
+    let (r, figs) = run_with_figures(cfg, small_graph(12, 10 * MB, MB));
     assert!(r.completed());
     // No worker→worker transfers under Work Queue.
-    let m = r.transfers.unwrap();
+    let m = figs.transfers.unwrap();
     for s in 1..=3 {
         for d in 1..=3 {
             assert_eq!(m.get(s, d), 0, "peer transfer under WQ: {s}->{d}");
@@ -72,8 +79,7 @@ fn workqueue_routes_all_bytes_through_manager() {
 #[test]
 fn taskvine_moves_intermediates_peer_to_peer() {
     let cluster = ClusterSpec::standard(3);
-    let mut cfg = EngineConfig::stack3(cluster, 7).deterministic();
-    cfg.trace.transfers = true;
+    let cfg = EngineConfig::stack3(cluster, 7).deterministic();
     let r = RunRequest::new(cfg, small_graph(12, 10 * MB, 5 * MB)).run();
     assert!(r.completed());
     // Partials reach the accumulator via peers, not the manager.
@@ -347,11 +353,9 @@ fn empty_graph_completes_instantly() {
 #[test]
 fn gantt_trace_records_worker_activity() {
     let cluster = ClusterSpec::standard(3);
-    let cfg = EngineConfig::stack4(cluster, 2)
-        .deterministic()
-        .with_full_traces();
-    let r = RunRequest::new(cfg, small_graph(24, 10 * MB, MB)).run();
-    let g = r.gantt.unwrap();
+    let cfg = EngineConfig::stack4(cluster, 2).deterministic();
+    let (_, figs) = run_with_figures(cfg, small_graph(24, 10 * MB, MB));
+    let g = figs.gantt.unwrap();
     assert!(g.entity_count() >= 2, "work not spread over workers");
     assert_eq!(g.intervals().len(), 25);
 }
@@ -360,10 +364,30 @@ fn gantt_trace_records_worker_activity() {
 fn running_series_peaks_at_cluster_width_or_less() {
     let cluster = ClusterSpec::standard(2); // 24 cores
     let cfg = EngineConfig::stack4(cluster, 2).deterministic();
-    let r = RunRequest::new(cfg, small_graph(100, MB, MB)).run();
+    let (r, figs) = run_with_figures(cfg, small_graph(100, MB, MB));
     assert!(r.completed());
-    assert!(r.running_series.max_value() <= 24.0);
-    assert!(r.running_series.max_value() > 0.0);
+    assert!(figs.running_series.max_value() <= 24.0);
+    assert!(figs.running_series.max_value() > 0.0);
+}
+
+#[test]
+fn worker_slots_is_the_engine_worker_count() {
+    let cluster = ClusterSpec::standard(3);
+    for cfg in [
+        EngineConfig::stack4(cluster, 1),
+        EngineConfig::dask_distributed(cluster, 1),
+    ] {
+        let graph = small_graph(4, MB, MB);
+        let slots = cfg.worker_slots();
+        let mut rec = NullRecorder;
+        let sim = Sim::new(cfg, &graph, &mut rec, None);
+        assert_eq!(slots, sim.workers.len());
+    }
+    assert_eq!(EngineConfig::stack4(cluster, 1).worker_slots(), 3);
+    assert_eq!(
+        EngineConfig::dask_distributed(cluster, 1).worker_slots(),
+        36
+    );
 }
 
 #[test]

@@ -30,7 +30,9 @@
 //! ready-set and lineage logic, `vine-net` the max–min fair fabric,
 //! `vine-storage` the shared-FS and cache models, `vine-cluster` the
 //! worker ramp-up and preemption processes. [`RunResult`] carries the
-//! traces behind every figure in the paper.
+//! outcome, makespan and counters; the traces behind the paper's figures
+//! come from a `vine_obs::FigureRecorder` attached with
+//! [`RunRequest::recorder`], the engine's one event sink.
 
 pub mod arena;
 pub mod config;

@@ -1,7 +1,8 @@
-//! Run results: makespan, statistics, and figure traces.
+//! Run results: outcome, makespan and statistics. Figure series come
+//! from the recorder a run is given (`vine_obs::FigureRecorder`), not
+//! from the result.
 
-use vine_simcore::trace::{IntervalTrace, LogHistogram, TimeSeries, TransferMatrix};
-use vine_simcore::{SimDur, SimTime};
+use vine_simcore::SimDur;
 
 /// How a run ended.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -108,23 +109,6 @@ pub struct RunResult {
     pub makespan: SimDur,
     /// Aggregate counters.
     pub stats: RunStats,
-    /// Concurrently-running task count over time (Figs 12, 15 top).
-    pub running_series: TimeSeries,
-    /// Ready-but-undispatched task count over time (Fig 12 bottom).
-    pub waiting_series: TimeSeries,
-    /// Per-worker busy intervals (Fig 13), if traced.
-    pub gantt: Option<IntervalTrace>,
-    /// Node-pair transfer bytes (Fig 7), if traced. Node 0 is the manager;
-    /// nodes 1..=W are workers; the last node is the shared filesystem.
-    pub transfers: Option<TransferMatrix>,
-    /// Per-worker cache occupancy over time (Fig 11), if traced.
-    pub cache_series: Option<Vec<TimeSeries>>,
-    /// Task execution-time histogram (Fig 8), if traced. Includes
-    /// worker-side overhead (what the paper plots as task execution time).
-    pub task_time_hist: Option<LogHistogram>,
-    /// When each worker's cache overflowed (Fig 11's Xs), if cache tracing
-    /// was on.
-    pub cache_failures: Vec<(usize, SimTime)>,
     /// Pre-flight lint findings for this (graph, config) pair, recorded
     /// even when the gate lets the run proceed.
     pub lint_findings: Vec<vine_lint::Diagnostic>,
@@ -195,13 +179,6 @@ mod tests {
             outcome: RunOutcome::Completed,
             makespan: SimDur::from_secs(secs),
             stats: RunStats::default(),
-            running_series: TimeSeries::new(),
-            waiting_series: TimeSeries::new(),
-            gantt: None,
-            transfers: None,
-            cache_series: None,
-            task_time_hist: None,
-            cache_failures: Vec::new(),
             lint_findings: Vec::new(),
             obs: None,
             fabric_work: Default::default(),

@@ -5,8 +5,9 @@
 use proptest::prelude::*;
 use vine_analysis::{ReductionShape, WorkloadSpec};
 use vine_cluster::{ClusterSpec, PreemptionModel};
-use vine_core::{EngineConfig, Placement, RunRequest};
+use vine_core::{EngineConfig, FaultPlan, Placement, RunRequest, RunResult};
 use vine_dag::{TaskGraph, TaskKind};
+use vine_obs::{FigureRecorder, FigureSet, MemoryRecorder, Tee};
 
 /// A small random layered DAG.
 fn random_graph(layers: &[usize], fan: usize, out_mb: u64) -> TaskGraph {
@@ -50,11 +51,58 @@ proptest! {
         let total = g.task_count();
         let cluster = ClusterSpec::standard(workers);
         let cfg = EngineConfig::stack(stack, cluster, seed).deterministic();
-        let r = RunRequest::new(cfg, g).run();
+        let mut figs = FigureRecorder::new(FigureSet::TIMELINE, cfg.worker_slots());
+        let r = RunRequest::new(cfg, g).recorder(&mut figs).run();
+        let s = figs.into_sinks();
         prop_assert!(r.completed(), "stack {} failed: {:?}", stack, r.outcome);
         prop_assert_eq!(r.stats.task_executions, total as u64);
-        prop_assert!(r.running_series.max_value() <= (workers * 12) as f64);
-        prop_assert_eq!(r.waiting_series.last().map(|(_, v)| v), Some(0.0));
+        prop_assert!(s.running_series.max_value() <= (workers * 12) as f64);
+        prop_assert_eq!(s.waiting_series.last().map(|(_, v)| v), Some(0.0));
+    }
+
+    /// Pay-for-play: attaching a figure recorder changes nothing a run
+    /// computes, and teeing it with an exporter changes neither side.
+    #[test]
+    fn recorders_do_not_perturb_runs(
+        stack in 1usize..=4,
+        dask in any::<bool>(),
+        storm in any::<bool>(),
+        seed in 0u64..1000,
+    ) {
+        let spec = WorkloadSpec::dv3_small().scaled_down(8);
+        let cluster = ClusterSpec::standard(3);
+        let mut cfg = if dask {
+            EngineConfig::dask_distributed(cluster, seed)
+        } else {
+            EngineConfig::stack(stack, cluster, seed)
+        }
+        .with_obs();
+        if storm {
+            cfg = cfg.with_chaos(FaultPlan::preset("storm").expect("preset").with_seed(seed));
+        }
+        let slots = cfg.worker_slots();
+        let fingerprint = |r: &RunResult| {
+            let digest = r.obs.as_ref().map(|o| o.digest.to_text());
+            format!("{:?} {:?} {:?} {:?}", r.outcome, r.makespan, r.stats, digest)
+        };
+
+        let plain = RunRequest::new(cfg.clone(), spec.to_graph()).run();
+        let mut alone = FigureRecorder::new(FigureSet::ALL, slots);
+        let figured = RunRequest::new(cfg.clone(), spec.to_graph()).recorder(&mut alone).run();
+        prop_assert_eq!(fingerprint(&figured), fingerprint(&plain));
+
+        let mut memory = MemoryRecorder::new();
+        let mut mem_figs = FigureRecorder::new(FigureSet::ALL, slots);
+        let mut tee_mem = MemoryRecorder::new();
+        RunRequest::new(cfg.clone(), spec.to_graph()).recorder(&mut memory).run();
+        let teed = RunRequest::new(cfg, spec.to_graph())
+            .recorder(&mut Tee(&mut mem_figs, &mut tee_mem))
+            .run();
+        prop_assert_eq!(fingerprint(&teed), fingerprint(&plain));
+        prop_assert_eq!(mem_figs.into_sinks(), alone.into_sinks());
+        prop_assert_eq!(tee_mem.spans(), memory.spans());
+        prop_assert_eq!(tee_mem.instants(), memory.instants());
+        prop_assert_eq!(tee_mem.counters(), memory.counters());
     }
 
     /// Identical configuration => identical result, for every stack.

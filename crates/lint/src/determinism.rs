@@ -3,19 +3,12 @@
 //! The simulator itself is deterministic given a seed, but some
 //! configurations make *comparisons between runs* fragile: sole-copy
 //! intermediates under preemption mean a single unlucky draw cascades
-//! into lineage re-runs that dominate the makespan, and trace settings
-//! decide whether two runs can be compared at all.
-
-use vine_dag::TaskGraph;
+//! into lineage re-runs that dominate the makespan.
 
 use crate::{Code, Diagnostic, EngineFacts, Locus, Report, SchedulerFamily, Severity};
 
-/// Task count above which a gantt trace (one interval per execution per
-/// worker) stops being "cheap" (`D002`).
-pub const GANTT_TRACE_TASK_BOUND: usize = 100_000;
-
 /// Run the determinism lints.
-pub fn lint(graph: &TaskGraph, facts: &EngineFacts) -> Report {
+pub fn lint(facts: &EngineFacts) -> Report {
     let mut report = Report::new();
 
     // D001 — TaskVine keeps intermediates on worker disks; with
@@ -37,54 +30,16 @@ pub fn lint(graph: &TaskGraph, facts: &EngineFacts) -> Report {
         });
     }
 
-    // D002 — gantt traces record one interval per task execution per
-    // worker; at 185 K tasks the trace dwarfs the simulation state.
-    if facts.trace_gantt && graph.task_count() > GANTT_TRACE_TASK_BOUND {
-        report.push(Diagnostic {
-            code: Code::D002,
-            severity: Severity::Info,
-            locus: Locus::Config,
-            message: format!(
-                "gantt tracing with {} tasks (> {GANTT_TRACE_TASK_BOUND}) is expensive",
-                graph.task_count()
-            ),
-            suggestion: Some("disable trace.gantt for production-scale runs".into()),
-        });
-    }
-
-    // D003 — without the running/waiting timeline there is nothing to
-    // diff two runs by; figure reproduction and regression comparisons
-    // silently degrade to makespan-only.
-    if !facts.trace_timeline {
-        report.push(Diagnostic {
-            code: Code::D003,
-            severity: Severity::Warn,
-            locus: Locus::Config,
-            message: "timeline tracing disabled: runs cannot be compared series-by-series".into(),
-            suggestion: Some("leave trace.timeline on (the default)".into()),
-        });
-    }
-
     report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vine_dag::{TaskGraph, TaskKind};
-
-    fn graph(n: usize) -> TaskGraph {
-        let mut g = TaskGraph::new();
-        let e = g.add_external_file("in", 100);
-        for i in 0..n {
-            g.add_task(format!("t{i}"), TaskKind::Process, vec![e], &[1], 1.0);
-        }
-        g
-    }
 
     #[test]
     fn reference_facts_lint_clean() {
-        assert!(lint(&graph(4), &EngineFacts::default()).is_clean());
+        assert!(lint(&EngineFacts::default()).is_clean());
     }
 
     #[test]
@@ -94,7 +49,7 @@ mod tests {
             replica_target: 1,
             ..EngineFacts::default()
         };
-        let r = lint(&graph(4), &f);
+        let r = lint(&f);
         assert!(r.has_code(Code::D001) && !r.has_errors());
     }
 
@@ -104,25 +59,6 @@ mod tests {
             preemption_rate_per_sec: 1e-4,
             ..EngineFacts::default()
         };
-        assert!(lint(&graph(4), &f).is_clean());
-    }
-
-    #[test]
-    fn huge_gantt_trace_is_d002() {
-        let f = EngineFacts {
-            trace_gantt: true,
-            ..EngineFacts::default()
-        };
-        assert!(lint(&graph(GANTT_TRACE_TASK_BOUND + 1), &f).has_code(Code::D002));
-        assert!(lint(&graph(10), &f).is_clean());
-    }
-
-    #[test]
-    fn disabled_timeline_is_d003() {
-        let f = EngineFacts {
-            trace_timeline: false,
-            ..EngineFacts::default()
-        };
-        assert!(lint(&graph(4), &f).has_code(Code::D003));
+        assert!(lint(&f).is_clean());
     }
 }

@@ -134,10 +134,6 @@ pub enum Code {
     C008,
     /// Sole-copy intermediates under preemption: rerun cascades.
     D001,
-    /// Gantt tracing at a scale where the trace dwarfs the run.
-    D002,
-    /// Figure timeline tracing disabled: runs cannot be compared.
-    D003,
     /// A tenant's in-flight core quota exceeds the whole cluster.
     F001,
     /// A tenant has zero (or invalid) fair-share weight, or the facility
@@ -172,7 +168,7 @@ pub enum Code {
 
 impl Code {
     /// Every code, in report order — drives the README reference table.
-    pub const ALL: [Code; 36] = [
+    pub const ALL: [Code; 34] = [
         Code::G001,
         Code::G002,
         Code::G003,
@@ -196,8 +192,6 @@ impl Code {
         Code::C007,
         Code::C008,
         Code::D001,
-        Code::D002,
-        Code::D003,
         Code::F001,
         Code::F002,
         Code::F003,
@@ -237,8 +231,6 @@ impl Code {
             Code::C007 => "peer-transfer setting contradicts the scheduler generation",
             Code::C008 => "replication enabled but the size cap excludes every file",
             Code::D001 => "sole-copy intermediates under preemption (rerun cascades)",
-            Code::D002 => "gantt tracing at a scale where the trace dwarfs the run",
-            Code::D003 => "timeline tracing disabled; runs cannot be compared",
             Code::F001 => "tenant in-flight core quota exceeds the whole cluster",
             Code::F002 => "tenant with zero fair-share weight (or no tenants): starved forever",
             Code::F003 => "warm-cache memoization under a non-TaskVine scheduler does nothing",
@@ -472,10 +464,6 @@ pub struct EngineFacts {
     pub timeout_factor: f64,
     /// Recovery policy: speculative re-execution of stragglers enabled.
     pub speculation: bool,
-    /// Running/waiting timeline tracing enabled.
-    pub trace_timeline: bool,
-    /// Per-worker gantt tracing enabled.
-    pub trace_gantt: bool,
     /// Dask.Distributed's stable input limit, if the policy is active.
     pub dask_unstable_above_bytes: Option<u64>,
     /// Worker count (post share-nothing split for Dask).
@@ -510,8 +498,6 @@ impl Default for EngineFacts {
             retry_budget: 3,
             timeout_factor: 0.0,
             speculation: false,
-            trace_timeline: true,
-            trace_gantt: false,
             dask_unstable_above_bytes: None,
             workers: 4,
             cores_per_worker: 12,
@@ -545,7 +531,7 @@ pub fn lint_all(graph: &TaskGraph, facts: &EngineFacts) -> Report {
     let mut report = graph::lint(graph);
     report.merge(resources::lint(graph, facts));
     report.merge(config::lint(graph, facts));
-    report.merge(determinism::lint(graph, facts));
+    report.merge(determinism::lint(facts));
     report.merge(recovery::lint(facts));
     report
 }

@@ -686,30 +686,21 @@ impl FairState {
 /// Compute max–min fair rates for `flows` over links with the given
 /// capacities (bytes/second; may be `f64::INFINITY`).
 ///
-/// Returns one rate per flow, in order.
+/// Returns one rate per flow, in order. A one-shot solve on a fresh
+/// [`FairState`]: the fabric keeps its state between solves instead.
 pub fn max_min_fair(flows: &[FlowSpec], link_capacity: &[f64]) -> Vec<f64> {
-    let mut rate = Vec::new();
-    max_min_fair_into(flows, link_capacity, &mut rate, &mut FairState::default());
-    rate
+    load_and_solve(flows, link_capacity, &mut FairState::default())
 }
 
-/// [`max_min_fair`] into a caller's buffer: loads `flows` (as ids
-/// `0..n`) and `link_capacity` into `state`, replacing whatever it held,
-/// solves, and writes one rate per flow (in order) into `rate`. Reusing
-/// `state` across calls reuses its allocations.
-pub fn max_min_fair_into(
-    flows: &[FlowSpec],
-    link_capacity: &[f64],
-    rate: &mut Vec<f64>,
-    state: &mut FairState,
-) {
+/// Load `flows` (as ids `0..n`) and `link_capacity` into `state`,
+/// replacing whatever it held, solve, and return one rate per flow.
+fn load_and_solve(flows: &[FlowSpec], link_capacity: &[f64], state: &mut FairState) -> Vec<f64> {
     state.reset(link_capacity);
     for (i, f) in flows.iter().enumerate() {
         state.add_flow(i as u64, f.egress_link, f.ingress_link, f.rate_cap);
     }
     state.solve();
-    rate.clear();
-    rate.extend(state.slots.iter().map(|s| s.rate));
+    state.slots.iter().map(|s| s.rate).collect()
 }
 /// The full-scan water-filling `FairState::solve` replaced: every
 /// iteration scans all of `link_capacity` and all flows. Kept as the
@@ -947,7 +938,6 @@ mod tests {
             x
         };
         let mut state = FairState::default();
-        let mut rate = Vec::new();
         for case in 0..4_000 {
             let n_links = 1 + (next() % 80) as usize;
             let caps: Vec<f64> = (0..n_links)
@@ -978,7 +968,7 @@ mod tests {
                     spec(e, g, cap)
                 })
                 .collect();
-            max_min_fair_into(&flows, &caps, &mut rate, &mut state);
+            let rate = load_and_solve(&flows, &caps, &mut state);
             let expected = max_min_fair_reference(&flows, &caps);
             let bits = |r: &[f64]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(

@@ -1,9 +1,10 @@
 //! [`FigureRecorder`] — the bridge from observability events to the
 //! `vine-simcore::trace` sinks backing the paper's figures.
 //!
-//! The engine used to poke each sink directly; now it emits typed spans,
-//! instants, and counter samples once, and this recorder folds them into
-//! the figure sinks. The mapping:
+//! The engine emits typed spans, instants and counter samples into the
+//! one recorder a run is given; a figure attaches this recorder (alone,
+//! or beside an exporter through [`crate::Tee`]) and it folds the events
+//! into the sinks its [`FigureSet`] selects. The mapping:
 //!
 //! * counter [`counter::RUNNING`] / [`counter::WAITING`] → the Fig 12/15
 //!   concurrency time-series;
@@ -26,20 +27,55 @@ use crate::span::{category, counter, InstantEvent, Span};
 /// Name of the worker-lifecycle instant marking a cache-overflow kill.
 pub const CACHE_OVERFLOW: &str = "cache.overflow";
 
-/// The figure sinks a run hands back, in the shape `RunResult` carries.
-#[derive(Clone, Debug)]
+/// Which sinks a [`FigureRecorder`] fills: one of the single-sink
+/// constants, [`FigureSet::ALL`] or [`FigureSet::NONE`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct FigureSet(u8);
+
+impl FigureSet {
+    /// No sinks: a cell that draws nothing from its run.
+    pub const NONE: FigureSet = FigureSet(0);
+    /// Running/waiting step series (Figs 12, 15).
+    pub const TIMELINE: FigureSet = FigureSet(1);
+    /// Per-worker busy intervals (Fig 13).
+    pub const GANTT: FigureSet = FigureSet(2);
+    /// Node-pair transfer matrix (Fig 7).
+    pub const TRANSFERS: FigureSet = FigureSet(4);
+    /// Per-worker cache occupancy series (Fig 11).
+    pub const CACHE: FigureSet = FigureSet(8);
+    /// Task execution-time histogram (Fig 8).
+    pub const TASK_TIMES: FigureSet = FigureSet(16);
+    /// Every sink.
+    pub const ALL: FigureSet = FigureSet(31);
+
+    /// True if every sink of `other` is selected.
+    pub fn contains(self, other: FigureSet) -> bool {
+        self.0 & other.0 == other.0
+    }
+
+    /// True when no sink is selected, so no recorder need be attached.
+    pub fn is_empty(self) -> bool {
+        self == FigureSet::NONE
+    }
+}
+
+/// The figure sinks one run filled.
+#[derive(Clone, Debug, PartialEq)]
 pub struct FigureSinks {
-    /// Tasks-running step series (Figs 12, 15).
+    /// Tasks-running step series (Figs 12, 15); empty unless [`FigureSet::TIMELINE`].
     pub running_series: TimeSeries,
-    /// Tasks-waiting step series (Fig 12).
+    /// Tasks-waiting step series (Fig 12); empty unless [`FigureSet::TIMELINE`].
     pub waiting_series: TimeSeries,
-    /// Per-worker busy intervals (Fig 13), when enabled.
+    /// Per-worker busy intervals (Fig 13), when selected.
     pub gantt: Option<IntervalTrace>,
-    /// Node-pair transfer bytes (Fig 7), when enabled.
+    /// Node-pair transfer bytes (Fig 7), when selected. Node 0 is the
+    /// manager, nodes 1..=W are workers, the last node is the shared
+    /// filesystem.
     pub transfers: Option<TransferMatrix>,
-    /// Per-worker cache occupancy over time (Fig 11), when enabled.
+    /// Per-worker cache occupancy over time (Fig 11), when selected.
     pub cache_series: Option<Vec<TimeSeries>>,
-    /// Log-binned task wall times (Fig 8), when enabled.
+    /// Log-binned task wall times (Fig 8), when selected. Includes
+    /// worker-side overhead, as the paper plots it.
     pub task_time_hist: Option<LogHistogram>,
     /// `(worker, time)` of each cache-overflow kill.
     pub cache_failures: Vec<(usize, SimTime)>,
@@ -48,28 +84,32 @@ pub struct FigureSinks {
 /// A [`Recorder`] that folds events into [`FigureSinks`].
 #[derive(Clone, Debug)]
 pub struct FigureRecorder {
+    timeline: bool,
     sinks: FigureSinks,
 }
 
 impl FigureRecorder {
-    /// A recorder with the selected sinks enabled. `transfer_nodes` /
-    /// `cache_workers` size the matrix and per-worker series
-    /// (`Some(node or worker count)` enables them).
-    pub fn new(
-        gantt: bool,
-        transfer_nodes: Option<usize>,
-        cache_workers: Option<usize>,
-        task_times: bool,
-    ) -> Self {
+    /// A recorder filling the sinks in `set`, for a run on `workers`
+    /// worker slots (the engine's count: `EngineConfig::worker_slots`),
+    /// which size the transfer matrix and the per-worker series.
+    pub fn new(set: FigureSet, workers: usize) -> Self {
         FigureRecorder {
+            timeline: set.contains(FigureSet::TIMELINE),
             sinks: FigureSinks {
                 running_series: TimeSeries::new(),
                 waiting_series: TimeSeries::new(),
-                gantt: gantt.then(IntervalTrace::new),
-                transfers: transfer_nodes.map(TransferMatrix::new),
-                cache_series: cache_workers.map(|n| vec![TimeSeries::new(); n]),
+                gantt: set.contains(FigureSet::GANTT).then(IntervalTrace::new),
+                // Manager, workers, shared filesystem.
+                transfers: set
+                    .contains(FigureSet::TRANSFERS)
+                    .then(|| TransferMatrix::new(workers + 2)),
+                cache_series: set
+                    .contains(FigureSet::CACHE)
+                    .then(|| vec![TimeSeries::new(); workers]),
                 // Same binning the engine always used for Fig 8.
-                task_time_hist: task_times.then(|| LogHistogram::new(0.0625, 16)),
+                task_time_hist: set
+                    .contains(FigureSet::TASK_TIMES)
+                    .then(|| LogHistogram::new(0.0625, 16)),
                 cache_failures: Vec::new(),
             },
         }
@@ -78,27 +118,6 @@ impl FigureRecorder {
     /// Finish recording and hand back the sinks.
     pub fn into_sinks(self) -> FigureSinks {
         self.sinks
-    }
-
-    /// Borrow the sinks mid-run (tests, progress probes).
-    pub fn sinks(&self) -> &FigureSinks {
-        &self.sinks
-    }
-
-    /// True if task spans feed an enabled sink (Gantt or histogram) —
-    /// instrumentation skips building spans otherwise.
-    pub fn wants_task_spans(&self) -> bool {
-        self.sinks.gantt.is_some() || self.sinks.task_time_hist.is_some()
-    }
-
-    /// True if transfer instants feed the matrix.
-    pub fn wants_transfers(&self) -> bool {
-        self.sinks.transfers.is_some()
-    }
-
-    /// True if cache-occupancy counters feed per-worker series.
-    pub fn wants_cache(&self) -> bool {
-        self.sinks.cache_series.is_some()
     }
 }
 
@@ -146,8 +165,8 @@ impl Recorder for FigureRecorder {
     fn counter(&mut self, name: &'static str, track: u32, t_us: u64, value: f64) {
         let t = SimTime::from_micros(t_us);
         match name {
-            counter::RUNNING => self.sinks.running_series.push(t, value),
-            counter::WAITING => self.sinks.waiting_series.push(t, value),
+            counter::RUNNING if self.timeline => self.sinks.running_series.push(t, value),
+            counter::WAITING if self.timeline => self.sinks.waiting_series.push(t, value),
             counter::CACHE_USED => {
                 if let Some(series) = &mut self.sinks.cache_series {
                     if track > 0 {
@@ -180,7 +199,7 @@ mod tests {
 
     #[test]
     fn task_spans_feed_gantt_and_histogram() {
-        let mut r = FigureRecorder::new(true, None, None, true);
+        let mut r = FigureRecorder::new(FigureSet::ALL, 2);
         r.span(task_span(0, 0, 2_000_000, 1));
         r.span(task_span(1, 500, 1_000_500, 0));
         let s = r.into_sinks();
@@ -194,7 +213,7 @@ mod tests {
 
     #[test]
     fn counters_feed_the_step_series() {
-        let mut r = FigureRecorder::new(false, None, Some(2), false);
+        let mut r = FigureRecorder::new(FigureSet::ALL, 2);
         r.counter(counter::RUNNING, 0, 0, 1.0);
         r.counter(counter::RUNNING, 0, 10, 2.0);
         r.counter(counter::WAITING, 0, 5, 4.0);
@@ -210,7 +229,7 @@ mod tests {
 
     #[test]
     fn transfer_instants_fill_the_matrix() {
-        let mut r = FigureRecorder::new(false, Some(4), None, false);
+        let mut r = FigureRecorder::new(FigureSet::TRANSFERS, 2);
         r.instant(InstantEvent {
             name: "xfer".into(),
             category: category::TRANSFER,
@@ -229,7 +248,7 @@ mod tests {
 
     #[test]
     fn cache_overflow_instants_become_failures() {
-        let mut r = FigureRecorder::new(false, None, None, false);
+        let mut r = FigureRecorder::new(FigureSet::NONE, 4);
         r.instant(InstantEvent {
             name: CACHE_OVERFLOW.into(),
             category: category::WORKER,
@@ -243,7 +262,7 @@ mod tests {
 
     #[test]
     fn disabled_sinks_ignore_events() {
-        let mut r = FigureRecorder::new(false, None, None, false);
+        let mut r = FigureRecorder::new(FigureSet::NONE, 4);
         r.span(task_span(0, 0, 10, 0));
         r.instant(InstantEvent {
             name: "xfer".into(),
@@ -256,8 +275,11 @@ mod tests {
                 Attr::u64("bytes", 1),
             ],
         });
+        r.counter(counter::RUNNING, 0, 0, 1.0);
+        r.counter(counter::CACHE_USED, worker_track(0), 0, 1.0);
         let s = r.into_sinks();
         assert!(s.gantt.is_none() && s.transfers.is_none() && s.task_time_hist.is_none());
+        assert!(s.cache_series.is_none());
         assert!(s.running_series.is_empty());
     }
 }

@@ -13,8 +13,9 @@
 //! * [`span`] — the structured event model: [`Span`]s (name, category,
 //!   start/end, attributes), [`InstantEvent`]s, and counter samples.
 //! * [`recorder`] — the pluggable [`Recorder`] trait with a zero-cost
-//!   [`NullRecorder`] default and an in-memory [`MemoryRecorder`] that
-//!   feeds the exporters.
+//!   [`NullRecorder`] default, an in-memory [`MemoryRecorder`] that
+//!   feeds the exporters, and [`Tee`], which sends one run's events to
+//!   two recorders.
 //! * [`clock`] — the [`Clock`] abstraction unifying simulated and real
 //!   time: [`WallClock`] (monotonic `Instant`) and [`ManualClock`]
 //!   (driven by the discrete-event loop).
@@ -35,8 +36,9 @@
 //!   cross-policy).
 //! * [`bridge`] — [`FigureRecorder`], a [`Recorder`] that folds spans and
 //!   counters into the `vine-simcore::trace` sinks backing the paper's
-//!   figures, so the engine emits observability events once and every
-//!   figure is derived from them.
+//!   figures. The engine has one sink, the recorder its caller attaches;
+//!   a figure attaches this one, so every figure is derived from the
+//!   same events the exporters see.
 
 pub mod attrib;
 pub mod bridge;
@@ -51,10 +53,10 @@ pub mod recorder;
 pub mod span;
 
 pub use attrib::{Phase, PhaseBreakdown, TaskAttribution, NPHASES};
-pub use bridge::{FigureRecorder, FigureSinks};
+pub use bridge::{FigureRecorder, FigureSet, FigureSinks};
 pub use clock::{Clock, ManualClock, WallClock};
 pub use critical::CriticalPath;
 pub use digest::{DigestDiff, RunDigest, RunObs};
 pub use metrics::{Metric, MetricsRegistry};
-pub use recorder::{MemoryRecorder, NullRecorder, Recorder};
+pub use recorder::{MemoryRecorder, NullRecorder, Recorder, Tee};
 pub use span::{Attr, AttrValue, InstantEvent, Span};

@@ -42,6 +42,53 @@ impl Recorder for NullRecorder {
     fn counter(&mut self, _name: &'static str, _track: u32, _t_us: u64, _value: f64) {}
 }
 
+/// Forwarding through a borrow, so a [`Tee`] can hold recorders the
+/// caller reads back after the run.
+impl<R: Recorder + ?Sized> Recorder for &mut R {
+    fn is_enabled(&self) -> bool {
+        (**self).is_enabled()
+    }
+
+    fn span(&mut self, span: Span) {
+        (**self).span(span);
+    }
+
+    fn instant(&mut self, ev: InstantEvent) {
+        (**self).instant(ev);
+    }
+
+    fn counter(&mut self, name: &'static str, track: u32, t_us: u64, value: f64) {
+        (**self).counter(name, track, t_us, value);
+    }
+}
+
+/// Sends every event to both recorders, in order: how a figure cell
+/// that also exports records one run into a `FigureRecorder` and a
+/// [`MemoryRecorder`].
+#[derive(Clone, Debug, Default)]
+pub struct Tee<A, B>(pub A, pub B);
+
+impl<A: Recorder, B: Recorder> Recorder for Tee<A, B> {
+    fn is_enabled(&self) -> bool {
+        self.0.is_enabled() || self.1.is_enabled()
+    }
+
+    fn span(&mut self, span: Span) {
+        self.0.span(span.clone());
+        self.1.span(span);
+    }
+
+    fn instant(&mut self, ev: InstantEvent) {
+        self.0.instant(ev.clone());
+        self.1.instant(ev);
+    }
+
+    fn counter(&mut self, name: &'static str, track: u32, t_us: u64, value: f64) {
+        self.0.counter(name, track, t_us, value);
+        self.1.counter(name, track, t_us, value);
+    }
+}
+
 /// One recorded counter sample.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CounterSample {
@@ -151,5 +198,20 @@ mod tests {
         assert_eq!(r.spans_in(category::TASK).count(), 1);
         assert_eq!(r.instants().len(), 1);
         assert_eq!(r.counters()[0].value, 2.0);
+    }
+
+    #[test]
+    fn tee_feeds_both_sides_in_order() {
+        let (mut a, mut b) = (MemoryRecorder::new(), MemoryRecorder::new());
+        {
+            let mut tee = Tee(&mut a, &mut b);
+            assert!(tee.is_enabled());
+            tee.span(span("a", category::TASK));
+            tee.counter("c", 0, 3, 1.0);
+        }
+        assert_eq!(a.spans(), b.spans());
+        assert_eq!(a.counters(), b.counters());
+        assert!(Tee(NullRecorder, &mut a).is_enabled());
+        assert!(!Tee(NullRecorder, NullRecorder).is_enabled());
     }
 }

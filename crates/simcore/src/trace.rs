@@ -34,7 +34,7 @@ impl fmt::Display for OutOfOrder {
 impl std::error::Error for OutOfOrder {}
 
 /// A sequence of `(time, value)` points.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, PartialEq, Default)]
 pub struct TimeSeries {
     points: Vec<(SimTime, f64)>,
 }
@@ -162,7 +162,7 @@ impl StepCounter {
 }
 
 /// Per-entity `[start, end)` intervals with an integer tag (e.g. task kind).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, PartialEq, Default)]
 pub struct IntervalTrace {
     intervals: Vec<Interval>,
 }
@@ -231,7 +231,7 @@ impl IntervalTrace {
 /// An `n x n` matrix accumulating bytes transferred between node pairs.
 ///
 /// Node 0 is conventionally the manager (as in the paper's Fig 7 heatmap).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TransferMatrix {
     n: usize,
     bytes: Vec<u64>,
@@ -287,7 +287,7 @@ impl TransferMatrix {
 ///
 /// Bin `i` covers `[min * 2^i, min * 2^(i+1))`. Values below `min` land in
 /// bin 0; values beyond the top bin land in the last bin.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LogHistogram {
     min: f64,
     counts: Vec<u64>,

@@ -31,8 +31,7 @@ fn main() {
 
     let mut baseline = None;
     for stack in 1..=4 {
-        let mut cfg = EngineConfig::stack(stack, ClusterSpec::standard(workers), 42);
-        cfg.trace.transfers = true;
+        let cfg = EngineConfig::stack(stack, ClusterSpec::standard(workers), 42);
         let r = RunRequest::new(cfg, spec.to_graph()).run();
         assert!(r.completed(), "stack {stack} failed: {:?}", r.outcome);
         let runtime = r.makespan_secs();

@@ -69,14 +69,9 @@ fn main() {
             manager_link_bw: gbit_per_sec(12.0),
         };
         cluster.worker.disk_bytes /= scale as u64; // scale disks with the data
-        let mut cfg = EngineConfig::stack4(cluster, 7);
-        cfg.trace.cache = true;
+        let cfg = EngineConfig::stack4(cluster, 7);
         let r = RunRequest::new(cfg, spec.to_graph()).run();
-        let peak = r
-            .cache_series
-            .as_ref()
-            .map(|s| s.iter().map(|ts| ts.max_value() as u64).max().unwrap_or(0))
-            .unwrap_or(0);
+        let peak = r.stats.peak_cache_bytes;
         let runtime = if r.completed() {
             format!("{:>6.0}s", r.makespan_secs())
         } else {

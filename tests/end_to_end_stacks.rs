@@ -4,13 +4,23 @@
 use reshaping_hep::analysis::WorkloadSpec;
 use reshaping_hep::cluster::ClusterSpec;
 use reshaping_hep::core::{EngineConfig, RunRequest, RunResult};
+use vine_obs::{FigureRecorder, FigureSet, FigureSinks};
 
 fn run_stack(stack: usize, seed: u64) -> RunResult {
     let spec = WorkloadSpec::dv3_large().scaled_down(20);
     let cluster = ClusterSpec::standard(10);
-    let mut cfg = EngineConfig::stack(stack, cluster, seed);
-    cfg.trace.transfers = true;
-    RunRequest::new(cfg, spec.to_graph()).run()
+    RunRequest::new(EngineConfig::stack(stack, cluster, seed), spec.to_graph()).run()
+}
+
+/// The same run with a figure recorder attached for every sink.
+fn run_stack_with_figures(stack: usize, seed: u64) -> (RunResult, FigureSinks) {
+    let spec = WorkloadSpec::dv3_large().scaled_down(20);
+    let cfg = EngineConfig::stack(stack, ClusterSpec::standard(10), seed);
+    let mut figs = FigureRecorder::new(FigureSet::ALL, cfg.worker_slots());
+    let r = RunRequest::new(cfg, spec.to_graph())
+        .recorder(&mut figs)
+        .run();
+    (r, figs.into_sinks())
 }
 
 #[test]
@@ -44,8 +54,8 @@ fn data_paths_differ_by_scheduler() {
 
 #[test]
 fn transfer_matrix_is_consistent_with_stats() {
-    let tv = run_stack(3, 9);
-    let m = tv.transfers.as_ref().expect("transfers traced");
+    let (tv, figs) = run_stack_with_figures(3, 9);
+    let m = figs.transfers.as_ref().expect("transfer sink selected");
     // Peer bytes in stats equal the worker-to-worker cells of the matrix.
     let n_workers = 10;
     let mut peer = 0u64;
@@ -74,10 +84,10 @@ fn runs_are_deterministic_per_seed() {
 
 #[test]
 fn timeline_series_are_sane() {
-    let r = run_stack(4, 5);
+    let (_, figs) = run_stack_with_figures(4, 5);
     // Running concurrency never exceeds total cores.
-    assert!(r.running_series.max_value() <= 120.0);
+    assert!(figs.running_series.max_value() <= 120.0);
     // Waiting starts with (almost) the whole map phase and ends at zero.
-    assert!(r.waiting_series.max_value() >= 700.0);
-    assert_eq!(r.waiting_series.last().map(|(_, v)| v), Some(0.0));
+    assert!(figs.waiting_series.max_value() >= 700.0);
+    assert_eq!(figs.waiting_series.last().map(|(_, v)| v), Some(0.0));
 }
