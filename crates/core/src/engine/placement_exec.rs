@@ -59,7 +59,10 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
                 return; // staging failed hard; assignment was torn down
             }
         }
-        let a = self.assignments.get_mut(task.0).expect("still assigned");
+        let Some(a) = self.assignments.get_mut(task.0) else {
+            self.abort_broken(Broken::LostAssignment(task));
+            return;
+        };
         a.missing = missing;
         if missing == 0 {
             self.maybe_start_compute(task, w);
@@ -103,31 +106,13 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
         }
     }
 
-    /// Where external inputs come from: `(endpoint, per-stream cap,
-    /// equivalent-latency bytes)`.
-    pub(super) fn external_endpoint(&self) -> (NodeId, f64, u64) {
-        match self.cfg.data_source {
-            DataSource::SharedFilesystem => (
-                self.fs_node,
-                self.cfg.shared_fs.per_stream_bw,
-                (self.cfg.shared_fs.open_latency_s * self.cfg.shared_fs.per_stream_bw) as u64,
-            ),
-            DataSource::RemoteXrootd { per_stream, .. } => (
-                self.remote_node.expect("remote endpoint attached"),
-                per_stream,
-                // XRootD redirector round trips over the WAN: ~200 ms.
-                (0.2 * per_stream) as u64,
-            ),
-        }
-    }
-
     /// Start one external-source → manager staging stream (Work Queue).
     pub(super) fn begin_staging(&mut self, f: FileId) {
         if !self.staging[f.0 as usize] {
             self.staging[f.0 as usize] = true;
             self.staging_count += 1;
         }
-        let (from, cap, latency_bytes) = self.external_endpoint();
+        let (from, cap, latency_bytes) = self.external;
         let size = self.graph.file(f).size_hint + latency_bytes;
         let id = self
             .fabric
@@ -393,7 +378,7 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
                 // Fold the source's access latency into the flow as
                 // equivalent bytes at the per-stream rate (monotone
                 // approximation).
-                let (node, cap, latency_bytes) = self.external_endpoint();
+                let (node, cap, latency_bytes) = self.external;
                 size += latency_bytes;
                 (node, cap, None)
             }
@@ -434,53 +419,79 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
 
     // ----- flows -----------------------------------------------------------
 
+    /// The fabric changed, so the flow-completion event moves: cancel a
+    /// queued `FlowDone` and reserve the id its successor takes. Reading
+    /// the next completion (a solve) waits for `settle_flow_event`, once
+    /// the instant's changes are in.
     pub(super) fn reschedule_flow_event(&mut self) {
-        if let Some(ev) = self.flow_event.take() {
+        if let FlowEvent::Queued(ev) = self.flow_event {
             self.queue.cancel(ev);
         }
-        if let Some((t, _)) = self.fabric.next_completion() {
-            self.flow_event = Some(self.queue.schedule(t.max(self.now), Ev::FlowDone));
-        }
+        self.flow_event = FlowEvent::Reserved(self.queue.reserve());
     }
 
-    /// Drain due transfer completions. The per-completion sequence
-    /// (complete → reschedule FlowDone → manager kick) is byte-identical
-    /// to the historical one-completion-per-event handler; the only
-    /// change is that when our own just-scheduled FlowDone is *provably*
-    /// the queue's next event (nothing else due at `now`, the kick didn't
-    /// touch it), the round trip through the queue is elided and the next
-    /// completion is processed inline — a pure event-count optimization
-    /// for same-instant transfer storms.
+    /// Before each pop: schedule a reserved `FlowDone` under its id at the
+    /// fabric's next completion (never before `now`), so it pops in the
+    /// `(time, id)` place a schedule at reservation time would have
+    /// given it. The read waits while the queue's head is still at `now`
+    /// and no flow can finish at `now`: the `FlowDone` would then be
+    /// later than that head, and the head's handler may change the
+    /// fabric again.
+    pub(super) fn settle_flow_event(&mut self) {
+        let FlowEvent::Reserved(id) = self.flow_event else {
+            return;
+        };
+        if self.fabric.now() == self.now
+            && !self.fabric.may_finish_now()
+            && self.queue.peek_time().is_some_and(|t| t <= self.now)
+        {
+            return;
+        }
+        self.flow_event = match self.fabric.next_completion() {
+            Some((t, _)) => {
+                self.queue
+                    .schedule_reserved(id, t.max(self.now), Ev::FlowDone);
+                FlowEvent::Queued(id)
+            }
+            None => FlowEvent::Idle,
+        };
+    }
+
+    /// Drain due transfer completions. Each completion runs its
+    /// bookkeeping, moves the `FlowDone` (a fresh reservation, which
+    /// supersedes any its handlers made) and kicks the manager, exactly
+    /// as a one-completion-per-event handler would. When that `FlowDone`
+    /// would provably be the queue's next event, the round trip through
+    /// the queue is elided and the next completion processed inline, a
+    /// pure event-count optimization for same-instant transfer storms.
+    /// The proof needs all of: nothing else was due at `now` after the
+    /// completion, the kick moved nothing, and the next completion is at
+    /// `now`. The last is read (a solve) only if the first two hold and
+    /// [`Fabric::may_finish_now`] allows it.
     pub(super) fn on_flow_done(&mut self) {
         loop {
-            self.flow_event = None;
+            self.flow_event = FlowEvent::Idle;
             let Some((t, id)) = self.fabric.next_completion() else {
                 return;
             };
             if t > self.now {
-                self.flow_event = Some(self.queue.schedule(t, Ev::FlowDone));
+                self.flow_event = FlowEvent::Queued(self.queue.schedule(t, Ev::FlowDone));
                 return;
             }
             self.complete_one_flow(id);
-            // Handlers above may have scheduled their own FlowDone; the
-            // historical path cancels and reschedules from scratch.
-            if let Some(ev) = self.flow_event.take() {
-                self.queue.cancel(ev);
-            }
             let quiet = self.queue.peek_time().is_none_or(|qt| qt > self.now);
-            let next_t = self.fabric.next_completion().map(|(t2, _)| t2);
-            if let Some(t2) = next_t {
-                self.flow_event = Some(self.queue.schedule(t2.max(self.now), Ev::FlowDone));
-            }
-            let saved = self.flow_event;
+            let saved = FlowEvent::Reserved(self.queue.reserve());
+            self.flow_event = saved;
             self.mgr_kick();
-            let inline_next =
-                quiet && next_t.is_some_and(|t2| t2 <= self.now) && self.flow_event == saved;
+            let inline_next = quiet
+                && self.flow_event == saved
+                && self.fabric.may_finish_now()
+                && self
+                    .fabric
+                    .next_completion()
+                    .is_some_and(|(t2, _)| t2 <= self.now);
             if !inline_next {
                 return;
-            }
-            if let Some(ev) = self.flow_event.take() {
-                self.queue.cancel(ev);
             }
         }
     }
@@ -491,7 +502,10 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
         let record = self.fabric.complete_flow(self.now, id);
         self.stats.flows_completed += 1;
         self.account_flow(record.src, record.dst, record.bytes_moved);
-        let why = self.flow_take(id).expect("known flow");
+        let Some(why) = self.flow_take(id) else {
+            self.abort_broken(Broken::UnknownFlow(id));
+            return;
+        };
         match why {
             FlowWhy::StageToManager { file } => {
                 if self.staging[file.0 as usize] {
@@ -582,7 +596,7 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
                 for victim in evicted {
                     self.handle_eviction(w, victim);
                 }
-                self.replicas[f.0 as usize].push(w);
+                self.add_replica(f, w);
                 self.peer_waits.wake_file(f, Wake::InputArrived);
                 self.record_cache(w);
             }
@@ -614,6 +628,15 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
                 self.maybe_start_compute(task, w);
             }
         }
+    }
+
+    /// List worker `w`, whose cache now holds `f`, as a replica of `f`.
+    pub(super) fn add_replica(&mut self, f: FileId, w: usize) {
+        let reps = &mut self.replicas[f.0 as usize];
+        if reps.contains(&w) {
+            self.workers[w].doubled.push(f);
+        }
+        reps.push(w);
     }
 
     pub(super) fn worker_cache_overflow(&mut self, w: usize) {

@@ -522,17 +522,38 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
         // waits with no active flow).
         self.inflight[w].clear();
 
-        // Lose this worker's file copies; recover needed sole copies.
+        // Lose this worker's file copies; recover needed sole copies. The
+        // replica lists naming it are those of the files its cache holds
+        // and of its doubled files (sanitized below), taken in ascending
+        // id order so `lost` is too.
+        if cfg!(debug_assertions) {
+            self.sanitize_replicas_held(w);
+        }
+        let worker = &mut self.workers[w];
+        let mut held = std::mem::take(&mut worker.doubled);
+        let name_to_file = &self.name_to_file;
+        held.extend(
+            worker
+                .cache
+                .iter()
+                .filter_map(|(name, _, _)| name_to_file.get(&name).copied()),
+        );
+        held.sort_unstable();
+        held.dedup();
         let mut lost: Vec<FileId> = Vec::new();
-        for (fi, reps) in self.replicas.iter_mut().enumerate() {
+        for &f in &held {
+            let fi = f.0 as usize;
+            let reps = &mut self.replicas[fi];
             if let Some(pos) = reps.iter().position(|&rw| rw == w) {
                 reps.remove(pos);
                 if reps.is_empty() && !self.at_manager[fi] {
-                    lost.push(FileId(fi as u32));
+                    lost.push(f);
                 }
             }
         }
         self.workers[w].cache.clear();
+        held.retain(|f| self.replicas[f.0 as usize].contains(&w));
+        self.workers[w].doubled = held;
         for f in lost {
             if self.file_needed(f) {
                 self.declare_file_lost(f);
@@ -565,6 +586,24 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
         self.peer_waits.wake_all(Wake::WorkerKilled);
         self.drain_peer_waitq();
         self.mgr_kick();
+    }
+
+    /// Sanitizer (debug builds only): every file listing worker `w` as a
+    /// replica is in `w`'s cache or among its doubled files, which
+    /// `kill_worker` relies on to visit only those instead of every
+    /// file's replica list. The converse can fail: a corrupt copy that a
+    /// task pins stays cached after `detect_corruption` drops it from the
+    /// replica list.
+    fn sanitize_replicas_held(&self, w: usize) {
+        let worker = &self.workers[w];
+        for (fi, reps) in self.replicas.iter().enumerate() {
+            assert!(
+                !reps.contains(&w)
+                    || worker.cache.contains(self.cnames[fi])
+                    || worker.doubled.contains(&FileId(fi as u32)),
+                "sanitizer: worker {w} is a replica of file {fi} but holds no copy"
+            );
+        }
     }
 
     /// A needed file became unavailable; any assignment still staging it

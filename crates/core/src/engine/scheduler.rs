@@ -475,7 +475,7 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
                             if self.remaining_consumers[f.0 as usize] > 0 {
                                 let _ = self.workers[w].cache.pin(name);
                             }
-                            self.replicas[f.0 as usize].push(w);
+                            self.add_replica(f, w);
                             self.peer_waits.wake_file(f, Wake::OutputRetained);
                         }
                         Err(_) => {

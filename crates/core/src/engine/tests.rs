@@ -912,3 +912,65 @@ fn retaining_an_output_wakes_its_waits() {
     assert!(sim.inflight[1].contains(FileId(1)));
     assert_eq!(sim.workers[2].outgoing, 1);
 }
+
+#[test]
+fn broken_invariant_fails_the_run_instead_of_panicking() {
+    let g = one_file_graph();
+    let mut rec = NullRecorder;
+    let mut sim = queued_wait_sim(&g, &mut rec);
+    // A flow the engine never noted a purpose for.
+    let (from, to) = (sim.workers[0].node, sim.workers[2].node);
+    let id = sim.fabric.start_flow(sim.now, from, to, 0, f64::INFINITY);
+    sim.complete_one_flow(id);
+    match sim.into_result().outcome {
+        RunOutcome::Failed { reason } => {
+            assert!(reason.starts_with("engine invariant broken"), "{reason}");
+        }
+        other => panic!("expected a failed run, got {other:?}"),
+    }
+}
+
+#[test]
+fn killing_a_worker_drops_a_doubled_replica_its_cache_lost() {
+    let g = one_file_graph();
+    let mut rec = NullRecorder;
+    let mut sim = queued_wait_sim(&g, &mut rec);
+    let (f, name) = (FileId(1), sim.cnames[1]);
+    // A re-run on worker 0 retains the output it already holds: listed
+    // twice. An eviction then drops the copy and one listing.
+    sim.add_replica(f, 0);
+    assert_eq!(sim.replicas[1], [0, 0]);
+    let _ = sim.workers[0].cache.remove(name);
+    sim.handle_eviction(0, name);
+    assert_eq!(sim.replicas[1], [0]);
+    assert!(!sim.workers[0].cache.contains(name));
+    sim.kill_worker(0);
+    assert!(sim.replicas[1].is_empty(), "{:?}", sim.replicas[1]);
+    assert!(sim.workers[0].doubled.is_empty());
+}
+
+#[test]
+fn flow_done_read_waits_within_an_instant_only_while_no_flow_can_finish() {
+    let g = one_file_graph();
+    let mut rec = NullRecorder;
+    let mut sim = queued_wait_sim(&g, &mut rec);
+    let (a, b) = (sim.workers[0].node, sim.workers[2].node);
+    for (bytes, due_now) in [(MB, false), (0, true)] {
+        sim.fabric.start_flow(sim.now, a, b, bytes, f64::INFINITY);
+        sim.reschedule_flow_event();
+        // A later event at the same instant, queued after the reservation.
+        sim.queue.schedule(sim.now, Ev::MgrDone);
+        let solves = sim.fabric.solve_work().solves;
+        sim.settle_flow_event();
+        if due_now {
+            // The FlowDone keeps its reserved place ahead of that event.
+            assert!(matches!(sim.flow_event, FlowEvent::Queued(_)));
+            assert!(matches!(sim.queue.pop(), Some((_, Ev::FlowDone))));
+        } else {
+            // The read, and its solve, wait for the instant's next event.
+            assert!(matches!(sim.flow_event, FlowEvent::Reserved(_)));
+            assert_eq!(sim.fabric.solve_work().solves, solves);
+        }
+        assert!(matches!(sim.queue.pop(), Some((_, Ev::MgrDone))));
+    }
+}

@@ -12,8 +12,10 @@
 //!
 //! Every mutation first advances all in-flight flows to the current
 //! instant, so progress made at old rates is preserved when the allocation
-//! changes. The engine keeps exactly one "flow completion" event scheduled
-//! and reschedules it whenever `next_completion()` moves.
+//! changes. The engine keeps at most one "flow completion" event and
+//! reads `next_completion()` for it once per simulated instant, after the
+//! instant's changes; [`Fabric::may_finish_now`] tells it, without a
+//! solve, when that read can wait for the instant's remaining events.
 //!
 //! Rates are settled lazily. A mutation updates the solver's persistent
 //! [`FairState`] and marks the rates stale; the solve runs when a rate or
@@ -99,6 +101,9 @@ pub struct Fabric {
     /// Earliest `(finish, id)` at the current rates and `now`, once
     /// computed; cleared by every change and time advance.
     next: Option<Option<(SimTime, FlowId)>>,
+    /// Active flows with less than one byte left (see
+    /// [`Fabric::may_finish_now`]).
+    nearly_done: usize,
 }
 
 impl Fabric {
@@ -112,6 +117,7 @@ impl Fabric {
             changes: 0,
             stale: false,
             next: None,
+            nearly_done: 0,
         }
     }
 
@@ -146,6 +152,20 @@ impl Fabric {
     /// `now` passed to a mutation.
     pub fn now(&self) -> SimTime {
         self.now
+    }
+
+    /// Whether some active flow can finish at [`Fabric::now`]: true while
+    /// any has less than one byte left. Exact in the direction callers
+    /// rely on: when it is false, [`Fabric::next_completion`] is later
+    /// than `now`, since a flow with at least one byte left at a finite
+    /// rate drains in `remaining / rate * 1e6 > 0` microseconds, which
+    /// rounds up to at least one. O(1), and it never solves.
+    pub fn may_finish_now(&self) -> bool {
+        debug_assert_eq!(
+            self.nearly_done,
+            self.flows.iter().filter(|(_, f)| nearly_done(f)).count()
+        );
+        self.nearly_done > 0
     }
 
     /// Changes made and work the max–min solver has done over this
@@ -185,18 +205,17 @@ impl Fabric {
         self.next_flow_id += 1;
         debug_assert!(self.flows.last().is_none_or(|&(last, _)| last < id));
         let slot = self.fair.add_flow(id.0, src.0 * 2, dst.0 * 2 + 1, rate_cap);
-        self.flows.push((
-            id,
-            Flow {
-                src,
-                dst,
-                size: bytes as f64,
-                remaining: bytes as f64,
-                rate: 0.0,
-                started: now,
-                slot,
-            },
-        ));
+        let flow = Flow {
+            src,
+            dst,
+            size: bytes as f64,
+            remaining: bytes as f64,
+            rate: 0.0,
+            started: now,
+            slot,
+        };
+        self.nearly_done += nearly_done(&flow) as usize;
+        self.flows.push((id, flow));
         self.changed();
         id
     }
@@ -229,7 +248,7 @@ impl Fabric {
             self.settle();
         }
         let i = self.flow_index(id).expect("unknown flow");
-        let (_, f) = self.flows.remove(i);
+        let f = self.remove_at(i);
         debug_assert!(
             // Tolerance: one microsecond of drain at the final rate, plus
             // relative float error.
@@ -237,7 +256,6 @@ impl Fabric {
             "flow completed with {} bytes remaining",
             f.remaining
         );
-        self.fair.remove_flow(f.slot);
         self.changed();
         f.record(f.size as u64)
     }
@@ -247,8 +265,7 @@ impl Fabric {
     pub fn cancel_flow(&mut self, now: SimTime, id: FlowId) -> Option<FlowRecord> {
         self.advance(now);
         let i = self.flow_index(id).ok()?;
-        let (_, f) = self.flows.remove(i);
-        self.fair.remove_flow(f.slot);
+        let f = self.remove_at(i);
         self.changed();
         Some(f.record(f.delivered()))
     }
@@ -260,13 +277,14 @@ impl Fabric {
         // The flow list is id-sorted and `retain` visits in order, so the
         // record order is deterministic without an explicit sort.
         let mut records = Vec::new();
-        let fair = &mut self.fair;
+        let (fair, nearly) = (&mut self.fair, &mut self.nearly_done);
         self.flows.retain(|(_, f)| {
             if f.src != node && f.dst != node {
                 return true;
             }
             records.push(f.record(f.delivered()));
             fair.remove_flow(f.slot);
+            *nearly -= nearly_done(f) as usize;
             false
         });
         if !records.is_empty() {
@@ -303,6 +321,14 @@ impl Fabric {
         )
     }
 
+    /// Remove the flow at index `i` of the flow list, from the solver too.
+    fn remove_at(&mut self, i: usize) -> Flow {
+        let (_, f) = self.flows.remove(i);
+        self.fair.remove_flow(f.slot);
+        self.nearly_done -= nearly_done(&f) as usize;
+        f
+    }
+
     /// The flow set or the capacities changed: the rates are stale.
     fn changed(&mut self) {
         self.changes += 1;
@@ -316,9 +342,12 @@ impl Fabric {
         let dt = now.saturating_since(self.now).as_secs_f64();
         if dt > 0.0 {
             self.settle();
+            let mut nearly = 0;
             for (_, f) in &mut self.flows {
                 f.remaining = (f.remaining - f.rate * dt).max(0.0);
+                nearly += nearly_done(f) as usize;
             }
+            self.nearly_done = nearly;
             self.next = None;
         }
         self.now = now;
@@ -341,6 +370,11 @@ impl Fabric {
         }
         self.next = Some(earliest.best);
     }
+}
+
+/// The flow has less than one byte left (see [`Fabric::may_finish_now`]).
+fn nearly_done(f: &Flow) -> bool {
+    f.remaining < 1.0
 }
 
 /// The earliest projected `(finish, id)` among the flows visited, which

@@ -18,12 +18,12 @@
 //! updates it per change instead of rebuilding it per solve:
 //!
 //! - each flow sits in a stable slot holding its two links and its cap;
-//! - each link keeps its flows in ascending id order, and a
-//!   one-bit-per-link bitmap marks the links that carry any;
+//! - each link keeps its flows in ascending id order;
 //! - the flows with a finite cap are kept in ascending id order.
 //!
-//! A solve (`FairState::solve`) sweeps the bitmap for the ascending list
-//! of loaded links, scans only that list for each step's minimum and
+//! A solve (`FairState::solve`) builds the ascending list of links with
+//! unfixed flows from a one-bit-per-link bitmap of the links it touched
+//! (see below), scans only that list for each step's minimum and
 //! bottleneck, and visits only the bottleneck's flows. [`SolveWork`]
 //! counts the steps (iterations) and link visits. Every scan meets links
 //! and flows in the same ascending order a full scan would, every share
@@ -66,8 +66,20 @@
 //! solve, so the fix-order list records each fix's two links, not just
 //! its slot.
 //!
-//! A solve costs O(loaded links × steps from the resume point + fixes
-//! undone + loaded links + capped flows), plus links / 64 bitmap words,
+//! # The links a solve touches
+//!
+//! A link has unfixed flows at step k only if it is *touched*: it
+//! changed since the last solve, a fix the rewind undoes was on it, or
+//! it carries a flow of the infinite-share step. Every other link kept
+//! its flow set, and each of its flows was fixed before step k, so its
+//! load is already zero and the solve never reads its state. The solve
+//! marks touched links in a bitmap and sweeps it (one word per 64
+//! links) for the live list, ascending without a sort. A trace that
+//! stopped short (the "no progress" path, never taken) left flows that
+//! no step fixed, so the solve after it marks every link with flows.
+//!
+//! A solve costs O(live links × steps from the resume point + fixes
+//! undone + touched links + capped flows), plus links / 64 bitmap words,
 //! plus the stop-rule scan: O(resume point + history) per changed link.
 
 /// Shares within this distance of the minimum count as the minimum.
@@ -230,9 +242,17 @@ impl Trace {
         });
     }
 
-    /// Undo every step from `k` on: un-fix its flows and give each link
-    /// back the `remaining` it had before them.
-    fn rewind(&mut self, k: usize, slots: &mut [Slot], links: &mut [LinkState]) {
+    /// Undo every step from `k` on: un-fix its flows, give each link
+    /// back the `remaining` it had before them, and mark their links
+    /// touched. A slot of the infinite-share step may hold another flow
+    /// by now; its links are then changed links, touched anyway.
+    fn rewind(
+        &mut self,
+        k: usize,
+        slots: &mut [Slot],
+        links: &mut [LinkState],
+        touched: &mut [u64],
+    ) {
         if k >= self.steps.len() {
             return;
         }
@@ -240,14 +260,19 @@ impl Trace {
         for fix in self.fixes.drain(start..).rev() {
             slots[fix.slot].step = UNFIXED;
             for side in [1, 0] {
-                let link = &mut links[fix.links[side]];
+                let l = fix.links[side];
+                let link = &mut links[l];
                 link.remaining = fix.before[side];
                 link.last_fix = fix.prev[side];
                 link.fixed -= 1;
+                mark(touched, l);
             }
         }
         for s in self.unbounded.drain(..) {
-            slots[s].step = UNFIXED;
+            let slot = &mut slots[s];
+            slot.step = UNFIXED;
+            mark(touched, slot.egress);
+            mark(touched, slot.ingress);
         }
         self.steps.truncate(k);
     }
@@ -278,6 +303,9 @@ struct Changes {
     added_cap: f64,
     /// A capacity changed: the next solve starts from step 0.
     full: bool,
+    /// The last solve's trace stopped short: the next one starts from
+    /// step 0 and marks every link with flows touched.
+    short: bool,
 }
 
 impl Default for Changes {
@@ -287,6 +315,7 @@ impl Default for Changes {
             removed_step: UNFIXED,
             added_cap: f64::INFINITY,
             full: false,
+            short: false,
         }
     }
 }
@@ -300,7 +329,13 @@ impl Changes {
         self.removed_step = UNFIXED;
         self.added_cap = f64::INFINITY;
         self.full = false;
+        self.short = false;
     }
+}
+
+/// Set link `l`'s bit.
+fn mark(bits: &mut [u64], l: usize) {
+    bits[l / 64] |= 1 << (l % 64);
 }
 
 /// Remove one `(id, slot)` entry from an id-sorted list.
@@ -326,8 +361,9 @@ pub struct FairState {
     /// Per link: its flows' `(id, slot)`, ascending by id. A flow whose
     /// egress and ingress are one link appears twice.
     on_link: Vec<Vec<(u64, usize)>>,
-    /// One bit per link, set iff its `on_link` list is non-empty.
-    loaded: Vec<u64>,
+    /// One bit per link the next solve must look at (module doc); all
+    /// clear after a solve.
+    touched: Vec<u64>,
     /// Flow slots; `free` lists the vacant ones.
     slots: Vec<Slot>,
     free: Vec<usize>,
@@ -338,8 +374,8 @@ pub struct FairState {
     changes: Changes,
     /// A reused buffer for one changed link's history.
     history: Vec<(usize, f64)>,
-    /// Per-solve working lists: the loaded links and the capped flows,
-    /// compacted as they drain.
+    /// Per-solve working lists: the links with unfixed flows and the
+    /// capped flows, compacted as they drain.
     live: Vec<usize>,
     capped_live: Vec<usize>,
     work: SolveWork,
@@ -367,7 +403,7 @@ impl FairState {
             ..LinkState::default()
         });
         self.on_link.push(Vec::new());
-        self.loaded.resize((l + 1).div_ceil(64), 0);
+        self.touched.resize((l + 1).div_ceil(64), 0);
         l
     }
 
@@ -388,6 +424,7 @@ impl FairState {
         if !link.changed {
             link.changed = true;
             self.changes.links.push((l, self.on_link[l].len()));
+            mark(&mut self.touched, l);
         }
     }
 
@@ -424,9 +461,6 @@ impl FairState {
             self.note_changed(l);
             let list = &mut self.on_link[l];
             debug_assert!(list.last().is_none_or(|&(last, _)| last <= id));
-            if list.is_empty() {
-                self.loaded[l / 64] |= 1 << (l % 64);
-            }
             list.push((id, s));
         }
         if rate_cap.is_finite() {
@@ -449,11 +483,7 @@ impl FairState {
         } = self.slots[s];
         for l in [egress, ingress] {
             self.note_changed(l);
-            let list = &mut self.on_link[l];
-            remove_sorted(list, id);
-            if list.is_empty() {
-                self.loaded[l / 64] &= !(1 << (l % 64));
-            }
+            remove_sorted(&mut self.on_link[l], id);
         }
         if cap.is_finite() {
             remove_sorted(&mut self.capped, id);
@@ -476,8 +506,8 @@ impl FairState {
             list.clear();
         }
         self.on_link.resize_with(link_capacity.len(), Vec::new);
-        self.loaded.clear();
-        self.loaded.resize(link_capacity.len().div_ceil(64), 0);
+        self.touched.clear();
+        self.touched.resize(link_capacity.len().div_ceil(64), 0);
         self.slots.clear();
         self.free.clear();
         self.capped.clear();
@@ -551,7 +581,7 @@ impl FairState {
         let FairState {
             links,
             on_link,
-            loaded,
+            touched,
             slots,
             free,
             capped,
@@ -562,16 +592,24 @@ impl FairState {
             work,
             ..
         } = self;
-        trace.rewind(k, slots, links);
+        trace.rewind(k, slots, links, touched);
+        if changes.short {
+            for (l, list) in on_link.iter().enumerate() {
+                if !list.is_empty() {
+                    mark(touched, l);
+                }
+            }
+        }
         changes.clear(links);
 
         // The links with unfixed flows at step k, ascending, so that
         // every scan below meets them in the order a scan of all links
-        // would. Sweeping the bitmap (one word per 64 links) orders them
-        // without a sort. A link's load is its flow count less the fixes
-        // on it so far.
+        // would. Only touched links can have any (module doc); sweeping
+        // their bitmap orders them without a sort, and clears it. A
+        // link's load is its flow count less the fixes on it so far.
         live.clear();
-        for (w, mut word) in loaded.iter().copied().enumerate() {
+        for (w, bits) in touched.iter_mut().enumerate() {
+            let mut word = std::mem::take(bits);
             while word != 0 {
                 let l = w * 64 + word.trailing_zeros() as usize;
                 word &= word - 1;
@@ -585,6 +623,12 @@ impl FairState {
                     live.push(l);
                 }
             }
+        }
+        if cfg!(debug_assertions) {
+            let scanned: Vec<usize> = (0..links.len())
+                .filter(|&l| on_link[l].len() > links[l].fixed)
+                .collect();
+            debug_assert_eq!(*live, scanned, "a link with unfixed flows was not touched");
         }
         capped_live.clear();
         capped_live.extend(
@@ -663,6 +707,7 @@ impl FairState {
                 // The trace stops short, so the next solve must not
                 // resume from it.
                 changes.full = true;
+                changes.short = true;
                 break;
             };
             let mut fixed_any = false;
@@ -677,6 +722,7 @@ impl FairState {
             debug_assert!(fixed_any, "bottleneck link had no active flows");
             if !fixed_any {
                 changes.full = true;
+                changes.short = true;
                 break;
             }
         }

@@ -39,6 +39,8 @@ const RING_BUCKETS: usize = 256;
 const ST_PENDING: u8 = 0;
 const ST_CANCELLED: u8 = 1;
 const ST_DEAD: u8 = 2;
+/// Taken by [`EventQueue::reserve`], not yet scheduled.
+const ST_RESERVED: u8 = 3;
 
 struct Slot<E> {
     /// Absolute time in microseconds.
@@ -112,10 +114,43 @@ impl<E> EventQueue<E> {
     /// engine decides whether that is an error) — entries still pop in
     /// global (time, insertion) order.
     pub fn schedule(&mut self, time: SimTime, payload: E) -> EventId {
-        let t = time.as_micros();
         let id = self.next_id;
         self.next_id += 1;
         self.states.push(ST_PENDING);
+        self.insert(time.as_micros(), id, payload);
+        EventId(id)
+    }
+
+    /// Take the next id without scheduling anything. An event scheduled
+    /// under it later with [`EventQueue::schedule_reserved`] pops as if it
+    /// had been scheduled now: after the events scheduled before this
+    /// call and before those scheduled after it, among equal times. An id
+    /// that is never used shifts the later ids but no relative order.
+    pub fn reserve(&mut self) -> EventId {
+        let id = self.next_id;
+        self.next_id += 1;
+        self.states.push(ST_RESERVED);
+        EventId(id)
+    }
+
+    /// Schedule `payload` at `time` under `id`, which must come from
+    /// [`EventQueue::reserve`] and not have been used yet.
+    ///
+    /// # Panics
+    /// If `id` is not an unused reservation.
+    pub fn schedule_reserved(&mut self, id: EventId, time: SimTime, payload: E) {
+        let st = &mut self.states[id.0 as usize];
+        assert_eq!(
+            *st, ST_RESERVED,
+            "event id {} is not an unused reservation",
+            id.0
+        );
+        *st = ST_PENDING;
+        self.insert(time.as_micros(), id.0, payload);
+    }
+
+    /// Place a pending event at `t` under `id` in its tier.
+    fn insert(&mut self, t: u64, id: u64, payload: E) {
         self.live += 1;
         let slot = Slot { t, id, payload };
         if t < self.cur_end {
@@ -132,7 +167,6 @@ impl<E> EventQueue<E> {
                 self.far.push(slot);
             }
         }
-        EventId(id)
     }
 
     /// Cancel a previously scheduled event. Returns `true` if the event was
@@ -276,6 +310,8 @@ pub struct BinaryHeapQueue<E> {
     pending: HashSet<EventId>,
     /// Ids cancelled but whose heap entry has not yet been discarded.
     cancelled: HashSet<EventId>,
+    /// Ids reserved but not yet scheduled.
+    reserved: HashSet<EventId>,
     next_id: u64,
 }
 
@@ -292,6 +328,7 @@ impl<E> BinaryHeapQueue<E> {
             heap: BinaryHeap::new(),
             pending: HashSet::new(),
             cancelled: HashSet::new(),
+            reserved: HashSet::new(),
             next_id: 0,
         }
     }
@@ -304,6 +341,30 @@ impl<E> BinaryHeapQueue<E> {
         self.heap.push(Entry { time, id, payload });
         self.pending.insert(id);
         id
+    }
+
+    /// Take the next id without scheduling anything (see
+    /// [`EventQueue::reserve`]).
+    pub fn reserve(&mut self) -> EventId {
+        let id = EventId(self.next_id);
+        self.next_id += 1;
+        self.reserved.insert(id);
+        id
+    }
+
+    /// Schedule `payload` at `time` under a reserved, unused `id` (see
+    /// [`EventQueue::schedule_reserved`]).
+    ///
+    /// # Panics
+    /// If `id` is not an unused reservation.
+    pub fn schedule_reserved(&mut self, id: EventId, time: SimTime, payload: E) {
+        assert!(
+            self.reserved.remove(&id),
+            "event id {} is not an unused reservation",
+            id.0
+        );
+        self.heap.push(Entry { time, id, payload });
+        self.pending.insert(id);
     }
 
     /// Cancel a previously scheduled event. Returns `true` if the event was
@@ -333,12 +394,10 @@ impl<E> BinaryHeapQueue<E> {
     pub fn peek_time(&mut self) -> Option<SimTime> {
         // Drop cancelled entries off the front so peek is accurate.
         while let Some(entry) = self.heap.peek() {
-            if self.cancelled.contains(&entry.id) {
-                let entry = self.heap.pop().expect("peeked entry exists");
-                self.cancelled.remove(&entry.id);
-            } else {
+            if !self.cancelled.remove(&entry.id) {
                 return Some(entry.time);
             }
+            self.heap.pop();
         }
         None
     }
@@ -484,6 +543,63 @@ mod tests {
             assert_eq!(q.pop(), Some((SimTime::from_micros(us), i)));
         }
         assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn reserved_id_pops_in_id_order_in_every_tier() {
+        // Bracket the ring around [0, 256 256] us: bucket width 1 001 us.
+        // After the first pop the drain covers [0, 1 001).
+        let at = |us: u64| SimTime::from_micros(us);
+        for (us, tier) in [(500, "drain"), (50_000, "ring"), (10_000_000, "far")] {
+            let mut q = EventQueue::new();
+            q.schedule(at(0), "start");
+            q.schedule(at(256_000), "horizon");
+            assert_eq!(q.pop(), Some((at(0), "start")));
+            let before = q.schedule(at(us), "before");
+            let r = q.reserve();
+            let after = q.schedule(at(us), "after");
+            assert!(before < r && r < after, "{tier}");
+            let ring_len = |q: &EventQueue<_>| q.ring.iter().map(Vec::len).sum::<usize>();
+            let sizes = (q.cur.len(), ring_len(&q), q.far.len());
+            assert_eq!(q.len(), 3, "{tier}: a reservation is not an event");
+            q.schedule_reserved(r, at(us), "reserved");
+            let grown = (q.cur.len(), ring_len(&q), q.far.len());
+            let expected = match tier {
+                "drain" => (sizes.0 + 1, sizes.1, sizes.2),
+                "ring" => (sizes.0, sizes.1 + 1, sizes.2),
+                _ => (sizes.0, sizes.1, sizes.2 + 1),
+            };
+            assert_eq!(grown, expected, "{tier}");
+            let mut order: Vec<&str> = Vec::new();
+            while let Some((t, e)) = q.pop() {
+                if t == at(us) {
+                    order.push(e);
+                }
+            }
+            assert_eq!(order, ["before", "reserved", "after"], "{tier}");
+        }
+    }
+
+    #[test]
+    fn unused_reservation_cannot_be_cancelled() {
+        let mut q: EventQueue<()> = EventQueue::new();
+        let r = q.reserve();
+        assert!(!q.cancel(r));
+        assert!(q.is_empty());
+        assert_eq!(q.pop(), None);
+        let mut h: BinaryHeapQueue<()> = BinaryHeapQueue::new();
+        let r = h.reserve();
+        assert!(!h.cancel(r));
+        assert!(h.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "not an unused reservation")]
+    fn a_reservation_is_used_once() {
+        let mut q = EventQueue::new();
+        let r = q.reserve();
+        q.schedule_reserved(r, t(1), ());
+        q.schedule_reserved(r, t(2), ());
     }
 
     #[test]

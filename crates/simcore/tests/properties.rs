@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use vine_simcore::trace::{LogHistogram, TimeSeries, TransferMatrix};
-use vine_simcore::{Dist, EventQueue, RngHub, SimDur, SimTime};
+use vine_simcore::{BinaryHeapQueue, Dist, EventQueue, RngHub, SimDur, SimTime};
 
 proptest! {
     /// Events always pop in non-decreasing time order, with FIFO order
@@ -49,6 +49,71 @@ proptest! {
             popped += 1;
         }
         prop_assert_eq!(popped, expect_live);
+    }
+
+    /// Random schedule/reserve/cancel/pop sequences pop identically from
+    /// the calendar queue and the binary-heap reference. A reservation is
+    /// scheduled some operations later, or never, at a time near `now`
+    /// (often equal, so its id decides), in the ring or far beyond it.
+    #[test]
+    fn event_queue_reservations_match_binary_heap(
+        ops in proptest::collection::vec((0u8..6, 0u64..3_000_000, 0usize..64), 1..400),
+    ) {
+        let mut cal = EventQueue::new();
+        let mut heap = BinaryHeapQueue::new();
+        let mut ids = Vec::new();
+        let mut reserved = Vec::new();
+        let mut now = 0u64;
+        for (n, &(op, x, pick)) in ops.iter().enumerate() {
+            let at = SimTime::from_micros(match x % 4 {
+                0 => now,
+                1 => now + x % 1_000,
+                2 => now + x,
+                _ => now + x * 1_000,
+            });
+            match op {
+                0 | 1 => {
+                    let id = cal.schedule(at, n);
+                    prop_assert_eq!(heap.schedule(at, n), id);
+                    ids.push(id);
+                }
+                2 => {
+                    let id = cal.reserve();
+                    prop_assert_eq!(heap.reserve(), id);
+                    reserved.push(id);
+                }
+                3 => {
+                    if !reserved.is_empty() {
+                        let id = reserved.swap_remove(pick % reserved.len());
+                        cal.schedule_reserved(id, at, n);
+                        heap.schedule_reserved(id, at, n);
+                        ids.push(id);
+                    }
+                }
+                4 => {
+                    if !ids.is_empty() {
+                        let id = ids[pick % ids.len()];
+                        prop_assert_eq!(cal.cancel(id), heap.cancel(id));
+                    }
+                }
+                _ => {
+                    prop_assert_eq!(cal.peek_time(), heap.peek_time());
+                    let popped = cal.pop();
+                    prop_assert_eq!(&popped, &heap.pop());
+                    if let Some((t, _)) = popped {
+                        now = t.as_micros();
+                    }
+                }
+            }
+            prop_assert_eq!(cal.len(), heap.len());
+        }
+        loop {
+            let popped = cal.pop();
+            prop_assert_eq!(&popped, &heap.pop());
+            if popped.is_none() {
+                break;
+            }
+        }
     }
 
     /// SimTime/SimDur arithmetic is consistent: (t + d) - t == d.
