@@ -1,8 +1,8 @@
 //! The shared CLI flag layer of the bench binaries.
 //!
-//! Every binary parses its command line with [`BenchCli::parse`] (or,
-//! for `vine-fig`, [`crate::experiments::parse_invocation`], which
-//! builds on [`BenchCli::from_args`]). It strips the whole shared flag
+//! `vine-sim` parses its command line with [`BenchCli::parse`], and
+//! `vine-fig` with [`crate::experiments::parse_invocation`], which
+//! builds on [`BenchCli::from_args`]. It strips the whole shared flag
 //! family and leaves the binary's own arguments in [`BenchCli::rest`]:
 //!
 //! * `--trace-out DIR` / `--metrics` — observability export (the
@@ -114,16 +114,6 @@ impl BenchCli {
             cfg = cfg.with_chaos(plan.clone());
         }
         cfg.with_recovery(self.recovery)
-    }
-
-    /// The first positional argument read as a scale-down factor,
-    /// default 1.
-    pub fn scale(&self) -> usize {
-        self.rest
-            .first()
-            .and_then(|s| s.parse().ok())
-            .filter(|&s| s > 0)
-            .unwrap_or(1)
     }
 
     /// True when any observability output was requested.
@@ -242,7 +232,6 @@ mod tests {
         );
         assert!(cli.metrics);
         assert_eq!(cli.rest, ["10", "x"]);
-        assert_eq!(cli.scale(), 10);
         assert!(cli.enabled());
     }
 
@@ -263,7 +252,5 @@ mod tests {
         assert!(cli.stream_threshold.is_none());
         assert!(!cli.enabled());
         assert_eq!(cli.rest, ["positional"]);
-        assert_eq!(BenchCli::from_args(args(&["3"])).unwrap().scale(), 3);
-        assert_eq!(BenchCli::from_args(args(&[])).unwrap().scale(), 1);
     }
 }

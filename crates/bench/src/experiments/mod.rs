@@ -1,10 +1,12 @@
-//! One module per reproduced table/figure, plus ablation studies, and
-//! the registry `vine-fig` runs them from.
+//! One module per reproduced table/figure, ablation study and serving,
+//! chaos or streaming sweep, and the registry `vine-fig` runs them from.
 //!
-//! Each module builds its cells once, runs them through a [`Lab`], and
-//! renders its own console text and CSVs into an [`Output`]; modules do
+//! Each module builds its cells once, runs them, and renders its own
+//! console text, CSVs and failed claims into an [`Output`]; modules do
 //! no file I/O. [`ALL`] lists every entry with its positional arguments
-//! and their defaults.
+//! and their defaults, and the gated entries with their check.
+
+use std::path::Path;
 
 use vine_analysis::WorkloadSpec;
 use vine_cluster::ClusterSpec;
@@ -14,6 +16,7 @@ use crate::lab::Lab;
 use crate::report;
 
 pub mod ablations;
+pub mod facility;
 pub mod fig10;
 pub mod fig11;
 pub mod fig12;
@@ -23,6 +26,10 @@ pub mod fig14b;
 pub mod fig15;
 pub mod fig7;
 pub mod fig8;
+pub mod fig_chaos;
+pub mod fig_shards;
+pub mod fig_stream;
+pub mod fig_watch;
 pub mod table1;
 pub mod table2;
 
@@ -42,14 +49,17 @@ const fn arg(name: &'static str, default: usize) -> Arg {
 /// The customary argument: the scale-down divisor, 1 = paper scale.
 const SCALE: Arg = arg("scale", 1);
 
-/// What an experiment produces: console text, and `(file, csv)` pairs
-/// destined for `results/`.
+/// What an experiment produces: console text, `(file, csv)` pairs
+/// destined for `results/`, and the claims it found false.
 #[derive(Clone, Debug, Default)]
 pub struct Output {
     /// Everything the experiment prints, in order.
     pub console: String,
     /// CSV files by name, in the order they are written.
     pub files: Vec<(String, String)>,
+    /// One line per failed claim; `vine-fig` exits 1 when any, after
+    /// writing the files.
+    pub failures: Vec<String>,
 }
 
 impl Output {
@@ -72,9 +82,17 @@ impl Output {
     pub(crate) fn file(&mut self, name: impl Into<String>, csv: String) {
         self.files.push((name.into(), csv));
     }
+
+    /// Record a failed claim.
+    pub(crate) fn fail(&mut self, claim: String) {
+        self.failures.push(claim);
+    }
 }
 
-/// One registry entry: a table or figure of the paper.
+/// How an experiment runs: its lab and every positional argument.
+pub type RunFn = fn(&mut Lab, &[usize]) -> Output;
+
+/// One registry entry: a table or figure of the paper, or a sweep.
 #[derive(Clone, Copy, Debug)]
 pub struct Experiment {
     /// Name on the `vine-fig` command line (and of its log file).
@@ -82,21 +100,27 @@ pub struct Experiment {
     /// Positional arguments, in order.
     pub args: &'static [Arg],
     /// Run the experiment with every positional argument filled in.
-    pub run: fn(&mut Lab, &[usize]) -> Output,
+    pub run: RunFn,
+    /// The entry's CI-sized run for `vine-fig check`, called with the
+    /// defaults. Its claims must hold, and every file it returns must
+    /// equal the committed `results/<file>` byte for byte.
+    pub check: Option<RunFn>,
 }
 
-const fn entry(
-    name: &'static str,
-    args: &'static [Arg],
-    run: fn(&mut Lab, &[usize]) -> Output,
-) -> Experiment {
-    Experiment { name, args, run }
+const fn entry(name: &'static str, args: &'static [Arg], run: RunFn) -> Experiment {
+    Experiment {
+        name,
+        args,
+        run,
+        check: None,
+    }
 }
 
-/// Every entry, in the order `vine-fig all` runs them. Fig 11's worker
-/// count is not stated in the paper; with 14 RS-class workers (700 GB
-/// disks) the single-node reduction overflows a disk, as in the paper's
-/// left panel, while the tree completes cleanly.
+/// Every entry, in the order `vine-fig all` runs them: the paper's
+/// tables and figures, then the sweeps. Fig 11's worker count is not
+/// stated in the paper; with 14 RS-class workers (700 GB disks) the
+/// single-node reduction overflows a disk, as in the paper's left panel,
+/// while the tree completes cleanly.
 pub const ALL: &[Experiment] = &[
     entry("table1", &[SCALE], table1::figure),
     entry("table2", &[], table2::figure),
@@ -114,6 +138,21 @@ pub const ALL: &[Experiment] = &[
     entry("fig14b", &[SCALE], fig14b::figure),
     entry("fig15", &[SCALE], fig15::figure),
     entry("ablations", &[arg("scale", 10)], ablations::figure),
+    entry("facility", &[arg("scale", 20)], facility::figure).checked(facility::figure),
+    entry(
+        "fig-shards",
+        &[arg("max_tenants", 100_000)],
+        fig_shards::figure,
+    )
+    .checked(fig_shards::check),
+    entry(
+        "fig-chaos",
+        &[arg("scale", fig_chaos::SCALE)],
+        fig_chaos::figure,
+    )
+    .checked(fig_chaos::figure),
+    entry("fig-stream", &[arg("scale", 4)], fig_stream::figure).checked(fig_stream::figure),
+    entry("fig-watch", &[], fig_watch::figure).checked(fig_watch::check),
 ];
 
 /// The paper's standard DV3-Large run at `1/scale_down`: the workload,
@@ -128,9 +167,16 @@ fn dv3_large(scale_down: usize) -> (WorkloadSpec, ClusterSpec) {
     )
 }
 
-const USAGE: &str = "usage: vine-fig <name|all|list> [args...] [--trace-out DIR] [--metrics]";
+const USAGE: &str = "usage: vine-fig <name|all|list> [args...] [--trace-out DIR] [--metrics]
+       vine-fig check <name|all>";
 
 impl Experiment {
+    /// The same entry with a check.
+    const fn checked(mut self, check: RunFn) -> Experiment {
+        self.check = Some(check);
+        self
+    }
+
     /// Every argument at its default.
     fn defaults(&self) -> Vec<usize> {
         self.args.iter().map(|a| a.default).collect()
@@ -168,6 +214,46 @@ impl Experiment {
         }
         Ok(values)
     }
+
+    /// Run the entry's check in a quiet lab: its output, with one more
+    /// failure for each file it returns that differs from
+    /// `<results>/<file>` or cannot be read there. `None` when the entry
+    /// has no check.
+    pub fn run_check(&self, results: &Path) -> Option<Output> {
+        let check = self.check?;
+        let mut out = check(&mut Lab::quiet(), &self.defaults());
+        for (name, text) in &out.files {
+            let path = results.join(name);
+            match std::fs::read(&path) {
+                Ok(committed) if committed == text.as_bytes() => {}
+                Ok(committed) => out.failures.push(first_difference(
+                    &path,
+                    &String::from_utf8_lossy(&committed),
+                    text,
+                )),
+                Err(e) => out
+                    .failures
+                    .push(format!("cannot read {}: {e}", path.display())),
+            }
+        }
+        Some(out)
+    }
+}
+
+/// Name `path` and the first line at which `committed` and `checked`
+/// part.
+fn first_difference(path: &Path, committed: &str, checked: &str) -> String {
+    let a: Vec<&str> = committed.lines().collect();
+    let b: Vec<&str> = checked.lines().collect();
+    let i = a.iter().zip(&b).take_while(|(x, y)| x == y).count();
+    let at = |lines: &[&str]| lines.get(i).copied().unwrap_or("<end>").to_string();
+    format!(
+        "{} differs from the check at line {}\n  committed: {}\n  checked:   {}",
+        path.display(),
+        i + 1,
+        at(&a),
+        at(&b)
+    )
 }
 
 /// What a `vine-fig` command line asks for.
@@ -178,12 +264,16 @@ pub enum Target {
     /// Run these entries with these arguments (`all`: every entry at its
     /// defaults).
     Run(Vec<(&'static Experiment, Vec<usize>)>),
+    /// Run these entries' checks (`check all`: every entry that has
+    /// one).
+    Check(Vec<&'static Experiment>),
 }
 
 /// Parse `vine-fig <name|all|list> [args...] [--trace-out DIR]
-/// [--metrics]` into its target and the observability flags (in the
-/// returned [`BenchCli`]). The shared flags no figure honours are
-/// refused. Errors carry a usage line.
+/// [--metrics]` or `vine-fig check <name|all>` into its target and the
+/// observability flags (in the returned [`BenchCli`]). The shared flags
+/// no figure honours are refused, and a check takes none. Errors carry a
+/// usage line.
 pub fn parse_invocation(
     args: impl IntoIterator<Item = String>,
 ) -> Result<(Target, BenchCli), String> {
@@ -206,6 +296,22 @@ pub fn parse_invocation(
         }
         Some((name, _)) if name == "list" || name == "all" => {
             return Err(format!("{name} takes no arguments\n{USAGE}"))
+        }
+        Some((name, which)) if name == "check" => {
+            let checked = || ALL.iter().filter(|e| e.check.is_some());
+            let exps: Vec<&Experiment> = match which {
+                [w] if w == "all" => checked().collect(),
+                [w] => checked().filter(|e| e.name == w).collect(),
+                _ => Vec::new(),
+            };
+            if exps.is_empty() || cli.enabled() {
+                let names: Vec<&str> = checked().map(|e| e.name).collect();
+                return Err(format!(
+                    "check takes `all` or one of {} and no flags\n{USAGE}",
+                    names.join(", ")
+                ));
+            }
+            Target::Check(exps)
         }
         Some((name, given)) => {
             let Some(exp) = ALL.iter().find(|e| e.name == name) else {

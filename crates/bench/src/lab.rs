@@ -1,4 +1,6 @@
-//! The one path every experiment's engine runs take.
+//! The one path every experiment's plain engine runs take. (The serving
+//! sweeps run theirs inside `vine-serve`, and fig-stream's runs carry an
+//! observer, which a cell does not take.)
 //!
 //! A [`Lab`] runs one `(cfg, graph)` cell of a table or figure and
 //! prints its pre-flight verdict — for exactly that pair — on stderr.
@@ -117,6 +119,13 @@ impl Lab {
         eprintln!("pre-flight [{label}]: {e} error(s), {w} warning(s), {i} info(s)");
         for d in findings {
             eprintln!("  {d}");
+        }
+    }
+
+    /// Print a progress line on stderr, unless the lab is quiet.
+    pub(crate) fn note(&self, text: impl std::fmt::Display) {
+        if self.verbose {
+            eprintln!("{text}");
         }
     }
 

@@ -5,42 +5,17 @@
 //! reacts to (rates too low to fire, or failures that bypass the retry
 //! budget) — exactly the regression the retuned presets fixed.
 //!
-//! Mirrors the fig-chaos configuration (DV3-Small at 1/4 scale, 6
-//! workers, seed 42) so `results/chaos.csv` and this test see the same
+//! Runs fig-chaos's own cells (DV3-Small at its default 1/4 scale, 6
+//! workers, seed 42), so `results/chaos.csv` and this test see the same
 //! trajectories.
 
-use vine_analysis::WorkloadSpec;
-use vine_cluster::ClusterSpec;
-use vine_core::{EngineConfig, FaultPlan, RecoveryPolicy, RunOutcome, RunRequest};
+use vine_bench::experiments::fig_chaos::{cell, policies, SCALE};
+use vine_bench::lab::Lab;
+use vine_core::{RecoveryPolicy, RunOutcome};
 
-/// The fig-chaos policy ladder, in ladder order.
-fn policies() -> Vec<(&'static str, RecoveryPolicy)> {
-    vec![
-        ("fragile", RecoveryPolicy::fragile()),
-        ("default", RecoveryPolicy::default()),
-        (
-            "speculative",
-            RecoveryPolicy {
-                speculation: true,
-                speculation_factor: 1.75,
-                ..RecoveryPolicy::default()
-            },
-        ),
-        ("hardened", RecoveryPolicy::hardened()),
-    ]
-}
-
-/// One fig-chaos cell: preset × policy on the CI workload.
+/// One fig-chaos cell: its makespan and outcome.
 fn makespan(preset: &str, policy: RecoveryPolicy) -> (f64, RunOutcome) {
-    let plan = FaultPlan::preset(preset)
-        .expect("known preset")
-        .with_seed(42);
-    let cfg = EngineConfig::stack3(ClusterSpec::standard(6), 42)
-        .deterministic()
-        .with_chaos(plan)
-        .with_recovery(policy);
-    let graph = WorkloadSpec::dv3_small().scaled_down(4).to_graph();
-    let r = RunRequest::new(cfg, graph).run();
+    let r = cell(&mut Lab::quiet(), preset, policy, SCALE);
     (r.makespan_secs(), r.outcome)
 }
 

@@ -24,11 +24,14 @@ const WORDS: &[&str] = &[
     "fragile",
     "list",
     "all",
+    "check",
     "table1",
     "table2",
     "fig11",
     "fig13",
     "fig99",
+    "fig-watch",
+    "fig-shards",
     "0",
     "1",
     "10",
@@ -120,7 +123,8 @@ proptest! {
     }
 
     /// A parsed invocation runs registered experiments, each with
-    /// exactly its declared number of positive arguments.
+    /// exactly its declared number of positive arguments, or checks
+    /// entries that have a check.
     #[test]
     fn vine_fig_parse_never_panics(args in argv()) {
         match experiments::parse_invocation(args.clone()) {
@@ -130,6 +134,9 @@ proptest! {
                     prop_assert_eq!(values.len(), exp.args.len());
                     prop_assert!(values.iter().all(|&v| v > 0));
                 }
+            }
+            Ok((Target::Check(exps), _)) => {
+                prop_assert!(exps.iter().all(|e| e.check.is_some()));
             }
             Ok((Target::List, _)) => {}
             Err(e) => prop_assert!(e.contains("usage: vine-fig"), "{args:?}: {e}"),
@@ -219,10 +226,41 @@ fn vine_fig_rejects_bad_invocations() {
         &["fig7", "--bench-json", "x.json"],
         &["fig7", "--stream-threshold", "0.5"],
         &["fig7", "--trace-out"],
+        &["fig-chaos", "abc"],
+        &["fig-shards", "--max-tenants", "x"],
+        &["facility", "0"],
+        &["fig-watch", "1"],
+        &["check"],
+        &["check", "fig7"],
+        &["check", "all", "fig-watch"],
+        &["check", "fig-watch", "--metrics"],
     ] {
         let err = parse(bad).expect_err(&format!("{bad:?} parsed"));
         assert!(err.contains("usage: vine-fig"), "{bad:?}: {err}");
     }
+}
+
+#[test]
+fn vine_fig_check_targets_the_checked_entries() {
+    let Ok((Target::Check(all), _)) = parse(&["check", "all"]) else {
+        panic!("`check all` is not a check")
+    };
+    let names: Vec<&str> = all.iter().map(|e| e.name).collect();
+    assert_eq!(
+        names,
+        [
+            "facility",
+            "fig-shards",
+            "fig-chaos",
+            "fig-stream",
+            "fig-watch"
+        ]
+    );
+    let Ok((Target::Check(one), _)) = parse(&["check", "fig-watch"]) else {
+        panic!("`check fig-watch` is not a check")
+    };
+    assert_eq!(one.len(), 1);
+    assert_eq!(one[0].name, "fig-watch");
 }
 
 #[test]

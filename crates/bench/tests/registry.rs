@@ -1,8 +1,11 @@
 //! Every registry entry, run small: recording the marked cells changes
 //! no CSV byte and adds no engine run, and each recorded export label is
-//! a cell that actually ran.
+//! a cell that actually ran. The fast checks pass against the committed
+//! `results/`, and a check fails on a one-byte difference.
 
-use vine_bench::experiments::{self, Output};
+use std::path::{Path, PathBuf};
+
+use vine_bench::experiments::{self, Experiment, Output};
 use vine_bench::lab::Lab;
 
 /// Cheap positional arguments per entry, and the export labels its
@@ -29,6 +32,11 @@ fn small(name: &str) -> (Vec<usize>, &'static [&'static str]) {
         "fig14b" => (vec![80], &["fig14b-dv3large"]),
         "fig15" => (vec![160], &["fig15-dv3huge"]),
         "ablations" => (vec![80], &["ablations-baseline"]),
+        "facility" => (vec![80], &["facility_cold"]),
+        // Below the smallest population: the entry runs no cell.
+        "fig-shards" => (vec![999], &[]),
+        "fig-chaos" | "fig-stream" => (vec![16], &[]),
+        "fig-watch" => (vec![], &[]),
         other => panic!("no small arguments for registry entry {other}"),
     }
 }
@@ -71,4 +79,48 @@ fn recording_changes_no_csv_and_reruns_nothing() {
             assert!(!rec.take_stdout().is_empty(), "{}: no metrics", exp.name);
         }
     }
+}
+
+fn entry(name: &str) -> &'static Experiment {
+    experiments::ALL
+        .iter()
+        .find(|e| e.name == name)
+        .expect("registered")
+}
+
+fn committed_results() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results")
+}
+
+/// Every check but `fig-shards` (whose CI cell drains 1 000 tenants
+/// twice, so it runs in release builds only) reproduces its committed
+/// files and holds its claims.
+#[test]
+fn fast_checks_pass_against_the_committed_results() {
+    for name in ["facility", "fig-chaos", "fig-stream", "fig-watch"] {
+        let out = entry(name)
+            .run_check(&committed_results())
+            .expect("the entry has a check");
+        assert!(!out.files.is_empty(), "{name}: the check pins no file");
+        assert!(out.failures.is_empty(), "{name}: {:?}", out.failures);
+    }
+    assert!(entry("fig7").run_check(&committed_results()).is_none());
+}
+
+#[test]
+fn a_check_fails_on_a_one_byte_difference() {
+    let dir = std::env::temp_dir().join(format!("vine-check-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut csv = std::fs::read(committed_results().join("chaos.csv")).unwrap();
+    let at = csv.len() / 2;
+    csv[at] = if csv[at] == b'0' { b'1' } else { b'0' };
+    std::fs::write(dir.join("chaos.csv"), &csv).unwrap();
+    let out = entry("fig-chaos").run_check(&dir).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(out.failures.len(), 1, "{:?}", out.failures);
+    assert!(
+        out.failures[0].contains("chaos.csv differs"),
+        "{}",
+        out.failures[0]
+    );
 }

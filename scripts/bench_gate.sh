@@ -19,8 +19,8 @@
 #    they are deterministic for a fixed (workload, seed), so any rise
 #    above the baseline fails, with no noise margin.
 #
-# Also runs the streaming gates (ISSUE 6), the facility gate, the shard
-# gate (ISSUE 8), and the watch gate (ISSUE 9) — see the sections below.
+# Also runs the no-observer streaming digest gate and the registry
+# checks (`vine-fig check all`) — see the sections below.
 #
 # Usage: scripts/bench_gate.sh [--throughput-only|--no-throughput]
 #                              [baseline.json] [out.json]
@@ -184,98 +184,21 @@ else
   exit 1
 fi
 
-# Streaming gate 2: convergence early stop must save >= 20% core-seconds
-# on the stragglers preset (fig-stream exits non-zero otherwise, and also
-# asserts monotone partials and threshold-1.0 == baseline).
-cargo build --release -p vine-bench --bin fig-stream
-./target/release/fig-stream
-echo "stream gate: early-stop saving >= 20%"
-
-# Facility gate: the single-facility experiment must rewrite its
-# committed exports (per-submission CSV and metrics text) byte for byte.
-# To refresh them after an intentional change, run the binary and commit
-# the two files.
-cargo build --release -p vine-bench --bin facility
-./target/release/facility > /dev/null
-if ! git diff --exit-code results/facility.csv results/facility_metrics.txt; then
-  echo "facility gate: results/facility.csv or facility_metrics.txt changed" >&2
-  exit 1
-fi
-echo "facility gate: exports byte-identical to the committed files"
-
-# Shard gate (ISSUE 8): the federated facility's CI cell (shards=4,
-# 1000 tenants, seed 42) must replay bit-identically across two process
-# invocations, print exactly the committed digest, and keep its warm-hit
-# ratio within 2% of the committed baseline (results/shards_gate.txt). fig-shards --gate also
-# replays the cell twice in-process and asserts digest equality itself.
-# To refresh the baseline after an intentional change:
-#   ./target/release/fig-shards --gate > results/shards_gate.txt
-SHARD_BASELINE=results/shards_gate.txt
-if [ ! -s "$SHARD_BASELINE" ]; then
-  echo "shard gate: no baseline at $SHARD_BASELINE" >&2
-  exit 1
-fi
-cargo build --release -p vine-bench --bin fig-shards
-a=$(./target/release/fig-shards --gate)
-b=$(./target/release/fig-shards --gate)
-echo "shard gate: $a"
-if [ "${a%% *}" != "${b%% *}" ]; then
-  echo "shard gate: digests differ across process invocations" >&2
-  echo "  first:  $a" >&2
-  echo "  second: $b" >&2
-  exit 1
-fi
-echo "shard gate: cross-process replay bit-identical"
-if [ "${a%% *}" != "$(cut -d' ' -f1 "$SHARD_BASELINE")" ]; then
-  echo "shard gate: ${a%% *} differs from the baseline $(cat "$SHARD_BASELINE")" >&2
-  exit 1
-fi
-echo "shard gate: digest equals the baseline"
-wh_new=${a##*warm_hit=}
-wh_old=$(sed 's/.*warm_hit=//' "$SHARD_BASELINE")
-awk -v new="$wh_new" -v old="$wh_old" 'BEGIN {
-  if (old + 0 <= 0) { print "shard gate: bad baseline warm-hit"; exit 1 }
-  drift = (new - old) / old; if (drift < 0) drift = -drift
-  printf "shard gate: warm-hit %.6f vs baseline %.6f (drift %.4f, fails above 0.02)\n", new, old, drift
-  exit (drift > 0.02) ? 1 : 0
-}'
-
-# Watch gate (ISSUE 9): the reactive standing-analysis CI cell (batched
-# growth preset, seed 42) must replay bit-identically across two process
-# invocations and print exactly the committed digest, its served estimate must match a cold full recompute
-# bit-for-bit (asserted inside the binary), and the reactive path must
-# save >= 60% of task executions vs cold re-runs. The saved ratio must
-# also stay within 2% of the committed baseline (results/watch_gate.txt).
-# To refresh the baseline after an intentional change:
-#   ./target/release/fig-watch --gate > results/watch_gate.txt
-WATCH_BASELINE=results/watch_gate.txt
-if [ ! -s "$WATCH_BASELINE" ]; then
-  echo "watch gate: no baseline at $WATCH_BASELINE" >&2
-  exit 1
-fi
-cargo build --release -p vine-bench --bin fig-watch
-a=$(./target/release/fig-watch --gate)
-b=$(./target/release/fig-watch --gate)
-echo "watch gate: $a"
-if [ "${a%% *}" != "${b%% *}" ]; then
-  echo "watch gate: digests differ across process invocations" >&2
-  echo "  first:  $a" >&2
-  echo "  second: $b" >&2
-  exit 1
-fi
-echo "watch gate: cross-process replay bit-identical"
-if [ "${a%% *}" != "$(cut -d' ' -f1 "$WATCH_BASELINE")" ]; then
-  echo "watch gate: ${a%% *} differs from the baseline $(cat "$WATCH_BASELINE")" >&2
-  exit 1
-fi
-echo "watch gate: digest equals the baseline"
-sv_new=${a##*saved=}
-sv_old=$(sed 's/.*saved=//' "$WATCH_BASELINE")
-awk -v new="$sv_new" -v old="$sv_old" 'BEGIN {
-  if (old + 0 <= 0) { print "watch gate: bad baseline saved ratio"; exit 1 }
-  drift = (new - old) / old; if (drift < 0) drift = -drift
-  printf "watch gate: saved %.6f vs baseline %.6f (drift %.4f, fails above 0.02)\n", new, old, drift
-  exit (drift > 0.02) ? 1 : 0
-}'
+# Registry checks: `vine-fig check all` runs every gated entry's
+# CI-sized check. Each fails on a false claim (the stream early stop
+# saves >= 20% core-seconds on the stragglers preset, speculation beats
+# `default` there, the watch cell saves >= 60% of task executions) or on
+# any check file that differs byte for byte from its results/ copy: the
+# facility's two exports, chaos.csv, stream.csv, and the shard and watch
+# CI cells' lines in shards_gate.txt and watch_gate.txt. Both processes
+# must match those files, so the cells also replay across processes.
+# To refresh a file after an intentional change, rerun its entry
+# (`vine-fig facility`, `vine-fig fig-chaos`, `vine-fig fig-stream`), or
+# run `vine-fig check fig-shards` (or fig-watch) and copy the printed
+# `digest=` line into results/shards_gate.txt (or watch_gate.txt).
+cargo build --release -p vine-bench --bin vine-fig
+./target/release/vine-fig check all
+./target/release/vine-fig check all
+echo "registry checks: every check matches results/ in two processes"
 
 echo "bench gate: ok"

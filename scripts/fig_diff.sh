@@ -11,9 +11,11 @@
 # removed, or the exit status.
 #
 # Extra arguments go to every entry, after its own. `--scaled` first
-# gives each entry a scaled-down argument set: 10 for the entries that
-# take a scale, `fig10 1500`, `fig11 4 10`, `fig13 4 20 10`,
-# `ablations 20` and `fig15 20`. For example:
+# gives each entry a scaled-down argument set: 10 for the paper entries
+# that take a scale, `fig10 1500`, `fig11 4 10`, `fig13 4 20 10`,
+# `ablations 20`, `fig15 20`, `facility 40`, `fig-chaos 8`,
+# `fig-stream 8` and `fig-shards 1000` (its smallest population only).
+# For example:
 #
 #   scripts/fig_diff.sh HEAD~
 #   scripts/fig_diff.sh HEAD~ --scaled --trace-out traces --metrics
@@ -40,11 +42,14 @@ trap 'rm -rf "$tmp"' EXIT
 
 scaled_args() {
     case $1 in
-        table2) ;;
+        table2 | fig-watch) ;;
         fig10) echo 1500 ;;
         fig11) echo 4 10 ;;
         fig13) echo 4 20 10 ;;
         fig15 | ablations) echo 20 ;;
+        facility) echo 40 ;;
+        fig-chaos | fig-stream) echo 8 ;;
+        fig-shards) echo 1000 ;;
         *) echo 10 ;;
     esac
 }
