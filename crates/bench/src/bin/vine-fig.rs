@@ -9,9 +9,10 @@
 //! experiment prints its tables and writes its CSVs under `results/`;
 //! with `--trace-out`/`--metrics` its recorded cells also export their
 //! traces and metrics. `vine-fig check` runs the gated entries' CI-sized
-//! checks and writes nothing. A failed claim, or a check file that
-//! differs from its committed `results/` copy, exits 1 once every
-//! requested entry has run. Bad arguments exit 2 with a usage line.
+//! checks and writes nothing. A failed claim, a check file that differs
+//! from its committed `results/` copy, or an entry that panics (reported
+//! as `FAIL <name>: panicked: <message>`) exits 1 once every requested
+//! entry has run. Bad arguments exit 2 with a usage line.
 
 use std::path::Path;
 
@@ -46,7 +47,7 @@ fn main() {
             for (exp, args) in runs {
                 eprintln!("{} {args:?} ...", exp.name);
                 let mut lab = Lab::new(cli.trace_dir.clone(), cli.metrics);
-                let out = (exp.run)(&mut lab, &args);
+                let out = exp.execute(&mut lab, &args);
                 print!("{}", out.console);
                 for (name, csv) in &out.files {
                     report::write_csv(name, csv);

@@ -14,8 +14,8 @@
 //!   "it was impractical to rely on the wide area XROOTD federation").
 
 use vine_analysis::WorkloadSpec;
-use vine_cluster::{ClusterSpec, PreemptionModel};
-use vine_core::{DataSource, EngineConfig, Placement, RunResult};
+use vine_cluster::ClusterSpec;
+use vine_core::{DataSource, EngineConfig, Fault, FaultPlan, Placement, RunResult};
 use vine_simcore::units::fmt_bytes;
 
 use vine_obs::FigureSet;
@@ -53,20 +53,22 @@ fn row(variant: String, r: RunResult) -> AblationRow {
 pub fn replication(lab: &mut Lab, seed: u64, scale_down: usize) -> Vec<AblationRow> {
     let spec = WorkloadSpec::dv3_large().scaled_down(scale_down.max(1));
     let workers = (200 / scale_down.max(1)).max(4);
+    let stack4 = || EngineConfig::stack4(ClusterSpec::standard(workers), seed);
     let mut out = Vec::new();
-    for (plabel, preemption) in [
-        ("calm", PreemptionModel::none()),
-        ("campus", PreemptionModel::campus_pool()),
+    for (plabel, chaos) in [
+        ("calm", FaultPlan::none()),
+        ("campus", stack4().chaos),
         (
             "stormy",
-            PreemptionModel {
-                rate_per_sec: 1.0 / 600.0,
-            },
+            FaultPlan::none()
+                .with(Fault::Preemption {
+                    rate_per_sec: 1.0 / 600.0,
+                })
+                .with_seed(seed),
         ),
     ] {
         for replicas in [1u32, 2] {
-            let mut cfg = EngineConfig::stack4(ClusterSpec::standard(workers), seed);
-            cfg.preemption = preemption;
+            let mut cfg = stack4().with_chaos(chaos.clone());
             cfg.replica_target = replicas;
             let variant = format!("{plabel}/replicas={replicas}");
             let record = (plabel == "campus" && replicas == 2).then_some("ablations-baseline");

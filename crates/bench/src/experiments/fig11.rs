@@ -171,7 +171,7 @@ mod tests {
             // background preemptions both pad caches toward the disk
             // cap, masking the reduction-shape signal.
             cfg.replica_target = 1;
-            cfg.preemption = vine_cluster::PreemptionModel::none();
+            cfg.chaos = vine_core::FaultPlan::none();
             let cell = Lab::quiet().run(label, None, cfg, spec.to_graph(), FigureSet::CACHE);
             summarize(label, cell)
         };

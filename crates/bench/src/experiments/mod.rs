@@ -177,6 +177,13 @@ impl Experiment {
         self
     }
 
+    /// Run the entry with every positional argument filled in. A panic
+    /// becomes the output's one failure, `panicked: <message>`, so the
+    /// entries after it still run.
+    pub fn execute(&self, lab: &mut Lab, args: &[usize]) -> Output {
+        guarded(|| (self.run)(lab, args))
+    }
+
     /// Every argument at its default.
     fn defaults(&self) -> Vec<usize> {
         self.args.iter().map(|a| a.default).collect()
@@ -217,11 +224,12 @@ impl Experiment {
 
     /// Run the entry's check in a quiet lab: its output, with one more
     /// failure for each file it returns that differs from
-    /// `<results>/<file>` or cannot be read there. `None` when the entry
-    /// has no check.
+    /// `<results>/<file>` or cannot be read there. A panic becomes a
+    /// failure as in [`Experiment::execute`]. `None` when the entry has
+    /// no check.
     pub fn run_check(&self, results: &Path) -> Option<Output> {
         let check = self.check?;
-        let mut out = check(&mut Lab::quiet(), &self.defaults());
+        let mut out = guarded(|| check(&mut Lab::quiet(), &self.defaults()));
         for (name, text) in &out.files {
             let path = results.join(name);
             match std::fs::read(&path) {
@@ -238,6 +246,22 @@ impl Experiment {
         }
         Some(out)
     }
+}
+
+/// Call `f`, turning a panic into an output whose one failure is
+/// `panicked: <message>`.
+fn guarded(f: impl FnOnce() -> Output) -> Output {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_or_else(|payload| {
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "a non-text payload".to_string());
+        Output {
+            failures: vec![format!("panicked: {message}")],
+            ..Output::default()
+        }
+    })
 }
 
 /// Name `path` and the first line at which `committed` and `checked`

@@ -107,6 +107,27 @@ fn fast_checks_pass_against_the_committed_results() {
     assert!(entry("fig7").run_check(&committed_results()).is_none());
 }
 
+fn explode(_: &mut Lab, args: &[usize]) -> Output {
+    panic!("claim {} cannot be evaluated", args.len())
+}
+
+/// A panicking entry, run or checked, is one failure naming the panic
+/// rather than the end of the process.
+#[test]
+fn a_panicking_entry_becomes_a_failure() {
+    let exp = Experiment {
+        name: "explodes",
+        args: &[],
+        run: explode,
+        check: Some(explode),
+    };
+    let expected = vec!["panicked: claim 0 cannot be evaluated".to_string()];
+    let checked = exp.run_check(&committed_results()).unwrap();
+    assert_eq!(checked.failures, expected);
+    assert!(checked.files.is_empty());
+    assert_eq!(exp.execute(&mut Lab::quiet(), &[]).failures, expected);
+}
+
 #[test]
 fn a_check_fails_on_a_one_byte_difference() {
     let dir = std::env::temp_dir().join(format!("vine-check-{}", std::process::id()));

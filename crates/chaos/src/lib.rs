@@ -12,9 +12,10 @@
 //! Fault families (§IV of the paper motivates the first; the rest model
 //! the failure classes opportunistic analysis facilities actually see):
 //!
-//! * [`Fault::Preemption`] — per-worker Poisson worker loss. Subsumes the
-//!   engine's legacy bare `PreemptionModel` path: when a plan carries a
-//!   preemption fault it takes precedence over `EngineConfig::preemption`.
+//! * [`Fault::Preemption`] — per-worker Poisson worker loss, the engine's
+//!   only source of in-run worker death. The stack presets carry the
+//!   paper's campus pool (~1 % of workers per hour-long run) as one such
+//!   entry, seeded with the run seed.
 //! * [`Fault::Straggler`] — during a window, a deterministic fraction of
 //!   workers computes slower by `slow_factor` and their links degrade by
 //!   the same factor.
@@ -174,7 +175,7 @@ impl Default for FaultPlan {
 }
 
 impl FaultPlan {
-    /// The empty plan: no injected faults, engine behaves as before.
+    /// The empty plan: no faults at all, preemption included.
     pub fn none() -> Self {
         FaultPlan {
             chaos_seed: 0,

@@ -4,21 +4,19 @@
 //!
 //! Models the paper's execution facility (§IV, §V): a heterogeneous campus
 //! HTCondor pool from which 12-core **workers** are allocated
-//! opportunistically. Three behaviours matter to the evaluation:
+//! opportunistically. Two behaviours matter to the evaluation:
 //!
 //! * **worker shape** — the paper's standard worker is 12 cores, 96 GB RAM,
 //!   108 GB disk ([`WorkerSpec::dv3_standard`]); RS-TriPhoton workers get
 //!   700 GB disk and 200 GB RAM ([`WorkerSpec::rs_triphoton`]);
 //! * **batch ramp-up** — workers are jobs in a batch system and do not all
-//!   materialize at t=0 ([`BatchSystem`]);
-//! * **opportunistic preemption** — up to ~1 % of workers are preempted per
-//!   run, appearing to the manager as worker failures it must compensate
-//!   for by replicating data and re-running tasks ([`PreemptionModel`]).
+//!   materialize at t=0 ([`BatchSystem`]).
+//!
+//! Opportunistic preemption is a fault process, not a cluster property:
+//! it is a `vine_chaos::Fault::Preemption` entry of the run's fault plan.
 
 pub mod batch;
-pub mod preempt;
 pub mod spec;
 
 pub use batch::BatchSystem;
-pub use preempt::PreemptionModel;
 pub use spec::{ClusterSpec, WorkerSpec};

@@ -1,11 +1,12 @@
 //! Engine configuration and the Table I stack presets.
 
-use vine_chaos::FaultPlan;
-use vine_cluster::{BatchSystem, ClusterSpec, PreemptionModel};
+use vine_chaos::{Fault, FaultPlan};
+use vine_cluster::{BatchSystem, ClusterSpec};
 use vine_simcore::units::TB;
 use vine_storage::SharedFs;
 
 use crate::cost::TaskTimeModel;
+use crate::preempt::CAMPUS;
 use crate::recovery::RecoveryPolicy;
 
 /// Which scheduler generation runs the workload.
@@ -125,8 +126,6 @@ pub struct EngineConfig {
     pub cluster: ClusterSpec,
     /// Worker arrival/replacement model.
     pub batch: BatchSystem,
-    /// Opportunistic preemption model.
-    pub preemption: PreemptionModel,
     /// Task timing model.
     pub time_model: TaskTimeModel,
     /// Maximum concurrent outgoing peer transfers per worker (§IV-B:
@@ -164,10 +163,9 @@ pub struct EngineConfig {
     pub dask_unstable_above_bytes: Option<u64>,
     /// Pre-flight lint policy (see [`Preflight`]).
     pub preflight: Preflight,
-    /// Injected faults (empty by default). A plan with a
-    /// [`vine_chaos::Fault::Preemption`] entry supersedes the legacy
-    /// `preemption` field; otherwise the legacy field is folded in so
-    /// old call sites keep working.
+    /// Every fault of the run, in-run worker loss included. The stack
+    /// presets carry the campus pool's opportunistic preemption (§IV),
+    /// seeded with the run seed.
     pub chaos: FaultPlan,
     /// What the engine does about failures (see [`RecoveryPolicy`]).
     pub recovery: RecoveryPolicy,
@@ -184,7 +182,6 @@ impl EngineConfig {
             import_source: ImportSource::SharedFilesystem,
             cluster,
             batch: BatchSystem::htcondor_opportunistic(),
-            preemption: PreemptionModel::campus_pool(),
             time_model: TaskTimeModel::default(),
             max_peer_transfers_per_worker: 3,
             max_concurrent_stagings: 8,
@@ -197,7 +194,11 @@ impl EngineConfig {
             trace: TraceConfig::default(),
             dask_unstable_above_bytes: Some(TB / 2),
             preflight: Preflight::Enforce,
-            chaos: FaultPlan::none(),
+            chaos: FaultPlan::none()
+                .with(Fault::Preemption {
+                    rate_per_sec: CAMPUS,
+                })
+                .with_seed(seed),
             recovery: RecoveryPolicy::default(),
         }
     }
@@ -267,13 +268,14 @@ impl EngineConfig {
     /// preemption, no injected faults) — for deterministic unit tests.
     pub fn deterministic(mut self) -> Self {
         self.batch = BatchSystem::instantaneous();
-        self.preemption = PreemptionModel::none();
         self.chaos = FaultPlan::none();
         self
     }
 
-    /// Builder: attach a fault plan (and, typically, a hardened recovery
-    /// policy — this helper leaves `recovery` untouched).
+    /// Builder: replace the whole fault plan, the stack's campus
+    /// preemption included: a plan names every fault of the run. Leaves
+    /// `recovery` untouched (a heavy plan typically wants a hardened
+    /// policy too).
     pub fn with_chaos(mut self, plan: FaultPlan) -> Self {
         self.chaos = plan;
         self
@@ -335,11 +337,15 @@ impl EngineConfig {
             replica_target: self.replica_target,
             replicate_max_bytes: self.replicate_max_bytes,
             library_startup_s: self.time_model.library_startup.as_secs_f64(),
-            preemption_rate_per_sec: self
+            preemption_rate_per_sec: self.chaos.preemption_rate().unwrap_or(0.0),
+            // Worker loss does not draw on the retry budget (see
+            // `RecoveryPolicy`), so a preemption-only plan is no chaos to
+            // R005.
+            chaos_enabled: self
                 .chaos
-                .preemption_rate()
-                .unwrap_or(self.preemption.rate_per_sec),
-            chaos_enabled: !self.chaos.is_empty(),
+                .faults
+                .iter()
+                .any(|f| !matches!(f, Fault::Preemption { .. })),
             chaos_task_failure_prob: self.chaos.task_failure().map_or(0.0, |(p, _)| p),
             retry_budget: self.recovery.retry_budget,
             timeout_factor: self.recovery.timeout_factor,
@@ -400,8 +406,30 @@ mod tests {
 
     #[test]
     fn deterministic_strips_randomness() {
-        let c = EngineConfig::stack4(cluster(), 1).deterministic();
-        assert_eq!(c.preemption.rate_per_sec, 0.0);
+        let s = EngineConfig::stack4(cluster(), 1);
+        assert_eq!(s.chaos.preemption_rate(), Some(CAMPUS));
+        assert_eq!(s.chaos.chaos_seed, 1);
+        let c = s.deterministic();
+        assert!(c.chaos.is_empty());
+    }
+
+    #[test]
+    fn r005_counts_only_budget_consuming_faults() {
+        // A zero retry budget is harmless against worker loss, which
+        // never charges it, so neither the stack's campus preemption nor
+        // a preemption-only plan warns; a task-failure plan does.
+        let r005 = |plan: Option<FaultPlan>| {
+            let mut cfg =
+                EngineConfig::stack4(cluster(), 1).with_recovery(RecoveryPolicy::fragile());
+            if let Some(plan) = plan {
+                cfg = cfg.with_chaos(plan);
+            }
+            assert_eq!(cfg.recovery.retry_budget, 0);
+            vine_lint::recovery::lint(&cfg.lint_facts()).has_code(vine_lint::Code::R005)
+        };
+        assert!(!r005(None));
+        assert!(!r005(Some(FaultPlan::parse("preempt:rate=0.01").unwrap())));
+        assert!(r005(Some(FaultPlan::parse("taskfail:prob=0.1").unwrap())));
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! invalidation that declares files lost and reschedules their producers.
 
 use super::*;
+use crate::preempt::next_arrival;
 
 impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
     /// True when a task-attempt event still refers to the live attempt:
@@ -29,7 +30,10 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
     /// ready, and charge the retry budget. The worker stays alive — only
     /// this attempt is gone.
     pub(super) fn fail_running_attempt(&mut self, task: TaskId, w: usize) {
-        let a = self.end_assignment(task).expect("attempt_current checked");
+        let Some(a) = self.end_assignment(task) else {
+            self.abort_broken(Broken::NoAttempt(task));
+            return;
+        };
         debug_assert!(a.computing && a.w == w);
         self.running_delta(-1);
         self.set_busy(w, self.workers[w].busy.saturating_sub(1));
@@ -105,26 +109,23 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
     /// (fault quarantine vs. early-stop cancellation) so the two stay
     /// distinguishable in results and digests.
     pub(super) fn withdraw_task(&mut self, m: TaskId) -> bool {
-        if let Some(a) = self.assignments.get(m.0) {
-            if a.computing {
-                let a = self.end_assignment(m).expect("present");
-                self.running_delta(-1);
-                if self.workers[a.w].alive {
-                    self.set_busy(a.w, self.workers[a.w].busy.saturating_sub(1));
-                }
-                for f in a.pinned {
-                    let name = self.cnames[f.0 as usize];
-                    if self.workers[a.w].cache.is_pinned(name) {
-                        let _ = self.workers[a.w].cache.unpin(name);
-                    }
-                }
-                if let Some(obs) = &mut self.obs {
-                    obs.pending.remove(m.0);
-                }
-                self.cancel_spec(m);
-            } else {
-                self.release_assignment(m);
+        if self.assignments.get(m.0).is_some_and(|a| !a.computing) {
+            self.release_assignment(m);
+        } else if let Some(a) = self.end_assignment(m) {
+            self.running_delta(-1);
+            if self.workers[a.w].alive {
+                self.set_busy(a.w, self.workers[a.w].busy.saturating_sub(1));
             }
+            for f in a.pinned {
+                let name = self.cnames[f.0 as usize];
+                if self.workers[a.w].cache.is_pinned(name) {
+                    let _ = self.workers[a.w].cache.unpin(name);
+                }
+            }
+            if let Some(obs) = &mut self.obs {
+                obs.pending.remove(m.0);
+            }
+            self.cancel_spec(m);
         }
         self.held[m.0 as usize] = false;
         self.tracker.mark_quarantined(m)
@@ -259,9 +260,10 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
         self.stats.speculative_wins += 1;
         // Tear down the primary attempt by hand: release its core and
         // pins (no running_delta — the task is still running, just here).
-        let a = self
-            .end_assignment(task)
-            .expect("spec invariant: primary computing");
+        let Some(a) = self.end_assignment(task) else {
+            self.abort_broken(Broken::NoAttempt(task));
+            return;
+        };
         debug_assert!(a.computing && a.w != w);
         if self.workers[a.w].alive {
             self.set_busy(a.w, self.workers[a.w].busy.saturating_sub(1));
@@ -328,25 +330,12 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
             self.queue.schedule(self.now + d, Ev::LibReady { w, epoch });
         }
         let epoch = self.workers[w].epoch;
-        if let Some(rate) = self.chaos.preempt_rate {
-            // A plan-level preemption fault supersedes the legacy model
-            // and draws on the chaos hub, so the fault schedule is a
-            // function of the chaos seed alone.
-            let model = vine_cluster::PreemptionModel { rate_per_sec: rate };
-            let mut rng = self
-                .chaos
-                .hub
-                .indexed_stream("preempt", ((w as u64) << 16) | epoch as u64);
-            if let Some(t) = model.next_preemption(self.now, &mut rng) {
-                self.queue.schedule(t, Ev::WorkerPreempt { w, epoch });
-            }
-        } else {
-            let mut rng = self
-                .rng_hub
-                .indexed_stream("preempt", ((w as u64) << 16) | epoch as u64);
-            if let Some(t) = self.cfg.preemption.next_preemption(self.now, &mut rng) {
-                self.queue.schedule(t, Ev::WorkerPreempt { w, epoch });
-            }
+        let mut rng = self
+            .chaos
+            .hub
+            .indexed_stream("preempt", ((w as u64) << 16) | epoch as u64);
+        if let Some(t) = next_arrival(self.now, self.chaos.preempt_rate, &mut rng) {
+            self.queue.schedule(t, Ev::WorkerPreempt { w, epoch });
         }
         if self.chaos.corruption_rate > 0.0 {
             self.schedule_corruption(w);
@@ -366,12 +355,9 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
             .chaos
             .hub
             .indexed_stream("bitrot", ((w as u64) << 40) | seq);
-        let u: f64 = 1.0 - rng.gen::<f64>(); // (0, 1]
-        let dt = -u.ln() / self.chaos.corruption_rate;
-        self.queue.schedule(
-            self.now + SimDur::from_secs_f64(dt),
-            Ev::Corrupt { w, epoch },
-        );
+        if let Some(t) = next_arrival(self.now, self.chaos.corruption_rate, &mut rng) {
+            self.queue.schedule(t, Ev::Corrupt { w, epoch });
+        }
     }
 
     /// Rot one resident cache entry on worker `w`: a deterministically
@@ -506,8 +492,7 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
             .map(|(t, _)| TaskId(t))
             .collect();
         for t in doomed {
-            let a = self.end_assignment(t).expect("listed above");
-            if a.computing {
+            if self.end_assignment(t).is_some_and(|a| a.computing) {
                 self.running_delta(-1);
                 if let Some(obs) = &mut self.obs {
                     obs.pending.remove(t.0);

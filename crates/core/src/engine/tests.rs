@@ -249,11 +249,14 @@ fn scaled_variant_does_not_false_hit_same_names() {
 #[test]
 fn preemption_causes_retries_but_completes() {
     let cluster = ClusterSpec::standard(4);
-    let mut cfg = EngineConfig::stack4(cluster, 11);
     // Brutal preemption: ~every 30 s per worker.
-    cfg.preemption = vine_cluster::PreemptionModel {
-        rate_per_sec: 1.0 / 30.0,
-    };
+    let cfg = EngineConfig::stack4(cluster, 11).with_chaos(
+        FaultPlan::none()
+            .with(Fault::Preemption {
+                rate_per_sec: 1.0 / 30.0,
+            })
+            .with_seed(11),
+    );
     let r = RunRequest::new(cfg, small_graph(60, 10 * MB, MB)).run();
     assert!(r.completed(), "{:?}", r.outcome);
     assert!(r.stats.preemptions > 0, "no preemptions sampled");
@@ -615,20 +618,6 @@ fn corruption_is_detected_on_reread() {
     let r = RunRequest::new(chaos_cfg(plan, RecoveryPolicy::default()), g).run();
     assert!(r.completed(), "{:?}", r.outcome);
     assert!(r.stats.corruptions_detected > 0, "bitrot never detected");
-}
-
-#[test]
-fn plan_preemption_supersedes_legacy_model() {
-    let plan = FaultPlan::none().with(Fault::Preemption {
-        rate_per_sec: 1.0 / 30.0,
-    });
-    let r = RunRequest::new(
-        chaos_cfg(plan, RecoveryPolicy::default()),
-        small_graph(24, 10 * MB, MB),
-    )
-    .run();
-    assert!(r.completed(), "{:?}", r.outcome);
-    assert!(r.stats.preemptions > 0, "plan preemption never fired");
 }
 
 #[test]

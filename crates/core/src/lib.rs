@@ -26,10 +26,11 @@
 //! The four stack configurations of Table I are provided as presets:
 //! [`EngineConfig::stack1`] … [`EngineConfig::stack4`].
 //!
-//! The engine ([`Engine`]) marries the substrates: `vine-dag` supplies the
-//! ready-set and lineage logic, `vine-net` the max–min fair fabric,
-//! `vine-storage` the shared-FS and cache models, `vine-cluster` the
-//! worker ramp-up and preemption processes. [`RunResult`] carries the
+//! The engine (run through [`RunRequest`]) marries the substrates:
+//! `vine-dag` supplies the ready-set and lineage logic, `vine-net` the
+//! max–min fair fabric, `vine-storage` the shared-FS and cache models,
+//! `vine-cluster` the worker shapes and ramp-up, and `vine-chaos` the
+//! fault plan, opportunistic preemption included. [`RunResult`] carries the
 //! outcome, makespan and counters; the traces behind the paper's figures
 //! come from a `vine_obs::FigureRecorder` attached with
 //! [`RunRequest::recorder`], the engine's one event sink.
@@ -40,6 +41,7 @@ pub mod cost;
 pub mod engine;
 pub mod observer;
 pub mod placement;
+mod preempt;
 pub mod recovery;
 pub mod request;
 pub mod result;
@@ -50,7 +52,7 @@ pub use config::{
     TraceConfig,
 };
 pub use cost::TaskTimeModel;
-pub use engine::{graph_file_cachename, Engine};
+pub use engine::graph_file_cachename;
 pub use observer::{ObserverControl, PartialUpdate, RunObserver};
 pub use recovery::RecoveryPolicy;
 pub use request::RunRequest;

@@ -1,11 +1,10 @@
 //! The unified run entry point.
 //!
-//! [`RunRequest`] collapses what used to be a 2×2 of ad-hoc `Engine`
-//! methods (`run`, `run_recorded`, `run_in_session`,
-//! `run_in_session_recorded` — all removed in 0.3) into one builder: a
-//! workload plus any combination of warm session, observability
-//! recorder, chaos plan, recovery policy, and streaming observer.
-//! `Engine::request` bridges from a prepared [`Engine`](crate::Engine).
+//! [`RunRequest`] is the one way to run the engine: a configuration and
+//! a workload plus any combination of warm session, observability
+//! recorder, and streaming observer. The fault plan and recovery policy
+//! are part of the configuration ([`EngineConfig::with_chaos`],
+//! [`EngineConfig::with_recovery`]).
 //!
 //! Streaming is the capability the redesign buys: attach a
 //! [`RunObserver`](crate::RunObserver) with [`RunRequest::observer`] and
@@ -13,19 +12,16 @@
 //! honors early stop). Every knob is optional; a bare
 //! `RunRequest::new(cfg, graph).run()` is the plain batch run.
 
-use vine_chaos::FaultPlan;
 use vine_dag::TaskGraph;
 use vine_obs::Recorder;
 
 use crate::config::EngineConfig;
 use crate::engine::run_request;
 use crate::observer::RunObserver;
-use crate::recovery::RecoveryPolicy;
 use crate::result::RunResult;
 use crate::session::SessionState;
 
-/// Builder for one engine run. See the module docs for the migration
-/// map from the deprecated `Engine::run*` variants.
+/// Builder for one engine run (see the module docs).
 pub struct RunRequest<'a> {
     pub(crate) cfg: EngineConfig,
     pub(crate) graph: TaskGraph,
@@ -71,20 +67,6 @@ impl<'a> RunRequest<'a> {
         self
     }
 
-    /// Attach a fault-injection plan (shorthand for setting
-    /// `cfg.chaos`).
-    pub fn chaos(mut self, plan: FaultPlan) -> Self {
-        self.cfg.chaos = plan;
-        self
-    }
-
-    /// Replace the recovery policy (shorthand for setting
-    /// `cfg.recovery`).
-    pub fn recovery(mut self, policy: RecoveryPolicy) -> Self {
-        self.cfg.recovery = policy;
-        self
-    }
-
     /// Execute the run to completion (or failure, or early stop) and
     /// return its result.
     pub fn run(self) -> RunResult {
@@ -96,6 +78,7 @@ impl<'a> RunRequest<'a> {
 mod tests {
     use super::*;
     use crate::observer::{ObserverControl, PartialUpdate};
+    use crate::recovery::RecoveryPolicy;
     use vine_cluster::ClusterSpec;
     use vine_dag::TaskKind;
 
@@ -116,22 +99,12 @@ mod tests {
     }
 
     #[test]
-    fn bare_request_equals_engine_request() {
-        let a = RunRequest::new(cfg(), graph(8)).run();
-        let b = crate::Engine::new(cfg(), graph(8)).request().run();
-        assert_eq!(a.makespan, b.makespan);
-        assert_eq!(a.stats.task_executions, b.stats.task_executions);
-        assert!(a.completed());
-    }
-
-    #[test]
     fn builders_compose() {
         let mut session = SessionState::new(&ClusterSpec::standard(3));
         let mut rec = vine_obs::MemoryRecorder::new();
-        let r = RunRequest::new(cfg(), graph(8))
+        let r = RunRequest::new(cfg().with_recovery(RecoveryPolicy::hardened()), graph(8))
             .session(&mut session)
             .recorder(&mut rec)
-            .recovery(RecoveryPolicy::hardened())
             .run();
         assert!(r.completed());
         assert_eq!(session.runs_completed(), 1);

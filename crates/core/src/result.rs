@@ -29,7 +29,7 @@ pub enum RunOutcome {
 }
 
 /// Aggregate counters from one run.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RunStats {
     /// Distinct tasks in the workflow.
     pub tasks_total: usize,

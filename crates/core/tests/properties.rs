@@ -4,8 +4,8 @@
 
 use proptest::prelude::*;
 use vine_analysis::{ReductionShape, WorkloadSpec};
-use vine_cluster::{ClusterSpec, PreemptionModel};
-use vine_core::{EngineConfig, FaultPlan, Placement, RunRequest, RunResult};
+use vine_cluster::ClusterSpec;
+use vine_core::{EngineConfig, Fault, FaultPlan, Placement, RunRequest, RunResult};
 use vine_dag::{TaskGraph, TaskKind};
 use vine_obs::{FigureRecorder, FigureSet, MemoryRecorder, Tee};
 
@@ -133,8 +133,11 @@ proptest! {
     ) {
         let spec = WorkloadSpec::dv3_small().scaled_down(8);
         let total = spec.to_graph().task_count() as u64;
-        let mut cfg = EngineConfig::stack4(ClusterSpec::standard(4), seed);
-        cfg.preemption = PreemptionModel { rate_per_sec: 1.0 / rate_denom };
+        let mut cfg = EngineConfig::stack4(ClusterSpec::standard(4), seed).with_chaos(
+            FaultPlan::none()
+                .with(Fault::Preemption { rate_per_sec: 1.0 / rate_denom })
+                .with_seed(seed),
+        );
         cfg.replica_target = replicas;
         let r = RunRequest::new(cfg, spec.to_graph()).run();
         prop_assert!(r.completed(), "{:?}", r.outcome);

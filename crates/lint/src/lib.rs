@@ -453,7 +453,8 @@ pub struct EngineFacts {
     pub library_startup_s: f64,
     /// Worker preemption rate, events per second (0 = none).
     pub preemption_rate_per_sec: f64,
-    /// A chaos fault plan is attached (any fault family).
+    /// The fault plan holds a fault that draws on the retry budget: any
+    /// family but preemption, whose worker deaths never charge it.
     pub chaos_enabled: bool,
     /// Combined per-attempt transient task-failure probability (0 = none).
     pub chaos_task_failure_prob: f64,

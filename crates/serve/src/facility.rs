@@ -55,10 +55,6 @@ pub struct FacilityConfig {
     /// Table I stack for the inner engine runs (3 or 4 for warm caches;
     /// 1–2 retain nothing and every run is cold).
     pub stack: usize,
-    /// Disable the inner runs' stochastic elements (instant worker
-    /// start, no preemption). The facility is deterministic either way;
-    /// this just makes the inner runs faster and their makespans purer.
-    pub deterministic_runs: bool,
     /// Master seed: inner run seeds and load-generator draws derive from
     /// it. Identical seeds ⇒ identical admission sequences and reports.
     pub seed: u64,
@@ -91,7 +87,6 @@ impl FacilityConfig {
             ],
             workers_per_run: 4,
             stack: 3,
-            deterministic_runs: true,
             seed,
             enforce_preflight: true,
             chaos: FaultPlan::none(),
@@ -773,13 +768,10 @@ impl Shard {
             manager_link_bw: self.cfg.cluster.manager_link_bw,
         };
         let seed = RngHub::new(self.cfg.seed).stream_seed(&format!("run.{}", q.seq));
-        let mut ecfg = EngineConfig::stack(self.cfg.stack, inner_cluster, seed);
-        if self.cfg.deterministic_runs {
-            ecfg = ecfg.deterministic();
-        }
-        // After deterministic(): an explicitly configured fault plan is
-        // an operator request, not inner-run noise.
-        ecfg = ecfg
+        // Inner runs start every worker at once and lose none but the
+        // facility's own fault plan names, so their makespans are pure.
+        let ecfg = EngineConfig::stack(self.cfg.stack, inner_cluster, seed)
+            .deterministic()
             .with_chaos(self.cfg.chaos.clone())
             .with_recovery(self.cfg.recovery);
 

@@ -51,7 +51,6 @@ fn facility(weights: &[f64], workers: usize, workers_per_run: usize, seed: u64) 
             .collect(),
         workers_per_run,
         stack: 3,
-        deterministic_runs: true,
         seed,
         enforce_preflight: true,
         chaos: vine_core::FaultPlan::none(),

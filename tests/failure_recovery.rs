@@ -2,11 +2,22 @@
 //! Dask.Distributed instability rule, end to end.
 
 use reshaping_hep::analysis::{ReductionShape, WorkloadSpec};
-use reshaping_hep::cluster::{ClusterSpec, PreemptionModel};
+use reshaping_hep::cluster::ClusterSpec;
 use reshaping_hep::core::SessionState;
-use reshaping_hep::core::{graph_file_cachename, EngineConfig, Preflight, RunOutcome, RunRequest};
+use reshaping_hep::core::{
+    graph_file_cachename, EngineConfig, Fault, FaultPlan, Preflight, RunOutcome, RunRequest,
+    RunStats,
+};
 use reshaping_hep::dag::{MemoPlan, TaskGraph, TaskKind};
 use reshaping_hep::simcore::units::{GB, MB};
+
+/// A plan of per-worker preemption alone, seeded with the run seed like
+/// the stack presets' campus pool.
+fn preemption(rate_per_sec: f64, seed: u64) -> FaultPlan {
+    FaultPlan::none()
+        .with(Fault::Preemption { rate_per_sec })
+        .with_seed(seed)
+}
 
 #[test]
 fn survives_paper_grade_preemption() {
@@ -24,10 +35,8 @@ fn survives_preemption_storm() {
     // Far more preemption than the paper's pool: every worker dies
     // every ~20 seconds on average, many times per run.
     let spec = WorkloadSpec::dv3_large().scaled_down(40);
-    let mut cfg = EngineConfig::stack4(ClusterSpec::standard(5), 21);
-    cfg.preemption = PreemptionModel {
-        rate_per_sec: 1.0 / 20.0,
-    };
+    let cfg =
+        EngineConfig::stack4(ClusterSpec::standard(5), 21).with_chaos(preemption(1.0 / 20.0, 21));
     let r = RunRequest::new(cfg, spec.to_graph()).run();
     assert!(r.completed(), "{:?}", r.outcome);
     assert!(r.stats.preemptions > 0, "storm produced no preemptions");
@@ -45,10 +54,8 @@ fn preemption_costs_time_but_not_correctness() {
         RunRequest::new(cfg, spec.to_graph()).run()
     };
     let stormy = {
-        let mut cfg = EngineConfig::stack4(ClusterSpec::standard(5), 21);
-        cfg.preemption = PreemptionModel {
-            rate_per_sec: 1.0 / 100.0,
-        };
+        let cfg = EngineConfig::stack4(ClusterSpec::standard(5), 21)
+            .with_chaos(preemption(1.0 / 100.0, 21));
         RunRequest::new(cfg, spec.to_graph()).run()
     };
     assert!(quiet.completed() && stormy.completed());
@@ -63,12 +70,62 @@ fn preemption_costs_time_but_not_correctness() {
 #[test]
 fn workqueue_also_recovers_from_preemption() {
     let spec = WorkloadSpec::dv3_large().scaled_down(40);
-    let mut cfg = EngineConfig::stack2(ClusterSpec::standard(5), 17);
-    cfg.preemption = PreemptionModel {
-        rate_per_sec: 1.0 / 200.0,
-    };
+    let cfg =
+        EngineConfig::stack2(ClusterSpec::standard(5), 17).with_chaos(preemption(1.0 / 200.0, 17));
     let r = RunRequest::new(cfg, spec.to_graph()).run();
     assert!(r.completed(), "{:?}", r.outcome);
+}
+
+#[test]
+fn preempted_runs_keep_their_exact_draws() {
+    // Pins two preempted runs to the exact makespan and counters the
+    // per-worker `preempt` streams produce, so a change in how the
+    // preemption rate reaches the engine cannot shift a single draw.
+    let spec = WorkloadSpec::dv3_large().scaled_down(40);
+    let run = |stack: usize, seed: u64, rate_per_sec: f64| {
+        let cfg = EngineConfig::stack(stack, ClusterSpec::standard(5), seed)
+            .with_chaos(preemption(rate_per_sec, seed));
+        let r = RunRequest::new(cfg, spec.to_graph()).run();
+        assert!(r.completed(), "{:?}", r.outcome);
+        (r.makespan.as_micros(), r.stats)
+    };
+    assert_eq!(
+        run(4, 21, 1.0 / 100.0),
+        (
+            206_729_567,
+            RunStats {
+                tasks_total: 436,
+                task_executions: 873,
+                preemptions: 6,
+                peer_bytes: 138_800_000_000,
+                shared_fs_bytes: 62_486_737_344,
+                flows_completed: 1510,
+                libraries_started: 9,
+                total_task_busy_us: 5_026_511_705,
+                peak_cache_bytes: 72_949_748_688,
+                events_processed: 4008,
+                ..RunStats::default()
+            }
+        )
+    );
+    assert_eq!(
+        run(2, 17, 1.0 / 200.0),
+        (
+            144_311_168,
+            RunStats {
+                tasks_total: 436,
+                task_executions: 463,
+                preemptions: 3,
+                manager_bytes: 238_762_021_764,
+                shared_fs_bytes: 30_477_599_832,
+                flows_completed: 1703,
+                total_task_busy_us: 3_364_257_802,
+                peak_cache_bytes: 37_074_371_804,
+                events_processed: 2687,
+                ..RunStats::default()
+            }
+        )
+    );
 }
 
 #[test]
