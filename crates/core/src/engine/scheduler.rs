@@ -265,7 +265,10 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
             return; // starts when the library comes up
         }
         {
-            let a = self.assignments.get_mut(task.0).expect("assigned");
+            let Some(a) = self.assignments.get_mut(task.0) else {
+                self.abort_broken(Broken::NoAttempt(task));
+                return;
+            };
             debug_assert_eq!(a.w, w);
             if a.computing || a.missing > 0 {
                 return;
@@ -299,11 +302,12 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
         let total = interp + imports + compute + read_io + write_io;
         let base_total = interp + imports + base_compute + read_io + write_io;
 
+        let Some(a) = self.assignments.get_mut(task.0) else {
+            self.abort_broken(Broken::NoAttempt(task));
+            return;
+        };
+        a.busy_until = self.now + total;
         self.stats.total_task_busy_us += total.as_micros();
-        self.assignments
-            .get_mut(task.0)
-            .expect("assigned")
-            .busy_until = self.now + total;
         self.running_delta(1);
         if self.rec.is_enabled() {
             let tag = match task_node.kind {

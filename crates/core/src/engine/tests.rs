@@ -4,6 +4,8 @@ use vine_dag::TaskKind;
 use vine_obs::{FigureRecorder, FigureSet, FigureSinks};
 use vine_simcore::units::{GB, MB};
 
+mod adopt;
+
 /// A small map+reduce graph: `n` process tasks into one accumulate.
 fn small_graph(n: usize, chunk: u64, partial: u64) -> TaskGraph {
     let mut g = TaskGraph::new();
@@ -383,7 +385,7 @@ fn worker_slots_is_the_engine_worker_count() {
         let graph = small_graph(4, MB, MB);
         let slots = cfg.worker_slots();
         let mut rec = NullRecorder;
-        let sim = Sim::new(cfg, &graph, &mut rec, None);
+        let sim = Sim::new(cfg, &graph, None, &mut rec, None);
         assert_eq!(slots, sim.workers.len());
     }
     assert_eq!(EngineConfig::stack4(cluster, 1).worker_slots(), 3);
@@ -756,7 +758,7 @@ fn wake_counts(
     session: &mut SessionState,
 ) -> (Vec<u64>, RunResult) {
     let mut rec = NullRecorder;
-    let mut sim = Sim::new(cfg, graph, &mut rec, None);
+    let mut sim = Sim::new(cfg, graph, None, &mut rec, None);
     sim.adopt_session(session);
     sim.bootstrap();
     sim.event_loop();
@@ -823,7 +825,7 @@ fn queued_wait_sim<'g, 'r>(
 ) -> Sim<'g, 'r, 'static> {
     let mut cfg = EngineConfig::stack3(ClusterSpec::standard(3), 1).deterministic();
     cfg.max_peer_transfers_per_worker = 1;
-    let mut sim = Sim::new(cfg, graph, rec, None);
+    let mut sim = Sim::new(cfg, graph, None, rec, None);
     for w in 0..3 {
         sim.workers[w].alive = true;
         sim.set_busy(w, 0);

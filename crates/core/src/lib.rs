@@ -52,7 +52,7 @@ pub use config::{
     TraceConfig,
 };
 pub use cost::TaskTimeModel;
-pub use engine::graph_file_cachename;
+pub use engine::{graph_cachenames, graph_file_cachename};
 pub use observer::{ObserverControl, PartialUpdate, RunObserver};
 pub use recovery::RecoveryPolicy;
 pub use request::RunRequest;

@@ -14,6 +14,7 @@
 
 use vine_dag::TaskGraph;
 use vine_obs::Recorder;
+use vine_storage::CacheName;
 
 use crate::config::EngineConfig;
 use crate::engine::run_request;
@@ -25,6 +26,7 @@ use crate::session::SessionState;
 pub struct RunRequest<'a> {
     pub(crate) cfg: EngineConfig,
     pub(crate) graph: TaskGraph,
+    pub(crate) cachenames: Option<Vec<CacheName>>,
     pub(crate) session: Option<&'a mut SessionState>,
     pub(crate) recorder: Option<&'a mut dyn Recorder>,
     pub(crate) observer: Option<&'a mut dyn RunObserver>,
@@ -37,10 +39,20 @@ impl<'a> RunRequest<'a> {
         RunRequest {
             cfg,
             graph,
+            cachenames: None,
             session: None,
             recorder: None,
             observer: None,
         }
+    }
+
+    /// Hand over the graph's cachename slab, already derived by the
+    /// caller with [`graph_cachenames`](crate::graph_cachenames), so the
+    /// engine does not derive it again. It must be exactly that slab
+    /// (debug builds assert it); without it the engine derives its own.
+    pub fn cachenames(mut self, names: Vec<CacheName>) -> Self {
+        self.cachenames = Some(names);
+        self
     }
 
     /// Execute inside a warm [`SessionState`]: workers adopt the

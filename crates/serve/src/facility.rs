@@ -22,16 +22,16 @@
 //! (sorted cachename) order.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
-use std::collections::BTreeSet;
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 use std::rc::Rc;
 
 use vine_analysis::ConvergenceObserver;
 use vine_cluster::ClusterSpec;
 use vine_core::{
-    graph_file_cachename, EngineConfig, FaultPlan, RecoveryPolicy, RunObserver, RunRequest,
-    RunStats, SessionState,
+    graph_cachenames, graph_file_cachename, EngineConfig, FaultPlan, RecoveryPolicy, RunObserver,
+    RunRequest, RunStats, SessionState,
 };
 use vine_dag::{FileId, MemoPlan, TaskGraph};
 use vine_lint::{FacilityFacts, SchedulerFamily};
@@ -247,13 +247,30 @@ pub fn graph_result_name(graph: &TaskGraph) -> Option<CacheName> {
         .map(|(i, _)| graph_file_cachename(graph, FileId(i as u32)))
 }
 
-/// The size `residency` (a [`Shard::residency`] snapshot) records for
-/// `name`.
-fn size_in(residency: &[(CacheName, u64)], name: CacheName) -> Option<u64> {
-    residency
-        .binary_search_by_key(&name, |&(n, _)| n)
-        .ok()
-        .map(|i| residency[i].1)
+/// One name of a [`Shard::residency`] snapshot.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Resident {
+    name: CacheName,
+    /// The largest resident copy's size.
+    size: u64,
+    /// Whether a worker of the slice being written back holds a copy.
+    on_slice: bool,
+}
+
+/// Bytes of `wanted` (sorted by name; a repeated name counts each time)
+/// that `cache` holds at exactly the wanted size.
+fn overlap_bytes(wanted: &[(CacheName, u64)], cache: &LocalCache) -> u64 {
+    let mut bytes = 0;
+    cache.for_each_held(
+        wanted,
+        |&(name, _)| name,
+        |&(_, want), size| {
+            if size == want {
+                bytes += size;
+            }
+        },
+    );
+    bytes
 }
 
 /// One facility shard. See the module docs for the model.
@@ -274,8 +291,9 @@ pub(crate) struct Shard {
     /// they re-enter `ready` when a writeback frees cores.
     quota_blocked: BTreeSet<usize>,
     inflight_cores: Vec<u64>,
-    /// Which tenant first materialized each resident cachename.
-    owner: BTreeMap<CacheName, usize>,
+    /// Which tenant first materialized each resident cachename, sorted by
+    /// name so a writeback re-derives it in one merge with the residency.
+    owner: Vec<(CacheName, usize)>,
     /// Staged `(seq, submission)` pairs, sorted by (arrival, seq)
     /// descending; pop from the back.
     pending: Vec<(usize, Submission)>,
@@ -320,7 +338,7 @@ impl Shard {
             ready: BTreeSet::new(),
             quota_blocked: BTreeSet::new(),
             inflight_cores: vec![0; n],
-            owner: BTreeMap::new(),
+            owner: Vec::new(),
             pending: Vec::new(),
             active: Vec::new(),
             records: Vec::new(),
@@ -356,37 +374,90 @@ impl Shard {
     /// Unique resident bytes currently attributed to `tenant`.
     #[cfg(test)]
     fn tenant_resident_bytes(&self, tenant: usize) -> u64 {
-        self.owned_bytes(tenant, &self.residency())
+        self.owned_bytes(tenant, &self.residency(&[]))
     }
 
-    /// Bytes of `tenant`'s owned names, sized by `residency`.
-    fn owned_bytes(&self, tenant: usize, residency: &[(CacheName, u64)]) -> u64 {
-        self.owner
-            .iter()
-            .filter(|&(_, &o)| o == tenant)
-            .filter_map(|(&name, _)| size_in(residency, name))
-            .sum()
-    }
-
-    /// Every name resident in a checked-in cache with its largest
-    /// copy's size, sorted by name. Checked-out workers hold empty
-    /// placeholders, so they contribute nothing.
-    fn residency(&self) -> Vec<(CacheName, u64)> {
-        let mut all = Vec::with_capacity(self.caches.iter().map(LocalCache::len).sum());
-        for c in &self.caches {
-            all.extend(c.iter().map(|(name, size, _)| (name, size)));
-        }
-        all.sort_unstable();
-        // Ascending (name, size): fold each run of one name into its last
-        // (largest) size.
-        all.dedup_by(|later, kept| {
-            let same = later.0 == kept.0;
-            if same {
-                kept.1 = later.1;
+    /// Bytes of `tenant`'s owned names, sized by `residency`: one merge
+    /// of the two name-ordered lists.
+    fn owned_bytes(&self, tenant: usize, residency: &[Resident]) -> u64 {
+        let mut res = residency.iter().peekable();
+        let mut bytes = 0;
+        for &(name, owner) in &self.owner {
+            while res.next_if(|r| r.name < name).is_some() {}
+            match res.peek() {
+                Some(r) if r.name == name && owner == tenant => bytes += r.size,
+                Some(_) => {}
+                None => break,
             }
-            same
+        }
+        bytes
+    }
+
+    /// Every name resident in a checked-in cache, its largest copy's
+    /// size, and whether a `slice` worker holds it, sorted by name: a
+    /// k-way merge of the caches' name-ordered iterations. Checked-out
+    /// workers hold empty placeholders, so they contribute nothing.
+    fn residency(&self, slice: &[usize]) -> Vec<Resident> {
+        let mut out: Vec<Resident> = Vec::new();
+        let mut iters: Vec<_> = self.caches.iter().map(LocalCache::iter).collect();
+        let mut heads: BinaryHeap<Reverse<(CacheName, usize, u64)>> = iters
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(w, it)| it.next().map(|(n, s, _)| Reverse((n, w, s))))
+            .collect();
+        while let Some(mut head) = heads.peek_mut() {
+            let Reverse((name, w, size)) = *head;
+            let on_slice = slice.contains(&w);
+            match out.last_mut() {
+                Some(r) if r.name == name => {
+                    r.size = r.size.max(size);
+                    r.on_slice |= on_slice;
+                }
+                _ => out.push(Resident {
+                    name,
+                    size,
+                    on_slice,
+                }),
+            }
+            match iters[w].next() {
+                Some((n, s, _)) => *head = Reverse((n, w, s)),
+                None => {
+                    PeekMut::pop(head);
+                }
+            }
+        }
+        out
+    }
+
+    /// Re-derive `owner` against `residency` in one merge: a name
+    /// resident nowhere loses its owner, and a name first materialized by
+    /// `tenant`'s run on `residency`'s slice gains `tenant`. Kept entries
+    /// stay in place; the new ones, usually few, merge in from the back.
+    fn reown(&mut self, tenant: usize, residency: &[Resident]) {
+        let mut fresh: Vec<(CacheName, usize)> = Vec::new();
+        let mut res = residency.iter().peekable();
+        self.owner.retain(|&(name, _)| {
+            while let Some(r) = res.next_if(|r| r.name < name) {
+                if r.on_slice {
+                    fresh.push((r.name, tenant));
+                }
+            }
+            res.next_if(|r| r.name == name).is_some()
         });
-        all
+        fresh.extend(res.filter(|r| r.on_slice).map(|r| (r.name, tenant)));
+        let mut kept = self.owner.len();
+        self.owner.extend_from_slice(&fresh);
+        let mut at = self.owner.len();
+        while let Some(&new) = fresh.last() {
+            at -= 1;
+            if kept > 0 && self.owner[kept - 1].0 > new.0 {
+                kept -= 1;
+                self.owner[at] = self.owner[kept];
+            } else {
+                self.owner[at] = new;
+                fresh.pop();
+            }
+        }
     }
 
     /// Stage submissions for the event loop. Seqs are assigned in the
@@ -542,14 +613,9 @@ impl Shard {
         }
         // Newly resident entries belong to the first tenant that
         // materialized them; entries that vanished everywhere (evicted
-        // inside runs) drop off the ownership map.
-        for &w in &run.record.workers {
-            for (name, _, _) in self.caches[w].iter() {
-                self.owner.entry(name).or_insert(tenant);
-            }
-        }
-        let residency = self.residency();
-        self.owner.retain(|&n, _| size_in(&residency, n).is_some());
+        // inside runs) drop off the ownership list.
+        let residency = self.residency(&run.record.workers);
+        self.reown(tenant, &residency);
         self.enforce_byte_quota(tenant, &residency);
         self.records.push(run.record);
     }
@@ -559,32 +625,35 @@ impl Shard {
     /// the tenant is back under its resident-byte quota. `residency` is
     /// the writeback's snapshot; it stays exact through the loop, since
     /// removing one name leaves every other name's largest copy as is.
-    fn enforce_byte_quota(&mut self, tenant: usize, residency: &[(CacheName, u64)]) {
+    fn enforce_byte_quota(&mut self, tenant: usize, residency: &[Resident]) {
         let quota = self.cfg.tenants[tenant].max_resident_bytes;
         let mut usage = self.owned_bytes(tenant, residency);
         if usage <= quota {
             return;
         }
-        let owned: Vec<CacheName> = self
-            .owner
-            .iter()
-            .filter(|&(_, &o)| o == tenant)
-            .map(|(n, _)| *n)
-            .collect();
-        for name in owned {
+        // `reown` just ran, so every owned name is in `residency`.
+        let mut res = residency.iter();
+        let mut evict: Vec<CacheName> = Vec::new();
+        for &(name, owner) in &self.owner {
             if usage <= quota {
                 break;
             }
-            let Some(size) = size_in(residency, name) else {
+            if owner != tenant {
                 continue;
+            }
+            let Some(r) = res.find(|r| r.name == name) else {
+                break;
             };
-            for c in &mut self.caches {
-                c.clear_pins();
+            evict.push(name);
+            usage -= r.size.min(usage);
+        }
+        for c in &mut self.caches {
+            c.clear_pins();
+            for &name in &evict {
                 let _ = c.remove(name);
             }
-            self.owner.remove(&name);
-            usage -= size.min(usage);
         }
+        self.owner.retain(|(n, _)| evict.binary_search(n).is_err());
     }
 
     fn arrive_due(&mut self) {
@@ -675,30 +744,24 @@ impl Shard {
     }
 
     fn admit(&mut self, tenant: usize, q: Queued, free: &[usize], hooks: Option<ExternalHooks>) {
-        // Cachenames of every produced file, indexed by file id (the
-        // slice scorer and the store consult both read them).
-        let mut names: Vec<Option<(CacheName, u64)>> = vec![None; q.graph.file_count()];
-        for (i, f) in q.graph.files().iter().enumerate() {
-            if f.producer.is_some() {
-                names[i] = Some((
-                    graph_file_cachename(&q.graph, FileId(i as u32)),
-                    f.size_hint,
-                ));
-            }
-        }
+        // Every file's cachename, derived once: the slice scorer and the
+        // store consult read the produced files', and the engine takes
+        // the whole slab with the request.
+        let cachenames = graph_cachenames(&q.graph);
+        let names: Vec<Option<(CacheName, u64)>> = q
+            .graph
+            .files()
+            .iter()
+            .zip(&cachenames)
+            .map(|(f, &n)| f.producer.map(|_| (n, f.size_hint)))
+            .collect();
         // Cache-aware slice selection: prefer free workers already
         // holding this graph's intermediates (exact name *and* size).
-        let wanted: Vec<(CacheName, u64)> = names.iter().flatten().copied().collect();
+        let mut wanted: Vec<(CacheName, u64)> = names.iter().flatten().copied().collect();
+        wanted.sort_unstable();
         let mut scored: Vec<(u64, usize)> = free
             .iter()
-            .map(|&w| {
-                let overlap: u64 = wanted
-                    .iter()
-                    .filter(|&&(n, s)| self.caches[w].size_of(n) == Some(s))
-                    .map(|&(_, s)| s)
-                    .sum();
-                (overlap, w)
-            })
+            .map(|&w| (overlap_bytes(&wanted, &self.caches[w]), w))
             .collect();
         scored.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
         scored.truncate(self.cfg.workers_per_run);
@@ -779,7 +842,9 @@ impl Shard {
         // file nothing consumes. Live partial entries are keyed by it.
         let result_name = q.stream_threshold.and_then(|_| graph_result_name(&q.graph));
 
-        let request = RunRequest::new(ecfg, q.graph).session(&mut session);
+        let request = RunRequest::new(ecfg, q.graph)
+            .cachenames(cachenames)
+            .session(&mut session);
         let (result, stream_stopped_at, stream_digest, partials_published) =
             match (hooks, q.stream_threshold) {
                 (Some(h), _) => {
@@ -887,277 +952,4 @@ impl Shard {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::{ShardedConfig, ShardedFacility};
-    use vine_analysis::WorkloadSpec;
-    use vine_simcore::units::GB;
-
-    /// A single facility: the one-shard, storeless federation.
-    fn single(cfg: FacilityConfig) -> ShardedFacility {
-        ShardedFacility::new(ShardedConfig::single(cfg)).unwrap()
-    }
-
-    fn spec() -> WorkloadSpec {
-        WorkloadSpec::dv3_small().scaled_down(20)
-    }
-
-    fn sub(tenant: usize, at: u64, label: &str) -> Submission {
-        Submission {
-            tenant,
-            graph: spec().to_graph(),
-            priority: 0,
-            arrival: SimTime::from_secs(at),
-            label: label.to_string(),
-            stream_threshold: None,
-        }
-    }
-
-    #[test]
-    fn warm_resubmission_is_much_faster_and_fully_memoized() {
-        let mut f = single(FacilityConfig::demo(7));
-        let cold = f.run_now(0, spec().to_graph(), "cold", None);
-        let warm = f.run_now(0, spec().to_graph(), "warm", None);
-        assert!(cold.completed && warm.completed);
-        assert_eq!(warm.stats.task_executions, 0, "everything memoized");
-        assert_eq!(warm.stats.memoized_tasks as usize, warm.stats.tasks_total);
-        assert!(warm.makespan.as_secs_f64() * 3.0 < cold.makespan.as_secs_f64());
-        assert!(warm.overlap_bytes > 0);
-    }
-
-    #[test]
-    fn edited_resubmission_reruns_only_reductions() {
-        let mut f = single(FacilityConfig::demo(7));
-        let cold = f.run_now(0, spec().to_graph(), "cold", None);
-        let edited = f.run_now(0, spec().with_edit_generation(1).to_graph(), "edit", None);
-        assert!(edited.completed);
-        // Process stage (the bulk) memoized; reductions re-ran.
-        assert!(edited.stats.memoized_tasks > 0);
-        assert!(edited.stats.task_executions > 0);
-        assert!(edited.stats.task_executions < cold.stats.task_executions);
-    }
-
-    #[test]
-    fn quota_blocked_tenant_waits_without_blocking_others() {
-        let mut cfg = FacilityConfig::demo(11);
-        // Tenant 0 may hold only one run's cores in flight.
-        cfg.tenants[0].max_inflight_cores = cfg.run_cores() as u32;
-        let mut f = single(cfg);
-        f.ingest(vec![sub(0, 0, "a0"), sub(0, 0, "a1"), sub(1, 0, "b0")]);
-        let report = f.drain().shards.remove(0);
-        assert_eq!(report.records.len(), 3);
-        let a1 = report.records.iter().find(|r| r.label == "a1").unwrap();
-        let b0 = report.records.iter().find(|r| r.label == "b0").unwrap();
-        // b0 was admitted immediately; a1 had to wait for a0's cores.
-        assert_eq!(b0.queue_wait(), SimDur::ZERO);
-        assert!(a1.queue_wait() > SimDur::ZERO);
-    }
-
-    #[test]
-    fn byte_quota_evicts_deterministically() {
-        let mut cfg = FacilityConfig::demo(13);
-        cfg.tenants[0].max_resident_bytes = GB / 2;
-        let mut f = single(cfg);
-        f.run_now(0, spec().to_graph(), "big", None);
-        let resident = f.shards[0].tenant_resident_bytes(0);
-        assert!(
-            resident <= GB / 2,
-            "quota enforced after writeback: {resident} bytes"
-        );
-    }
-
-    #[test]
-    fn residency_snapshot_is_the_per_name_max() {
-        let mut shard = Shard::new(FacilityConfig::demo(5), None, 0, 1);
-        let name = |i: u32| CacheName::for_dataset_file("residency-test", i);
-        let kind = CacheEntryKind::Intermediate;
-        for (w, cache) in shard.caches.iter_mut().enumerate().take(4) {
-            for i in 0..6 {
-                let size = 100 * (i + 1) + 10 * w as u64;
-                cache
-                    .insert(name(i as u32 * 3 + w as u32), size, kind)
-                    .unwrap();
-            }
-            // One name held by every cache, at a different size in each.
-            cache.insert(name(99), 60 + 10 * w as u64, kind).unwrap();
-        }
-        // Worker 3's slice is checked out: only its placeholder remains.
-        shard.caches[3] = LocalCache::new(0);
-        let mut want: BTreeMap<CacheName, u64> = BTreeMap::new();
-        for c in &shard.caches {
-            for (n, size, _) in c.iter() {
-                let e = want.entry(n).or_insert(size);
-                *e = (*e).max(size);
-            }
-        }
-        let snapshot = shard.residency();
-        assert_eq!(snapshot, want.into_iter().collect::<Vec<_>>());
-        assert_eq!(size_in(&snapshot, name(99)), Some(80));
-        // Name 3 is on workers 0 (200) and 3 (130); name 18 only on 3.
-        assert_eq!(size_in(&snapshot, name(3)), Some(200));
-        assert_eq!(size_in(&snapshot, name(18)), None);
-        assert!(
-            snapshot.windows(2).all(|p| p[0].0 < p[1].0),
-            "sorted, unique"
-        );
-    }
-
-    #[test]
-    fn preflight_errors_refuse_service() {
-        let mut cfg = FacilityConfig::demo(1);
-        cfg.tenants[0].weight = 0.0;
-        let err = ShardedFacility::new(ShardedConfig::single(cfg))
-            .err()
-            .expect("zero weight must refuse");
-        assert!(err.has_code(vine_lint::Code::F002));
-    }
-
-    #[test]
-    fn higher_priority_jumps_the_tenant_queue() {
-        let mut f = single(FacilityConfig::demo(3));
-        // Fill the cluster so later arrivals queue.
-        f.ingest(vec![sub(0, 0, "w0"), sub(1, 0, "w1")]);
-        let mut low = sub(0, 1, "low");
-        low.priority = 0;
-        let mut high = sub(0, 1, "high");
-        high.priority = 5;
-        f.ingest(vec![low, high]);
-        let report = f.drain().shards.remove(0);
-        let admitted = |label: &str| {
-            report
-                .records
-                .iter()
-                .find(|r| r.label == label)
-                .unwrap()
-                .admitted
-        };
-        assert!(admitted("high") <= admitted("low"));
-    }
-
-    #[test]
-    fn between_run_preemption_forces_partial_rerun() {
-        let mut f = single(FacilityConfig::demo(17));
-        let cold = f.run_now(0, spec().to_graph(), "cold", None);
-        // Preempt all but one warm worker between runs (each loses its
-        // disk): entries replicated only among the victims are lost for
-        // good, the survivor's copies still hit.
-        let caches = &mut f.shards[0].caches;
-        let warm_workers: Vec<usize> = (0..caches.len())
-            .filter(|&w| !caches[w].is_empty())
-            .collect();
-        assert!(warm_workers.len() > 1, "need survivors and victims");
-        for &w in &warm_workers[1..] {
-            caches[w].clear_pins();
-            caches[w].clear();
-        }
-        let warm = f.run_now(0, spec().to_graph(), "after-preempt", None);
-        assert!(warm.completed);
-        assert!(warm.stats.task_executions > 0, "lost entries must re-run");
-        assert!(
-            warm.stats.task_executions < cold.stats.task_executions,
-            "surviving workers' entries must still hit"
-        );
-    }
-
-    #[test]
-    fn same_seed_same_report_bytes() {
-        let run = |seed| {
-            let mut f = single(FacilityConfig::demo(seed));
-            f.ingest(vec![sub(0, 0, "x"), sub(1, 3, "y"), sub(0, 5, "z")]);
-            let r = f.drain().shards.remove(0);
-            (r.to_csv(), r.to_metrics().to_text())
-        };
-        let (csv_a, metrics_a) = run(99);
-        let (csv_b, metrics_b) = run(99);
-        assert_eq!(csv_a, csv_b);
-        assert_eq!(metrics_a, metrics_b);
-    }
-
-    #[test]
-    fn fair_share_holds_under_injected_faults() {
-        let mut cfg = FacilityConfig::demo(23);
-        cfg.chaos = FaultPlan::preset("storm").unwrap().with_seed(23);
-        cfg.recovery = RecoveryPolicy::hardened();
-        let mut f = single(cfg);
-        f.ingest(vec![
-            sub(0, 0, "a0"),
-            sub(1, 0, "b0"),
-            sub(0, 2, "a1"),
-            sub(1, 2, "b1"),
-        ]);
-        let report = f.drain().shards.remove(0);
-        // Every submission is served even while every inner run is being
-        // bombarded; hardened recovery completes or degrades, never
-        // wedges the facility.
-        assert_eq!(report.records.len(), 4);
-        for r in &report.records {
-            assert!(
-                r.completed || r.degraded,
-                "{} neither finished state",
-                r.label
-            );
-        }
-        let injected: u64 = report
-            .records
-            .iter()
-            .map(|r| r.stats.preemptions + r.stats.transient_failures)
-            .sum();
-        assert!(injected > 0, "the storm never reached the inner runs");
-        // And the facility stays bit-deterministic under chaos.
-        let mut cfg2 = FacilityConfig::demo(23);
-        cfg2.chaos = FaultPlan::preset("storm").unwrap().with_seed(23);
-        cfg2.recovery = RecoveryPolicy::hardened();
-        let mut f2 = single(cfg2);
-        f2.ingest(vec![
-            sub(0, 0, "a0"),
-            sub(1, 0, "b0"),
-            sub(0, 2, "a1"),
-            sub(1, 2, "b1"),
-        ]);
-        assert_eq!(report.to_csv(), f2.drain().shards[0].to_csv());
-    }
-
-    #[test]
-    fn streaming_submission_publishes_partials_and_saves_cores() {
-        let mut f = single(FacilityConfig::demo(29));
-        let full = f.run_now(0, spec().to_graph(), "full", None);
-        assert!(full.completed);
-
-        // Fresh facility (cold caches) so the streaming run is not
-        // trivially memoized; low threshold → stop at 25% precision.
-        let mut fs = single(FacilityConfig::demo(29));
-        let streamed = fs.run_now(0, spec().to_graph(), "stream", Some(0.5));
-        assert!(streamed.completed, "early stop is Completed, not Degraded");
-        assert!(!streamed.degraded);
-        assert!(
-            streamed.stream_stopped_at.unwrap() < 1.0,
-            "a 0.5 threshold must converge before the end"
-        );
-        assert!(streamed.stats.early_stopped);
-        assert!(streamed.stats.early_stop_cancelled > 0, "cone cancelled");
-        assert!(streamed.partials_published > 0, "partials in the store");
-        assert!(fs.results_for(0).partial_count() > 0);
-        assert!(streamed.stream_digest.is_some());
-        assert!(
-            streamed.stats.total_task_busy_us < full.stats.total_task_busy_us,
-            "early stop must save core-seconds: {} vs {}",
-            streamed.stats.total_task_busy_us,
-            full.stats.total_task_busy_us,
-        );
-        assert!(streamed.makespan < full.makespan, "first plot sooner");
-    }
-
-    #[test]
-    fn streaming_threshold_one_matches_plain_run() {
-        let mut a = single(FacilityConfig::demo(31));
-        let plain = a.run_now(0, spec().to_graph(), "plain", None);
-        let mut b = single(FacilityConfig::demo(31));
-        let streamed = b.run_now(0, spec().to_graph(), "stream", Some(1.0));
-        assert_eq!(plain.makespan, streamed.makespan);
-        assert_eq!(plain.stats.task_executions, streamed.stats.task_executions);
-        assert!(!streamed.stats.early_stopped);
-        assert_eq!(streamed.stream_stopped_at, Some(1.0));
-        // Partial entries were still published along the way.
-        assert!(streamed.partials_published > 0);
-    }
-}
+mod tests;

@@ -11,7 +11,8 @@
 //! single-node reduction pins hundreds of gigabytes of histogram inputs on
 //! one worker and kills it.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
 use crate::cachename::CacheName;
 
@@ -53,7 +54,13 @@ impl std::fmt::Display for CacheError {
 
 impl std::error::Error for CacheError {}
 
+/// [`LocalCache::for_each_held`] looks names up one by one when the cache
+/// holds more than this many entries per name asked about: a merge then
+/// walks mostly entries nobody asked for.
+const LOOKUP_RATIO: usize = 8;
+
 #[derive(Clone, Debug)]
+#[cfg_attr(test, derive(PartialEq))]
 struct Entry {
     size: u64,
     kind: CacheEntryKind,
@@ -63,6 +70,7 @@ struct Entry {
 
 /// An LRU cache over one worker's local disk.
 #[derive(Clone, Debug)]
+#[cfg_attr(test, derive(PartialEq))]
 pub struct LocalCache {
     capacity: u64,
     used: u64,
@@ -165,36 +173,11 @@ impl LocalCache {
         let net_growth = size.saturating_sub(existing_size.unwrap_or(0));
         let free = self.capacity - self.used;
 
-        let mut evicted = Vec::new();
-        if net_growth > free {
-            let mut need = net_growth - free;
-            // Evict coldest unpinned entries (never the one being resized).
-            let mut candidates: Vec<(u64, CacheName, u64)> = self
-                .entries
-                .iter()
-                .filter(|(n, e)| e.pins == 0 && **n != name)
-                .map(|(n, e)| (e.last_use, *n, e.size))
-                .collect();
-            candidates.sort_unstable();
-            let reclaimable: u64 = candidates.iter().map(|&(_, _, s)| s).sum();
-            if reclaimable < need {
-                return Err(CacheError::WontFit {
-                    needed: net_growth,
-                    reclaimable: free + reclaimable,
-                });
-            }
-            for (_, victim, vsize) in candidates {
-                if need == 0 {
-                    break;
-                }
-                self.entries.remove(&victim);
-                self.corrupt.remove(&victim);
-                self.used -= vsize;
-                self.evictions += 1;
-                need = need.saturating_sub(vsize);
-                evicted.push(victim);
-            }
-        }
+        let evicted = if net_growth > free {
+            self.make_room(name, net_growth)?
+        } else {
+            Vec::new()
+        };
 
         self.corrupt.remove(&name);
         match self.entries.get_mut(&name) {
@@ -220,6 +203,47 @@ impl LocalCache {
         }
         self.peak_used = self.peak_used.max(self.used);
         Ok(evicted)
+    }
+
+    /// Evict unpinned entries other than `keep`, coldest first, until
+    /// `net_growth` more bytes fit; the cache is unchanged on `WontFit`.
+    /// Kept out of line: most inserts fit without evicting, and `insert`
+    /// is on the engine's hot path.
+    #[cold]
+    fn make_room(
+        &mut self,
+        keep: CacheName,
+        net_growth: u64,
+    ) -> Result<Vec<CacheName>, CacheError> {
+        let free = self.capacity - self.used;
+        let need = net_growth - free;
+        // One pass sums what is reclaimable and finds the coldest
+        // candidate, which usually covers the need on its own.
+        let mut reclaimable = 0;
+        let mut coldest: Option<(u64, CacheName, u64)> = None;
+        for c in self.unpinned(Some(keep)) {
+            reclaimable += c.2;
+            if coldest.is_none_or(|m| c < m) {
+                coldest = Some(c);
+            }
+        }
+        if reclaimable < need {
+            return Err(CacheError::WontFit {
+                needed: net_growth,
+                reclaimable: free + reclaimable,
+            });
+        }
+        Ok(match coldest {
+            Some((_, victim, vsize)) if vsize >= need => {
+                self.drop_victim(victim, vsize);
+                vec![victim]
+            }
+            _ => {
+                let candidates = self.unpinned(Some(keep)).map(Reverse).collect();
+                // `need <= reclaimable <= used`, so `net_growth <= capacity`.
+                self.evict_coldest(candidates, self.capacity - net_growth)
+            }
+        })
     }
 
     /// Pin a resident file so it cannot be evicted. Pins nest.
@@ -251,12 +275,10 @@ impl LocalCache {
                 needed: 0,
                 reclaimable: 0,
             }),
-            Some(_) => {
-                let e = self.entries.remove(&name).expect("checked above");
-                self.corrupt.remove(&name);
-                self.used -= e.size;
-                self.evictions += 1;
-                Ok(e.size)
+            Some(e) => {
+                let size = e.size;
+                self.drop_victim(name, size);
+                Ok(size)
             }
         }
     }
@@ -266,28 +288,51 @@ impl LocalCache {
     /// untouched, so `used` may remain above `target`; the caller decides
     /// whether that is an error (a facility quota breach, say).
     pub fn evict_to(&mut self, target: u64) -> Vec<CacheName> {
-        let mut evicted = Vec::new();
         if self.used <= target {
-            return evicted;
+            return Vec::new();
         }
-        let mut candidates: Vec<(u64, CacheName, u64)> = self
-            .entries
+        let candidates = self.unpinned(None).map(Reverse).collect();
+        self.evict_coldest(candidates, target)
+    }
+
+    /// Unpinned entries other than `keep`, as `(last_use, name, size)`:
+    /// eviction takes them in ascending order.
+    fn unpinned(
+        &self,
+        keep: Option<CacheName>,
+    ) -> impl Iterator<Item = (u64, CacheName, u64)> + '_ {
+        self.entries
             .iter()
-            .filter(|(_, e)| e.pins == 0)
+            .filter(move |(n, e)| e.pins == 0 && Some(**n) != keep)
             .map(|(n, e)| (e.last_use, *n, e.size))
-            .collect();
-        candidates.sort_unstable();
-        for (_, victim, vsize) in candidates {
-            if self.used <= target {
+    }
+
+    /// Evict `candidates` coldest first until `used <= target` (or none
+    /// are left); returns the victims in eviction order. Heapifying is
+    /// linear and each victim costs one pop, so evicting a few entries
+    /// out of thousands does not pay for sorting them all.
+    fn evict_coldest(
+        &mut self,
+        mut candidates: BinaryHeap<Reverse<(u64, CacheName, u64)>>,
+        target: u64,
+    ) -> Vec<CacheName> {
+        let mut evicted = Vec::new();
+        while self.used > target {
+            let Some(Reverse((_, victim, vsize))) = candidates.pop() else {
                 break;
-            }
-            self.entries.remove(&victim);
-            self.corrupt.remove(&victim);
-            self.used -= vsize;
-            self.evictions += 1;
+            };
+            self.drop_victim(victim, vsize);
             evicted.push(victim);
         }
         evicted
+    }
+
+    /// Remove a resident entry of `size` bytes (evicted or removed).
+    fn drop_victim(&mut self, victim: CacheName, size: u64) {
+        self.entries.remove(&victim);
+        self.corrupt.remove(&victim);
+        self.used -= size;
+        self.evictions += 1;
     }
 
     /// Release every pin on every entry. A facility uses this at session
@@ -349,9 +394,42 @@ impl LocalCache {
         self.evictions
     }
 
-    /// Iterate resident `(name, size, kind)` triples in arbitrary order.
+    /// Iterate resident `(name, size, kind)` triples in ascending
+    /// cachename order. Callers rely on the order: a facility publishes
+    /// entries to its shared tier in it (the tier's LRU ticks follow),
+    /// and merges several caches' iterations by name.
     pub fn iter(&self) -> impl Iterator<Item = (CacheName, u64, CacheEntryKind)> + '_ {
         self.entries.iter().map(|(n, e)| (*n, e.size, e.kind))
+    }
+
+    /// Call `f(item, size)` for each item of `sorted` whose name (ascending
+    /// in `sorted`; repeats allowed) is resident here, in `sorted`'s
+    /// order. A list much shorter than the cache costs one lookup per
+    /// item; otherwise one merge of the two name-ordered lists.
+    pub fn for_each_held<T>(
+        &self,
+        sorted: &[T],
+        name: impl Fn(&T) -> CacheName,
+        mut f: impl FnMut(&T, u64),
+    ) {
+        if sorted.len().saturating_mul(LOOKUP_RATIO) < self.entries.len() {
+            for item in sorted {
+                if let Some(e) = self.entries.get(&name(item)) {
+                    f(item, e.size);
+                }
+            }
+            return;
+        }
+        let mut entries = self.entries.iter().peekable();
+        for item in sorted {
+            let n = name(item);
+            while entries.next_if(|&(e, _)| *e < n).is_some() {}
+            match entries.peek() {
+                Some(&(e, entry)) if *e == n => f(item, entry.size),
+                Some(_) => {}
+                None => break,
+            }
+        }
     }
 
     /// Total bytes of resident entries of the given kind.
@@ -367,9 +445,213 @@ impl LocalCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn name(i: u32) -> CacheName {
         CacheName::for_dataset_file("t", i)
+    }
+
+    /// The full-sort eviction [`LocalCache::insert`] replaced: collect and
+    /// sort every candidate, then evict from the cold end.
+    fn insert_by_sort(
+        c: &mut LocalCache,
+        name: CacheName,
+        size: u64,
+        kind: CacheEntryKind,
+    ) -> Result<Vec<CacheName>, CacheError> {
+        c.tick += 1;
+        let tick = c.tick;
+        let existing_size = c.entries.get(&name).map(|e| e.size);
+        let net_growth = size.saturating_sub(existing_size.unwrap_or(0));
+        let free = c.capacity - c.used;
+        let mut evicted = Vec::new();
+        if net_growth > free {
+            let mut need = net_growth - free;
+            let mut candidates: Vec<(u64, CacheName, u64)> = c
+                .entries
+                .iter()
+                .filter(|(n, e)| e.pins == 0 && **n != name)
+                .map(|(n, e)| (e.last_use, *n, e.size))
+                .collect();
+            candidates.sort_unstable();
+            let reclaimable: u64 = candidates.iter().map(|&(_, _, s)| s).sum();
+            if reclaimable < need {
+                return Err(CacheError::WontFit {
+                    needed: net_growth,
+                    reclaimable: free + reclaimable,
+                });
+            }
+            for (_, victim, vsize) in candidates {
+                if need == 0 {
+                    break;
+                }
+                c.entries.remove(&victim);
+                c.corrupt.remove(&victim);
+                c.used -= vsize;
+                c.evictions += 1;
+                need = need.saturating_sub(vsize);
+                evicted.push(victim);
+            }
+        }
+        c.corrupt.remove(&name);
+        match c.entries.get_mut(&name) {
+            Some(e) => {
+                c.used = c.used - e.size + size;
+                e.size = size;
+                e.kind = kind;
+                e.last_use = tick;
+            }
+            None => {
+                let entry = Entry {
+                    size,
+                    kind,
+                    pins: 0,
+                    last_use: tick,
+                };
+                c.entries.insert(name, entry);
+                c.used += size;
+                c.insertions += 1;
+            }
+        }
+        c.peak_used = c.peak_used.max(c.used);
+        Ok(evicted)
+    }
+
+    /// The full-sort [`LocalCache::evict_to`] it replaced.
+    fn evict_to_by_sort(c: &mut LocalCache, target: u64) -> Vec<CacheName> {
+        let mut evicted = Vec::new();
+        if c.used <= target {
+            return evicted;
+        }
+        let mut candidates: Vec<(u64, CacheName, u64)> = c
+            .entries
+            .iter()
+            .filter(|(_, e)| e.pins == 0)
+            .map(|(n, e)| (e.last_use, *n, e.size))
+            .collect();
+        candidates.sort_unstable();
+        for (_, victim, vsize) in candidates {
+            if c.used <= target {
+                break;
+            }
+            c.entries.remove(&victim);
+            c.corrupt.remove(&victim);
+            c.used -= vsize;
+            c.evictions += 1;
+            evicted.push(victim);
+        }
+        evicted
+    }
+
+    #[derive(Clone, Debug)]
+    enum Op {
+        Insert(u32, u64),
+        Touch(u32),
+        Pin(u32),
+        Unpin(u32),
+        Remove(u32),
+        Rot(u32),
+        EvictTo(u64),
+        ClearPins,
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (0u32..24, 1u64..500).prop_map(|(i, s)| Op::Insert(i, s)),
+            (0u32..24, 1u64..1200).prop_map(|(i, s)| Op::Insert(i, s)),
+            (0u32..24).prop_map(Op::Touch),
+            (0u32..24).prop_map(Op::Pin),
+            (0u32..24).prop_map(Op::Unpin),
+            (0u32..24).prop_map(Op::Remove),
+            (0u32..24).prop_map(Op::Rot),
+            (0u64..1000).prop_map(Op::EvictTo),
+            Just(Op::ClearPins),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// Heap-chosen victims equal the full sort's under pins, resizes
+        /// (an entry never evicts itself), corruption marks and `WontFit`
+        /// (which leaves both caches unchanged), and the two caches stay
+        /// identical, field for field, after every operation.
+        #[test]
+        fn victims_match_the_full_sort(ops in collection::vec(op(), 0..200)) {
+            let mut fast = LocalCache::new(1000);
+            let mut slow = LocalCache::new(1000);
+            for op in ops {
+                match op {
+                    Op::Insert(i, size) => {
+                        let before = fast.clone();
+                        let got = fast.insert(name(i), size, CacheEntryKind::Intermediate);
+                        let want = insert_by_sort(&mut slow, name(i), size, CacheEntryKind::Intermediate);
+                        prop_assert_eq!(&got, &want);
+                        if got.is_err() {
+                            prop_assert_eq!(fast.entries.clone(), before.entries);
+                            prop_assert_eq!(fast.used, before.used);
+                        }
+                    }
+                    Op::Touch(i) => prop_assert_eq!(fast.touch(name(i)), slow.touch(name(i))),
+                    Op::Pin(i) => prop_assert_eq!(fast.pin(name(i)), slow.pin(name(i))),
+                    Op::Unpin(i) => {
+                        if fast.is_pinned(name(i)) {
+                            prop_assert_eq!(fast.unpin(name(i)), slow.unpin(name(i)));
+                        }
+                    }
+                    Op::Remove(i) => prop_assert_eq!(fast.remove(name(i)), slow.remove(name(i))),
+                    Op::Rot(i) => prop_assert_eq!(fast.mark_corrupt(name(i)), slow.mark_corrupt(name(i))),
+                    Op::EvictTo(t) => prop_assert_eq!(fast.evict_to(t), evict_to_by_sort(&mut slow, t)),
+                    Op::ClearPins => {
+                        fast.clear_pins();
+                        slow.clear_pins();
+                    }
+                }
+                prop_assert_eq!(&fast, &slow);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// Both strategies of `for_each_held` (lookups for a short list,
+        /// a merge otherwise) visit exactly the resident items, repeats
+        /// included, in list order, with their sizes.
+        #[test]
+        fn held_items_match_the_lookups(
+            resident in collection::vec((0u32..64, 1u64..9), 0..60),
+            asked in collection::vec(0u32..64, 0..40),
+        ) {
+            let mut c = LocalCache::new(u64::MAX);
+            for (i, size) in resident {
+                c.insert(name(i), size, CacheEntryKind::Intermediate).unwrap();
+            }
+            let mut asked: Vec<(CacheName, usize)> =
+                asked.into_iter().enumerate().map(|(k, i)| (name(i), k)).collect();
+            asked.sort_unstable();
+            let want: Vec<(usize, u64)> = asked
+                .iter()
+                .filter_map(|&(n, k)| c.size_of(n).map(|s| (k, s)))
+                .collect();
+            let mut got = Vec::new();
+            c.for_each_held(&asked, |&(n, _)| n, |&(_, k), s| got.push((k, s)));
+            prop_assert_eq!(got, want);
+        }
+    }
+
+    #[test]
+    fn iteration_is_in_ascending_cachename_order() {
+        let mut c = LocalCache::new(u64::MAX);
+        // Insertion order and recency are unrelated to name order.
+        for i in [7u32, 3, 11, 0, 5, 9, 1] {
+            c.insert(name(i), u64::from(i) + 1, CacheEntryKind::Input)
+                .unwrap();
+        }
+        c.touch(name(0));
+        let names: Vec<CacheName> = c.iter().map(|(n, _, _)| n).collect();
+        let mut sorted = names.clone();
+        sorted.sort_unstable();
+        assert_eq!(names, sorted);
+        assert_eq!(names.len(), 7);
     }
 
     #[test]
