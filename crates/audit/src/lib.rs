@@ -299,7 +299,7 @@ impl Default for AuditConfig {
         let mut layering = BTreeMap::new();
         layering.insert("simcore".into(), dep(&[]));
         layering.insert("dag".into(), dep(&[]));
-        layering.insert("data".into(), dep(&[]));
+        layering.insert("data".into(), dep(&["simcore"]));
         layering.insert("audit".into(), dep(&[]));
         layering.insert("storage".into(), dep(&["simcore"]));
         layering.insert("net".into(), dep(&["simcore"]));

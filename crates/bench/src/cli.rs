@@ -37,8 +37,6 @@ pub struct BenchCli {
     pub chaos: Option<FaultPlan>,
     /// `--recovery` policy (default policy when the flag is absent).
     pub recovery: RecoveryPolicy,
-    /// The `--recovery` name as given (`"default"` when absent).
-    pub recovery_name: String,
     /// `--bench-json FILE`.
     pub bench_json: Option<String>,
     /// `--stream-threshold T`, validated to (0, 1].
@@ -62,10 +60,7 @@ impl BenchCli {
 
     /// Same, from an explicit argument list (tests).
     pub fn from_args(mut args: impl Iterator<Item = String>) -> Result<BenchCli, String> {
-        let mut cli = BenchCli {
-            recovery_name: "default".into(),
-            ..BenchCli::default()
-        };
+        let mut cli = BenchCli::default();
         while let Some(a) = args.next() {
             let mut value = |name: &str| {
                 args.next()
@@ -79,8 +74,7 @@ impl BenchCli {
                     cli.chaos = Some(FaultPlan::parse(&spec).map_err(|e| format!("--chaos: {e}"))?);
                 }
                 "--recovery" => {
-                    let name = value("--recovery")?;
-                    cli.recovery = match name.as_str() {
+                    cli.recovery = match value("--recovery")?.as_str() {
                         "default" => RecoveryPolicy::default(),
                         "hardened" => RecoveryPolicy::hardened(),
                         "fragile" => RecoveryPolicy::fragile(),
@@ -90,7 +84,6 @@ impl BenchCli {
                             ))
                         }
                     };
-                    cli.recovery_name = name;
                 }
                 "--bench-json" => cli.bench_json = Some(value("--bench-json")?),
                 "--stream-threshold" => {
@@ -215,7 +208,7 @@ mod tests {
         ]))
         .unwrap();
         assert!(cli.chaos.is_some());
-        assert_eq!(cli.recovery_name, "hardened");
+        assert_eq!(cli.recovery, RecoveryPolicy::hardened());
         assert_eq!(cli.bench_json.as_deref(), Some("out.json"));
         assert_eq!(cli.stream_threshold, Some(0.5));
         assert!(cli.metrics);
@@ -248,7 +241,7 @@ mod tests {
     fn defaults_are_inert() {
         let cli = BenchCli::from_args(args(&["positional"])).unwrap();
         assert!(cli.chaos.is_none());
-        assert_eq!(cli.recovery_name, "default");
+        assert_eq!(cli.recovery, RecoveryPolicy::default());
         assert!(cli.stream_threshold.is_none());
         assert!(!cli.enabled());
         assert_eq!(cli.rest, ["positional"]);

@@ -9,6 +9,11 @@ use crate::cost::TaskTimeModel;
 use crate::preempt::CAMPUS;
 use crate::recovery::RecoveryPolicy;
 
+/// Dask.Distributed is reported by the paper to be unable to run TB-scale
+/// workloads (§V-B): its runs with more input than this abort with
+/// `RunOutcome::Failed`.
+pub const DASK_UNSTABLE_ABOVE_BYTES: u64 = TB / 2;
+
 /// Which scheduler generation runs the workload.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SchedulerKind {
@@ -148,19 +153,10 @@ pub struct EngineConfig {
     pub placement: Placement,
     /// Where external inputs are read from.
     pub data_source: DataSource,
-    /// Satisfy tasks whose output cachenames are already resident in a
-    /// warm session ([`crate::SessionState`]) instead of re-executing
-    /// them. Only takes effect for TaskVine runs launched through
-    /// [`crate::RunRequest::session`] runs; cold runs are unaffected.
-    pub memoization: bool,
     /// Master RNG seed.
     pub seed: u64,
     /// Trace selection.
     pub trace: TraceConfig,
-    /// Dask.Distributed is reported by the paper to be unable to run
-    /// TB-scale workloads; runs with more input than this abort with
-    /// `RunOutcome::Failed`. `None` disables the rule.
-    pub dask_unstable_above_bytes: Option<u64>,
     /// Pre-flight lint policy (see [`Preflight`]).
     pub preflight: Preflight,
     /// Every fault of the run, in-run worker loss included. The stack
@@ -189,10 +185,8 @@ impl EngineConfig {
             replicate_max_bytes: 512 * 1_000_000,
             placement: Placement::DataAware,
             data_source: DataSource::SharedFilesystem,
-            memoization: true,
             seed,
             trace: TraceConfig::default(),
-            dask_unstable_above_bytes: Some(TB / 2),
             preflight: Preflight::Enforce,
             chaos: FaultPlan::none()
                 .with(Fault::Preemption {
@@ -350,7 +344,7 @@ impl EngineConfig {
             retry_budget: self.recovery.retry_budget,
             timeout_factor: self.recovery.timeout_factor,
             speculation: self.recovery.speculation,
-            dask_unstable_above_bytes: self.dask_unstable_above_bytes,
+            dask_unstable_above_bytes: Some(DASK_UNSTABLE_ABOVE_BYTES),
             workers: self.worker_slots(),
             cores_per_worker: cores,
             mem_per_worker: mem,
@@ -436,6 +430,9 @@ mod tests {
     fn dask_preset_is_marked_unstable_at_scale() {
         let c = EngineConfig::dask_distributed(cluster(), 1);
         assert_eq!(c.scheduler, SchedulerKind::DaskDistributed);
-        assert!(c.dask_unstable_above_bytes.is_some());
+        assert_eq!(
+            c.lint_facts().dask_unstable_above_bytes,
+            Some(DASK_UNSTABLE_ABOVE_BYTES)
+        );
     }
 }

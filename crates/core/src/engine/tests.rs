@@ -178,24 +178,6 @@ fn preemption_between_runs_reruns_only_what_was_lost() {
 }
 
 #[test]
-fn memoization_off_reexecutes_despite_warm_caches() {
-    let cluster = ClusterSpec::standard(4);
-    let mut session = SessionState::new(&cluster);
-    let mut cfg = EngineConfig::stack3(cluster, 42).deterministic();
-    cfg.memoization = false;
-
-    RunRequest::new(cfg.clone(), small_graph(12, 10 * MB, MB))
-        .session(&mut session)
-        .run();
-    let again = RunRequest::new(cfg, small_graph(12, 10 * MB, MB))
-        .session(&mut session)
-        .run();
-    assert!(again.completed());
-    assert_eq!(again.stats.memoized_tasks, 0);
-    assert_eq!(again.stats.task_executions, 13);
-}
-
-#[test]
 fn workqueue_session_never_memoizes() {
     let cluster = ClusterSpec::standard(4);
     let mut session = SessionState::new(&cluster);

@@ -49,7 +49,7 @@ pub mod session;
 
 pub use config::{
     DataSource, EngineConfig, ExecMode, ImportSource, Placement, Preflight, SchedulerKind,
-    TraceConfig,
+    TraceConfig, DASK_UNSTABLE_ABOVE_BYTES,
 };
 pub use cost::TaskTimeModel;
 pub use engine::{graph_cachenames, graph_file_cachename};

@@ -57,7 +57,7 @@ impl<'a> RunRequest<'a> {
 
     /// Execute inside a warm [`SessionState`]: workers adopt the
     /// session's caches at start, resident outputs are memoized (under
-    /// TaskVine with `cfg.memoization`), and the post-run caches are
+    /// TaskVine), and the post-run caches are
     /// written back. Fails without simulating when the session's worker
     /// count does not match the run's geometry.
     pub fn session(mut self, session: &'a mut SessionState) -> Self {

@@ -37,4 +37,5 @@ pub use hist::{Hist1D, Hist2D, HistogramSet};
 pub use jagged::Jagged;
 pub use log::{DatasetLog, GrowthEvent, GrowthKind};
 pub use rootfile::{Chunk, Dataset, RootFile};
-pub use stream::{fnv1a64, partition_delta, STREAM_HIST};
+pub use stream::{partition_delta, STREAM_HIST};
+pub use vine_simcore::fnv1a64;

@@ -16,7 +16,7 @@
 //! `vine-watch` compares across replays: same seed + same event log ⇒
 //! bit-identical per-epoch digests.
 
-use crate::stream::fnv1a64;
+use vine_simcore::fnv1a64;
 
 /// What one growth event does.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

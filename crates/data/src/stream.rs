@@ -13,6 +13,8 @@
 //! 100% equals the batch merge exactly (asserted by proptests in
 //! `vine-analysis`).
 
+use vine_simcore::{fnv1a64, splitmix64};
+
 use crate::hist::{Hist1D, HistogramSet};
 
 /// Name of the observable every partition delta fills.
@@ -26,26 +28,6 @@ pub const STREAM_HI: f64 = 300.0;
 /// At most this many distinct fills per delta; larger partitions widen
 /// the per-fill weight instead (keeps delta synthesis O(1)-ish).
 const MAX_FILLS: u64 = 1024;
-
-/// SplitMix64 step — the same tiny generator the vendored proptest stub
-/// uses; good enough to shape a histogram, independent of `rand`.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// FNV-1a over `bytes` — the digest recorded for partial results.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1_0000_01b3);
-    }
-    h
-}
 
 /// The histogram delta contributed by one partition.
 ///
@@ -62,12 +44,12 @@ pub fn partition_delta(label: &str, events: u64) -> HistogramSet {
         let base_w = events / fills;
         let mut remainder = events - base_w * fills;
         for _ in 0..fills {
-            let r = splitmix(&mut state);
+            let r = splitmix64(&mut state);
             // Integer-valued observable in [0, STREAM_HI).
             let x = if r.is_multiple_of(3) {
-                115 + (splitmix(&mut state) % 21) // peak: 115..=135
+                115 + (splitmix64(&mut state) % 21) // peak: 115..=135
             } else {
-                (splitmix(&mut state) % (STREAM_HI as u64 * 2)).min(STREAM_HI as u64 - 1)
+                (splitmix64(&mut state) % (STREAM_HI as u64 * 2)).min(STREAM_HI as u64 - 1)
             };
             let mut w = base_w;
             if remainder > 0 {

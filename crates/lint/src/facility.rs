@@ -8,7 +8,7 @@
 //! checks before accepting its first submission, mirroring the engine's
 //! own pre-flight gate.
 
-use crate::{fmt_bytes, Code, Diagnostic, Locus, Report, SchedulerFamily, Severity};
+use crate::{fmt_bytes, Code, Diagnostic, Locus, Report, Severity};
 
 /// One tenant's admission knobs, as the facility sees them.
 #[derive(Clone, Debug)]
@@ -26,10 +26,6 @@ pub struct TenantFacts {
 /// A plain snapshot of the facility knobs the F lints read.
 #[derive(Clone, Debug)]
 pub struct FacilityFacts {
-    /// Scheduler generation runs execute under.
-    pub scheduler: SchedulerFamily,
-    /// Warm-cache memoization requested.
-    pub memoization: bool,
     /// Workers in the cluster.
     pub workers: usize,
     /// Cores per worker.
@@ -107,19 +103,6 @@ pub fn lint_facility(facts: &FacilityFacts) -> Report {
                 suggestion: Some("the quota is unreachable; lower it or add disk".into()),
             });
         }
-    }
-
-    if facts.memoization && facts.scheduler != SchedulerFamily::TaskVine {
-        report.push(Diagnostic {
-            code: Code::F003,
-            severity: Severity::Warn,
-            locus: Locus::Config,
-            message: format!(
-                "memoization requested under {:?}, which retains nothing between runs",
-                facts.scheduler
-            ),
-            suggestion: Some("run the facility on TaskVine (stack 3 or 4)".into()),
-        });
     }
 
     if facts.workers_per_run == 0 || facts.workers_per_run > facts.workers {
@@ -215,8 +198,6 @@ mod tests {
 
     fn healthy() -> FacilityFacts {
         FacilityFacts {
-            scheduler: SchedulerFamily::TaskVine,
-            memoization: true,
             workers: 8,
             cores_per_worker: 12,
             disk_per_worker: 100_000_000_000,
@@ -266,15 +247,6 @@ mod tests {
         f.tenants.clear();
         let r = lint_facility(&f);
         assert!(r.has_code(Code::F002) && r.has_errors());
-    }
-
-    #[test]
-    fn memoization_off_taskvine_fires_f003() {
-        let mut f = healthy();
-        f.scheduler = SchedulerFamily::WorkQueue;
-        let r = lint_facility(&f);
-        assert!(r.has_code(Code::F003));
-        assert!(!r.has_errors(), "F003 is advisory");
     }
 
     #[test]

@@ -139,8 +139,6 @@ pub enum Code {
     /// A tenant has zero (or invalid) fair-share weight, or the facility
     /// has no tenants at all: nothing can ever be admitted for it.
     F002,
-    /// Warm-cache memoization requested under a non-TaskVine scheduler.
-    F003,
     /// Per-run worker slice is infeasible (zero, or larger than the
     /// cluster).
     F004,
@@ -168,7 +166,7 @@ pub enum Code {
 
 impl Code {
     /// Every code, in report order — drives the README reference table.
-    pub const ALL: [Code; 34] = [
+    pub const ALL: [Code; 33] = [
         Code::G001,
         Code::G002,
         Code::G003,
@@ -194,7 +192,6 @@ impl Code {
         Code::D001,
         Code::F001,
         Code::F002,
-        Code::F003,
         Code::F004,
         Code::F005,
         Code::F006,
@@ -233,7 +230,6 @@ impl Code {
             Code::D001 => "sole-copy intermediates under preemption (rerun cascades)",
             Code::F001 => "tenant in-flight core quota exceeds the whole cluster",
             Code::F002 => "tenant with zero fair-share weight (or no tenants): starved forever",
-            Code::F003 => "warm-cache memoization under a non-TaskVine scheduler does nothing",
             Code::F004 => "per-run worker slice is zero or larger than the cluster",
             Code::F005 => "tenant resident-byte quota exceeds the cluster's aggregate disk",
             Code::F006 => "federation has zero shards; nothing can ever run",

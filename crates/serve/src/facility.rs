@@ -34,7 +34,7 @@ use vine_core::{
     RunRequest, RunStats, SessionState,
 };
 use vine_dag::{FileId, MemoPlan, TaskGraph};
-use vine_lint::{FacilityFacts, SchedulerFamily};
+use vine_lint::FacilityFacts;
 use vine_simcore::{RngHub, SimDur, SimTime};
 use vine_storage::{CacheEntryKind, CacheName, LocalCache};
 use vine_store::ObjectStore;
@@ -58,8 +58,6 @@ pub struct FacilityConfig {
     /// Master seed: inner run seeds and load-generator draws derive from
     /// it. Identical seeds ⇒ identical admission sequences and reports.
     pub seed: u64,
-    /// Refuse to start when the facility lints find errors.
-    pub enforce_preflight: bool,
     /// Fault plan injected into every inner run (chaos-testing the
     /// facility end to end). [`FaultPlan::none`] injects nothing.
     pub chaos: FaultPlan,
@@ -88,7 +86,6 @@ impl FacilityConfig {
             workers_per_run: 4,
             stack: 3,
             seed,
-            enforce_preflight: true,
             chaos: FaultPlan::none(),
             recovery: RecoveryPolicy::default(),
         }
@@ -102,12 +99,6 @@ impl FacilityConfig {
     /// The snapshot [`vine_lint::lint_facility`] reads.
     pub fn lint_facts(&self) -> FacilityFacts {
         FacilityFacts {
-            scheduler: if self.stack >= 3 {
-                SchedulerFamily::TaskVine
-            } else {
-                SchedulerFamily::WorkQueue
-            },
-            memoization: self.stack >= 3,
             workers: self.cluster.workers,
             cores_per_worker: self.cluster.worker.cores,
             disk_per_worker: self.cluster.worker.disk_bytes,

@@ -15,17 +15,7 @@
 //! A tenant polling for a result it just submitted can read the 30%
 //! estimate while the remaining partitions are still in flight — the
 //! "first plot in seconds" the paper's near-interactive goal asks for.
-//!
-//! Hit/miss counters are **exact**: every lookup (`get` or
-//! [`fetch_or_insert`]) bumps exactly one counter, decided and serviced
-//! by a single map probe — there is no re-read of a just-inserted blob
-//! that could double-count, and `get` + `fetch_or_insert` never both run
-//! for the same logical lookup in the facility. The counters live in
-//! [`Cell`]s so `get` takes `&self`: lookups are logically read-only,
-//! and callers holding `&self` (e.g. admission planning peeking at warm
-//! results) no longer need `&mut` plumbed through.
 
-use std::cell::Cell;
 use std::collections::BTreeMap;
 
 use vine_storage::CacheName;
@@ -46,8 +36,6 @@ pub struct ResultStore {
     /// polling the old cachename would keep reading stale partials
     /// forever.
     versioned: BTreeMap<String, (u64, CacheName)>,
-    hits: Cell<u64>,
-    misses: Cell<u64>,
 }
 
 impl ResultStore {
@@ -56,20 +44,9 @@ impl ResultStore {
         Self::default()
     }
 
-    /// Stored blob for `name`, if any. Counts a hit or miss. Logically
-    /// read-only: the counters are interior-mutable so concurrent-shaped
-    /// callers can hold `&self`.
+    /// Stored blob for `name`, if any.
     pub fn get(&self, name: CacheName) -> Option<&[u8]> {
-        match self.entries.get(&name) {
-            Some(b) => {
-                self.hits.set(self.hits.get() + 1);
-                Some(b.as_slice())
-            }
-            None => {
-                self.misses.set(self.misses.get() + 1);
-                None
-            }
-        }
+        self.entries.get(&name).map(Vec::as_slice)
     }
 
     /// Store (or overwrite) a blob. Publishing the final result
@@ -77,30 +54,6 @@ impl ResultStore {
     pub fn put(&mut self, name: CacheName, bytes: Vec<u8>) {
         self.entries.insert(name, bytes);
         self.drop_partials(name);
-    }
-
-    /// Return the stored blob for `name`, computing and storing it via
-    /// `compute` on a miss. The flag is `true` on a hit.
-    ///
-    /// One map probe decides the verdict, bumps the matching counter, and
-    /// yields the blob: the hit/miss tally is exact by construction (no
-    /// second lookup that could re-count the just-inserted entry).
-    pub fn fetch_or_insert<F: FnOnce() -> Vec<u8>>(
-        &mut self,
-        name: CacheName,
-        compute: F,
-    ) -> (&[u8], bool) {
-        use std::collections::btree_map::Entry;
-        match self.entries.entry(name) {
-            Entry::Occupied(e) => {
-                self.hits.set(self.hits.get() + 1);
-                (e.into_mut().as_slice(), true)
-            }
-            Entry::Vacant(e) => {
-                self.misses.set(self.misses.get() + 1);
-                (e.insert(compute()).as_slice(), false)
-            }
-        }
     }
 
     /// Publish a live partial result for `name` at `milli_fraction`
@@ -111,8 +64,7 @@ impl ResultStore {
 
     /// The freshest partial for `name` at or below `milli_fraction`
     /// (`1000` returns the most complete partial available), with the
-    /// fraction it was taken at. Not counted as a hit or miss: partials
-    /// are progress reports, not memoization.
+    /// fraction it was taken at.
     pub fn get_partial(&self, name: CacheName, milli_fraction: u32) -> Option<(u32, &[u8])> {
         self.partials
             .range((name, 0)..=(name, milli_fraction))
@@ -176,11 +128,11 @@ impl ResultStore {
         self.versioned.get(key).map(|&(e, _)| e)
     }
 
-    /// `key`'s current result: its epoch, cachename, and blob. Counts a
-    /// hit or miss like [`get`](Self::get).
+    /// `key`'s current result: its epoch, cachename, and blob.
     pub fn get_versioned(&self, key: &str) -> Option<(u64, CacheName, &[u8])> {
         let &(epoch, name) = self.versioned.get(key)?;
-        self.get(name).map(|b| (epoch, name, b))
+        let blob = self.entries.get(&name)?;
+        Some((epoch, name, blob.as_slice()))
     }
 
     /// Stored (final) blob count.
@@ -197,22 +149,6 @@ impl ResultStore {
     pub fn partial_count(&self) -> usize {
         self.partials.len()
     }
-
-    /// Total stored bytes (final blobs plus live partials).
-    pub fn bytes(&self) -> u64 {
-        self.entries.values().map(|v| v.len() as u64).sum::<u64>()
-            + self.partials.values().map(|v| v.len() as u64).sum::<u64>()
-    }
-
-    /// Lookup hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits.get()
-    }
-
-    /// Lookup misses so far.
-    pub fn misses(&self) -> u64 {
-        self.misses.get()
-    }
 }
 
 #[cfg(test)]
@@ -224,59 +160,12 @@ mod tests {
     }
 
     #[test]
-    fn fetch_or_insert_computes_once() {
-        let mut store = ResultStore::new();
-        let mut computes = 0;
-        let (a, hit_a) = store.fetch_or_insert(name(1), || {
-            computes += 1;
-            vec![1, 2, 3]
-        });
-        assert!(!hit_a);
-        assert_eq!(a, &[1, 2, 3]);
-        let (b, hit_b) = store.fetch_or_insert(name(1), || {
-            computes += 1;
-            vec![9, 9, 9]
-        });
-        assert!(hit_b);
-        assert_eq!(b, &[1, 2, 3], "hit returns the stored blob");
-        assert_eq!(computes, 1);
-        assert_eq!((store.hits(), store.misses()), (1, 1));
-    }
-
-    #[test]
-    fn counters_count_exactly_once_per_call() {
-        // Regression test for the fetch_or_insert double-count: one
-        // counter bump per lookup, on both the get and fetch_or_insert
-        // paths, asserted after every single call so a re-count anywhere
-        // in the interleaving is pinpointed, not just detected at the end.
-        let mut store = ResultStore::new();
-        store.fetch_or_insert(name(1), || vec![1]); // miss
-        assert_eq!((store.hits(), store.misses()), (0, 1));
-        store.fetch_or_insert(name(1), || vec![2]); // hit
-        assert_eq!((store.hits(), store.misses()), (1, 1));
-        store.get(name(1)); // hit
-        assert_eq!((store.hits(), store.misses()), (2, 1));
-        store.get(name(9)); // miss
-        assert_eq!((store.hits(), store.misses()), (2, 2));
-        // put / invalidate / partials are not lookups: no counter moves.
-        store.put(name(2), vec![4]);
-        store.put_partial(name(2), 500, vec![5]);
-        store.invalidate(name(1));
-        assert_eq!((store.hits(), store.misses()), (2, 2));
-        // A miss after invalidation recomputes and counts exactly once.
-        let (_, hit) = store.fetch_or_insert(name(1), || vec![3]);
-        assert!(!hit);
-        assert_eq!((store.hits(), store.misses()), (2, 3));
-    }
-
-    #[test]
     fn get_takes_shared_ref() {
         let mut store = ResultStore::new();
         store.put(name(1), vec![7]);
         let shared: &ResultStore = &store;
         assert_eq!(shared.get(name(1)), Some(&[7u8][..]));
         assert!(shared.get(name(2)).is_none());
-        assert_eq!((shared.hits(), shared.misses()), (1, 1));
     }
 
     #[test]
@@ -285,8 +174,8 @@ mod tests {
         store.put(name(2), vec![5]);
         assert!(store.invalidate(name(2)));
         assert!(!store.invalidate(name(2)));
-        let (_, hit) = store.fetch_or_insert(name(2), || vec![6]);
-        assert!(!hit);
+        assert!(store.get(name(2)).is_none());
+        store.put(name(2), vec![6]);
         assert_eq!(store.get(name(2)), Some(&[6u8][..]));
     }
 
@@ -296,10 +185,10 @@ mod tests {
         assert!(store.is_empty());
         store.put(name(1), vec![0; 10]);
         store.put(name(2), vec![0; 5]);
+        store.put(name(1), vec![0; 3]);
         assert_eq!(store.len(), 2);
-        assert_eq!(store.bytes(), 15);
+        assert_eq!(store.get(name(1)).map(<[u8]>::len), Some(3));
         assert!(store.get(name(3)).is_none());
-        assert_eq!(store.misses(), 1);
     }
 
     #[test]
@@ -313,8 +202,7 @@ mod tests {
         assert_eq!(store.get_partial(name(1), 500), Some((300, &[3u8][..])));
         assert_eq!(store.get_partial(name(1), 100), None);
         assert_eq!(store.partial_fractions(name(1)), vec![300, 700]);
-        // Partials are progress reports, not memoization hits.
-        assert_eq!((store.hits(), store.misses()), (0, 0));
+        assert_eq!(store.len(), 0, "partials are not final blobs");
     }
 
     #[test]

@@ -42,7 +42,7 @@ use vine_core::{FaultPlan, RecoveryPolicy, RunObserver};
 use vine_dag::TaskGraph;
 use vine_lint::{lint_sharded, Report, ShardFacts};
 use vine_obs::Recorder;
-use vine_simcore::SimTime;
+use vine_simcore::{fnv1a64, fnv1a64_extend, SimTime};
 use vine_store::{ObjectStore, StoreConfig};
 
 use crate::facility::{ExternalHooks, FacilityConfig, Shard, Submission, SubmissionRecord};
@@ -99,24 +99,6 @@ impl ShardedConfig {
     }
 }
 
-/// The 64-bit FNV-1a offset basis: the hash of no bytes.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// 64-bit FNV-1a, the repo's standard content hash.
-fn fnv1a_64(bytes: &[u8]) -> u64 {
-    fnv1a_64_extend(FNV_OFFSET, bytes)
-}
-
-/// Continue an FNV-1a hash `h` over `bytes`: the hash of `a ‖ b` is
-/// `fnv1a_64_extend(fnv1a_64(a), b)`.
-fn fnv1a_64_extend(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1_0000_01b3);
-    }
-    h
-}
-
 /// Avalanche finalizer (the 64-bit murmur3 fmix). FNV-1a barely mixes
 /// trailing-byte differences — for `name ‖ shard` keys the shard index is
 /// exactly the tail, so raw FNV scores are correlated across shards and
@@ -138,10 +120,10 @@ fn fmix64(mut h: u64) -> u64 {
 /// onto the new shard (property-tested in `tests/properties.rs`).
 pub fn assign_shard(tenant_name: &str, shards: usize) -> usize {
     assert!(shards > 0, "federation needs at least one shard");
-    let name_hash = fnv1a_64(tenant_name.as_bytes());
+    let name_hash = fnv1a64(tenant_name.as_bytes());
     (0..shards)
         .max_by_key(|&s| {
-            let h = fnv1a_64_extend(name_hash, &(s as u64).to_le_bytes());
+            let h = fnv1a64_extend(name_hash, &(s as u64).to_le_bytes());
             (fmix64(h), std::cmp::Reverse(s))
         })
         .expect("non-empty shard range")
@@ -234,7 +216,7 @@ impl ShardedReport {
     /// FNV-1a content digest of [`ShardedReport::to_text`] — the replay
     /// identity the shard gate compares across runs.
     pub fn digest(&self) -> u64 {
-        fnv1a_64(self.to_text().as_bytes())
+        fnv1a64(self.to_text().as_bytes())
     }
 }
 
@@ -251,13 +233,13 @@ pub struct ShardedFacility {
 
 impl ShardedFacility {
     /// Build a facility, running the facility lints plus the sharding
-    /// lints (F006–F008) against the combined configuration. With
-    /// `base.enforce_preflight`, a config with lint errors (no tenants,
-    /// zero weights, impossible quotas or slices, no shards, a broken
-    /// store) is refused and the report returned as `Err`.
+    /// lints (F006–F008) against the combined configuration. A config
+    /// with lint errors (no tenants, zero weights, impossible quotas or
+    /// slices, no shards, a broken store) is refused and the report
+    /// returned as `Err`.
     pub fn new(cfg: ShardedConfig) -> Result<Self, Report> {
         let preflight = lint_sharded(&cfg.base.lint_facts(), &cfg.shard_facts());
-        if cfg.base.enforce_preflight && preflight.has_errors() {
+        if preflight.has_errors() {
             return Err(preflight);
         }
         let store = cfg
@@ -531,7 +513,7 @@ mod tests {
                 .max_by_key(|&s| {
                     let mut key = tenant_name.as_bytes().to_vec();
                     key.extend_from_slice(&(s as u64).to_le_bytes());
-                    (fmix64(fnv1a_64(&key)), std::cmp::Reverse(s))
+                    (fmix64(fnv1a64(&key)), std::cmp::Reverse(s))
                 })
                 .unwrap()
         }

@@ -52,7 +52,6 @@ fn facility(weights: &[f64], workers: usize, workers_per_run: usize, seed: u64) 
         workers_per_run,
         stack: 3,
         seed,
-        enforce_preflight: true,
         chaos: vine_core::FaultPlan::none(),
         recovery: vine_core::RecoveryPolicy::default(),
     };

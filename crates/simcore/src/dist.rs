@@ -39,29 +39,24 @@ impl Dist {
                     lo
                 }
             }
-            Dist::Exponential { mean } => {
-                if mean <= 0.0 {
-                    0.0
-                } else {
-                    Exp::new(1.0 / mean).expect("positive rate").sample(rng)
-                }
-            }
+            // Non-positive or non-finite parameters give the variant's
+            // fallback value and draw nothing.
+            Dist::Exponential { mean } => match Exp::new(1.0 / mean) {
+                Ok(exp) if mean > 0.0 && mean.is_finite() => exp.sample(rng),
+                _ => 0.0,
+            },
             Dist::LogNormal { median, sigma } => {
-                if median <= 0.0 {
-                    0.0
-                } else {
-                    LogNormal::new(median.ln(), sigma.max(0.0))
-                        .expect("finite parameters")
-                        .sample(rng)
+                let valid = median > 0.0 && median.is_finite() && sigma.is_finite();
+                match LogNormal::new(median.ln(), sigma.max(0.0)) {
+                    Ok(ln) if valid => ln.sample(rng),
+                    _ => 0.0,
                 }
             }
             Dist::Normal { mean, sd, min } => {
-                let v = if sd <= 0.0 {
-                    mean
-                } else {
-                    Normal::new(mean, sd)
-                        .expect("finite parameters")
-                        .sample(rng)
+                let valid = sd > 0.0 && sd.is_finite() && mean.is_finite();
+                let v = match Normal::new(mean, sd) {
+                    Ok(normal) if valid => normal.sample(rng),
+                    _ => mean,
                 };
                 v.max(min)
             }
@@ -206,6 +201,31 @@ mod tests {
             for _ in 0..100 {
                 assert!(d.sample(&mut r) >= 0.0, "{d:?}");
             }
+        }
+    }
+
+    #[test]
+    fn invalid_parameters_fall_back_without_a_draw() {
+        use rand::Rng;
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        let normal = |mean, sd| Dist::Normal { mean, sd, min: 0.5 };
+        let lognormal = |median, sigma| Dist::LogNormal { median, sigma };
+        let cases = [
+            (Dist::Exponential { mean: nan }, 0.0),
+            (Dist::Exponential { mean: inf }, 0.0),
+            (lognormal(nan, 1.0), 0.0),
+            (lognormal(inf, 1.0), 0.0),
+            (lognormal(2.0, nan), 0.0),
+            (lognormal(2.0, inf), 0.0),
+            (normal(3.0, nan), 3.0),
+            (normal(3.0, inf), 3.0),
+            (normal(nan, 1.0), 0.5),
+            (normal(-inf, 1.0), 0.5),
+        ];
+        for (d, fallback) in cases {
+            let mut r = rng();
+            assert_eq!(d.sample(&mut r), fallback, "{d:?}");
+            assert_eq!(r.gen::<u64>(), rng().gen::<u64>(), "{d:?} drew");
         }
     }
 

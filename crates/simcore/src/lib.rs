@@ -16,17 +16,21 @@
 //!   one stochastic knob (e.g. preemption) does not reshuffle unrelated
 //!   draws (e.g. task durations).
 //! * [`Dist`] — the duration/size distributions used by workload models.
+//! * [`fnv1a64`] / [`splitmix64`] — the content hash and tiny generator
+//!   shared by shard routing, digests and streamed deltas.
 //! * [`trace`] — time-series, interval (Gantt), transfer-matrix, and
 //!   log-histogram sinks that back the paper's figures.
 
 pub mod dist;
 pub mod event;
+pub mod hash;
 pub mod rng;
 pub mod time;
 pub mod trace;
 pub mod units;
 
 pub use dist::Dist;
-pub use event::{BinaryHeapQueue, EventId, EventQueue};
+pub use event::{EventId, EventQueue};
+pub use hash::{fnv1a64, fnv1a64_extend, splitmix64};
 pub use rng::RngHub;
 pub use time::{SimDur, SimTime};

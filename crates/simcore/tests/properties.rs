@@ -2,7 +2,30 @@
 
 use proptest::prelude::*;
 use vine_simcore::trace::{LogHistogram, TimeSeries, TransferMatrix};
-use vine_simcore::{BinaryHeapQueue, Dist, EventQueue, RngHub, SimDur, SimTime};
+use vine_simcore::{Dist, EventId, EventQueue, RngHub, SimDur, SimTime};
+
+/// Reference for `EventQueue`: the live events in a `Vec`, searched by a
+/// linear scan for the minimum `(time, id)`.
+#[derive(Default)]
+struct ScanModel {
+    live: Vec<(SimTime, EventId, usize)>,
+}
+
+impl ScanModel {
+    fn first(&self) -> Option<usize> {
+        (0..self.live.len()).min_by_key(|&k| (self.live[k].0, self.live[k].1))
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, usize)> {
+        let (t, _, payload) = self.live.remove(self.first()?);
+        Some((t, payload))
+    }
+
+    fn cancel(&mut self, id: EventId) -> bool {
+        let k = self.live.iter().position(|e| e.1 == id);
+        k.map(|k| self.live.remove(k)).is_some()
+    }
+}
 
 proptest! {
     /// Events always pop in non-decreasing time order, with FIFO order
@@ -51,65 +74,69 @@ proptest! {
         prop_assert_eq!(popped, expect_live);
     }
 
-    /// Random schedule/reserve/cancel/pop sequences pop identically from
-    /// the calendar queue and the binary-heap reference. A reservation is
-    /// scheduled some operations later, or never, at a time near `now`
-    /// (often equal, so its id decides), in the ring or far beyond it.
+    /// Random sequences of every queue operation return exactly what the
+    /// linear-scan model returns, call by call. Times are equal to the
+    /// last pop (so ids decide), just before it, near it, or far beyond;
+    /// a reservation is used some operations later or never, and cancels
+    /// also hit fired, cancelled and reserved ids.
     #[test]
-    fn event_queue_reservations_match_binary_heap(
-        ops in proptest::collection::vec((0u8..6, 0u64..3_000_000, 0usize..64), 1..400),
+    fn event_queue_matches_linear_scan_model(
+        ops in proptest::collection::vec((0u8..7, 0u64..3_000_000, 0usize..64), 1..400),
     ) {
-        let mut cal = EventQueue::new();
-        let mut heap = BinaryHeapQueue::new();
-        let mut ids = Vec::new();
-        let mut reserved = Vec::new();
+        let mut q = EventQueue::new();
+        let mut model = ScanModel::default();
+        let mut issued: Vec<EventId> = Vec::new();
+        let mut reserved: Vec<EventId> = Vec::new();
         let mut now = 0u64;
         for (n, &(op, x, pick)) in ops.iter().enumerate() {
-            let at = SimTime::from_micros(match x % 4 {
+            let at = SimTime::from_micros(match x % 5 {
                 0 => now,
-                1 => now + x % 1_000,
-                2 => now + x,
+                1 => now.saturating_sub(x % 1_000),
+                2 => now + x % 1_000,
+                3 => now + x,
                 _ => now + x * 1_000,
             });
             match op {
                 0 | 1 => {
-                    let id = cal.schedule(at, n);
-                    prop_assert_eq!(heap.schedule(at, n), id);
-                    ids.push(id);
+                    let id = q.schedule(at, n);
+                    prop_assert!(issued.last() < Some(&id), "ids are issued in order");
+                    issued.push(id);
+                    model.live.push((at, id, n));
                 }
                 2 => {
-                    let id = cal.reserve();
-                    prop_assert_eq!(heap.reserve(), id);
+                    let id = q.reserve();
+                    prop_assert!(issued.last() < Some(&id), "ids are issued in order");
+                    issued.push(id);
                     reserved.push(id);
                 }
                 3 => {
                     if !reserved.is_empty() {
                         let id = reserved.swap_remove(pick % reserved.len());
-                        cal.schedule_reserved(id, at, n);
-                        heap.schedule_reserved(id, at, n);
-                        ids.push(id);
+                        q.schedule_reserved(id, at, n);
+                        model.live.push((at, id, n));
                     }
                 }
                 4 => {
-                    if !ids.is_empty() {
-                        let id = ids[pick % ids.len()];
-                        prop_assert_eq!(cal.cancel(id), heap.cancel(id));
+                    if !issued.is_empty() {
+                        let id = issued[pick % issued.len()];
+                        prop_assert_eq!(q.cancel(id), model.cancel(id));
                     }
                 }
+                5 => prop_assert_eq!(q.peek_time(), model.first().map(|k| model.live[k].0)),
                 _ => {
-                    prop_assert_eq!(cal.peek_time(), heap.peek_time());
-                    let popped = cal.pop();
-                    prop_assert_eq!(&popped, &heap.pop());
+                    let popped = q.pop();
+                    prop_assert_eq!(popped, model.pop());
                     if let Some((t, _)) = popped {
                         now = t.as_micros();
                     }
                 }
             }
-            prop_assert_eq!(cal.len(), heap.len());
+            prop_assert_eq!(q.len(), model.live.len());
+            prop_assert_eq!(q.is_empty(), model.live.is_empty());
         }
         loop {
-            let popped = cal.pop();
-            prop_assert_eq!(&popped, &heap.pop());
+            let popped = q.pop();
+            prop_assert_eq!(popped, model.pop());
             if popped.is_none() {
                 break;
             }

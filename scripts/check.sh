@@ -21,7 +21,7 @@ echo "== perfbench unit tests (a separate workspace) =="
 cargo test -q --manifest-path perfbench/Cargo.toml "$@"
 
 echo "== criterion microbench smoke (--test mode) =="
-cargo bench -q -p vine-bench --bench event_queue --bench arena_lookup --bench substrates "$@" -- --test
+cargo bench -q -p vine-bench --bench arena_lookup --bench substrates "$@" -- --test
 
 echo "== vine-audit (determinism/concurrency gate, ratcheted baseline) =="
 cargo run -q -p vine-audit "$@" -- --deny --baseline results/audit_baseline.txt

@@ -1,15 +1,14 @@
 //! Warm-start acceptance, end to end: resubmitting an identical graph
 //! into a warm session is at least 3× faster, the observability digest
 //! attributes the saving to memoized tasks and warm bytes, the physics
-//! answer served from the result store is bit-identical to a cold
-//! recomputation, and the facility's exports are byte-stable per seed.
+//! answer a warm run serves is bit-identical to a cold recomputation, and the facility's exports are byte-stable per seed.
 
 use reshaping_hep::analysis::{Dv3Processor, WorkloadSpec};
 use reshaping_hep::cluster::ClusterSpec;
-use reshaping_hep::core::{graph_file_cachename, EngineConfig, RunRequest, SessionState};
+use reshaping_hep::core::{EngineConfig, RunRequest, SessionState};
 use reshaping_hep::data::{encode_histogram_set, Dataset};
 use reshaping_hep::exec::{ExecMode, Executor};
-use reshaping_hep::serve::{FacilityConfig, LoadGen, ResultStore, ShardedConfig, ShardedFacility};
+use reshaping_hep::serve::{FacilityConfig, LoadGen, ShardedConfig, ShardedFacility};
 use reshaping_hep::simcore::units::KB;
 
 fn base_cfg() -> EngineConfig {
@@ -78,16 +77,10 @@ fn obs_digest_attributes_the_saving_to_memoization() {
 #[test]
 fn memoized_run_serves_bit_identical_histograms() {
     // The simulation decides *that* the final reduction can be served
-    // warm; the result store holds *what* to serve. Because the real
-    // executor is deterministic, the blob stored by the cold run is
-    // byte-for-byte what any recomputation (any thread count) produces.
+    // warm; the cold run's encoded answer is *what* to serve. Because the
+    // real executor is deterministic, that blob is byte-for-byte what any
+    // recomputation (any thread count) produces.
     let spec = WorkloadSpec::dv3_small().scaled_down(20);
-    let graph = spec.to_graph();
-    let sink = graph
-        .sink_files()
-        .next()
-        .expect("analysis graphs have a final result");
-    let key = graph_file_cachename(&graph, sink.id);
 
     let datasets = vec![Dataset::synthesize("warmstart.ds0", 500 * KB, KB, 150, 3)];
     let processor = Dv3Processor::default();
@@ -103,28 +96,25 @@ fn memoized_run_serves_bit_identical_histograms() {
         .run(&processor, &datasets)
     };
 
-    // Cold: simulate, execute for real, store the encoded answer.
+    // Cold: simulate, execute for real, keep the encoded answer.
     let cfg = base_cfg();
     let mut session = SessionState::new(&cfg.cluster);
     let cold = RunRequest::new(cfg.clone(), spec.to_graph())
         .session(&mut session)
         .run();
     assert!(cold.completed());
-    let mut store = ResultStore::new();
-    store.put(key, encode_histogram_set(&run_exec(4).final_result));
+    let stored = encode_histogram_set(&run_exec(4).final_result);
 
-    // Warm: the simulation memoizes the sink's producer, so the store
-    // may answer without recomputing — and its blob must equal what a
-    // fresh (differently-threaded) computation yields.
+    // Warm: the simulation memoizes every task, so the stored blob may be
+    // served without recomputing — and it must equal what a fresh
+    // (differently-threaded) computation yields.
     let warm = RunRequest::new(cfg, spec.to_graph())
         .session(&mut session)
         .run();
     assert_eq!(warm.stats.memoized_tasks, warm.stats.tasks_total as u64);
-    let (served, hit) = store.fetch_or_insert(key, || unreachable!("must be a hit"));
-    assert!(hit);
     assert_eq!(
-        served,
-        encode_histogram_set(&run_exec(1).final_result).as_slice(),
+        stored,
+        encode_histogram_set(&run_exec(1).final_result),
         "stored physics blob differs from recomputation"
     );
 }
