@@ -2,11 +2,14 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::{Rng, SeedableRng};
+use vine_cluster::ClusterSpec;
+use vine_core::{graph_cachenames, EngineConfig};
 use vine_dag::rewrite::add_tree_reduce;
-use vine_dag::{ReadyTracker, TaskGraph, TaskKind};
+use vine_dag::{MemoPlan, ReadyTracker, TaskGraph, TaskKind};
 use vine_data::{EventGenerator, Hist1D};
 use vine_net::fairshare::{max_min_fair, FlowSpec};
 use vine_net::{Fabric, NodeId};
+use vine_serve::LoadGen;
 use vine_simcore::{EventQueue, SimTime};
 use vine_storage::{CacheEntryKind, CacheName, LocalCache};
 
@@ -173,6 +176,46 @@ fn bench_dag(c: &mut Criterion) {
     });
 }
 
+/// The fixed costs every facility admission pays before its inner run's
+/// event loop, on one facility-load graph against a 4-worker slice: the
+/// largest of `LoadGen`'s fresh workloads at scale-down 15 (RS-TriPhoton,
+/// 293 tasks over 526 files).
+fn bench_admission(c: &mut Criterion) {
+    let load = LoadGen {
+        scale_down: 15,
+        submissions_per_tenant: 3,
+        resubmit_prob: 0.0,
+        edit_prob: 0.0,
+        ..LoadGen::default()
+    };
+    let graph = (load.generate(1, 7).into_iter())
+        .map(|s| s.graph)
+        .max_by_key(TaskGraph::task_count)
+        .expect("three submissions");
+    let facts = EngineConfig::stack3(ClusterSpec::standard(4), 7).lint_facts();
+    c.bench_function("admission/lint_all", |b| {
+        b.iter(|| black_box(vine_lint::lint_all(black_box(&graph), &facts)))
+    });
+
+    // An edited resubmit: the processing stage is warm, reductions rerun.
+    let plan = MemoPlan::compute(&graph, |f| {
+        graph
+            .file(f)
+            .producer
+            .is_some_and(|p| graph.task(p).kind == TaskKind::Process)
+    });
+    c.bench_function("admission/tracker_with_warm_state", |b| {
+        b.iter(|| {
+            let t = ReadyTracker::with_warm_state(&graph, plan.resident_mask(), plan.skip_mask());
+            black_box(t.ready_count())
+        })
+    });
+
+    c.bench_function("admission/graph_cachenames", |b| {
+        b.iter(|| black_box(graph_cachenames(black_box(&graph))))
+    });
+}
+
 fn bench_data(c: &mut Criterion) {
     c.bench_function("data/generate_1k_events", |b| {
         let gen = EventGenerator::default();
@@ -200,6 +243,6 @@ fn bench_data(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_event_queue, bench_fairshare, bench_cache, bench_dag, bench_data
+    targets = bench_event_queue, bench_fairshare, bench_cache, bench_dag, bench_admission, bench_data
 }
 criterion_main!(benches);

@@ -679,7 +679,7 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
     /// An unpinned cache entry was evicted to make room. Update placement
     /// and recover if it was the last copy of a needed file.
     pub(super) fn handle_eviction(&mut self, w: usize, victim: CacheName) {
-        let Some(&f) = self.name_to_file.get(&victim) else {
+        let Some(f) = file_named(&self.name_to_file, victim) else {
             return;
         };
         let fi = f.0 as usize;

@@ -295,10 +295,20 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
         self.set_busy(w, 0);
         self.workers[w].outgoing = 0;
         // The copies this worker holds (from a warm session; a restarted
-        // worker holds none) are live sources now.
-        for (name, _, _) in self.workers[w].cache.iter() {
-            if let Some(&f) = self.name_to_file.get(&name) {
-                self.peer_waits.wake_file(f, Wake::WorkerStarted);
+        // worker holds none) are live sources now. Waking is a no-op,
+        // wake counters included, while no peer transfer waits, as at
+        // every t = 0 start, so the scan is skipped then.
+        {
+            let (slab, waits) = (&self.name_to_file, &mut self.peer_waits);
+            let cache = &self.workers[w].cache;
+            let mut held = cache.iter().filter_map(|(n, _, _)| file_named(slab, n));
+            if waits.is_empty() {
+                debug_assert!(
+                    held.all(|f| waits.waiting_on(f) == 0),
+                    "a skipped worker-start scan would have woken a peer wait"
+                );
+            } else {
+                held.for_each(|f| waits.wake_file(f, Wake::WorkerStarted));
             }
         }
         if self.serverless() {
@@ -521,7 +531,7 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
             worker
                 .cache
                 .iter()
-                .filter_map(|(name, _, _)| name_to_file.get(&name).copied()),
+                .filter_map(|(name, _, _)| file_named(name_to_file, name)),
         );
         held.sort_unstable();
         held.dedup();

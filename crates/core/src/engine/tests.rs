@@ -367,7 +367,7 @@ fn worker_slots_is_the_engine_worker_count() {
         let graph = small_graph(4, MB, MB);
         let slots = cfg.worker_slots();
         let mut rec = NullRecorder;
-        let sim = Sim::new(cfg, &graph, None, &mut rec, None);
+        let sim = Sim::new(cfg, &graph, None, None, &mut rec, None);
         assert_eq!(slots, sim.workers.len());
     }
     assert_eq!(EngineConfig::stack4(cluster, 1).worker_slots(), 3);
@@ -740,8 +740,7 @@ fn wake_counts(
     session: &mut SessionState,
 ) -> (Vec<u64>, RunResult) {
     let mut rec = NullRecorder;
-    let mut sim = Sim::new(cfg, graph, None, &mut rec, None);
-    sim.adopt_session(session);
+    let mut sim = Sim::new(cfg, graph, None, Some(&mut *session), &mut rec, None);
     sim.bootstrap();
     sim.event_loop();
     session.restore_caches(sim.take_caches());
@@ -807,7 +806,7 @@ fn queued_wait_sim<'g, 'r>(
 ) -> Sim<'g, 'r, 'static> {
     let mut cfg = EngineConfig::stack3(ClusterSpec::standard(3), 1).deterministic();
     cfg.max_peer_transfers_per_worker = 1;
-    let mut sim = Sim::new(cfg, graph, None, rec, None);
+    let mut sim = Sim::new(cfg, graph, None, None, rec, None);
     for w in 0..3 {
         sim.workers[w].alive = true;
         sim.set_busy(w, 0);
@@ -945,5 +944,30 @@ fn flow_done_read_waits_within_an_instant_only_while_no_flow_can_finish() {
             assert_eq!(sim.fabric.solve_work().solves, solves);
         }
         assert!(matches!(sim.queue.pop(), Some((_, Ev::MgrDone))));
+    }
+}
+/// Graph-file cachenames are keys in warm sessions and the shared tier
+/// and feed every facility digest, so their values are pinned: external
+/// files (name and size) and produced ones (with the one-level lineage
+/// of their producer's inputs).
+#[test]
+fn graph_file_cachenames_are_pinned() {
+    let mut g = TaskGraph::new();
+    let a = g.add_external_file("a", 100);
+    let b = g.add_external_file("b", 200);
+    let (_, outs) = g.add_task("p", TaskKind::Process, vec![a, b], &[10, 20], 1.0);
+    g.add_task("acc", TaskKind::Accumulate, outs, &[5], 0.5);
+    let golden: [u128; 5] = [
+        0xf35940d4056ed3e68be155ff0b43ecdd,
+        0x74bbc3c9723b0813b0931455fc26c6d8,
+        0x18b516fbd94b7b83bf4434866df11c32,
+        0x175d50649b15d6e60f4fe844d952b28f,
+        0xec58c62f0a972b7d99924efd4633845c,
+    ];
+    let names = graph_cachenames(&g);
+    for (i, want) in golden.into_iter().enumerate() {
+        let f = FileId(i as u32);
+        assert_eq!(graph_file_cachename(&g, f).as_u128(), want, "file {i}");
+        assert_eq!(names[i], graph_file_cachename(&g, f));
     }
 }

@@ -108,8 +108,8 @@ proptest! {
         let want = replicas_by_lookup(&graph, &cnames, &mut reference);
 
         let mut rec = NullRecorder;
-        let mut sim = Sim::new(cfg(), &graph, Some(cnames), &mut rec, None);
-        sim.adopt_session(&mut SessionState::from_caches(caches));
+        let mut session = SessionState::from_caches(caches);
+        let sim = Sim::new(cfg(), &graph, Some(cnames), Some(&mut session), &mut rec, None);
         prop_assert_eq!(&sim.replicas, &want);
         for (wk, c) in sim.workers.iter().zip(&reference) {
             prop_assert_eq!(contents(&wk.cache), contents(c));
@@ -137,4 +137,44 @@ fn a_foreign_slab_is_refused_in_debug_builds() {
     let _ = RunRequest::new(cfg(), graph)
         .cachenames(graph_cachenames(&other))
         .run();
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(100))]
+
+    /// The cachename → file slab resolves every name as the map it
+    /// replaced did, where the last file of a repeated cachename wins and
+    /// a name the graph does not hold resolves to nothing. The graph
+    /// still runs cold and then warm with pre-flight off (pre-flight
+    /// refuses its repeated file names, G003).
+    #[test]
+    fn name_slab_matches_a_last_wins_map(
+        tasks in collection::vec((0u32..3, 0usize..3, 1u64..3), 1..10),
+    ) {
+        let tasks: Vec<(u32, usize, u64)> = tasks.into_iter().map(|(n, i, s)| (n, i, s * MB)).collect();
+        let graph = graph_of(&tasks);
+        let cnames = graph_cachenames(&graph);
+        let reference: std::collections::BTreeMap<CacheName, FileId> = graph
+            .files()
+            .iter()
+            .map(|f| (cnames[f.id.0 as usize], f.id))
+            .collect();
+        let mut rec = NullRecorder;
+        let sim = Sim::new(cfg(), &graph, Some(cnames.clone()), None, &mut rec, None);
+        let foreign = (0..4).map(|i| CacheName::for_dataset_file("other", i));
+        for name in cnames.iter().copied().chain(foreign) {
+            prop_assert_eq!(file_named(&sim.name_to_file, name), reference.get(&name).copied());
+        }
+        drop(sim);
+
+        let mut off = cfg();
+        off.preflight = Preflight::Off;
+        let mut session = SessionState::new(&off.cluster);
+        for _ in 0..2 {
+            let r = RunRequest::new(off.clone(), graph.clone())
+                .session(&mut session)
+                .run();
+            prop_assert!(r.completed(), "{:?}", r.outcome);
+        }
+    }
 }

@@ -335,6 +335,11 @@ impl PeerWaits {
         }
     }
 
+    /// Queued entries waiting for file `f`.
+    pub fn waiting_on(&self, f: FileId) -> usize {
+        self.by_file.get(f).map_or(0, Vec::len)
+    }
+
     /// Wake the entries waiting for file `f`.
     pub fn wake_file(&mut self, f: FileId, why: Wake) {
         if let Some(seqs) = self.by_file.get(f) {

@@ -30,11 +30,12 @@ pub enum TaskState {
 }
 
 /// Tracks task/file state over a fixed [`TaskGraph`].
-pub struct ReadyTracker {
-    task_inputs: Vec<Vec<FileId>>,
-    task_outputs: Vec<Vec<FileId>>,
-    file_producer: Vec<Option<TaskId>>,
-    file_consumers: Vec<Vec<TaskId>>,
+///
+/// The tracker borrows the graph for its adjacency (inputs, outputs,
+/// producers, consumers) and owns only the per-task and per-file state,
+/// so building one costs two passes over the graph and no copies of it.
+pub struct ReadyTracker<'g> {
+    graph: &'g TaskGraph,
     state: Vec<TaskState>,
     file_available: Vec<bool>,
     missing_inputs: Vec<usize>,
@@ -52,44 +53,11 @@ pub struct ReadyTracker {
     quarantined_count: usize,
 }
 
-impl ReadyTracker {
+impl<'g> ReadyTracker<'g> {
     /// Initialize from a validated graph: external files are available,
     /// tasks with no produced inputs are `Ready`.
-    pub fn new(graph: &TaskGraph) -> Self {
-        let nt = graph.task_count();
-        let nf = graph.file_count();
-        let mut t = ReadyTracker {
-            task_inputs: graph.tasks().iter().map(|t| t.inputs.clone()).collect(),
-            task_outputs: graph.tasks().iter().map(|t| t.outputs.clone()).collect(),
-            file_producer: graph.files().iter().map(|f| f.producer).collect(),
-            file_consumers: graph.files().iter().map(|f| f.consumers.clone()).collect(),
-            state: vec![TaskState::Blocked; nt],
-            file_available: vec![false; nf],
-            missing_inputs: vec![0; nt],
-            ready: BTreeSet::new(),
-            done_count: 0,
-            running_count: 0,
-            completions: 0,
-            quarantined: vec![false; nt],
-            quarantined_count: 0,
-        };
-        for (i, p) in t.file_producer.iter().enumerate() {
-            if p.is_none() {
-                t.file_available[i] = true;
-            }
-        }
-        for i in 0..nt {
-            let missing = t.task_inputs[i]
-                .iter()
-                .filter(|f| !t.file_available[f.0 as usize])
-                .count();
-            t.missing_inputs[i] = missing;
-            if missing == 0 {
-                t.state[i] = TaskState::Ready;
-                t.ready.insert(TaskId(i as u32));
-            }
-        }
-        t
+    pub fn new(graph: &'g TaskGraph) -> Self {
+        ReadyTracker::seeded(graph, |_| false, |_| false)
     }
 
     /// Initialize against a *warm* session: `resident[f]` marks produced
@@ -105,18 +73,31 @@ impl ReadyTracker {
     /// invariant. If such a file later turns out to be needed after all
     /// (an eviction revived one of its consumers), the policy declares it
     /// lost and [`ReadyTracker::mark_file_lost`] revives the producer.
-    pub fn with_warm_state(graph: &TaskGraph, resident: &[bool], skip: &[bool]) -> Self {
+    pub fn with_warm_state(graph: &'g TaskGraph, resident: &[bool], skip: &[bool]) -> Self {
+        assert_eq!(resident.len(), graph.file_count(), "residency mask length");
+        assert_eq!(skip.len(), graph.task_count(), "skip mask length");
+        ReadyTracker::seeded(graph, |f| resident[f], |t| skip[t])
+    }
+
+    /// External files and those `resident(f)` marks start available,
+    /// tasks `skip(t)` marks start `Done`, and every other task starts
+    /// `Ready` or `Blocked` by its inputs.
+    fn seeded(
+        graph: &'g TaskGraph,
+        resident: impl Fn(usize) -> bool,
+        skip: impl Fn(usize) -> bool,
+    ) -> Self {
         let nt = graph.task_count();
-        let nf = graph.file_count();
-        assert_eq!(resident.len(), nf, "residency mask length");
-        assert_eq!(skip.len(), nt, "skip mask length");
+        let file_available: Vec<bool> = graph
+            .files()
+            .iter()
+            .enumerate()
+            .map(|(i, f)| f.producer.is_none() || resident(i))
+            .collect();
         let mut t = ReadyTracker {
-            task_inputs: graph.tasks().iter().map(|t| t.inputs.clone()).collect(),
-            task_outputs: graph.tasks().iter().map(|t| t.outputs.clone()).collect(),
-            file_producer: graph.files().iter().map(|f| f.producer).collect(),
-            file_consumers: graph.files().iter().map(|f| f.consumers.clone()).collect(),
+            graph,
             state: vec![TaskState::Blocked; nt],
-            file_available: vec![false; nf],
+            file_available,
             missing_inputs: vec![0; nt],
             ready: BTreeSet::new(),
             done_count: 0,
@@ -125,18 +106,14 @@ impl ReadyTracker {
             quarantined: vec![false; nt],
             quarantined_count: 0,
         };
-        for (i, &res) in resident.iter().enumerate() {
-            if t.file_producer[i].is_none() || res {
-                t.file_available[i] = true;
-            }
-        }
-        for (i, &skip_i) in skip.iter().enumerate() {
-            let missing = t.task_inputs[i]
+        for (i, task) in graph.tasks().iter().enumerate() {
+            let missing = task
+                .inputs
                 .iter()
                 .filter(|f| !t.file_available[f.0 as usize])
                 .count();
             t.missing_inputs[i] = missing;
-            if skip_i {
+            if skip(i) {
                 t.state[i] = TaskState::Done;
                 t.done_count += 1;
             } else if missing == 0 {
@@ -225,8 +202,8 @@ impl ReadyTracker {
         self.done_count += 1;
         self.completions += 1;
         let mut newly_ready = Vec::new();
-        for oi in 0..self.task_outputs[ti].len() {
-            let f = self.task_outputs[ti][oi];
+        let graph = self.graph;
+        for &f in &graph.tasks()[ti].outputs {
             newly_ready.extend(self.set_file_available(f));
         }
         newly_ready.sort_unstable();
@@ -263,7 +240,8 @@ impl ReadyTracker {
     /// a no-op because the shared filesystem retains them.
     pub fn mark_file_lost(&mut self, f: FileId) -> Vec<TaskId> {
         let fi = f.0 as usize;
-        let Some(p) = self.file_producer[fi] else {
+        let graph = self.graph;
+        let Some(p) = graph.files()[fi].producer else {
             return Vec::new();
         };
         let was_available = self.file_available[fi];
@@ -272,8 +250,7 @@ impl ReadyTracker {
         if was_available {
             self.file_available[fi] = false;
             // Pending consumers lose an input.
-            for ci in 0..self.file_consumers[fi].len() {
-                let c = self.file_consumers[fi][ci];
+            for &c in &graph.files()[fi].consumers {
                 let cs = c.0 as usize;
                 self.missing_inputs[cs] += 1;
                 if self.state[cs] == TaskState::Ready {
@@ -321,8 +298,8 @@ impl ReadyTracker {
             return newly_ready;
         }
         self.file_available[fi] = true;
-        for ci in 0..self.file_consumers[fi].len() {
-            let c = self.file_consumers[fi][ci];
+        let graph = self.graph;
+        for &c in &graph.files()[fi].consumers {
             let cs = c.0 as usize;
             debug_assert!(self.missing_inputs[cs] > 0);
             self.missing_inputs[cs] -= 1;
@@ -401,8 +378,8 @@ impl ReadyTracker {
         seen[t.0 as usize] = true;
         let mut out = Vec::new();
         while let Some(cur) = stack.pop() {
-            for &f in &self.task_outputs[cur.0 as usize] {
-                for &c in &self.file_consumers[f.0 as usize] {
+            for &f in &self.graph.tasks()[cur.0 as usize].outputs {
+                for &c in &self.graph.files()[f.0 as usize].consumers {
                     if !seen[c.0 as usize] {
                         seen[c.0 as usize] = true;
                         out.push(c);

@@ -6,8 +6,6 @@
 //! tasks, never-consumed inputs, unbounded reduction fan-in — are
 //! reported alongside.
 
-use std::collections::BTreeMap;
-
 use vine_dag::{TaskGraph, TaskKind, ValidateError};
 
 use crate::{Code, Diagnostic, Locus, Report, Severity};
@@ -61,23 +59,31 @@ pub fn lint(graph: &TaskGraph) -> Report {
 
     // G003 — duplicate logical names. The engine derives cache keys from
     // file names, so two distinct files with one name would collide in
-    // every worker cache and in transfer bookkeeping.
-    let mut by_name: BTreeMap<&str, usize> = BTreeMap::new();
-    for f in graph.files() {
-        *by_name.entry(f.name.as_str()).or_insert(0) += 1;
-    }
-    for f in graph.files() {
-        if by_name.get(f.name.as_str()).copied().unwrap_or(0) > 1 {
-            report.push(Diagnostic {
-                code: Code::G003,
-                severity: Severity::Error,
-                locus: Locus::File(f.id),
-                message: format!("file name \"{}\" is shared by multiple files", f.name),
-                suggestion: Some("give every file a unique logical name".into()),
-            });
-            // Flag the name once, not once per duplicate.
-            by_name.insert(f.name.as_str(), 0);
-        }
+    // every worker cache and in transfer bookkeeping. One sort groups
+    // each name's files in file order; a repeated name is flagged once,
+    // at its first file, and the flags are reported in file order.
+    let mut by_name: Vec<(&str, usize)> = graph
+        .files()
+        .iter()
+        .enumerate()
+        .map(|(i, f)| (f.name.as_str(), i))
+        .collect();
+    by_name.sort_unstable();
+    let mut first_of_repeated: Vec<usize> = by_name
+        .chunk_by(|a, b| a.0 == b.0)
+        .filter(|group| group.len() > 1)
+        .map(|group| group[0].1)
+        .collect();
+    first_of_repeated.sort_unstable();
+    for i in first_of_repeated {
+        let f = &graph.files()[i];
+        report.push(Diagnostic {
+            code: Code::G003,
+            severity: Severity::Error,
+            locus: Locus::File(f.id),
+            message: format!("file name \"{}\" is shared by multiple files", f.name),
+            suggestion: Some("give every file a unique logical name".into()),
+        });
     }
 
     for t in graph.tasks() {

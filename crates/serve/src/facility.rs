@@ -676,10 +676,11 @@ impl Shard {
         if queue.is_empty() {
             self.share.activate(tenant);
         }
-        // Insert keeping (-priority, arrival, seq) order.
+        // Insert keeping (descending priority, arrival, seq) order.
+        let key = |e: &Queued| (Reverse(e.priority), e.arrival, e.seq);
         let pos = queue
             .iter()
-            .position(|e| (-e.priority, e.arrival, e.seq) > (-q.priority, q.arrival, q.seq))
+            .position(|e| key(e) > key(&q))
             .unwrap_or(queue.len());
         queue.insert(pos, q);
         self.mark_admissible(tenant);

@@ -147,6 +147,39 @@ fn higher_priority_jumps_the_tenant_queue() {
 }
 
 #[test]
+fn extreme_priorities_are_admitted_in_priority_order() {
+    let mut f = single(FacilityConfig::demo(3));
+    // Fill the cluster so later arrivals queue.
+    f.ingest(vec![sub(0, 0, "w0"), sub(1, 0, "w1")]);
+    // Distinct scale-downs keep each one off the others' warm caches, so
+    // every run takes time and the admissions are strictly ordered.
+    let subs = [
+        ("min", i32::MIN, 10),
+        ("zero", 0, 14),
+        ("max", i32::MAX, 30),
+    ];
+    f.ingest(
+        subs.map(|(label, priority, scale)| Submission {
+            graph: WorkloadSpec::dv3_small().scaled_down(scale).to_graph(),
+            priority,
+            ..sub(0, 1, label)
+        })
+        .to_vec(),
+    );
+    let report = f.drain().shards.remove(0);
+    let admitted = |label: &str| {
+        report
+            .records
+            .iter()
+            .find(|r| r.label == label)
+            .unwrap()
+            .admitted
+    };
+    assert!(admitted("max") < admitted("zero"));
+    assert!(admitted("zero") < admitted("min"));
+}
+
+#[test]
 fn between_run_preemption_forces_partial_rerun() {
     let mut f = single(FacilityConfig::demo(17));
     let cold = f.run_now(0, spec().to_graph(), "cold", None);

@@ -66,6 +66,13 @@ impl fmt::Display for CacheName {
     }
 }
 
+/// An FNV-1a-shaped byte fold. The multiplier `0x1000_0000_01b3` is not
+/// the published 64-bit FNV prime (`0x100_0000_01b3`), and it differs
+/// from the one `vine_simcore::hash::fnv1a64` uses too. It stays anyway:
+/// every cachename derives from it, and through them every committed
+/// digest, shard route and results file that touches a cache, so
+/// changing it is a deliberate re-baseline. The golden test below pins
+/// its output.
 fn fnv1a64(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= b as u64;
@@ -131,6 +138,38 @@ mod tests {
                 let name = CacheName::for_dataset_file(&format!("ds{ds}"), f);
                 assert!(seen.insert(name), "collision at ds{ds} file {f}");
             }
+        }
+    }
+
+    /// Cachenames outlive runs (warm sessions, the shared tier) and feed
+    /// every digest, so their values are part of the contract, not just
+    /// their equalities.
+    #[test]
+    fn derived_values_are_pinned() {
+        let golden = [
+            (
+                CacheName::derive("ns", &[b"hello", b"world"]),
+                0x9e3eed4b8003383a6313671f1fbaa073,
+            ),
+            (
+                CacheName::derive("", &[]),
+                0xcbf29ce48422232584222325cbf29ce4,
+            ),
+            (
+                CacheName::derive("graph-file", &[b"p0.out0", &7u64.to_le_bytes()]),
+                0x22d4db64e4ab26fa25fc668a1bd217d1,
+            ),
+            (
+                CacheName::for_task_output("proc-partition-17", 1),
+                0xdad05e90656b62100a7b5e7be450dc31,
+            ),
+            (
+                CacheName::for_dataset_file("SingleMu", 3),
+                0x5656fadbeffa9c45003bd5a1639bbc88,
+            ),
+        ];
+        for (name, want) in golden {
+            assert_eq!(name.as_u128(), want, "{name:?}");
         }
     }
 
