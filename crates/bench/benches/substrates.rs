@@ -12,6 +12,7 @@ use vine_net::{Fabric, NodeId};
 use vine_serve::LoadGen;
 use vine_simcore::{EventQueue, SimTime};
 use vine_storage::{CacheEntryKind, CacheName, LocalCache};
+use vine_store::{ObjectStore, StoreConfig};
 
 fn bench_event_queue(c: &mut Criterion) {
     c.bench_function("event_queue/push_pop_10k", |b| {
@@ -141,6 +142,68 @@ fn bench_cache(c: &mut Criterion) {
             black_box(cache.used())
         })
     });
+
+    // A staged input's cache hit: each iteration pins every one of
+    // `RESIDENT` clean entries once.
+    c.bench_function("cache/pin_clean", |b| {
+        let names = resident_names(RESIDENT);
+        let mut cache = LocalCache::new(u64::MAX);
+        for &n in &names {
+            let _ = cache.insert(n, 1000, CacheEntryKind::Input);
+        }
+        b.iter(|| {
+            for &n in &names {
+                black_box(cache.pin_clean(n));
+            }
+        })
+    });
+}
+
+/// Objects in the warm tier and worker cache of the probe cases below.
+const RESIDENT: u32 = 4096;
+
+fn resident_names(n: u32) -> Vec<CacheName> {
+    (0..n)
+        .map(|i| CacheName::for_dataset_file("bench", i))
+        .collect()
+}
+
+/// The shared tier's publish path: each iteration puts `RESIDENT`
+/// one-byte objects into a tier that holds exactly `RESIDENT`.
+fn bench_store(c: &mut Criterion) {
+    let tier = || ObjectStore::new(StoreConfig::demo().with_capacity(u64::from(RESIDENT)), 1);
+
+    // Names cycle through twice the capacity, so each put finds its name
+    // evicted long ago: one insert and one eviction.
+    c.bench_function("store/put_evicting", |b| {
+        let names = resident_names(2 * RESIDENT);
+        let mut store = tier();
+        for &n in &names[..RESIDENT as usize] {
+            store.put(0, n, 1);
+        }
+        let mut next = RESIDENT as usize;
+        b.iter(|| {
+            for _ in 0..RESIDENT {
+                black_box(store.put(0, names[next], 1));
+                next = (next + 1) % names.len();
+            }
+        })
+    });
+
+    // Every put names a resident object: the publish of an unchanged
+    // intermediate.
+    c.bench_function("store/put_present", |b| {
+        let names = resident_names(RESIDENT);
+        let mut store = tier();
+        for &n in &names {
+            store.put(0, n, 1);
+        }
+        b.iter(|| {
+            for &n in &names {
+                black_box(store.put(0, n, 1));
+            }
+        })
+    });
 }
 
 fn bench_dag(c: &mut Criterion) {
@@ -243,6 +306,6 @@ fn bench_data(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_event_queue, bench_fairshare, bench_cache, bench_dag, bench_admission, bench_data
+    targets = bench_event_queue, bench_fairshare, bench_store, bench_cache, bench_dag, bench_admission, bench_data
 }
 criterion_main!(benches);

@@ -41,13 +41,10 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
     // ----- input staging ---------------------------------------------------
 
     pub(super) fn stage_inputs(&mut self, task: TaskId, w: usize) {
-        let inputs = self.graph.task(task).inputs.clone();
+        let graph = self.graph;
         let mut missing = 0;
-        for f in inputs {
-            let name = self.cnames[f.0 as usize];
-            if self.workers[w].cache.contains(name) && !self.detect_corruption(w, f, name) {
-                self.workers[w].cache.touch(name);
-                let _ = self.workers[w].cache.pin(name);
+        for &f in &graph.task(task).inputs {
+            if self.pin_cached_input(w, f) {
                 if let Some(a) = self.assignments.get_mut(task.0) {
                     a.pinned.push(f);
                 }
@@ -319,10 +316,7 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
             PeerWaitStep::Cached => {
                 // Arrived meanwhile via another task's transfer? A corrupt
                 // copy is dropped (if unpinned) and the wait looks on.
-                let name = self.cnames[f.0 as usize];
-                if !self.detect_corruption(w, f, name) {
-                    self.workers[w].cache.touch(name);
-                    let _ = self.workers[w].cache.pin(name);
+                if self.pin_cached_input(w, f) {
                     let ready = self.assignments.get_mut(task.0).is_some_and(|a| {
                         a.pinned.push(f);
                         a.missing = a.missing.saturating_sub(1);
@@ -656,14 +650,18 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
         self.kill_worker(w);
     }
 
-    /// A cache-hit read found the entry's bytes no longer match its
-    /// cachename checksum (chaos bitrot). Drop the copy and fix placement;
-    /// the caller treats the input as missing, and the normal staging /
-    /// lineage-recovery machinery takes it from there. Returns true when
-    /// the hit was corrupt.
-    pub(super) fn detect_corruption(&mut self, w: usize, f: FileId, name: CacheName) -> bool {
-        if !self.workers[w].cache.is_corrupt(name) {
-            return false;
+    /// Read worker `w`'s cached copy of input `f`: a clean copy is
+    /// touched and pinned, and the call returns true. A copy whose bytes
+    /// no longer match its cachename checksum (chaos bitrot) is dropped
+    /// and placement fixed; the caller treats the input as missing, as it
+    /// does an absent one, and the normal staging / lineage-recovery
+    /// machinery takes it from there.
+    fn pin_cached_input(&mut self, w: usize, f: FileId) -> bool {
+        let name = self.cnames[f.0 as usize];
+        match self.workers[w].cache.pin_clean(name) {
+            Some(true) => return true,
+            None => return false,
+            Some(false) => {}
         }
         self.stats.corruptions_detected += 1;
         let _ = self.workers[w].cache.remove(name);
@@ -673,7 +671,7 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
             self.peer_waits.wake_file(f, Wake::Corrupted);
         }
         self.record_cache(w);
-        true
+        false
     }
 
     /// An unpinned cache entry was evicted to make room. Update placement

@@ -39,9 +39,7 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
         self.set_busy(w, self.workers[w].busy.saturating_sub(1));
         for f in a.pinned {
             let name = self.cnames[f.0 as usize];
-            if self.workers[w].cache.is_pinned(name) {
-                let _ = self.workers[w].cache.unpin(name);
-            }
+            self.workers[w].cache.release(name);
         }
         if let Some(obs) = &mut self.obs {
             obs.pending.remove(task.0);
@@ -118,9 +116,7 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
             }
             for f in a.pinned {
                 let name = self.cnames[f.0 as usize];
-                if self.workers[a.w].cache.is_pinned(name) {
-                    let _ = self.workers[a.w].cache.unpin(name);
-                }
+                self.workers[a.w].cache.release(name);
             }
             if let Some(obs) = &mut self.obs {
                 obs.pending.remove(m.0);
@@ -270,9 +266,7 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
         }
         for f in a.pinned {
             let name = self.cnames[f.0 as usize];
-            if self.workers[a.w].cache.is_pinned(name) {
-                let _ = self.workers[a.w].cache.unpin(name);
-            }
+            self.workers[a.w].cache.release(name);
         }
         // Complete on the duplicate's worker: outputs materialize there.
         self.assignments.insert(
@@ -587,7 +581,7 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
     /// replica is in `w`'s cache or among its doubled files, which
     /// `kill_worker` relies on to visit only those instead of every
     /// file's replica list. The converse can fail: a corrupt copy that a
-    /// task pins stays cached after `detect_corruption` drops it from the
+    /// task pins stays cached after `pin_cached_input` drops it from the
     /// replica list.
     fn sanitize_replicas_held(&self, w: usize) {
         let worker = &self.workers[w];
@@ -633,9 +627,7 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
         }
         for f in a.pinned {
             let name = self.cnames[f.0 as usize];
-            if self.workers[w].cache.is_pinned(name) {
-                let _ = self.workers[w].cache.unpin(name);
-            }
+            self.workers[w].cache.release(name);
         }
         // Arrival waits for `t` only ever live on its assigned worker.
         for (_, waiters) in self.inflight[w].iter_mut() {

@@ -148,7 +148,8 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
         let first = !self.completed_once[task.0 as usize];
         if first {
             self.completed_once[task.0 as usize] = true;
-            for &f in &self.graph.task(task).inputs.clone() {
+            let graph = self.graph;
+            for &f in &graph.task(task).inputs {
                 let rc = &mut self.remaining_consumers[f.0 as usize];
                 *rc = rc.saturating_sub(1);
                 if *rc == 0 {
@@ -202,10 +203,9 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
     /// are all done; LRU may now reclaim it).
     pub(super) fn unpin_retention(&mut self, f: FileId) {
         let name = self.cnames[f.0 as usize];
-        for &w in &self.replicas[f.0 as usize].clone() {
-            if self.workers[w].cache.is_pinned(name) {
-                let _ = self.workers[w].cache.unpin(name);
-            }
+        let workers = &mut self.workers;
+        for &w in &self.replicas[f.0 as usize] {
+            workers[w].cache.release(name);
         }
     }
 
@@ -442,12 +442,11 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
         // Release this task's input pins.
         for f in a.pinned {
             let name = self.cnames[f.0 as usize];
-            if self.workers[w].cache.is_pinned(name) {
-                let _ = self.workers[w].cache.unpin(name);
-            }
+            self.workers[w].cache.release(name);
         }
 
-        let outputs = self.graph.task(task).outputs.clone();
+        let graph = self.graph;
+        let outputs = &graph.task(task).outputs;
         match self.cfg.scheduler {
             SchedulerKind::WorkQueue => {
                 // Stream outputs back to the manager; collect on arrival.
@@ -465,7 +464,7 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
             }
             SchedulerKind::TaskVine | SchedulerKind::DaskDistributed => {
                 // Retain outputs locally; only a result message goes back.
-                for &f in &outputs {
+                for &f in outputs {
                     let name = self.cnames[f.0 as usize];
                     let size = self.graph.file(f).size_hint;
                     match self.workers[w]
@@ -500,7 +499,7 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
                      output retention"
                 );
                 self.record_cache(w);
-                for &f in &outputs {
+                for &f in outputs {
                     self.maybe_replicate(f, w);
                 }
                 // Outputs stay local: the execution's wall ends here.

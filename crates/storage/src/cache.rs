@@ -12,7 +12,7 @@
 //! one worker and kills it.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeMap, BinaryHeap};
 
 use crate::cachename::CacheName;
 
@@ -66,6 +66,9 @@ struct Entry {
     kind: CacheEntryKind,
     pins: u32,
     last_use: u64,
+    /// The bytes no longer match the cachename checksum (chaos bitrot).
+    /// Dropped whenever the bytes are replaced; leaves with the entry.
+    corrupt: bool,
 }
 
 /// An LRU cache over one worker's local disk.
@@ -82,10 +85,8 @@ pub struct LocalCache {
     insertions: u64,
     /// Lifetime evictions + clears of resident entries (survives `clear`).
     evictions: u64,
-    /// Resident entries whose bytes no longer match their cachename
-    /// checksum (chaos bitrot). Membership implies residency; the mark is
-    /// dropped whenever the entry's bytes are replaced or leave the cache.
-    corrupt: BTreeSet<CacheName>,
+    /// Resident entries marked `corrupt`.
+    corrupt: usize,
 }
 
 impl LocalCache {
@@ -99,7 +100,7 @@ impl LocalCache {
             peak_used: 0,
             insertions: 0,
             evictions: 0,
-            corrupt: BTreeSet::new(),
+            corrupt: 0,
         }
     }
 
@@ -179,13 +180,14 @@ impl LocalCache {
             Vec::new()
         };
 
-        self.corrupt.remove(&name);
         match self.entries.get_mut(&name) {
             Some(e) => {
                 self.used = self.used - e.size + size;
+                self.corrupt -= usize::from(e.corrupt);
                 e.size = size;
                 e.kind = kind;
                 e.last_use = tick;
+                e.corrupt = false;
             }
             None => {
                 self.entries.insert(
@@ -195,6 +197,7 @@ impl LocalCache {
                         kind,
                         pins: 0,
                         last_use: tick,
+                        corrupt: false,
                     },
                 );
                 self.used += size;
@@ -266,6 +269,35 @@ impl LocalCache {
         self.entries.get(&name).is_some_and(|e| e.pins > 0)
     }
 
+    /// Release one pin if the named file is resident and pinned, in one
+    /// lookup: `is_pinned` then `unpin`. Returns whether a pin was
+    /// released.
+    pub fn release(&mut self, name: CacheName) -> bool {
+        match self.entries.get_mut(&name) {
+            Some(e) if e.pins > 0 => {
+                e.pins -= 1;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Read a cached file for a task, in one lookup: a clean resident
+    /// copy is touched and pinned (`Some(true)`), a corrupt one is left
+    /// as it is (`Some(false)`), and an absent one gives `None`. The
+    /// same as `contains`, `is_corrupt`, then `touch` and `pin` on a
+    /// clean hit.
+    pub fn pin_clean(&mut self, name: CacheName) -> Option<bool> {
+        let e = self.entries.get_mut(&name)?;
+        if e.corrupt {
+            return Some(false);
+        }
+        self.tick += 1;
+        e.last_use = self.tick;
+        e.pins += 1;
+        Some(true)
+    }
+
     /// Explicitly remove a file (e.g. the manager pruned it). Pinned files
     /// cannot be removed.
     pub fn remove(&mut self, name: CacheName) -> Result<u64, CacheError> {
@@ -329,8 +361,9 @@ impl LocalCache {
 
     /// Remove a resident entry of `size` bytes (evicted or removed).
     fn drop_victim(&mut self, victim: CacheName, size: u64) {
-        self.entries.remove(&victim);
-        self.corrupt.remove(&victim);
+        if let Some(gone) = self.entries.remove(&victim) {
+            self.corrupt -= usize::from(gone.corrupt);
+        }
         self.used -= size;
         self.evictions += 1;
     }
@@ -348,7 +381,7 @@ impl LocalCache {
     pub fn clear(&mut self) {
         self.evictions += self.entries.len() as u64;
         self.entries.clear();
-        self.corrupt.clear();
+        self.corrupt = 0;
         self.used = 0;
     }
 
@@ -359,23 +392,23 @@ impl LocalCache {
     ///
     /// [`insert`]: LocalCache::insert
     pub fn mark_corrupt(&mut self, name: CacheName) -> bool {
-        if self.entries.contains_key(&name) {
-            self.corrupt.insert(name);
-            true
-        } else {
-            false
-        }
+        let Some(e) = self.entries.get_mut(&name) else {
+            return false;
+        };
+        self.corrupt += usize::from(!e.corrupt);
+        e.corrupt = true;
+        true
     }
 
     /// True when the resident entry is marked corrupt: a reader comparing
     /// the bytes' checksum against the cachename would detect a mismatch.
     pub fn is_corrupt(&self, name: CacheName) -> bool {
-        self.corrupt.contains(&name)
+        self.entries.get(&name).is_some_and(|e| e.corrupt)
     }
 
     /// Number of currently-corrupt resident entries.
     pub fn corrupt_count(&self) -> usize {
-        self.corrupt.len()
+        self.corrupt
     }
 
     /// Lifetime count of distinct-entry insertions; survives [`clear`].
@@ -451,6 +484,16 @@ mod tests {
         CacheName::for_dataset_file("t", i)
     }
 
+    /// Remove a resident entry and its corruption mark, by hand.
+    fn drop_entry(c: &mut LocalCache, victim: CacheName) {
+        let gone = c.entries.remove(&victim).unwrap();
+        if gone.corrupt {
+            c.corrupt -= 1;
+        }
+        c.used -= gone.size;
+        c.evictions += 1;
+    }
+
     /// The full-sort eviction [`LocalCache::insert`] replaced: collect and
     /// sort every candidate, then evict from the cold end.
     fn insert_by_sort(
@@ -485,21 +528,21 @@ mod tests {
                 if need == 0 {
                     break;
                 }
-                c.entries.remove(&victim);
-                c.corrupt.remove(&victim);
-                c.used -= vsize;
-                c.evictions += 1;
+                drop_entry(c, victim);
                 need = need.saturating_sub(vsize);
                 evicted.push(victim);
             }
         }
-        c.corrupt.remove(&name);
         match c.entries.get_mut(&name) {
             Some(e) => {
                 c.used = c.used - e.size + size;
+                if e.corrupt {
+                    c.corrupt -= 1;
+                }
                 e.size = size;
                 e.kind = kind;
                 e.last_use = tick;
+                e.corrupt = false;
             }
             None => {
                 let entry = Entry {
@@ -507,6 +550,7 @@ mod tests {
                     kind,
                     pins: 0,
                     last_use: tick,
+                    corrupt: false,
                 };
                 c.entries.insert(name, entry);
                 c.used += size;
@@ -530,14 +574,11 @@ mod tests {
             .map(|(n, e)| (e.last_use, *n, e.size))
             .collect();
         candidates.sort_unstable();
-        for (_, victim, vsize) in candidates {
+        for (_, victim, _) in candidates {
             if c.used <= target {
                 break;
             }
-            c.entries.remove(&victim);
-            c.corrupt.remove(&victim);
-            c.used -= vsize;
-            c.evictions += 1;
+            drop_entry(c, victim);
             evicted.push(victim);
         }
         evicted
@@ -607,6 +648,77 @@ mod tests {
                     }
                 }
                 prop_assert_eq!(&fast, &slow);
+            }
+        }
+    }
+
+    /// [`LocalCache::release`] as the two calls it replaced.
+    fn release_by_two_lookups(c: &mut LocalCache, name: CacheName) -> bool {
+        if c.is_pinned(name) {
+            c.unpin(name).unwrap();
+            return true;
+        }
+        false
+    }
+
+    /// [`LocalCache::pin_clean`] as the four calls it replaced.
+    fn pin_clean_by_four_lookups(c: &mut LocalCache, name: CacheName) -> Option<bool> {
+        if !c.contains(name) {
+            return None;
+        }
+        if c.is_corrupt(name) {
+            return Some(false);
+        }
+        c.touch(name);
+        c.pin(name).unwrap();
+        Some(true)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// `release` and `pin_clean` return what the call sequences they
+        /// replaced return, and leave the cache identical, field for
+        /// field, to a clone those sequences ran on: over absent, pinned,
+        /// unpinned, nested-pin and corrupt entries.
+        #[test]
+        fn single_probes_match_their_call_sequences(
+            steps in collection::vec((op(), any::<bool>(), 0u32..24), 0..200),
+        ) {
+            let mut c = LocalCache::new(1000);
+            for (op, release, i) in steps {
+                match op {
+                    Op::Insert(i, size) => {
+                        let _ = c.insert(name(i), size, CacheEntryKind::Input);
+                    }
+                    Op::Touch(i) => {
+                        c.touch(name(i));
+                    }
+                    Op::Pin(i) => {
+                        let _ = c.pin(name(i));
+                    }
+                    Op::Unpin(i) => {
+                        if c.is_pinned(name(i)) {
+                            c.unpin(name(i)).unwrap();
+                        }
+                    }
+                    Op::Remove(i) => {
+                        let _ = c.remove(name(i));
+                    }
+                    Op::Rot(i) => {
+                        c.mark_corrupt(name(i));
+                    }
+                    Op::EvictTo(t) => {
+                        c.evict_to(t);
+                    }
+                    Op::ClearPins => c.clear_pins(),
+                }
+                let mut old = c.clone();
+                if release {
+                    prop_assert_eq!(c.release(name(i)), release_by_two_lookups(&mut old, name(i)));
+                } else {
+                    prop_assert_eq!(c.pin_clean(name(i)), pin_clean_by_four_lookups(&mut old, name(i)));
+                }
+                prop_assert_eq!(&c, &old);
             }
         }
     }

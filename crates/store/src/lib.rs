@@ -19,9 +19,10 @@
 //!   byte capacity; pins are refcounts taken by shards while a fetch's
 //!   run is in flight, so an object can never be evicted between the
 //!   moment a shard decided to rely on it and the moment the run's
-//!   writeback completes. An ordered `(last_use, name)` index of the
-//!   unpinned entries makes each eviction O(log n) rather than a scan of
-//!   every entry.
+//!   writeback completes. An index of the unpinned entries ordered by
+//!   last use makes each eviction O(log n) rather than a scan of every
+//!   entry; the entries themselves sit in a hash index by name, so a
+//!   put or lookup is one probe.
 //! * **Accounting** is per shard: hit/miss/eviction/put counters and
 //!   fetched bytes, exported deterministically through a
 //!   [`vine_obs::MetricsRegistry`] (sorted text dump, byte-stable).
@@ -32,8 +33,9 @@
 //!   a fixed latency ([`ObjectStore::fetch_cost`]). A warm hit on a
 //!   remote shard is therefore cheaper than recompute but never free.
 //!
-//! Everything is deterministic: BTree-ordered state, tick-based LRU
-//! (no wall clocks), and counters that depend only on the call
+//! Everything is deterministic: the only ordered state is the BTree LRU
+//! index (the hash index is never iterated), LRU age is a tick (no wall
+//! clocks), and counters that depend only on the call
 //! sequence — the sharded facility's lockstep event loop replays
 //! bit-identically for a fixed seed.
 

@@ -3,13 +3,18 @@
 //! unpinned entries), per-shard accounting, and a fabric-backed fetch
 //! cost model.
 //!
+//! Entries live in a hash index over their cachenames: every access is
+//! a point lookup, and nothing ever walks the entries, so no order can
+//! leak into a result. The LRU index is the only ordered structure.
+//!
 //! The store holds *index* state only — `(cachename, size)` pairs — on
 //! the same grounds as [`vine_storage::LocalCache`]: the simulation
 //! reasons about bytes and time, not payloads. The facility's
 //! [`ResultStore`](https://docs.rs) keeps actual physics blobs; this
 //! tier is the inter-shard warm-cache fabric.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use vine_net::{Fabric, NodeId};
 use vine_obs::MetricsRegistry;
@@ -93,14 +98,74 @@ struct Entry {
     last_use: u64,
 }
 
+/// Hashes a [`CacheName`] by folding its two 64-bit halves. Cachenames
+/// are already hashes, so no further mixing is needed; the rotation
+/// puts each half's well-mixed high bits where the table reads them
+/// (bucket index from the low bits, tag from the high ones).
+#[derive(Default)]
+struct FoldHasher(u64);
+
+impl Hasher for FoldHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write_u128(&mut self, v: u128) {
+        self.0 ^= ((v >> 64) as u64).rotate_left(32) ^ v as u64;
+    }
+
+    /// Not reached by `CacheName` keys; folds any other bytes in.
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+}
+
+/// The tier's entries by name: point lookups and nothing else. It has
+/// no iterator, so its (fixed, seedless) hash order cannot reach any
+/// output.
+#[derive(Default)]
+struct NameIndex(
+    // vine-audit: allow(A101) -- point lookups only; never iterated
+    HashMap<CacheName, Entry, BuildHasherDefault<FoldHasher>>,
+);
+
+impl NameIndex {
+    fn get(&self, name: &CacheName) -> Option<&Entry> {
+        self.0.get(name)
+    }
+
+    fn get_mut(&mut self, name: &CacheName) -> Option<&mut Entry> {
+        self.0.get_mut(name)
+    }
+
+    fn insert(&mut self, name: CacheName, entry: Entry) {
+        self.0.insert(name, entry);
+    }
+
+    fn remove(&mut self, name: &CacheName) -> Option<Entry> {
+        self.0.remove(name)
+    }
+
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+}
+
 /// The shared, immutable, content-addressed object tier. See the crate
 /// docs for the model.
 pub struct ObjectStore {
     cfg: StoreConfig,
-    entries: BTreeMap<CacheName, Entry>,
-    /// LRU index: `(last_use, name)` of exactly the entries with
-    /// `pins == 0`. Its first element is the next eviction victim.
-    lru: BTreeSet<(u64, CacheName)>,
+    entries: NameIndex,
+    /// LRU index: `last_use → name` of exactly the entries with
+    /// `pins == 0`. Its first element is the next eviction victim. Every
+    /// `lookup` and `put` takes a fresh tick and stamps at most one
+    /// entry with it, so no two entries share a `last_use`, and ordering
+    /// by tick alone equals ordering by `(last_use, name)`.
+    lru: BTreeMap<u64, CacheName>,
+    /// Entries with `pins > 0`: with `lru`, they account for every entry.
+    pinned: usize,
     used: u64,
     peak_used: u64,
     tick: u64,
@@ -121,8 +186,9 @@ impl ObjectStore {
             .collect();
         ObjectStore {
             cfg,
-            entries: BTreeMap::new(),
-            lru: BTreeSet::new(),
+            entries: NameIndex::default(),
+            lru: BTreeMap::new(),
+            pinned: 0,
             used: 0,
             peak_used: 0,
             tick: 0,
@@ -150,7 +216,7 @@ impl ObjectStore {
 
     /// True when nothing is resident.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.entries.len() == 0
     }
 
     /// Bytes currently resident.
@@ -188,8 +254,8 @@ impl ObjectStore {
         match self.entries.get_mut(&name) {
             Some(e) if e.size == size => {
                 if e.pins == 0 {
-                    self.lru.remove(&(e.last_use, name));
-                    self.lru.insert((self.tick, name));
+                    self.lru.remove(&e.last_use);
+                    self.lru.insert(self.tick, name);
                 }
                 e.last_use = self.tick;
                 self.counters[shard].hits += 1;
@@ -239,7 +305,7 @@ impl ObjectStore {
                 last_use: self.tick,
             },
         );
-        self.lru.insert((self.tick, name));
+        self.lru.insert(self.tick, name);
         self.used += size;
         self.peak_used = self.peak_used.max(self.used);
         self.counters[shard].puts += 1;
@@ -255,7 +321,8 @@ impl ObjectStore {
             return false;
         };
         if e.pins == 0 {
-            self.lru.remove(&(e.last_use, name));
+            self.lru.remove(&e.last_use);
+            self.pinned += 1;
         }
         e.pins += 1;
         #[cfg(debug_assertions)]
@@ -272,7 +339,8 @@ impl ObjectStore {
         };
         debug_assert!(e.pins > 0, "unpin without a matching pin");
         if e.pins == 1 {
-            self.lru.insert((e.last_use, name));
+            self.lru.insert(e.last_use, name);
+            self.pinned -= 1;
         }
         e.pins = e.pins.saturating_sub(1);
         #[cfg(debug_assertions)]
@@ -286,7 +354,7 @@ impl ObjectStore {
         match self.entries.get(&name) {
             Some(e) if e.pins == 0 => {
                 let size = e.size;
-                self.lru.remove(&(e.last_use, name));
+                self.lru.remove(&e.last_use);
                 self.entries.remove(&name);
                 self.used -= size;
                 #[cfg(debug_assertions)]
@@ -298,16 +366,23 @@ impl ObjectStore {
     }
 
     /// Debug-build invariant: `lru` holds exactly the unpinned entries,
-    /// each under its current `(last_use, name)` key.
+    /// each under its current `last_use`. Every indexed name is an
+    /// unpinned entry with that tick, and the index plus the pinned
+    /// entries count every entry, so no unpinned entry is missing.
     #[cfg(debug_assertions)]
     fn check_lru_index(&self) {
-        let unpinned: BTreeSet<(u64, CacheName)> = self
-            .entries
-            .iter()
-            .filter(|(_, e)| e.pins == 0)
-            .map(|(n, e)| (e.last_use, *n))
-            .collect();
-        assert!(self.lru == unpinned, "LRU index out of step with entries");
+        for (&t, n) in &self.lru {
+            let e = self.entries.get(n);
+            assert!(
+                e.is_some_and(|e| e.pins == 0 && e.last_use == t),
+                "LRU index out of step with entries"
+            );
+        }
+        assert_eq!(
+            self.lru.len() + self.pinned,
+            self.entries.len(),
+            "LRU index out of step with entries"
+        );
     }
 
     /// The simulated cost for `shard` to fetch `bytes` out of the store:

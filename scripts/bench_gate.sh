@@ -19,6 +19,12 @@
 #    they are deterministic for a fixed (workload, seed), so any rise
 #    above the baseline fails, with no noise margin.
 #
+#    The serving path gets the same wall-clock gate: `vine-fig check
+#    fig-shards` (federated facility admissions over the shared store
+#    tier) runs three times, and the best wall_ms is written to the same
+#    array as the "fig-shards-check" entry and fails above 1.25x the
+#    baseline's.
+#
 # Also runs the no-observer streaming digest gate and the registry
 # checks (`vine-fig check all`) — see the sections below.
 #
@@ -103,6 +109,20 @@ if [ "$MODE" != classic ]; then
   bench_best dv3-full
   bench_best agc-scale
 
+  # Serving path: best-of-3 wall clock of the fig-shards check, which
+  # also fails (and so fails the gate) if its outputs drift.
+  cargo build --release -p vine-bench --bin vine-fig
+  shards_ms=""
+  for i in 1 2 3; do
+    t0=$(date +%s%N)
+    ./target/release/vine-fig check fig-shards > /dev/null
+    ms=$((($(date +%s%N) - t0) / 1000000))
+    if [ -z "$shards_ms" ] || [ "$ms" -lt "$shards_ms" ]; then
+      shards_ms=$ms
+    fi
+  done
+  echo "throughput: fig-shards-check best-of-3 wall ${shards_ms}ms"
+
   {
     echo '['
     n=0
@@ -111,9 +131,27 @@ if [ "$MODE" != classic ]; then
       [ "$n" -gt 1 ] && echo ','
       sed 's/^/  /' "$TMP/$wl.best.json"
     done
+    echo ','
+    echo '  {'
+    echo '    "workload": "fig-shards-check",'
+    echo "    \"wall_ms\": $shards_ms"
+    echo '  }'
     echo ']'
   } > "$OUT"
   echo "throughput: wrote $OUT"
+
+  new=$(extract_wl wall_ms fig-shards-check "$OUT")
+  old=$(extract_wl wall_ms fig-shards-check "$BASELINE")
+  if [ -z "$old" ]; then
+    echo "throughput gate: fig-shards-check missing from baseline $BASELINE (refresh it)" >&2
+    exit 1
+  fi
+  awk -v new="$new" -v old="$old" 'BEGIN {
+    if (old + 0 <= 0) { print "throughput gate: bad baseline wall_ms for fig-shards-check"; exit 1 }
+    ratio = new / old
+    printf "throughput gate: fig-shards-check wall %dms vs baseline %dms (ratio %.3f, fails above 1.25)\n", new, old, ratio
+    exit (ratio > 1.25) ? 1 : 0
+  }'
 
   for wl in $WORKLOADS; do
     new=$(extract_wl sim_wall_ms "$wl" "$OUT")
