@@ -94,7 +94,7 @@ fn bench_task_lookup(c: &mut Criterion) {
 
 criterion_group! {
     name = benches;
-    config = Criterion::default().sample_size(10).configure_from_args();
+    config = Criterion::default().sample_size(10);
     targets = bench_task_lookup
 }
 criterion_main!(benches);

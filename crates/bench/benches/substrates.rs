@@ -12,7 +12,7 @@ use vine_net::{Fabric, NodeId};
 use vine_serve::LoadGen;
 use vine_simcore::{EventQueue, SimTime};
 use vine_storage::{CacheEntryKind, CacheName, LocalCache};
-use vine_store::{ObjectStore, StoreConfig};
+use vine_store::ObjectStore;
 
 fn bench_event_queue(c: &mut Criterion) {
     c.bench_function("event_queue/push_pop_10k", |b| {
@@ -171,7 +171,7 @@ fn resident_names(n: u32) -> Vec<CacheName> {
 /// The shared tier's publish path: each iteration puts `RESIDENT`
 /// one-byte objects into a tier that holds exactly `RESIDENT`.
 fn bench_store(c: &mut Criterion) {
-    let tier = || ObjectStore::new(StoreConfig::demo().with_capacity(u64::from(RESIDENT)), 1);
+    let tier = || ObjectStore::new(u64::from(RESIDENT), 1);
 
     // Names cycle through twice the capacity, so each put finds its name
     // evicted long ago: one insert and one eviction.

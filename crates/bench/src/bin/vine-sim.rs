@@ -128,12 +128,10 @@ fn main() {
         cfg.replica_target = r;
     }
     if args.remote_inputs {
-        cfg.data_source = DataSource::remote_xrootd_default();
+        cfg.data_source = DataSource::RemoteXrootd;
     }
     cfg = cli.apply(cfg);
-    if cli.enabled() {
-        cfg.trace.obs = true;
-    }
+    cfg.obs |= cli.enabled();
     cfg.preflight = if args.no_preflight {
         Preflight::Off
     } else if args.lint_deny_warn {

@@ -129,7 +129,7 @@ pub fn datasource(lab: &mut Lab, seed: u64, scale_down: usize) -> Vec<AblationRo
     let workers = 40;
     [
         ("site (VAST)", DataSource::SharedFilesystem),
-        ("wide-area XRootD", DataSource::remote_xrootd_default()),
+        ("wide-area XRootD", DataSource::RemoteXrootd),
     ]
     .into_iter()
     .map(|(label, src)| {

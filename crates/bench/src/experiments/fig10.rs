@@ -87,7 +87,7 @@ pub fn run(lab: &mut Lab, seed: u64, n_tasks: usize) -> Vec<HoistPoint> {
                 // The Fig 10 function is deterministic: 0.55 s at
                 // complexity 1, scaled linearly (0.125 -> ~0.07 s,
                 // 64 -> ~35 s).
-                cfg.time_model.base_compute = Dist::Constant(0.55);
+                cfg.base_compute = Dist::Constant(0.55);
                 let hoist = if hoisted { "hoisted" } else { "unhoisted" };
                 let label = format!("complexity {complexity} / {import_source:?} / {hoist}");
                 let record = format!("fig10-{hoist}");

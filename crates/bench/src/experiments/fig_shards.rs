@@ -26,7 +26,7 @@ use vine_data::fnv1a64;
 use vine_serve::{
     FacilityConfig, LoadGen, ShardedConfig, ShardedFacility, ShardedReport, Submission,
 };
-use vine_store::{ShardCounters, StoreConfig};
+use vine_store::{ShardCounters, DEMO_CAPACITY};
 
 use super::Output;
 use crate::lab::Lab;
@@ -62,7 +62,7 @@ fn config(n_tenants: usize, shards: usize, seed: u64, store: bool) -> ShardedCon
     ShardedConfig {
         base,
         shards,
-        store: store.then(StoreConfig::demo),
+        store: store.then_some(DEMO_CAPACITY),
         work_stealing: true,
     }
 }

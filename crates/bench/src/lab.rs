@@ -82,7 +82,7 @@ impl Lab {
             None if figures.is_empty() => RunRequest::new(cfg, graph).run(),
             None => RunRequest::new(cfg, graph).recorder(&mut figs).run(),
             Some(name) => {
-                cfg.trace.obs = true;
+                cfg.obs = true;
                 let mut rec = MemoryRecorder::new();
                 let r = RunRequest::new(cfg, graph)
                     .recorder(&mut Tee(&mut figs, &mut rec))

@@ -72,7 +72,10 @@ pub fn parse_args(argv: Vec<String>) -> Result<Args, String> {
             "--stack" => {
                 args.stack = value("--stack")?
                     .parse()
-                    .map_err(|e| format!("--stack: {e}"))?
+                    .map_err(|e| format!("--stack: {e}"))?;
+                if !(1..=4).contains(&args.stack) {
+                    return Err(format!("--stack: must be 1..=4, got {}", args.stack));
+                }
             }
             "--scheduler" => {
                 let v = value("--scheduler")?;
@@ -91,7 +94,10 @@ pub fn parse_args(argv: Vec<String>) -> Result<Args, String> {
             "--scale" => {
                 args.scale = value("--scale")?
                     .parse()
-                    .map_err(|e| format!("--scale: {e}"))?
+                    .map_err(|e| format!("--scale: {e}"))?;
+                if args.scale == 0 {
+                    return Err("--scale: must be at least 1, got 0".into());
+                }
             }
             "--seed" => {
                 args.seed = value("--seed")?

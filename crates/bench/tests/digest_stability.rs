@@ -26,7 +26,7 @@ fn dv3_small_seed42_digest_matches_checked_in_baseline() {
         manager_link_bw: gbit_per_sec(12.0),
     };
     let mut cfg = EngineConfig::stack(3, cluster, 42).with_recovery(RecoveryPolicy::default());
-    cfg.trace.obs = true;
+    cfg.obs = true;
     cfg.preflight = Preflight::Enforce;
 
     let r = RunRequest::new(cfg, spec.to_graph()).run();

@@ -177,6 +177,9 @@ fn vine_sim_defaults_and_errors() {
     for (bad, msg) in [
         (&["--stack"][..], "--stack requires a value"),
         (&["--stack", "x"], "--stack: "),
+        (&["--stack", "0"], "--stack: must be 1..=4, got 0"),
+        (&["--stack", "5"], "--stack: must be 1..=4, got 5"),
+        (&["--scale", "0"], "--scale: must be at least 1, got 0"),
         (&["--scheduler", "slurm"], "unknown scheduler slurm"),
         (&["--placement", "random"], "unknown placement random"),
         (&["--lint-deny", "info"], "unknown --lint-deny level info"),

@@ -3,9 +3,10 @@
 use vine_chaos::{Fault, FaultPlan};
 use vine_cluster::{BatchSystem, ClusterSpec};
 use vine_simcore::units::TB;
+use vine_simcore::Dist;
 use vine_storage::SharedFs;
 
-use crate::cost::TaskTimeModel;
+use crate::cost::BASE_COMPUTE;
 use crate::preempt::CAMPUS;
 use crate::recovery::RecoveryPolicy;
 
@@ -49,33 +50,24 @@ pub enum ImportSource {
     SharedFilesystem,
 }
 
+/// Aggregate WAN bandwidth into the site under
+/// [`DataSource::RemoteXrootd`], bytes/second (5 Gbit).
+pub const XROOTD_WAN_BW: f64 = 6.25e8;
+/// Per-stream rate achievable over the WAN at CERN-to-campus round-trip
+/// times, bytes/second.
+pub const XROOTD_PER_STREAM_BW: f64 = 30e6;
+
 /// Where external input data (the ROOT files) is served from (§III-A).
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DataSource {
     /// Staged on the facility's shared filesystem (HDFS/VAST) — the
     /// paper's production setup.
     SharedFilesystem,
-    /// Fetched on demand from the wide-area XRootD federation. The paper
-    /// deems this "impractical" for repeated runs (§IV-A); the
-    /// `ablation_datasource` experiment quantifies why.
-    RemoteXrootd {
-        /// Aggregate WAN bandwidth into the site, bytes/second.
-        wan_bandwidth: f64,
-        /// Per-stream rate achievable over the WAN, bytes/second.
-        per_stream: f64,
-    },
-}
-
-impl DataSource {
-    /// The paper's remote-access scenario: a shared wide-area path
-    /// (5 Gbit aggregate into the site, ~30 MB/s per stream at
-    /// CERN-to-campus round-trip times).
-    pub fn remote_xrootd_default() -> Self {
-        DataSource::RemoteXrootd {
-            wan_bandwidth: 6.25e8,
-            per_stream: 30e6,
-        }
-    }
+    /// Fetched on demand from the wide-area XRootD federation over a
+    /// shared path of [`XROOTD_WAN_BW`] at [`XROOTD_PER_STREAM_BW`] per
+    /// stream. The paper deems this "impractical" for repeated runs
+    /// (§IV-A); the `ablation_datasource` experiment quantifies why.
+    RemoteXrootd,
 }
 
 /// Task-placement strategy (the "Retaining Data" half of §IV-B).
@@ -104,16 +96,6 @@ pub enum Preflight {
     DenyWarnings,
 }
 
-/// What the engine itself traces. Figure series are not here: a figure
-/// attaches a `vine_obs::FigureRecorder` through `RunRequest::recorder`.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct TraceConfig {
-    /// Per-task phase attribution and run digest (`RunResult::obs`).
-    /// Off by default: the attribution map costs memory per in-flight
-    /// task and the digest is only needed for analysis runs.
-    pub obs: bool,
-}
-
 /// Everything the engine needs to execute one run.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
@@ -131,32 +113,30 @@ pub struct EngineConfig {
     pub cluster: ClusterSpec,
     /// Worker arrival/replacement model.
     pub batch: BatchSystem,
-    /// Task timing model.
-    pub time_model: TaskTimeModel,
+    /// Useful-compute duration of a nominal (work = 1.0) task; the
+    /// presets use [`BASE_COMPUTE`]. The fixed overheads around it are
+    /// the constants of [`crate::cost`].
+    pub base_compute: Dist,
     /// Maximum concurrent outgoing peer transfers per worker (§IV-B:
     /// "the manager manages the number of concurrent peer transfers").
     pub max_peer_transfers_per_worker: usize,
-    /// Maximum concurrent shared-FS → manager staging streams (Work
-    /// Queue). With few streams, the storage system's per-stream rate —
-    /// where HDFS and VAST differ most — becomes visible end to end.
-    pub max_concurrent_stagings: usize,
     /// Target number of replicas for intermediate files (§IV: the manager
     /// "compensates by replicating data"). 1 disables replication; 2 means
     /// every task output is asynchronously copied to a second worker,
     /// making sole-copy loss — and its lineage re-run cascades — rare.
     pub replica_target: u32,
-    /// Only replicate intermediates at or below this size. Re-running one
-    /// producer is cheaper than proactively copying very large partials,
-    /// so replication of (say) GB-scale files is not worth the bandwidth.
-    pub replicate_max_bytes: u64,
     /// Task placement strategy (TaskVine uses `DataAware`).
     pub placement: Placement,
     /// Where external inputs are read from.
     pub data_source: DataSource,
     /// Master RNG seed.
     pub seed: u64,
-    /// Trace selection.
-    pub trace: TraceConfig,
+    /// Per-task phase attribution and run digest (`RunResult::obs`).
+    /// Off in the presets: the attribution map costs memory per in-flight
+    /// task and the digest is only needed for analysis runs. Figure
+    /// series are not here: a figure attaches a `vine_obs::FigureRecorder`
+    /// through `RunRequest::recorder`.
+    pub obs: bool,
     /// Pre-flight lint policy (see [`Preflight`]).
     pub preflight: Preflight,
     /// Every fault of the run, in-run worker loss included. The stack
@@ -178,15 +158,13 @@ impl EngineConfig {
             import_source: ImportSource::SharedFilesystem,
             cluster,
             batch: BatchSystem::htcondor_opportunistic(),
-            time_model: TaskTimeModel::default(),
+            base_compute: BASE_COMPUTE,
             max_peer_transfers_per_worker: 3,
-            max_concurrent_stagings: 8,
             replica_target: 1,
-            replicate_max_bytes: 512 * 1_000_000,
             placement: Placement::DataAware,
             data_source: DataSource::SharedFilesystem,
             seed,
-            trace: TraceConfig::default(),
+            obs: false,
             preflight: Preflight::Enforce,
             chaos: FaultPlan::none()
                 .with(Fault::Preemption {
@@ -283,7 +261,7 @@ impl EngineConfig {
 
     /// Enable per-task phase attribution and the run digest.
     pub fn with_obs(mut self) -> Self {
-        self.trace.obs = true;
+        self.obs = true;
         self
     }
 
@@ -305,15 +283,10 @@ impl EngineConfig {
     /// lints bound the same caches the simulation will run against.
     pub fn lint_facts(&self) -> vine_lint::EngineFacts {
         let per = self.cluster.worker;
-        let (cores, mem, disk) = if self.scheduler == SchedulerKind::DaskDistributed {
-            let share = per.mem_bytes / per.cores as u64;
-            (1, share, share)
+        let (cores, disk) = if self.scheduler == SchedulerKind::DaskDistributed {
+            (1, per.mem_bytes / per.cores as u64)
         } else {
-            (per.cores, per.mem_bytes, per.disk_bytes)
-        };
-        let (serverless, hoist_imports) = match self.exec_mode {
-            ExecMode::StandardTasks => (false, false),
-            ExecMode::FunctionCalls { hoist_imports } => (true, hoist_imports),
+            (per.cores, per.disk_bytes)
         };
         vine_lint::EngineFacts {
             scheduler: match self.scheduler {
@@ -321,16 +294,12 @@ impl EngineConfig {
                 SchedulerKind::TaskVine => vine_lint::SchedulerFamily::TaskVine,
                 SchedulerKind::DaskDistributed => vine_lint::SchedulerFamily::DaskDistributed,
             },
-            serverless,
-            hoist_imports,
+            serverless: matches!(self.exec_mode, ExecMode::FunctionCalls { .. }),
             import_worker_local: self.import_source == ImportSource::WorkerLocal,
-            remote_inputs: matches!(self.data_source, DataSource::RemoteXrootd { .. }),
+            remote_inputs: self.data_source == DataSource::RemoteXrootd,
             peer_transfers: self.peer_transfers,
             max_peer_transfers_per_worker: self.max_peer_transfers_per_worker,
-            max_concurrent_stagings: self.max_concurrent_stagings,
             replica_target: self.replica_target,
-            replicate_max_bytes: self.replicate_max_bytes,
-            library_startup_s: self.time_model.library_startup.as_secs_f64(),
             preemption_rate_per_sec: self.chaos.preemption_rate().unwrap_or(0.0),
             // Worker loss does not draw on the retry budget (see
             // `RecoveryPolicy`), so a preemption-only plan is no chaos to
@@ -340,14 +309,12 @@ impl EngineConfig {
                 .faults
                 .iter()
                 .any(|f| !matches!(f, Fault::Preemption { .. })),
-            chaos_task_failure_prob: self.chaos.task_failure().map_or(0.0, |(p, _)| p),
             retry_budget: self.recovery.retry_budget,
             timeout_factor: self.recovery.timeout_factor,
             speculation: self.recovery.speculation,
             dask_unstable_above_bytes: Some(DASK_UNSTABLE_ABOVE_BYTES),
             workers: self.worker_slots(),
             cores_per_worker: cores,
-            mem_per_worker: mem,
             disk_per_worker: disk,
         }
     }

@@ -15,7 +15,11 @@
 //! import paid inside the forked child (§IV-B "Import Hoisting").
 //!
 //! These constants were calibrated so that the DV3-Large standard run
-//! reproduces Table I's shape; `vine-bench` prints the comparison.
+//! reproduces Table I's shape; `vine-bench` prints the comparison. No
+//! stack, figure or experiment varies them, so they are constants; the
+//! one distribution an experiment does vary, the useful compute of a
+//! task (Fig 10 fixes it), is `EngineConfig::base_compute`, whose stack
+//! default is [`BASE_COMPUTE`].
 
 use rand::Rng;
 use vine_simcore::{Dist, SimDur};
@@ -23,118 +27,82 @@ use vine_storage::{DiskProfile, SharedFs};
 
 use crate::config::ImportSource;
 
-/// Timing model for task execution and manager overheads.
-#[derive(Clone, Debug)]
-pub struct TaskTimeModel {
-    /// Useful-compute duration of a nominal (work = 1.0) task. The Fig 8
-    /// distribution: bulk between 1 s and 10 s, heavy right tail.
-    pub base_compute: Dist,
-    /// Manager serial cost to dispatch a conventional task.
-    pub dispatch_standard: SimDur,
-    /// Manager serial cost to dispatch a FunctionCall.
-    pub dispatch_function: SimDur,
-    /// Manager serial cost to collect a conventional task's result.
-    pub collect_standard: SimDur,
-    /// Manager serial cost to collect a FunctionCall result.
-    pub collect_function: SimDur,
-    /// Python interpreter + wrapper startup per conventional task.
-    pub interpreter_startup: SimDur,
-    /// Filesystem metadata operations issued by the task's imports
-    /// (module search path walks, stat calls, bytecode probes).
-    pub import_metadata_ops: u64,
-    /// Bytes of library code/data read by the imports.
-    pub import_read_bytes: u64,
-    /// Fork + argument IPC per FunctionCall invocation.
-    pub function_overhead: SimDur,
-    /// One-time LibraryTask instantiation per worker (process launch,
-    /// excluding the hoisted imports, which are costed separately).
-    pub library_startup: SimDur,
-    /// Profile of the worker's local disk (cache hits, local imports).
-    pub worker_disk: DiskProfile,
+/// Useful-compute duration of a nominal (work = 1.0) task. The Fig 8
+/// distribution: bulk between 1 s and 10 s, heavy right tail.
+pub const BASE_COMPUTE: Dist = Dist::LogNormal {
+    median: 3.2,
+    sigma: 0.85,
+};
+/// Manager serial cost to dispatch a conventional task.
+pub const DISPATCH_STANDARD: SimDur = SimDur::from_millis(25);
+/// Manager serial cost to dispatch a FunctionCall.
+pub const DISPATCH_FUNCTION: SimDur = SimDur::from_millis(5);
+/// Manager serial cost to collect a conventional task's result.
+pub const COLLECT_STANDARD: SimDur = SimDur::from_millis(12);
+/// Manager serial cost to collect a FunctionCall result.
+pub const COLLECT_FUNCTION: SimDur = SimDur::from_millis(3);
+/// Python interpreter + wrapper startup per conventional task.
+pub const INTERPRETER_STARTUP: SimDur = SimDur::from_millis(1500);
+/// Filesystem metadata operations issued by the task's imports (module
+/// search path walks, stat calls, bytecode probes).
+pub const IMPORT_METADATA_OPS: u64 = 2500;
+/// Bytes of library code/data read by the imports.
+pub const IMPORT_READ_BYTES: u64 = 60_000_000;
+/// Fork + argument IPC per FunctionCall invocation.
+pub const FUNCTION_OVERHEAD: SimDur = SimDur::from_millis(40);
+/// One-time LibraryTask instantiation per worker (process launch,
+/// excluding the hoisted imports, which are costed separately).
+pub const LIBRARY_STARTUP: SimDur = SimDur::from_millis(2000);
+/// Profile of the worker's local disk (cache hits, local imports).
+pub const WORKER_DISK: DiskProfile = DiskProfile::worker_scratch();
+
+/// Sample the useful-compute duration of a task with the given work
+/// multiplier from the nominal distribution `base`.
+pub fn sample_compute<R: Rng + ?Sized>(base: &Dist, work: f64, rng: &mut R) -> SimDur {
+    base.scaled(work.max(0.0)).sample_dur(rng)
 }
 
-impl Default for TaskTimeModel {
-    fn default() -> Self {
-        TaskTimeModel {
-            base_compute: Dist::LogNormal {
-                median: 3.2,
-                sigma: 0.85,
-            },
-            dispatch_standard: SimDur::from_millis(25),
-            dispatch_function: SimDur::from_millis(5),
-            collect_standard: SimDur::from_millis(12),
-            collect_function: SimDur::from_millis(3),
-            interpreter_startup: SimDur::from_millis(1500),
-            import_metadata_ops: 2500,
-            import_read_bytes: 60_000_000,
-            function_overhead: SimDur::from_millis(40),
-            library_startup: SimDur::from_millis(2000),
-            worker_disk: DiskProfile::worker_scratch(),
+/// Cost of performing the import storm once, reading the environment
+/// from `source`.
+///
+/// Local metadata operations resolve against the in-kernel dentry cache
+/// after first touch (~60 µs each); shared-filesystem metadata operations
+/// pay a network round trip each (the Fig 10 asymmetry).
+pub fn import_cost(source: ImportSource, fs: &SharedFs) -> SimDur {
+    match source {
+        ImportSource::WorkerLocal => {
+            let meta = SimDur::from_secs_f64(60e-6 * IMPORT_METADATA_OPS as f64);
+            meta + SimDur::from_secs_f64(IMPORT_READ_BYTES as f64 / WORKER_DISK.read_bw)
+        }
+        ImportSource::SharedFilesystem => {
+            fs.metadata_ops(IMPORT_METADATA_OPS)
+                + SimDur::from_secs_f64(IMPORT_READ_BYTES as f64 / fs.per_stream_bw)
         }
     }
 }
 
-impl TaskTimeModel {
-    /// Sample the useful-compute duration of a task with the given work
-    /// multiplier.
-    pub fn sample_compute<R: Rng + ?Sized>(&self, work: f64, rng: &mut R) -> SimDur {
-        self.base_compute.scaled(work.max(0.0)).sample_dur(rng)
-    }
+/// Worker-side overhead of one conventional task execution (before the
+/// useful compute starts).
+pub fn standard_task_overhead(source: ImportSource, fs: &SharedFs) -> SimDur {
+    INTERPRETER_STARTUP + import_cost(source, fs)
+}
 
-    /// Cost of performing the import storm once, reading the environment
-    /// from `source`.
-    ///
-    /// Local metadata operations resolve against the in-kernel dentry
-    /// cache after first touch (~60 µs each); shared-filesystem metadata
-    /// operations pay a network round trip each (the Fig 10 asymmetry).
-    pub fn import_cost(&self, source: ImportSource, fs: &SharedFs) -> SimDur {
-        match source {
-            ImportSource::WorkerLocal => {
-                let meta = SimDur::from_secs_f64(60e-6 * self.import_metadata_ops as f64);
-                meta + SimDur::from_secs_f64(
-                    self.import_read_bytes as f64 / self.worker_disk.read_bw,
-                )
-            }
-            ImportSource::SharedFilesystem => {
-                fs.metadata_ops(self.import_metadata_ops)
-                    + SimDur::from_secs_f64(self.import_read_bytes as f64 / fs.per_stream_bw)
-            }
-        }
+/// Worker-side overhead of one FunctionCall invocation.
+pub fn function_call_overhead(hoist_imports: bool, source: ImportSource, fs: &SharedFs) -> SimDur {
+    if hoist_imports {
+        FUNCTION_OVERHEAD
+    } else {
+        FUNCTION_OVERHEAD + import_cost(source, fs)
     }
+}
 
-    /// Worker-side overhead of one conventional task execution (before the
-    /// useful compute starts).
-    pub fn standard_task_overhead(&self, source: ImportSource, fs: &SharedFs) -> SimDur {
-        self.interpreter_startup + self.import_cost(source, fs)
-    }
-
-    /// Worker-side overhead of one FunctionCall invocation.
-    pub fn function_call_overhead(
-        &self,
-        hoist_imports: bool,
-        source: ImportSource,
-        fs: &SharedFs,
-    ) -> SimDur {
-        if hoist_imports {
-            self.function_overhead
-        } else {
-            self.function_overhead + self.import_cost(source, fs)
-        }
-    }
-
-    /// One-time LibraryTask instantiation cost (includes the hoisted
-    /// imports when `hoist_imports`).
-    pub fn library_instantiation(
-        &self,
-        hoist_imports: bool,
-        source: ImportSource,
-        fs: &SharedFs,
-    ) -> SimDur {
-        if hoist_imports {
-            self.library_startup + self.import_cost(source, fs)
-        } else {
-            self.library_startup
-        }
+/// One-time LibraryTask instantiation cost (includes the hoisted imports
+/// when `hoist_imports`).
+pub fn library_instantiation(hoist_imports: bool, source: ImportSource, fs: &SharedFs) -> SimDur {
+    if hoist_imports {
+        LIBRARY_STARTUP + import_cost(source, fs)
+    } else {
+        LIBRARY_STARTUP
     }
 }
 
@@ -143,19 +111,14 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
 
-    fn model() -> TaskTimeModel {
-        TaskTimeModel::default()
-    }
-
     #[test]
     fn compute_distribution_matches_fig8_bulk() {
         // "A majority of tasks have execution times between 1s and 10s".
-        let m = model();
         let mut rng = rand::rngs::StdRng::seed_from_u64(42);
         let n = 10_000;
         let in_bulk = (0..n)
             .filter(|_| {
-                let d = m.sample_compute(1.0, &mut rng).as_secs_f64();
+                let d = sample_compute(&BASE_COMPUTE, 1.0, &mut rng).as_secs_f64();
                 (1.0..10.0).contains(&d)
             })
             .count();
@@ -165,11 +128,10 @@ mod tests {
 
     #[test]
     fn work_scales_compute() {
-        let m = model();
         let mut r1 = rand::rngs::StdRng::seed_from_u64(7);
         let mut r2 = rand::rngs::StdRng::seed_from_u64(7);
-        let a = m.sample_compute(1.0, &mut r1);
-        let b = m.sample_compute(4.0, &mut r2);
+        let a = sample_compute(&BASE_COMPUTE, 1.0, &mut r1);
+        let b = sample_compute(&BASE_COMPUTE, 4.0, &mut r2);
         // Same underlying draw, scaled 4x (up to microsecond rounding).
         let diff = (b.as_micros() as i64 - 4 * a.as_micros() as i64).abs();
         assert!(diff <= 3, "b {} vs 4a {}", b.as_micros(), 4 * a.as_micros());
@@ -180,38 +142,35 @@ mod tests {
         // Fig 10: "TaskVine local storage slightly outperforming the VAST
         // shared filesystem ... attributed to localizing library metadata
         // searches to the local disk".
-        let m = model();
         let vast = SharedFs::vast();
-        let local = m.import_cost(ImportSource::WorkerLocal, &vast);
-        let shared = m.import_cost(ImportSource::SharedFilesystem, &vast);
+        let local = import_cost(ImportSource::WorkerLocal, &vast);
+        let shared = import_cost(ImportSource::SharedFilesystem, &vast);
         assert!(local < shared, "local {local:?} vs shared {shared:?}");
         // ... and HDFS metadata storms are far worse than either.
-        let hdfs = m.import_cost(ImportSource::SharedFilesystem, &SharedFs::hdfs());
+        let hdfs = import_cost(ImportSource::SharedFilesystem, &SharedFs::hdfs());
         assert!(hdfs > shared * 5);
     }
 
     #[test]
     fn hoisting_removes_per_call_import_cost() {
-        let m = model();
         let fs = SharedFs::vast();
-        let hoisted = m.function_call_overhead(true, ImportSource::WorkerLocal, &fs);
-        let unhoisted = m.function_call_overhead(false, ImportSource::WorkerLocal, &fs);
-        assert_eq!(hoisted, m.function_overhead);
+        let hoisted = function_call_overhead(true, ImportSource::WorkerLocal, &fs);
+        let unhoisted = function_call_overhead(false, ImportSource::WorkerLocal, &fs);
+        assert_eq!(hoisted, FUNCTION_OVERHEAD);
         assert!(unhoisted > hoisted * 5);
         // The library pays the import exactly once instead.
-        let lib_h = m.library_instantiation(true, ImportSource::WorkerLocal, &fs);
-        let lib_u = m.library_instantiation(false, ImportSource::WorkerLocal, &fs);
-        assert_eq!(lib_u, m.library_startup);
+        let lib_h = library_instantiation(true, ImportSource::WorkerLocal, &fs);
+        let lib_u = library_instantiation(false, ImportSource::WorkerLocal, &fs);
+        assert_eq!(lib_u, LIBRARY_STARTUP);
         assert!(lib_h > lib_u);
     }
 
     #[test]
     fn serverless_overhead_below_standard_overhead() {
         // The Stack 3 -> 4 premise: per-task overhead collapses.
-        let m = model();
         let fs = SharedFs::vast();
-        let standard = m.standard_task_overhead(ImportSource::SharedFilesystem, &fs);
-        let serverless = m.function_call_overhead(true, ImportSource::WorkerLocal, &fs);
+        let standard = standard_task_overhead(ImportSource::SharedFilesystem, &fs);
+        let serverless = function_call_overhead(true, ImportSource::WorkerLocal, &fs);
         assert!(
             standard > serverless * 10,
             "standard {standard:?} vs serverless {serverless:?}"
@@ -220,8 +179,7 @@ mod tests {
 
     #[test]
     fn function_dispatch_cheaper_than_standard() {
-        let m = model();
-        assert!(m.dispatch_function < m.dispatch_standard);
-        assert!(m.collect_function < m.collect_standard);
+        assert!(DISPATCH_FUNCTION < DISPATCH_STANDARD);
+        assert!(COLLECT_FUNCTION < COLLECT_STANDARD);
     }
 }

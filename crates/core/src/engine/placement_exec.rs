@@ -8,6 +8,16 @@
 
 use super::*;
 
+/// Maximum concurrent shared-FS → manager staging streams (Work Queue).
+/// With few streams, the storage system's per-stream rate — where HDFS
+/// and VAST differ most — becomes visible end to end.
+const MAX_CONCURRENT_STAGINGS: usize = 8;
+
+/// Only replicate intermediates at or below this size. Re-running one
+/// producer is cheaper than proactively copying very large partials, so
+/// replication of (say) GB-scale files is not worth the bandwidth.
+const REPLICATE_MAX_BYTES: u64 = 512 * 1_000_000;
+
 /// Where a peer transfer of a file toward a worker could come from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum PeerSource {
@@ -85,7 +95,7 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
                         .get_or_insert_default(f.0)
                         .push((w, task));
                     if !queued_or_active {
-                        if self.staging_count < self.cfg.max_concurrent_stagings {
+                        if self.staging_count < MAX_CONCURRENT_STAGINGS {
                             self.begin_staging(f);
                         } else {
                             self.staging_waitq.push_back(f);
@@ -125,7 +135,7 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
         if self.cfg.replica_target < 2
             || !self.cfg.peer_transfers
             || self.remaining_consumers[f.0 as usize] == 0
-            || self.graph.file(f).size_hint > self.cfg.replicate_max_bytes
+            || self.graph.file(f).size_hint > REPLICATE_MAX_BYTES
         {
             return;
         }

@@ -53,22 +53,14 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
 
     /// Draw on `task`'s retry budget. Within budget: count the retry and
     /// hold the task in exponential backoff (with jitter on the chaos
-    /// hub). Exhausted: quarantine it (graceful degradation) or abort the
-    /// run.
+    /// hub). Exhausted: quarantine it (graceful degradation).
     pub(super) fn charge_task_failure(&mut self, task: TaskId) {
         let ti = task.0 as usize;
         self.fail_counts[ti] += 1;
         let n = self.fail_counts[ti];
         let policy = self.cfg.recovery;
         if n > policy.retry_budget {
-            if policy.graceful_degradation {
-                self.quarantine_task(task);
-            } else {
-                self.aborted = Some(format!(
-                    "task {} exhausted its retry budget ({} failures)",
-                    ti, n
-                ));
-            }
+            self.quarantine_task(task);
             return;
         }
         self.stats.retries += 1;
@@ -313,11 +305,7 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
                     hoist_imports: true
                 }
             );
-            let d = self.cfg.time_model.library_instantiation(
-                hoist,
-                self.cfg.import_source,
-                &self.cfg.shared_fs,
-            );
+            let d = cost::library_instantiation(hoist, self.cfg.import_source, &self.cfg.shared_fs);
             let epoch = self.workers[w].epoch;
             self.stats.libraries_started += 1;
             if self.rec.is_enabled() {

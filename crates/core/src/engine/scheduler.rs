@@ -29,9 +29,9 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
                     return; // no eligible worker; retry on the next event
                 }
                 let cost = if self.serverless() {
-                    self.cfg.time_model.dispatch_function
+                    cost::DISPATCH_FUNCTION
                 } else {
-                    self.cfg.time_model.dispatch_standard
+                    cost::DISPATCH_STANDARD
                 };
                 self.mgr_busy = true;
                 self.manager_span("dispatch", cost, None);
@@ -40,9 +40,9 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
             MgrOp::Collect(t) => {
                 self.do_collect(t);
                 let cost = if self.serverless() {
-                    self.cfg.time_model.collect_function
+                    cost::COLLECT_FUNCTION
                 } else {
-                    self.cfg.time_model.collect_standard
+                    cost::COLLECT_STANDARD
                 };
                 self.mgr_busy = true;
                 self.manager_span("collect", cost, Some(t));
@@ -281,13 +281,13 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
         // The overhead split is kept explicit (rather than calling
         // `standard_task_overhead` / `function_call_overhead`) so the
         // attribution can report interpreter startup and import time as
-        // separate phases; `interp + imports` equals those methods exactly.
+        // separate phases; `interp + imports` equals those functions exactly.
         let (interp, imports, read_io, write_io) = self.attempt_components(task);
         let task_node = self.graph.task(task);
         let dispatch_cost_us = if self.serverless() {
-            self.cfg.time_model.dispatch_function
+            cost::DISPATCH_FUNCTION
         } else {
-            self.cfg.time_model.dispatch_standard
+            cost::DISPATCH_STANDARD
         }
         .as_micros();
         // An attempt that starts inside a straggler window runs its
@@ -550,26 +550,23 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
     /// The non-compute components of one attempt of `task`:
     /// `(interp, imports, read_io, write_io)`.
     pub(super) fn attempt_components(&self, task: TaskId) -> (SimDur, SimDur, SimDur, SimDur) {
-        let tm = &self.cfg.time_model;
+        let import_cost = || cost::import_cost(self.cfg.import_source, &self.cfg.shared_fs);
         let (interp, imports) = match self.cfg.exec_mode {
-            ExecMode::StandardTasks => (
-                tm.interpreter_startup,
-                tm.import_cost(self.cfg.import_source, &self.cfg.shared_fs),
-            ),
+            ExecMode::StandardTasks => (cost::INTERPRETER_STARTUP, import_cost()),
             ExecMode::FunctionCalls { hoist_imports } => (
-                tm.function_overhead,
+                cost::FUNCTION_OVERHEAD,
                 if hoist_imports {
                     SimDur::ZERO
                 } else {
-                    tm.import_cost(self.cfg.import_source, &self.cfg.shared_fs)
+                    import_cost()
                 },
             ),
         };
         (
             interp,
             imports,
-            tm.worker_disk.read_time(self.in_bytes[task.0 as usize]),
-            tm.worker_disk.write_time(self.out_bytes[task.0 as usize]),
+            cost::WORKER_DISK.read_time(self.in_bytes[task.0 as usize]),
+            cost::WORKER_DISK.write_time(self.out_bytes[task.0 as usize]),
         )
     }
 }

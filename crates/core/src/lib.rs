@@ -49,9 +49,8 @@ pub mod session;
 
 pub use config::{
     DataSource, EngineConfig, ExecMode, ImportSource, Placement, Preflight, SchedulerKind,
-    TraceConfig, DASK_UNSTABLE_ABOVE_BYTES,
+    DASK_UNSTABLE_ABOVE_BYTES,
 };
-pub use cost::TaskTimeModel;
 pub use engine::{graph_cachenames, graph_file_cachename};
 pub use observer::{ObserverControl, PartialUpdate, RunObserver};
 pub use recovery::RecoveryPolicy;

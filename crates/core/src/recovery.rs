@@ -26,7 +26,8 @@
 //!   blocklisted.
 //! * **Graceful degradation.** A task that exhausts its budget is
 //!   *quarantined* together with its transitive consumers; the run then
-//!   finishes with [`RunOutcome::Degraded`] instead of aborting.
+//!   finishes with [`RunOutcome::Degraded`] instead of aborting, under
+//!   every policy.
 //!
 //! [`RunOutcome::Degraded`]: crate::RunOutcome::Degraded
 
@@ -57,16 +58,13 @@ pub struct RecoveryPolicy {
     /// Stop scheduling onto a worker after this many failures observed
     /// there. `0` disables blocklisting.
     pub blocklist_after: u32,
-    /// Quarantine exhausted tasks and finish `Degraded` instead of
-    /// failing the run.
-    pub graceful_degradation: bool,
 }
 
 impl Default for RecoveryPolicy {
-    /// Retry-only defaults: budgeted retries with backoff and graceful
-    /// degradation, no timeouts, no speculation, no blocklisting. With
-    /// an empty fault plan this is behaviorally identical to the
-    /// pre-chaos engine (nothing ever draws on the budget).
+    /// Retry-only defaults: budgeted retries with backoff, no timeouts,
+    /// no speculation, no blocklisting. With an empty fault plan this is
+    /// behaviorally identical to the pre-chaos engine (nothing ever draws
+    /// on the budget).
     fn default() -> Self {
         RecoveryPolicy {
             retry_budget: 3,
@@ -77,7 +75,6 @@ impl Default for RecoveryPolicy {
             speculation: false,
             speculation_factor: 2.0,
             blocklist_after: 0,
-            graceful_degradation: true,
         }
     }
 }
@@ -96,8 +93,9 @@ impl RecoveryPolicy {
         }
     }
 
-    /// No recovery at all: zero budget, nothing optional, but still
-    /// degrade rather than abort. The control arm for fig-chaos.
+    /// No recovery at all: zero budget, nothing optional. Exhausted tasks
+    /// are still quarantined, as under every policy. The control arm for
+    /// fig-chaos.
     pub fn fragile() -> Self {
         RecoveryPolicy {
             retry_budget: 0,
@@ -108,14 +106,7 @@ impl RecoveryPolicy {
             speculation: false,
             speculation_factor: 2.0,
             blocklist_after: 0,
-            graceful_degradation: true,
         }
-    }
-
-    /// Builder: toggle speculation (for A/B columns in fig-chaos).
-    pub fn with_speculation(mut self, on: bool) -> Self {
-        self.speculation = on;
-        self
     }
 
     /// The backoff delay after the `n`-th failure of a task (1-based),

@@ -113,7 +113,7 @@ pub struct RunResult {
     /// even when the gate lets the run proceed.
     pub lint_findings: Vec<vine_lint::Diagnostic>,
     /// Per-task phase attributions and the run digest, when
-    /// `TraceConfig::obs` was on.
+    /// `EngineConfig::obs` was on.
     pub obs: Option<vine_obs::RunObs>,
     /// Exact flow-fabric work: changes, solves, water-filling iterations
     /// and link visits. Simulator cost, not simulated behaviour, so it is

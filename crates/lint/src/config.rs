@@ -1,10 +1,9 @@
 //! Config-consistency lints (C codes).
 //!
-//! These catch knob combinations §IV warns about: throttles set to zero
-//! (a transfer that can never start is a deadlock, not a slow run),
-//! replication that cannot happen, serverless execution whose LibraryTask
-//! costs nothing (the trade-off the paper measures disappears), and
-//! Dask.Distributed pointed at inputs the paper says it cannot run.
+//! These catch knob combinations §IV warns about: a peer-transfer
+//! throttle set to zero (a transfer that can never start is a deadlock,
+//! not a slow run), replication that cannot happen, and Dask.Distributed
+//! pointed at inputs the paper says it cannot run.
 
 use vine_dag::TaskGraph;
 
@@ -22,19 +21,6 @@ pub fn lint(graph: &TaskGraph, facts: &EngineFacts) -> Report {
             suggestion,
         });
     };
-
-    // C001 — serverless with a free library. The whole point of the
-    // LibraryTask model is paying instantiation once instead of importing
-    // per task; at zero cost every serverless-vs-standard comparison is
-    // meaningless.
-    if facts.serverless && facts.library_startup_s <= 0.0 {
-        push(
-            Code::C001,
-            Severity::Warn,
-            "serverless FunctionCalls with zero library instantiation cost".into(),
-            Some("set the time model's library_startup to a realistic value".into()),
-        );
-    }
 
     // C002 — worker-local import distribution only pays off for the
     // serverless path; standard tasks re-import per invocation wherever
@@ -57,17 +43,6 @@ pub fn lint(graph: &TaskGraph, facts: &EngineFacts) -> Report {
             Severity::Error,
             "peer transfers enabled with max_peer_transfers_per_worker = 0".into(),
             Some("raise the throttle (the presets use 3) or disable peer transfers".into()),
-        );
-    }
-
-    // C004 — staging that can never start, same shape as C003 but for
-    // shared-FS reads.
-    if facts.max_concurrent_stagings == 0 {
-        push(
-            Code::C004,
-            Severity::Error,
-            "max_concurrent_stagings = 0: no input can ever be staged".into(),
-            Some("raise the staging throttle (the presets use 8)".into()),
         );
     }
 
@@ -125,23 +100,15 @@ pub fn lint(graph: &TaskGraph, facts: &EngineFacts) -> Report {
         _ => {}
     }
 
-    // C008 — replication with a size cap of zero replicates nothing.
-    if facts.replica_target >= 2 {
-        if facts.replicate_max_bytes == 0 {
-            push(
-                Code::C008,
-                Severity::Warn,
-                "replication enabled but replicate_max_bytes = 0 excludes every file".into(),
-                Some("raise replicate_max_bytes (the presets use 512 MB)".into()),
-            );
-        } else if !facts.peer_transfers {
-            push(
-                Code::C008,
-                Severity::Warn,
-                "replication enabled but peer transfers are off: replicas cannot be made".into(),
-                Some("enable peer transfers or set replica_target = 1".into()),
-            );
-        }
+    // C008 — replicas travel as peer transfers; with those off,
+    // replication does nothing.
+    if facts.replica_target >= 2 && !facts.peer_transfers {
+        push(
+            Code::C008,
+            Severity::Warn,
+            "replication enabled but peer transfers are off: replicas cannot be made".into(),
+            Some("enable peer transfers or set replica_target = 1".into()),
+        );
     }
 
     report
@@ -165,19 +132,9 @@ mod tests {
     }
 
     #[test]
-    fn zero_library_cost_is_c001() {
-        let f = EngineFacts {
-            library_startup_s: 0.0,
-            ..EngineFacts::default()
-        };
-        assert!(lint(&graph(), &f).has_code(Code::C001));
-    }
-
-    #[test]
     fn worker_local_imports_without_serverless_is_c002() {
         let f = EngineFacts {
             serverless: false,
-            hoist_imports: false,
             ..EngineFacts::default()
         };
         assert!(lint(&graph(), &f).has_code(Code::C002));
@@ -191,16 +148,6 @@ mod tests {
         };
         let r = lint(&graph(), &f);
         assert!(r.has_code(Code::C003) && r.has_errors());
-    }
-
-    #[test]
-    fn zero_staging_throttle_is_c004_error() {
-        let f = EngineFacts {
-            max_concurrent_stagings: 0,
-            ..EngineFacts::default()
-        };
-        let r = lint(&graph(), &f);
-        assert!(r.has_code(Code::C004) && r.has_errors());
     }
 
     #[test]
@@ -242,7 +189,6 @@ mod tests {
         let f = EngineFacts {
             scheduler: SchedulerFamily::WorkQueue,
             serverless: false,
-            hoist_imports: false,
             import_worker_local: false,
             replica_target: 1,
             ..EngineFacts::default()
@@ -262,11 +208,6 @@ mod tests {
 
     #[test]
     fn replication_without_transport_is_c008() {
-        let f = EngineFacts {
-            replicate_max_bytes: 0,
-            ..EngineFacts::default()
-        };
-        assert!(lint(&graph(), &f).has_code(Code::C008));
         let f = EngineFacts {
             peer_transfers: false,
             ..EngineFacts::default()

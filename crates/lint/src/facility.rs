@@ -130,10 +130,6 @@ pub struct ShardFacts {
     pub store_enabled: bool,
     /// The tier's byte capacity (ignored when disabled).
     pub store_capacity_bytes: u64,
-    /// The tier's egress bandwidth, bytes/second (ignored when disabled).
-    pub store_bw: f64,
-    /// Per-shard ingress bandwidth, bytes/second (ignored when disabled).
-    pub shard_bw: f64,
     /// Cross-shard work stealing enabled.
     pub work_stealing: bool,
 }
@@ -153,29 +149,14 @@ pub fn lint_sharded(facts: &FacilityFacts, shard_facts: &ShardFacts) -> Report {
         });
     }
 
-    if shard_facts.store_enabled {
-        let bad_bw = |bw: f64| !(bw.is_finite() && bw > 0.0);
-        if shard_facts.store_capacity_bytes == 0 {
-            report.push(Diagnostic {
-                code: Code::F007,
-                severity: Severity::Error,
-                locus: Locus::Config,
-                message: "shared object tier has zero capacity; every put bounces".into(),
-                suggestion: Some("give the tier a positive byte capacity".into()),
-            });
-        }
-        if bad_bw(shard_facts.store_bw) || bad_bw(shard_facts.shard_bw) {
-            report.push(Diagnostic {
-                code: Code::F007,
-                severity: Severity::Error,
-                locus: Locus::Config,
-                message: format!(
-                    "shared object tier bandwidth is invalid (store {} B/s, shard {} B/s)",
-                    shard_facts.store_bw, shard_facts.shard_bw
-                ),
-                suggestion: Some("use positive finite bandwidths".into()),
-            });
-        }
+    if shard_facts.store_enabled && shard_facts.store_capacity_bytes == 0 {
+        report.push(Diagnostic {
+            code: Code::F007,
+            severity: Severity::Error,
+            locus: Locus::Config,
+            message: "shared object tier has zero capacity; every put bounces".into(),
+            suggestion: Some("give the tier a positive byte capacity".into()),
+        });
     }
 
     if shard_facts.work_stealing && shard_facts.shards == 1 {
@@ -272,8 +253,6 @@ mod tests {
             shards: 4,
             store_enabled: true,
             store_capacity_bytes: 200_000_000_000,
-            store_bw: 12.5e9,
-            shard_bw: 1.25e9,
             work_stealing: true,
         }
     }
@@ -295,24 +274,11 @@ mod tests {
     fn broken_store_fires_f007() {
         let mut s = healthy_shards();
         s.store_capacity_bytes = 0;
-        assert!(lint_sharded(&healthy(), &s).has_code(Code::F007));
-
-        let mut s = healthy_shards();
-        s.store_bw = 0.0;
-        assert!(lint_sharded(&healthy(), &s).has_code(Code::F007));
-        s.store_bw = f64::NAN;
-        assert!(lint_sharded(&healthy(), &s).has_code(Code::F007));
-
-        let mut s = healthy_shards();
-        s.shard_bw = -1.0;
         let r = lint_sharded(&healthy(), &s);
         assert!(r.has_code(Code::F007) && r.has_errors());
 
-        // A disabled store never lints its knobs.
-        let mut s = healthy_shards();
+        // A disabled store never lints its capacity.
         s.store_enabled = false;
-        s.store_capacity_bytes = 0;
-        s.store_bw = 0.0;
         assert!(lint_sharded(&healthy(), &s).is_clean());
     }
 

@@ -10,7 +10,7 @@
 //! `(TaskGraph, EngineFacts)` pair *before* any event is simulated or any
 //! thread spawned and reports problems as structured [`Diagnostic`]s.
 //!
-//! Four analysis families, one module each:
+//! Seven analysis families, one module each:
 //!
 //! * [`graph`] — structural lints (G codes): broken producer/consumer
 //!   links, cycles, duplicate file names, orphan tasks, unconsumed
@@ -24,6 +24,8 @@
 //!   (Dask.Distributed beyond its stable input scale);
 //! * [`determinism`] — reproducibility lints (D codes): trace and
 //!   recovery settings that make repeated runs hard to compare;
+//! * [`recovery`] — recovery-policy lints (R005–R007): retry budgets,
+//!   timeouts and speculation that cannot do what they promise;
 //! * [`facility`] — multi-tenant serving lints (F codes): tenant quotas
 //!   or fair-share weights that can never be satisfied, and per-run
 //!   worker slices the cluster cannot provide (checked by `vine-serve`
@@ -34,7 +36,11 @@
 //!   when a standing submission registers).
 //!
 //! The scheduler side of the world arrives as [`EngineFacts`], a plain
-//! snapshot of the engine knobs this crate needs. `vine-core` provides
+//! snapshot of the engine knobs this crate needs: every field is read by
+//! some lint. Values no configuration can change (the engine's
+//! calibrated costs, its staging throttle and replication size cap, the
+//! shared tier's bandwidths) are constants of their crates, not facts,
+//! and nothing here checks them. `vine-core` provides
 //! `EngineConfig::lint_facts()` to build one, keeping the dependency
 //! arrow pointing `vine-core → vine-lint` and never back.
 //!
@@ -116,21 +122,18 @@ pub enum Code {
     /// Speculative re-execution enabled on a single-worker cluster:
     /// there is never a second worker to speculate on.
     R007,
-    /// Serverless mode with a zero library instantiation cost.
-    C001,
     /// Worker-local import distribution without serverless execution.
     C002,
     /// Peer transfers enabled but throttled to zero concurrent streams.
     C003,
-    /// Shared-FS staging throttled to zero concurrent streams.
-    C004,
     /// Dask.Distributed with more input than its stable scale.
     C005,
     /// Replication target unreachable (exceeds worker count).
     C006,
     /// Scheduler/data-movement mismatch (peer transfers vs. generation).
     C007,
-    /// Replication requested but the size cap excludes every file.
+    /// Replication requested but peer transfers are off: no replica can
+    /// be made.
     C008,
     /// Sole-copy intermediates under preemption: rerun cascades.
     D001,
@@ -147,8 +150,8 @@ pub enum Code {
     F005,
     /// Federation has zero shards: no facility can ever run anything.
     F006,
-    /// Shared object tier configured with zero capacity or a
-    /// non-positive/non-finite bandwidth: every fetch stalls or fails.
+    /// Shared object tier configured with zero capacity: every put
+    /// bounces.
     F007,
     /// Cross-shard work stealing enabled on a single-shard federation:
     /// there is never another shard to steal from.
@@ -166,7 +169,7 @@ pub enum Code {
 
 impl Code {
     /// Every code, in report order — drives the README reference table.
-    pub const ALL: [Code; 33] = [
+    pub const ALL: [Code; 31] = [
         Code::G001,
         Code::G002,
         Code::G003,
@@ -181,10 +184,8 @@ impl Code {
         Code::R005,
         Code::R006,
         Code::R007,
-        Code::C001,
         Code::C002,
         Code::C003,
-        Code::C004,
         Code::C005,
         Code::C006,
         Code::C007,
@@ -219,21 +220,19 @@ impl Code {
             Code::R005 => "faults injected with a zero retry budget: first failure quarantines",
             Code::R006 => "task timeout below the category p99 estimate kills healthy tasks",
             Code::R007 => "speculation on a single-worker cluster can never launch a duplicate",
-            Code::C001 => "serverless mode with zero library instantiation cost",
             Code::C002 => "worker-local imports without serverless execution",
             Code::C003 => "peer transfers enabled but throttled to zero",
-            Code::C004 => "shared-FS staging throttled to zero",
             Code::C005 => "Dask.Distributed beyond its stable input scale",
             Code::C006 => "replication target exceeds the worker count",
             Code::C007 => "peer-transfer setting contradicts the scheduler generation",
-            Code::C008 => "replication enabled but the size cap excludes every file",
+            Code::C008 => "replication enabled but peer transfers are off",
             Code::D001 => "sole-copy intermediates under preemption (rerun cascades)",
             Code::F001 => "tenant in-flight core quota exceeds the whole cluster",
             Code::F002 => "tenant with zero fair-share weight (or no tenants): starved forever",
             Code::F004 => "per-run worker slice is zero or larger than the cluster",
             Code::F005 => "tenant resident-byte quota exceeds the cluster's aggregate disk",
             Code::F006 => "federation has zero shards; nothing can ever run",
-            Code::F007 => "shared object tier with zero capacity or invalid bandwidth",
+            Code::F007 => "shared object tier with zero capacity",
             Code::F008 => "work stealing on a single-shard federation has no victim",
             Code::W001 => "standing submission without an automatic trigger goes stale silently",
             Code::W002 => "standing submission watches a dataset its template never reads",
@@ -429,8 +428,6 @@ pub struct EngineFacts {
     pub scheduler: SchedulerFamily,
     /// Serverless FunctionCalls (vs. conventional standard tasks).
     pub serverless: bool,
-    /// Imports hoisted into the LibraryTask preamble.
-    pub hoist_imports: bool,
     /// Task environments read from worker-local storage.
     pub import_worker_local: bool,
     /// External inputs fetched over the WAN rather than the shared FS.
@@ -439,21 +436,13 @@ pub struct EngineFacts {
     pub peer_transfers: bool,
     /// Concurrent outgoing peer transfers allowed per worker.
     pub max_peer_transfers_per_worker: usize,
-    /// Concurrent shared-FS staging streams allowed.
-    pub max_concurrent_stagings: usize,
     /// Target replica count for intermediate files (1 = off).
     pub replica_target: u32,
-    /// Only intermediates at or below this size are replicated.
-    pub replicate_max_bytes: u64,
-    /// LibraryTask instantiation cost, seconds.
-    pub library_startup_s: f64,
     /// Worker preemption rate, events per second (0 = none).
     pub preemption_rate_per_sec: f64,
     /// The fault plan holds a fault that draws on the retry budget: any
     /// family but preemption, whose worker deaths never charge it.
     pub chaos_enabled: bool,
-    /// Combined per-attempt transient task-failure probability (0 = none).
-    pub chaos_task_failure_prob: f64,
     /// Recovery policy: task-level failures tolerated before quarantine.
     pub retry_budget: u32,
     /// Recovery policy: attempts are abandoned past this multiple of the
@@ -467,8 +456,6 @@ pub struct EngineFacts {
     pub workers: usize,
     /// Cores per worker.
     pub cores_per_worker: u32,
-    /// Memory per worker, bytes.
-    pub mem_per_worker: u64,
     /// Disk (cache capacity) per worker, bytes.
     pub disk_per_worker: u64,
 }
@@ -480,25 +467,19 @@ impl Default for EngineFacts {
         EngineFacts {
             scheduler: SchedulerFamily::TaskVine,
             serverless: true,
-            hoist_imports: true,
             import_worker_local: true,
             remote_inputs: false,
             peer_transfers: true,
             max_peer_transfers_per_worker: 3,
-            max_concurrent_stagings: 8,
             replica_target: 2,
-            replicate_max_bytes: 512 * 1_000_000,
-            library_startup_s: 2.0,
             preemption_rate_per_sec: 0.0,
             chaos_enabled: false,
-            chaos_task_failure_prob: 0.0,
             retry_budget: 3,
             timeout_factor: 0.0,
             speculation: false,
             dask_unstable_above_bytes: None,
             workers: 4,
             cores_per_worker: 12,
-            mem_per_worker: 96_000_000_000,
             disk_per_worker: 108_000_000_000,
         }
     }

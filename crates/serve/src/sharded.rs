@@ -43,7 +43,7 @@ use vine_dag::TaskGraph;
 use vine_lint::{lint_sharded, Report, ShardFacts};
 use vine_obs::Recorder;
 use vine_simcore::{fnv1a64, fnv1a64_extend, SimTime};
-use vine_store::{ObjectStore, StoreConfig};
+use vine_store::ObjectStore;
 
 use crate::facility::{ExternalHooks, FacilityConfig, Shard, Submission, SubmissionRecord};
 use crate::report::{percentile, FacilityReport};
@@ -57,9 +57,10 @@ pub struct ShardedConfig {
     pub base: FacilityConfig,
     /// Number of independent facility shards.
     pub shards: usize,
-    /// The shared object tier; `None` leaves shards fully isolated
-    /// (each still warm within itself, cold across shards).
-    pub store: Option<StoreConfig>,
+    /// The shared object tier's byte capacity; `None` leaves shards
+    /// fully isolated (each still warm within itself, cold across
+    /// shards).
+    pub store: Option<u64>,
     /// Allow idle shards to steal queued work from backlogged ones.
     pub work_stealing: bool,
 }
@@ -81,7 +82,7 @@ impl ShardedConfig {
         ShardedConfig {
             base: FacilityConfig::demo(seed),
             shards: 4,
-            store: Some(StoreConfig::demo()),
+            store: Some(vine_store::DEMO_CAPACITY),
             work_stealing: true,
         }
     }
@@ -91,9 +92,7 @@ impl ShardedConfig {
         ShardFacts {
             shards: self.shards,
             store_enabled: self.store.is_some(),
-            store_capacity_bytes: self.store.as_ref().map_or(0, |s| s.capacity_bytes),
-            store_bw: self.store.as_ref().map_or(0.0, |s| s.store_bw),
-            shard_bw: self.store.as_ref().map_or(0.0, |s| s.shard_bw),
+            store_capacity_bytes: self.store.unwrap_or(0),
             work_stealing: self.work_stealing,
         }
     }
@@ -244,8 +243,7 @@ impl ShardedFacility {
         }
         let store = cfg
             .store
-            .as_ref()
-            .map(|sc| Rc::new(RefCell::new(ObjectStore::new(sc.clone(), cfg.shards))));
+            .map(|capacity| Rc::new(RefCell::new(ObjectStore::new(capacity, cfg.shards))));
         let shards = (0..cfg.shards)
             .map(|i| Shard::new(cfg.base.clone(), store.clone(), i, cfg.shards))
             .collect();
@@ -541,7 +539,7 @@ mod tests {
     #[test]
     fn broken_store_refused() {
         let mut cfg = ShardedConfig::demo(1);
-        cfg.store = Some(StoreConfig::demo().with_capacity(0));
+        cfg.store = Some(0);
         let err = ShardedFacility::new(cfg).err().expect("must refuse");
         assert!(err.has_code(vine_lint::Code::F007));
     }

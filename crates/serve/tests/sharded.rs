@@ -5,7 +5,6 @@
 use vine_analysis::WorkloadSpec;
 use vine_serve::{assign_shard, FacilityConfig, ShardedConfig, ShardedFacility, Submission};
 use vine_simcore::SimTime;
-use vine_store::StoreConfig;
 
 fn spec() -> WorkloadSpec {
     WorkloadSpec::dv3_small().scaled_down(20)
@@ -70,7 +69,7 @@ fn split_tenant_names() -> (String, String) {
     (a, other)
 }
 
-fn two_shard_cfg(seed: u64, store: Option<StoreConfig>) -> ShardedConfig {
+fn two_shard_cfg(seed: u64, store: Option<u64>) -> ShardedConfig {
     let (a, b) = split_tenant_names();
     let mut base = FacilityConfig::demo(seed);
     base.tenants[0].name = a;
@@ -87,7 +86,7 @@ fn two_shard_cfg(seed: u64, store: Option<StoreConfig>) -> ShardedConfig {
 fn store_turns_cross_shard_recompute_into_warm_hits() {
     // Tenant 0 runs the spec cold on its home shard; much later tenant 1
     // submits the *same* spec on the *other* shard.
-    let run = |store: Option<StoreConfig>| {
+    let run = |store: Option<u64>| {
         let mut fed = ShardedFacility::new(two_shard_cfg(7, store)).unwrap();
         assert_ne!(fed.home_shard(0), fed.home_shard(1), "must split shards");
         fed.ingest(vec![sub(0, 0, "first"), sub(1, 10_000, "second")]);
@@ -112,7 +111,7 @@ fn store_turns_cross_shard_recompute_into_warm_hits() {
     assert_eq!(cold.store_fetched_files, 0);
 
     // With it, shard A's intermediates satisfy shard B's run.
-    let federated = run(Some(StoreConfig::demo()));
+    let federated = run(Some(vine_store::DEMO_CAPACITY));
     let warm = second(&federated);
     assert!(warm.completed);
     assert!(warm.store_fetched_files > 0, "must pre-fetch from the tier");
@@ -169,7 +168,7 @@ fn idle_shards_steal_quota_gated_work() {
         let mut fed = ShardedFacility::new(ShardedConfig {
             base,
             shards: 2,
-            store: Some(StoreConfig::demo()),
+            store: Some(vine_store::DEMO_CAPACITY),
             work_stealing: stealing,
         })
         .unwrap();

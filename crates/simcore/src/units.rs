@@ -14,7 +14,7 @@ pub const GB: u64 = 1_000_000_000;
 pub const TB: u64 = 1_000_000_000_000;
 
 /// Gigabits per second expressed as bytes per second.
-pub fn gbit_per_sec(gbit: f64) -> f64 {
+pub const fn gbit_per_sec(gbit: f64) -> f64 {
     gbit * 1e9 / 8.0
 }
 

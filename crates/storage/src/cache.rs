@@ -224,7 +224,7 @@ impl LocalCache {
         // candidate, which usually covers the need on its own.
         let mut reclaimable = 0;
         let mut coldest: Option<(u64, CacheName, u64)> = None;
-        for c in self.unpinned(Some(keep)) {
+        for c in self.unpinned(keep) {
             reclaimable += c.2;
             if coldest.is_none_or(|m| c < m) {
                 coldest = Some(c);
@@ -242,7 +242,7 @@ impl LocalCache {
                 vec![victim]
             }
             _ => {
-                let candidates = self.unpinned(Some(keep)).map(Reverse).collect();
+                let candidates = self.unpinned(keep).map(Reverse).collect();
                 // `need <= reclaimable <= used`, so `net_growth <= capacity`.
                 self.evict_coldest(candidates, self.capacity - net_growth)
             }
@@ -315,27 +315,12 @@ impl LocalCache {
         }
     }
 
-    /// Evict unpinned entries in LRU order until `used <= target` bytes.
-    /// Returns the names evicted (possibly empty). Pinned entries are
-    /// untouched, so `used` may remain above `target`; the caller decides
-    /// whether that is an error (a facility quota breach, say).
-    pub fn evict_to(&mut self, target: u64) -> Vec<CacheName> {
-        if self.used <= target {
-            return Vec::new();
-        }
-        let candidates = self.unpinned(None).map(Reverse).collect();
-        self.evict_coldest(candidates, target)
-    }
-
     /// Unpinned entries other than `keep`, as `(last_use, name, size)`:
     /// eviction takes them in ascending order.
-    fn unpinned(
-        &self,
-        keep: Option<CacheName>,
-    ) -> impl Iterator<Item = (u64, CacheName, u64)> + '_ {
+    fn unpinned(&self, keep: CacheName) -> impl Iterator<Item = (u64, CacheName, u64)> + '_ {
         self.entries
             .iter()
-            .filter(move |(n, e)| e.pins == 0 && Some(**n) != keep)
+            .filter(move |(n, e)| e.pins == 0 && **n != keep)
             .map(|(n, e)| (e.last_use, *n, e.size))
     }
 
@@ -464,15 +449,6 @@ impl LocalCache {
             }
         }
     }
-
-    /// Total bytes of resident entries of the given kind.
-    pub fn used_by_kind(&self, kind: CacheEntryKind) -> u64 {
-        self.entries
-            .values()
-            .filter(|e| e.kind == kind)
-            .map(|e| e.size)
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -561,29 +537,6 @@ mod tests {
         Ok(evicted)
     }
 
-    /// The full-sort [`LocalCache::evict_to`] it replaced.
-    fn evict_to_by_sort(c: &mut LocalCache, target: u64) -> Vec<CacheName> {
-        let mut evicted = Vec::new();
-        if c.used <= target {
-            return evicted;
-        }
-        let mut candidates: Vec<(u64, CacheName, u64)> = c
-            .entries
-            .iter()
-            .filter(|(_, e)| e.pins == 0)
-            .map(|(n, e)| (e.last_use, *n, e.size))
-            .collect();
-        candidates.sort_unstable();
-        for (_, victim, _) in candidates {
-            if c.used <= target {
-                break;
-            }
-            drop_entry(c, victim);
-            evicted.push(victim);
-        }
-        evicted
-    }
-
     #[derive(Clone, Debug)]
     enum Op {
         Insert(u32, u64),
@@ -592,7 +545,6 @@ mod tests {
         Unpin(u32),
         Remove(u32),
         Rot(u32),
-        EvictTo(u64),
         ClearPins,
     }
 
@@ -605,7 +557,6 @@ mod tests {
             (0u32..24).prop_map(Op::Unpin),
             (0u32..24).prop_map(Op::Remove),
             (0u32..24).prop_map(Op::Rot),
-            (0u64..1000).prop_map(Op::EvictTo),
             Just(Op::ClearPins),
         ]
     }
@@ -641,7 +592,6 @@ mod tests {
                     }
                     Op::Remove(i) => prop_assert_eq!(fast.remove(name(i)), slow.remove(name(i))),
                     Op::Rot(i) => prop_assert_eq!(fast.mark_corrupt(name(i)), slow.mark_corrupt(name(i))),
-                    Op::EvictTo(t) => prop_assert_eq!(fast.evict_to(t), evict_to_by_sort(&mut slow, t)),
                     Op::ClearPins => {
                         fast.clear_pins();
                         slow.clear_pins();
@@ -706,9 +656,6 @@ mod tests {
                     }
                     Op::Rot(i) => {
                         c.mark_corrupt(name(i));
-                    }
-                    Op::EvictTo(t) => {
-                        c.evict_to(t);
                     }
                     Op::ClearPins => c.clear_pins(),
                 }
@@ -945,50 +892,9 @@ mod tests {
     }
 
     #[test]
-    fn used_by_kind_partitions() {
-        let mut c = LocalCache::new(1000);
-        c.insert(name(1), 100, CacheEntryKind::Input).unwrap();
-        c.insert(name(2), 200, CacheEntryKind::Intermediate)
-            .unwrap();
-        c.insert(name(3), 300, CacheEntryKind::Library).unwrap();
-        assert_eq!(c.used_by_kind(CacheEntryKind::Input), 100);
-        assert_eq!(c.used_by_kind(CacheEntryKind::Intermediate), 200);
-        assert_eq!(c.used_by_kind(CacheEntryKind::Library), 300);
-    }
-
-    #[test]
     fn touch_missing_returns_false() {
         let mut c = LocalCache::new(10);
         assert!(!c.touch(name(1)));
-    }
-
-    #[test]
-    fn evict_to_sheds_coldest_until_under_target() {
-        let mut c = LocalCache::new(1000);
-        c.insert(name(1), 300, CacheEntryKind::Intermediate)
-            .unwrap();
-        c.insert(name(2), 300, CacheEntryKind::Intermediate)
-            .unwrap();
-        c.insert(name(3), 300, CacheEntryKind::Intermediate)
-            .unwrap();
-        c.touch(name(1)); // 2 is coldest
-        let evicted = c.evict_to(600);
-        assert_eq!(evicted, vec![name(2)]);
-        assert_eq!(c.used(), 600);
-        assert!(c.evict_to(600).is_empty(), "already at target");
-    }
-
-    #[test]
-    fn evict_to_skips_pinned_and_may_miss_target() {
-        let mut c = LocalCache::new(1000);
-        c.insert(name(1), 600, CacheEntryKind::Intermediate)
-            .unwrap();
-        c.insert(name(2), 200, CacheEntryKind::Intermediate)
-            .unwrap();
-        c.pin(name(1)).unwrap();
-        let evicted = c.evict_to(100);
-        assert_eq!(evicted, vec![name(2)]);
-        assert_eq!(c.used(), 600, "pinned bytes stay above target");
     }
 
     #[test]
@@ -1000,7 +906,10 @@ mod tests {
         c.pin(name(1)).unwrap();
         c.clear_pins();
         assert!(!c.is_pinned(name(1)));
-        assert_eq!(c.evict_to(0), vec![name(1)]);
+        assert_eq!(
+            c.insert(name(2), 1000, CacheEntryKind::Intermediate),
+            Ok(vec![name(1)])
+        );
     }
 
     #[test]

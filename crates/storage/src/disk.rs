@@ -43,7 +43,7 @@ impl DiskProfile {
     }
 
     /// Typical campus-cluster worker scratch disk (SATA SSD class).
-    pub fn worker_scratch() -> Self {
+    pub const fn worker_scratch() -> Self {
         DiskProfile {
             name: "worker-scratch",
             access_latency_s: 300e-6,

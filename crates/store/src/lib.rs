@@ -41,4 +41,4 @@
 
 pub mod object;
 
-pub use object::{ObjectStore, PutOutcome, ShardCounters, StoreConfig};
+pub use object::{ObjectStore, PutOutcome, ShardCounters, DEMO_CAPACITY};

@@ -22,43 +22,16 @@ use vine_simcore::units::{gbit_per_sec, GB};
 use vine_simcore::SimDur;
 use vine_storage::CacheName;
 
-/// Knobs for one shared store tier.
-#[derive(Clone, Debug)]
-pub struct StoreConfig {
-    /// Byte capacity of the tier; LRU eviction keeps `used` under it.
-    pub capacity_bytes: u64,
-    /// Fixed per-fetch cost (request + metadata round trip).
-    pub fetch_latency: SimDur,
-    /// Store egress bandwidth, bytes/second (shared by all shards).
-    pub store_bw: f64,
-    /// Per-shard ingress bandwidth, bytes/second.
-    pub shard_bw: f64,
-}
-
-impl StoreConfig {
-    /// A VAST-class tier: 200 GB of index capacity, 100 Gb/s egress,
-    /// 10 Gb/s per shard, 1 ms request latency.
-    pub fn demo() -> Self {
-        StoreConfig {
-            capacity_bytes: 200 * GB,
-            fetch_latency: SimDur::from_millis(1),
-            store_bw: gbit_per_sec(100.0),
-            shard_bw: gbit_per_sec(10.0),
-        }
-    }
-
-    /// Same tier with a different capacity.
-    pub fn with_capacity(mut self, bytes: u64) -> Self {
-        self.capacity_bytes = bytes;
-        self
-    }
-}
-
-impl Default for StoreConfig {
-    fn default() -> Self {
-        StoreConfig::demo()
-    }
-}
+/// Byte capacity of the demonstration tier (the VAST-class tier the
+/// demo federation attaches).
+pub const DEMO_CAPACITY: u64 = 200 * GB;
+/// Fixed per-fetch cost (request + metadata round trip).
+const FETCH_LATENCY: SimDur = SimDur::from_millis(1);
+/// Store egress bandwidth, bytes/second (shared by all shards): a
+/// VAST-class 100 Gb/s.
+const STORE_BW: f64 = gbit_per_sec(100.0);
+/// Per-shard ingress bandwidth, bytes/second (10 Gb/s).
+const SHARD_BW: f64 = gbit_per_sec(10.0);
 
 /// What a `put` did.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -156,7 +129,8 @@ impl NameIndex {
 /// The shared, immutable, content-addressed object tier. See the crate
 /// docs for the model.
 pub struct ObjectStore {
-    cfg: StoreConfig,
+    /// Byte capacity; LRU eviction keeps `used` under it.
+    capacity: u64,
     entries: NameIndex,
     /// LRU index: `last_use → name` of exactly the entries with
     /// `pins == 0`. Its first element is the next eviction victim. Every
@@ -177,15 +151,15 @@ pub struct ObjectStore {
 }
 
 impl ObjectStore {
-    /// An empty store serving `shards` shards.
-    pub fn new(cfg: StoreConfig, shards: usize) -> Self {
+    /// An empty store of `capacity` bytes serving `shards` shards.
+    pub fn new(capacity: u64, shards: usize) -> Self {
         let mut fabric = Fabric::new();
-        let store_node = fabric.add_symmetric_node(cfg.store_bw);
+        let store_node = fabric.add_symmetric_node(STORE_BW);
         let shard_nodes = (0..shards)
-            .map(|_| fabric.add_symmetric_node(cfg.shard_bw))
+            .map(|_| fabric.add_symmetric_node(SHARD_BW))
             .collect();
         ObjectStore {
-            cfg,
+            capacity,
             entries: NameIndex::default(),
             lru: BTreeMap::new(),
             pinned: 0,
@@ -197,11 +171,6 @@ impl ObjectStore {
             store_node,
             shard_nodes,
         }
-    }
-
-    /// The configuration the store was built with.
-    pub fn config(&self) -> &StoreConfig {
-        &self.cfg
     }
 
     /// Number of shards the store serves.
@@ -231,7 +200,7 @@ impl ObjectStore {
 
     /// Byte capacity.
     pub fn capacity(&self) -> u64 {
-        self.cfg.capacity_bytes
+        self.capacity
     }
 
     /// One shard's counters.
@@ -283,10 +252,10 @@ impl ObjectStore {
                 PutOutcome::SizeMismatch
             };
         }
-        if size > self.cfg.capacity_bytes {
+        if size > self.capacity {
             return PutOutcome::WontFit;
         }
-        while self.used + size > self.cfg.capacity_bytes {
+        while self.used + size > self.capacity {
             let Some((_, victim)) = self.lru.pop_first() else {
                 return PutOutcome::WontFit;
             };
@@ -414,7 +383,7 @@ impl ObjectStore {
             .expect("a just-started flow has a completion");
         debug_assert_eq!(id, flow);
         self.fabric.complete_flow(finish, id);
-        self.cfg.fetch_latency + finish.saturating_since(start)
+        FETCH_LATENCY + finish.saturating_since(start)
     }
 
     /// Fold the store's state and per-shard counters into `m`. Metric
@@ -424,7 +393,7 @@ impl ObjectStore {
         m.counter_add("store.entries", self.entries.len() as u64);
         m.counter_add("store.used_bytes", self.used);
         m.counter_add("store.peak_used_bytes", self.peak_used);
-        m.counter_add("store.capacity_bytes", self.cfg.capacity_bytes);
+        m.counter_add("store.capacity_bytes", self.capacity);
         for (s, c) in self.counters.iter().enumerate() {
             let k = |suffix: &str| format!("store.shard{s}.{suffix}");
             m.counter_add(&k("hits"), c.hits);
@@ -452,7 +421,7 @@ mod tests {
     }
 
     fn small_store(capacity: u64) -> ObjectStore {
-        ObjectStore::new(StoreConfig::demo().with_capacity(capacity), 2)
+        ObjectStore::new(capacity, 2)
     }
 
     #[test]
@@ -528,19 +497,11 @@ mod tests {
 
     #[test]
     fn fetch_cost_is_bandwidth_bound_plus_latency() {
-        let mut s = ObjectStore::new(
-            StoreConfig {
-                capacity_bytes: GB,
-                fetch_latency: SimDur::from_millis(1),
-                store_bw: 100e6,
-                shard_bw: 50e6,
-            },
-            2,
-        );
-        // 50 MB at min(100, 50) MB/s = 1 s, plus 1 ms latency.
-        let d = s.fetch_cost(0, 50_000_000);
-        assert!((d.as_secs_f64() - 1.001).abs() < 1e-3, "{d:?}");
-        assert_eq!(s.counters(0).fetched_bytes, 50_000_000);
+        let mut s = small_store(GB);
+        // 5 GB at min(100, 10) Gb/s = 4 s, plus 1 ms latency.
+        let d = s.fetch_cost(0, 5 * GB);
+        assert!((d.as_secs_f64() - 4.001).abs() < 1e-3, "{d:?}");
+        assert_eq!(s.counters(0).fetched_bytes, 5 * GB);
         assert_eq!(s.fetch_cost(1, 0), SimDur::ZERO);
     }
 
@@ -549,15 +510,7 @@ mod tests {
         // Each fetch starts where the previous one left the store
         // fabric's clock, so the second neither rewinds time nor pays
         // for the first.
-        let mut s = ObjectStore::new(
-            StoreConfig {
-                capacity_bytes: GB,
-                fetch_latency: SimDur::from_millis(1),
-                store_bw: 100e6,
-                shard_bw: 50e6,
-            },
-            2,
-        );
+        let mut s = small_store(GB);
         let first = s.fetch_cost(0, 50_000_000);
         assert_eq!(s.fetch_cost(1, 50_000_000), first);
         assert_eq!(s.fetch_cost(0, 50_000_000), first);

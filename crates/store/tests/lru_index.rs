@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use vine_storage::CacheName;
-use vine_store::{ObjectStore, PutOutcome, ShardCounters, StoreConfig};
+use vine_store::{ObjectStore, PutOutcome, ShardCounters};
 
 const SHARDS: usize = 3;
 const NAMES: u32 = 12;
@@ -131,7 +131,7 @@ impl LinearStore {
 /// all accounting after each op, and every name's size every `sweep`
 /// ops and at the end. Panics on the first disagreement.
 fn run_ops(capacity: u64, names: u32, sweep: usize, ops: &[(u8, usize, u32, u64)]) {
-    let mut store = ObjectStore::new(StoreConfig::demo().with_capacity(capacity), SHARDS);
+    let mut store = ObjectStore::new(capacity, SHARDS);
     let mut reference = LinearStore::new(capacity);
     for (k, &(op, shard, i, size)) in ops.iter().enumerate() {
         let n = name(i);

@@ -107,14 +107,15 @@ impl Bencher {
 macro_rules! criterion_group {
     (name = $name:ident; config = $cfg:expr; targets = $($target:path),+ $(,)?) => {
         pub fn $name() {
-            let mut c: $crate::Criterion = $cfg;
+            let mut c: $crate::Criterion = $cfg.configure_from_args();
             $( $target(&mut c); )+
         }
     };
     ($name:ident, $($target:path),+ $(,)?) => {
-        pub fn $name() {
-            let mut c = $crate::Criterion::default();
-            $( $target(&mut c); )+
+        $crate::criterion_group! {
+            name = $name;
+            config = $crate::Criterion::default();
+            targets = $($target),+
         }
     };
 }
