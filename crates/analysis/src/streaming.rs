@@ -6,7 +6,7 @@
 //! estimate after any prefix of partitions is a valid (statistically
 //! smaller) version of the final answer. This module provides the two
 //! pieces an application needs on top of the engine's
-//! [`RunObserver`](vine_core::RunObserver) push channel:
+//! [`RunObserver`] push channel:
 //!
 //! * [`StreamAccumulator`] — folds [`PartialUpdate`] deltas into a live
 //!   [`HistogramSet`]. Because partition deltas are integer-valued

@@ -52,10 +52,10 @@ pub(super) fn figure(lab: &mut Lab, args: &[usize]) -> Output {
     for d in facility.preflight().diagnostics() {
         lab.note(format_args!("  preflight: {d}"));
     }
-    let cold = facility.run_now(0, spec.to_graph(), "cold", None);
-    let warm = facility.run_now(0, spec.to_graph(), "warm", None);
+    let cold = facility.run_now(0, spec.to_graph(), "cold");
+    let warm = facility.run_now(0, spec.to_graph(), "warm");
     let edited_graph = spec.clone().with_edit_generation(1).to_graph();
-    let edited = facility.run_now(0, edited_graph, "edited", None);
+    let edited = facility.run_now(0, edited_graph, "edited");
 
     let header = [
         "Submission",

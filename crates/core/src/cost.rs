@@ -25,7 +25,7 @@ use rand::Rng;
 use vine_simcore::{Dist, SimDur};
 use vine_storage::{DiskProfile, SharedFs};
 
-use crate::config::ImportSource;
+use crate::config::{ExecMode, ImportSource};
 
 /// Useful-compute duration of a nominal (work = 1.0) task. The Fig 8
 /// distribution: bulk between 1 s and 10 s, heavy right tail.
@@ -81,18 +81,19 @@ pub fn import_cost(source: ImportSource, fs: &SharedFs) -> SimDur {
     }
 }
 
-/// Worker-side overhead of one conventional task execution (before the
-/// useful compute starts).
-pub fn standard_task_overhead(source: ImportSource, fs: &SharedFs) -> SimDur {
-    INTERPRETER_STARTUP + import_cost(source, fs)
-}
-
-/// Worker-side overhead of one FunctionCall invocation.
-pub fn function_call_overhead(hoist_imports: bool, source: ImportSource, fs: &SharedFs) -> SimDur {
-    if hoist_imports {
-        FUNCTION_OVERHEAD
-    } else {
-        FUNCTION_OVERHEAD + import_cost(source, fs)
+/// Worker-side overhead of one task attempt before its useful compute
+/// starts, as `(interp, imports)`: interpreter startup (a conventional
+/// task) or fork + IPC (a FunctionCall), and the per-attempt import
+/// storm, which a FunctionCall with hoisted imports does not pay.
+pub fn attempt_overhead(mode: ExecMode, source: ImportSource, fs: &SharedFs) -> (SimDur, SimDur) {
+    match mode {
+        ExecMode::StandardTasks => (INTERPRETER_STARTUP, import_cost(source, fs)),
+        ExecMode::FunctionCalls {
+            hoist_imports: true,
+        } => (FUNCTION_OVERHEAD, SimDur::ZERO),
+        ExecMode::FunctionCalls {
+            hoist_imports: false,
+        } => (FUNCTION_OVERHEAD, import_cost(source, fs)),
     }
 }
 
@@ -151,11 +152,18 @@ mod tests {
         assert!(hdfs > shared * 5);
     }
 
+    /// `interp + imports` of one attempt.
+    fn overhead(mode: ExecMode, source: ImportSource, fs: &SharedFs) -> SimDur {
+        let (interp, imports) = attempt_overhead(mode, source, fs);
+        interp + imports
+    }
+
     #[test]
     fn hoisting_removes_per_call_import_cost() {
         let fs = SharedFs::vast();
-        let hoisted = function_call_overhead(true, ImportSource::WorkerLocal, &fs);
-        let unhoisted = function_call_overhead(false, ImportSource::WorkerLocal, &fs);
+        let call = |hoist_imports| ExecMode::FunctionCalls { hoist_imports };
+        let hoisted = overhead(call(true), ImportSource::WorkerLocal, &fs);
+        let unhoisted = overhead(call(false), ImportSource::WorkerLocal, &fs);
         assert_eq!(hoisted, FUNCTION_OVERHEAD);
         assert!(unhoisted > hoisted * 5);
         // The library pays the import exactly once instead.
@@ -169,8 +177,14 @@ mod tests {
     fn serverless_overhead_below_standard_overhead() {
         // The Stack 3 -> 4 premise: per-task overhead collapses.
         let fs = SharedFs::vast();
-        let standard = standard_task_overhead(ImportSource::SharedFilesystem, &fs);
-        let serverless = function_call_overhead(true, ImportSource::WorkerLocal, &fs);
+        let standard = overhead(ExecMode::StandardTasks, ImportSource::SharedFilesystem, &fs);
+        let serverless = overhead(
+            ExecMode::FunctionCalls {
+                hoist_imports: true,
+            },
+            ImportSource::WorkerLocal,
+            &fs,
+        );
         assert!(
             standard > serverless * 10,
             "standard {standard:?} vs serverless {serverless:?}"

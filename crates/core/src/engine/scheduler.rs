@@ -278,10 +278,6 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
         #[cfg(debug_assertions)]
         self.sanitize_dispatch(task, w);
 
-        // The overhead split is kept explicit (rather than calling
-        // `standard_task_overhead` / `function_call_overhead`) so the
-        // attribution can report interpreter startup and import time as
-        // separate phases; `interp + imports` equals those functions exactly.
         let (interp, imports, read_io, write_io) = self.attempt_components(task);
         let task_node = self.graph.task(task);
         let dispatch_cost_us = if self.serverless() {
@@ -550,18 +546,11 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
     /// The non-compute components of one attempt of `task`:
     /// `(interp, imports, read_io, write_io)`.
     pub(super) fn attempt_components(&self, task: TaskId) -> (SimDur, SimDur, SimDur, SimDur) {
-        let import_cost = || cost::import_cost(self.cfg.import_source, &self.cfg.shared_fs);
-        let (interp, imports) = match self.cfg.exec_mode {
-            ExecMode::StandardTasks => (cost::INTERPRETER_STARTUP, import_cost()),
-            ExecMode::FunctionCalls { hoist_imports } => (
-                cost::FUNCTION_OVERHEAD,
-                if hoist_imports {
-                    SimDur::ZERO
-                } else {
-                    import_cost()
-                },
-            ),
-        };
+        let (interp, imports) = cost::attempt_overhead(
+            self.cfg.exec_mode,
+            self.cfg.import_source,
+            &self.cfg.shared_fs,
+        );
         (
             interp,
             imports,

@@ -3,13 +3,13 @@
 //! Histograms merge commutatively, so an analysis does not have to wait
 //! for the last partition to see its answer take shape. A
 //! [`RunObserver`] attached to a [`crate::RunRequest`] receives one
-//! [`PartialUpdate`] per *partition* ([`TaskKind::Process`] task) the
-//! first time it completes: the partition's histogram delta, how much of
-//! the run is done, and a statistical-error bound for the estimate so
-//! far. The observer's return value is a control channel back into the
-//! engine — [`ObserverControl::Stop`] cancels every task that has not
-//! completed yet (the remaining partition cone), ending the run early
-//! with the partial result as the answer.
+//! [`PartialUpdate`] per *partition* ([`vine_dag::TaskKind::Process`]
+//! task) the first time it completes: the partition's histogram delta,
+//! how much of the run is done, and a statistical-error bound for the
+//! estimate so far. The observer's return value is a control channel
+//! back into the engine — [`ObserverControl::Stop`] cancels every task
+//! that has not completed yet (the remaining partition cone), ending the
+//! run early with the partial result as the answer.
 //!
 //! Determinism contract: observer dispatch happens strictly *after* the
 //! engine's own collect bookkeeping, synthesizes the delta from task

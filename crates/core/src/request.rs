@@ -7,10 +7,10 @@
 //! [`EngineConfig::with_recovery`]).
 //!
 //! Streaming is the capability the redesign buys: attach a
-//! [`RunObserver`](crate::RunObserver) with [`RunRequest::observer`] and
-//! the engine pushes a partial result at every partition completion (and
-//! honors early stop). Every knob is optional; a bare
-//! `RunRequest::new(cfg, graph).run()` is the plain batch run.
+//! [`RunObserver`] with [`RunRequest::observer`] and the engine pushes a
+//! partial result at every partition completion (and honors early stop).
+//! Every knob is optional; a bare `RunRequest::new(cfg, graph).run()` is
+//! the plain batch run.
 
 use vine_dag::TaskGraph;
 use vine_obs::Recorder;

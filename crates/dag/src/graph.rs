@@ -432,16 +432,6 @@ impl TaskGraph {
             .collect()
     }
 
-    /// Mutable task storage — for in-crate graph rewriting only.
-    pub(crate) fn tasks_mut(&mut self) -> &mut Vec<TaskNode> {
-        &mut self.tasks
-    }
-
-    /// Mutable file storage — for in-crate graph rewriting only.
-    pub(crate) fn files_mut(&mut self) -> &mut Vec<FileNode> {
-        &mut self.files
-    }
-
     /// Raw mutable access to `(tasks, files)`, bypassing every builder
     /// invariant. Exists so tests (vine-lint's corruption-injection suite
     /// in particular) can sever links and forge duplicate outputs;

@@ -5,17 +5,10 @@
 //! overflowing its 700 GB disk. The fix is a bounded-arity reduction tree:
 //! the same accumulation (histogram addition is commutative and
 //! associative) computed in layers, so no worker ever holds more than
-//! `arity` inputs of one reduction.
-//!
-//! Two entry points:
-//!
-//! * [`add_tree_reduce`] — build a reduction tree over a set of files while
-//!   constructing a graph;
-//! * [`rewrite_wide_reductions`] — post-hoc transform that splits every
-//!   `Accumulate` task whose fan-in exceeds `arity` (this is what the
-//!   DaskVine layer applies to an application-provided graph).
+//! `arity` inputs of one reduction. Workloads build that tree with
+//! [`add_tree_reduce`] while constructing their graphs.
 
-use crate::graph::{FileId, TaskGraph, TaskId, TaskKind};
+use crate::graph::{FileId, TaskGraph, TaskKind};
 
 /// Add a bounded-arity reduction tree over `inputs` to `graph`.
 ///
@@ -61,87 +54,6 @@ pub fn add_tree_reduce(
         level += 1;
     }
     frontier[0]
-}
-
-/// Split every `Accumulate` task with fan-in greater than `arity` into a
-/// bounded-arity tree. Returns the number of tasks rewritten.
-///
-/// The rewritten task keeps its identity (same `TaskId`, same outputs) but
-/// becomes the tree's root, consuming at most `arity` intermediate files.
-pub fn rewrite_wide_reductions(graph: &mut TaskGraph, arity: usize) -> usize {
-    assert!(arity >= 2, "reduction arity must be at least 2");
-    let wide: Vec<TaskId> = graph
-        .tasks()
-        .iter()
-        .filter(|t| t.kind == TaskKind::Accumulate && t.inputs.len() > arity)
-        .map(|t| t.id)
-        .collect();
-
-    for &tid in &wide {
-        let (name, inputs, out_size, per_input_work) = {
-            let t = graph.task(tid);
-            let out_size = t
-                .outputs
-                .first()
-                .map(|&f| graph.file(f).size_hint)
-                .unwrap_or(0);
-            let per_input_work = t.work / t.inputs.len() as f64;
-            (t.name.clone(), t.inputs.clone(), out_size, per_input_work)
-        };
-
-        // Build subtrees over `arity`-sized groups of the original inputs,
-        // until at most `arity` files remain; those become the task's new
-        // inputs.
-        let mut frontier = inputs;
-        let mut level = 0usize;
-        while frontier.len() > arity {
-            let mut next = Vec::with_capacity(frontier.len().div_ceil(arity));
-            for (i, chunk) in frontier.chunks(arity).enumerate() {
-                if chunk.len() == 1 {
-                    next.push(chunk[0]);
-                    continue;
-                }
-                let (_, outs) = graph.add_task(
-                    format!("{name}.tree{level}.{i}"),
-                    TaskKind::Accumulate,
-                    chunk.to_vec(),
-                    &[out_size],
-                    per_input_work * chunk.len() as f64,
-                );
-                next.push(outs[0]);
-            }
-            frontier = next;
-            level += 1;
-        }
-        graph.replace_task_inputs(tid, frontier, per_input_work);
-    }
-    wide.len()
-}
-
-impl TaskGraph {
-    /// Swap a task's inputs for `new_inputs`, fixing consumer links and
-    /// rescaling its work to `per_input_work * new_inputs.len()`.
-    /// Used only by reduction rewriting.
-    pub(crate) fn replace_task_inputs(
-        &mut self,
-        tid: TaskId,
-        new_inputs: Vec<FileId>,
-        per_input_work: f64,
-    ) {
-        let old_inputs = std::mem::take(&mut self.tasks_mut()[tid.0 as usize].inputs);
-        for f in old_inputs {
-            let cons = &mut self.files_mut()[f.0 as usize].consumers;
-            if let Some(pos) = cons.iter().position(|&c| c == tid) {
-                cons.remove(pos);
-            }
-        }
-        for &f in &new_inputs {
-            self.files_mut()[f.0 as usize].consumers.push(tid);
-        }
-        let t = &mut self.tasks_mut()[tid.0 as usize];
-        t.work = per_input_work * new_inputs.len() as f64;
-        t.inputs = new_inputs;
-    }
 }
 
 #[cfg(test)]
@@ -216,73 +128,6 @@ mod tests {
         let mut g = TaskGraph::new();
         let ls = leaves(&mut g, 3);
         add_tree_reduce(&mut g, "acc", &ls, 1, 10, 0.1);
-    }
-
-    #[test]
-    fn rewrite_splits_single_node_reduction() {
-        // The RS-TriPhoton shape: 20 partials into one Accumulate task.
-        let mut g = TaskGraph::new();
-        let ls = leaves(&mut g, 20);
-        let (root_task, _) = g.add_task("final", TaskKind::Accumulate, ls.clone(), &[64], 20.0);
-        assert_eq!(g.max_fan_in(), 20);
-
-        let rewritten = rewrite_wide_reductions(&mut g, 2);
-        assert_eq!(rewritten, 1);
-        assert!(g.validate().is_ok());
-        assert_eq!(g.max_fan_in(), 2);
-
-        // The original root task survives and still computes over the same
-        // leaf multiset.
-        let root_out = g.task(root_task).outputs[0];
-        let mut expect = ls;
-        expect.sort_unstable();
-        assert_eq!(reachable_leaves(&g, root_out), expect);
-
-        // Total work is preserved: every input consumed once per level it
-        // participates in... at minimum the root's work shrank.
-        assert!(g.task(root_task).work < 20.0);
-    }
-
-    #[test]
-    fn rewrite_leaves_narrow_reductions_alone() {
-        let mut g = TaskGraph::new();
-        let ls = leaves(&mut g, 3);
-        g.add_task("small", TaskKind::Accumulate, ls, &[64], 3.0);
-        assert_eq!(rewrite_wide_reductions(&mut g, 4), 0);
-        assert_eq!(g.task_count(), 1);
-    }
-
-    #[test]
-    fn rewrite_ignores_non_accumulate_tasks() {
-        let mut g = TaskGraph::new();
-        let ls = leaves(&mut g, 10);
-        g.add_task("wide-map", TaskKind::Process, ls, &[64], 1.0);
-        assert_eq!(rewrite_wide_reductions(&mut g, 2), 0);
-    }
-
-    #[test]
-    fn rewrite_preserves_downstream_consumers() {
-        let mut g = TaskGraph::new();
-        let ls = leaves(&mut g, 9);
-        let (_, outs) = g.add_task("acc", TaskKind::Accumulate, ls, &[64], 9.0);
-        let (sink, _) = g.add_task("sink", TaskKind::Process, vec![outs[0]], &[1], 1.0);
-        rewrite_wide_reductions(&mut g, 3);
-        assert!(g.validate().is_ok());
-        // The sink still consumes the accumulator's output.
-        assert_eq!(g.file(outs[0]).consumers, vec![sink]);
-        // Depth grew: 9 -> 3 groups -> root, critical path = leaf->L0->root->sink.
-        assert_eq!(g.critical_path_len(), 3);
-    }
-
-    #[test]
-    fn rewrite_is_idempotent() {
-        let mut g = TaskGraph::new();
-        let ls = leaves(&mut g, 64);
-        g.add_task("acc", TaskKind::Accumulate, ls, &[64], 64.0);
-        assert_eq!(rewrite_wide_reductions(&mut g, 4), 1);
-        let count_after_first = g.task_count();
-        assert_eq!(rewrite_wide_reductions(&mut g, 4), 0);
-        assert_eq!(g.task_count(), count_after_first);
     }
 
     #[test]

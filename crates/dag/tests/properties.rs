@@ -1,9 +1,9 @@
-//! Property-based tests for graph construction, reduction rewriting, and
-//! the ready tracker.
+//! Property-based tests for graph construction, reduction trees, and the
+//! ready tracker.
 
 use proptest::prelude::*;
 use vine_dag::graph::{FileId, TaskGraph, TaskKind};
-use vine_dag::rewrite::{add_tree_reduce, rewrite_wide_reductions};
+use vine_dag::rewrite::add_tree_reduce;
 use vine_dag::{ReadyTracker, TaskState};
 
 /// Collect the leaf (external) files reachable from `file` via producers,
@@ -45,26 +45,6 @@ proptest! {
         } else {
             prop_assert_eq!(g.task_count(), 0);
         }
-    }
-
-    /// Rewriting a wide reduction preserves the leaf multiset, bounds
-    /// fan-in, and keeps the graph valid.
-    #[test]
-    fn rewrite_preserves_semantics(n_leaves in 2usize..150, arity in 2usize..8) {
-        let mut g = TaskGraph::new();
-        let leaves: Vec<FileId> = (0..n_leaves)
-            .map(|i| g.add_external_file(format!("l{i}"), 10))
-            .collect();
-        let (root_task, outs) =
-            g.add_task("wide", TaskKind::Accumulate, leaves.clone(), &[8], n_leaves as f64);
-        rewrite_wide_reductions(&mut g, arity);
-        prop_assert!(g.validate().is_ok());
-        prop_assert!(g.max_fan_in() <= arity.max(leaves.len().min(arity)));
-        let mut expect = leaves;
-        expect.sort_unstable();
-        prop_assert_eq!(reachable_leaf_multiset(&g, outs[0]), expect);
-        // The original root still produces the final file.
-        prop_assert_eq!(g.file(outs[0]).producer, Some(root_task));
     }
 
     /// Executing any randomly-built DAG through the tracker in ready order

@@ -109,9 +109,7 @@ pub fn lint(graph: &TaskGraph) -> Report {
                     t.name,
                     t.inputs.len()
                 ),
-                suggestion: Some(
-                    "rewrite as a bounded-arity tree (rewrite_wide_reductions)".into(),
-                ),
+                suggestion: Some("rewrite as a bounded-arity tree (add_tree_reduce)".into()),
             });
         }
     }

@@ -93,7 +93,7 @@ pub fn lint(graph: &TaskGraph, facts: &EngineFacts) -> Report {
                 ),
                 suggestion: Some(
                     "rewrite wide reductions as a bounded-arity tree \
-                     (rewrite_wide_reductions) or raise worker disk"
+                     (add_tree_reduce) or raise worker disk"
                         .into(),
                 ),
             });

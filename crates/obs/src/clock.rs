@@ -1,10 +1,9 @@
-//! The clock abstraction unifying simulated and wall-clock time.
+//! The clock abstraction for wall-clock time.
 //!
 //! Both execution paths stamp events in `u64` microseconds since the run
-//! origin. The simulated engine drives a [`ManualClock`] from its event
-//! loop; the real runtime reads a [`WallClock`] anchored at run start.
+//! origin. The simulated engine stamps them with its own virtual time;
+//! the real runtime reads a [`WallClock`] anchored at run start.
 
-use std::cell::Cell;
 use std::time::Instant;
 
 /// A source of microseconds-since-run-origin timestamps.
@@ -43,42 +42,9 @@ impl Clock for WallClock {
     }
 }
 
-/// Simulated time: holds whatever the event loop last set. Single-threaded
-/// by construction (the discrete-event engine is serial).
-#[derive(Clone, Debug, Default)]
-pub struct ManualClock {
-    now_us: Cell<u64>,
-}
-
-impl ManualClock {
-    /// A clock at t = 0.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Advance (or rewind — the sim is trusted) to `t_us`.
-    pub fn set_us(&self, t_us: u64) {
-        self.now_us.set(t_us);
-    }
-}
-
-impl Clock for ManualClock {
-    fn now_us(&self) -> u64 {
-        self.now_us.get()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn manual_clock_reads_back_what_was_set() {
-        let c = ManualClock::new();
-        assert_eq!(c.now_us(), 0);
-        c.set_us(1234);
-        assert_eq!(c.now_us(), 1234);
-    }
 
     #[test]
     fn wall_clock_is_monotonic() {

@@ -6,8 +6,8 @@
 //! Table I's 13.03× decomposes into dispatch/transfer/interpreter/import/
 //! compute time, Fig 7 is a transfer matrix, Figs 12–13 are concurrency
 //! and occupancy timelines. This crate is the layer that produces those
-//! artifacts for *any* run — simulated ([`vine-core`]'s engine, integer
-//! microseconds of virtual time) or real ([`vine-exec`]'s threaded
+//! artifacts for *any* run — simulated (`vine-core`'s engine, integer
+//! microseconds of virtual time) or real (`vine-exec`'s threaded
 //! runtime, wall-clock microseconds) — behind one set of abstractions:
 //!
 //! * [`span`] — the structured event model: [`Span`]s (name, category,
@@ -16,9 +16,8 @@
 //!   [`NullRecorder`] default, an in-memory [`MemoryRecorder`] that
 //!   feeds the exporters, and [`Tee`], which sends one run's events to
 //!   two recorders.
-//! * [`clock`] — the [`Clock`] abstraction unifying simulated and real
-//!   time: [`WallClock`] (monotonic `Instant`) and [`ManualClock`]
-//!   (driven by the discrete-event loop).
+//! * [`clock`] — the [`Clock`] abstraction over run-relative timestamps
+//!   and its real-time source, [`WallClock`] (monotonic `Instant`).
 //! * [`metrics`] — a registry of counters, gauges, and log-binned
 //!   histograms with deterministic text export and parsing.
 //! * [`chrome`] / [`csv`] — exporters: Chrome `trace_event` JSON
@@ -54,7 +53,7 @@ pub mod span;
 
 pub use attrib::{Phase, PhaseBreakdown, TaskAttribution, NPHASES};
 pub use bridge::{FigureRecorder, FigureSet, FigureSinks};
-pub use clock::{Clock, ManualClock, WallClock};
+pub use clock::{Clock, WallClock};
 pub use critical::CriticalPath;
 pub use digest::{DigestDiff, RunDigest, RunObs};
 pub use metrics::{Metric, MetricsRegistry};

@@ -27,20 +27,18 @@ use std::collections::binary_heap::PeekMut;
 use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 use std::rc::Rc;
 
-use vine_analysis::ConvergenceObserver;
 use vine_cluster::ClusterSpec;
 use vine_core::{
-    graph_cachenames, graph_file_cachename, EngineConfig, FaultPlan, RecoveryPolicy, RunObserver,
-    RunRequest, RunStats, SessionState,
+    graph_cachenames, EngineConfig, FaultPlan, RecoveryPolicy, RunObserver, RunRequest, RunStats,
+    SessionState,
 };
-use vine_dag::{FileId, MemoPlan, TaskGraph};
+use vine_dag::{MemoPlan, TaskGraph};
 use vine_lint::FacilityFacts;
 use vine_simcore::{RngHub, SimDur, SimTime};
 use vine_storage::{CacheEntryKind, CacheName, LocalCache};
 use vine_store::ObjectStore;
 
 use crate::report::FacilityReport;
-use crate::resultstore::ResultStore;
 use crate::tenant::{FairShare, TenantSpec};
 
 /// Everything a facility needs to start serving.
@@ -121,12 +119,6 @@ pub struct Submission {
     pub arrival: SimTime,
     /// Display label for records and metrics.
     pub label: String,
-    /// Convergence threshold for streaming runs: the fraction of the
-    /// full run's statistical precision at which the run may stop early
-    /// (see [`vine_analysis::ConvergenceObserver`]). `None` runs to
-    /// completion without streaming; `Some(1.0)` streams partials but
-    /// never stops early.
-    pub stream_threshold: Option<f64>,
 }
 
 /// What happened to one submission, start to finish.
@@ -157,17 +149,6 @@ pub struct SubmissionRecord {
     /// Whether the inner run finished degraded (some tasks quarantined
     /// by the recovery policy under injected faults).
     pub degraded: bool,
-    /// Fraction-complete at which the run's observer stopped it, for
-    /// streaming submissions that converged early (1.0 = ran to the
-    /// end; `None` = not a streaming run).
-    pub stream_stopped_at: Option<f64>,
-    /// Content digest (FNV-1a) of the streamed partial-result estimate,
-    /// for streaming submissions. Matches the engine digest's
-    /// `stream_partial_digest` counter.
-    pub stream_digest: Option<u64>,
-    /// Live partial entries this run published into the
-    /// [`ResultStore`].
-    pub partials_published: usize,
     /// Files pre-fetched out of the shared object tier before the run
     /// (federated facilities only; zero when no tier is attached).
     pub store_fetched_files: usize,
@@ -202,7 +183,6 @@ pub(crate) struct Queued {
     pub(crate) arrival: SimTime,
     pub(crate) graph: TaskGraph,
     pub(crate) label: String,
-    pub(crate) stream_threshold: Option<f64>,
 }
 
 struct ActiveRun {
@@ -219,23 +199,6 @@ struct ActiveRun {
 pub(crate) struct ExternalHooks<'o, 'r> {
     pub(crate) observer: &'o mut dyn RunObserver,
     pub(crate) recorder: Option<&'r mut dyn vine_obs::Recorder>,
-}
-
-/// The cachename a graph's final answer lives under: its first produced
-/// file that no task consumes. `None` for graphs with no produced sink
-/// (degenerate; lint G004 flags them).
-pub fn graph_result_name(graph: &TaskGraph) -> Option<CacheName> {
-    let consumed: BTreeSet<u32> = graph
-        .tasks()
-        .iter()
-        .flat_map(|t| t.inputs.iter().map(|f| f.0))
-        .collect();
-    graph
-        .files()
-        .iter()
-        .enumerate()
-        .find(|(i, f)| f.producer.is_some() && !consumed.contains(&(*i as u32)))
-        .map(|(i, _)| graph_file_cachename(graph, FileId(i as u32)))
 }
 
 /// One name of a [`Shard::residency`] snapshot.
@@ -293,9 +256,6 @@ pub(crate) struct Shard {
     now: SimTime,
     next_seq: usize,
     peak_inflight_cores: u64,
-    /// Physics results across runs: final blobs plus the live partial
-    /// entries streaming runs publish (keyed by cachename + fraction).
-    pub(crate) results: ResultStore,
     /// The federation's shared object tier, if it has one.
     store: Option<Rc<RefCell<ObjectStore>>>,
     /// This shard's index: its slot in the tier's accounting and its
@@ -337,7 +297,6 @@ impl Shard {
             next_seq: index,
             peak_inflight_cores: 0,
             cfg,
-            results: ResultStore::new(),
             store,
             index,
             seq_stride: count,
@@ -502,11 +461,11 @@ impl Shard {
     }
 
     /// Admit a standing (reactive) run now, bypassing the queue: every
-    /// partition delta streams into the caller's hooks instead of a
-    /// shard-owned convergence loop. The run is charged against
-    /// `tenant`'s fair share and core quota exactly like a queued
-    /// admission. Requires [`can_admit_standing`](Self::can_admit_standing);
-    /// returns the run's seq.
+    /// partition delta streams into the caller's hooks. The run is
+    /// charged against `tenant`'s fair share and core quota exactly like
+    /// a queued admission. Requires
+    /// [`can_admit_standing`](Self::can_admit_standing); returns the
+    /// run's seq.
     pub(crate) fn admit_standing(
         &mut self,
         tenant: usize,
@@ -531,7 +490,6 @@ impl Shard {
                 arrival: self.now,
                 graph,
                 label: label.to_string(),
-                stream_threshold: None,
             },
             &free,
             Some(hooks),
@@ -663,7 +621,6 @@ impl Shard {
                     arrival: s.arrival,
                     graph: s.graph,
                     label: s.label,
-                    stream_threshold: s.stream_threshold,
                 },
             );
         }
@@ -830,43 +787,18 @@ impl Shard {
             .with_chaos(self.cfg.chaos.clone())
             .with_recovery(self.cfg.recovery);
 
-        // The cachename the run's final answer lives under: the produced
-        // file nothing consumes. Live partial entries are keyed by it.
-        let result_name = q.stream_threshold.and_then(|_| graph_result_name(&q.graph));
-
-        let request = RunRequest::new(ecfg, q.graph)
+        let mut request = RunRequest::new(ecfg, q.graph)
             .cachenames(cachenames)
             .session(&mut session);
-        let (result, stream_stopped_at, stream_digest, partials_published) =
-            match (hooks, q.stream_threshold) {
-                (Some(h), _) => {
-                    // Externally driven (standing) admission: the caller's
-                    // observer folds every partition delta itself, and the
-                    // caller decides what to publish, so no convergence
-                    // logic or partial publication happens here.
-                    let mut request = request.observer(h.observer);
-                    if let Some(rec) = h.recorder {
-                        request = request.recorder(rec);
-                    }
-                    (request.run(), None, None, 0)
-                }
-                (None, Some(threshold)) => {
-                    let mut obs = ConvergenceObserver::new(threshold);
-                    let result = request.observer(&mut obs).run();
-                    let mut published = 0;
-                    if let Some(name) = result_name {
-                        for s in obs.snapshots() {
-                            self.results
-                                .put_partial(name, s.milli_fraction, s.payload.clone());
-                            published += 1;
-                        }
-                    }
-                    let stopped_at = obs.stopped_at().unwrap_or(1.0);
-                    let digest = obs.accumulator().digest();
-                    (result, Some(stopped_at), Some(digest), published)
-                }
-                (None, None) => (request.run(), None, None, 0),
-            };
+        // A standing admission streams every partition delta into the
+        // caller's observer, and its recorder when one is given.
+        if let Some(h) = hooks {
+            request = request.observer(h.observer);
+            if let Some(rec) = h.recorder {
+                request = request.recorder(rec);
+            }
+        }
+        let result = request.run();
 
         self.inflight_cores[tenant] += self.cfg.run_cores();
         let inflight: u64 = self.inflight_cores.iter().sum();
@@ -886,9 +818,6 @@ impl Shard {
                 makespan: result.makespan,
                 completed: matches!(result.outcome, vine_core::RunOutcome::Completed),
                 degraded: matches!(result.outcome, vine_core::RunOutcome::Degraded { .. }),
-                stream_stopped_at,
-                stream_digest,
-                partials_published,
                 store_fetched_files,
                 store_fetch_bytes,
                 store_fetch,

@@ -23,15 +23,14 @@ fn sub(tenant: usize, at: u64, label: &str) -> Submission {
         priority: 0,
         arrival: SimTime::from_secs(at),
         label: label.to_string(),
-        stream_threshold: None,
     }
 }
 
 #[test]
 fn warm_resubmission_is_much_faster_and_fully_memoized() {
     let mut f = single(FacilityConfig::demo(7));
-    let cold = f.run_now(0, spec().to_graph(), "cold", None);
-    let warm = f.run_now(0, spec().to_graph(), "warm", None);
+    let cold = f.run_now(0, spec().to_graph(), "cold");
+    let warm = f.run_now(0, spec().to_graph(), "warm");
     assert!(cold.completed && warm.completed);
     assert_eq!(warm.stats.task_executions, 0, "everything memoized");
     assert_eq!(warm.stats.memoized_tasks as usize, warm.stats.tasks_total);
@@ -42,8 +41,8 @@ fn warm_resubmission_is_much_faster_and_fully_memoized() {
 #[test]
 fn edited_resubmission_reruns_only_reductions() {
     let mut f = single(FacilityConfig::demo(7));
-    let cold = f.run_now(0, spec().to_graph(), "cold", None);
-    let edited = f.run_now(0, spec().with_edit_generation(1).to_graph(), "edit", None);
+    let cold = f.run_now(0, spec().to_graph(), "cold");
+    let edited = f.run_now(0, spec().with_edit_generation(1).to_graph(), "edit");
     assert!(edited.completed);
     // Process stage (the bulk) memoized; reductions re-ran.
     assert!(edited.stats.memoized_tasks > 0);
@@ -72,7 +71,7 @@ fn byte_quota_evicts_deterministically() {
     let mut cfg = FacilityConfig::demo(13);
     cfg.tenants[0].max_resident_bytes = GB / 2;
     let mut f = single(cfg);
-    f.run_now(0, spec().to_graph(), "big", None);
+    f.run_now(0, spec().to_graph(), "big");
     let resident = f.shards[0].tenant_resident_bytes(0);
     assert!(
         resident <= GB / 2,
@@ -182,7 +181,7 @@ fn extreme_priorities_are_admitted_in_priority_order() {
 #[test]
 fn between_run_preemption_forces_partial_rerun() {
     let mut f = single(FacilityConfig::demo(17));
-    let cold = f.run_now(0, spec().to_graph(), "cold", None);
+    let cold = f.run_now(0, spec().to_graph(), "cold");
     // Preempt all but one warm worker between runs (each loses its
     // disk): entries replicated only among the victims are lost for
     // good, the survivor's copies still hit.
@@ -195,7 +194,7 @@ fn between_run_preemption_forces_partial_rerun() {
         caches[w].clear_pins();
         caches[w].clear();
     }
-    let warm = f.run_now(0, spec().to_graph(), "after-preempt", None);
+    let warm = f.run_now(0, spec().to_graph(), "after-preempt");
     assert!(warm.completed);
     assert!(warm.stats.task_executions > 0, "lost entries must re-run");
     assert!(
@@ -260,48 +259,4 @@ fn fair_share_holds_under_injected_faults() {
         sub(1, 2, "b1"),
     ]);
     assert_eq!(report.to_csv(), f2.drain().shards[0].to_csv());
-}
-
-#[test]
-fn streaming_submission_publishes_partials_and_saves_cores() {
-    let mut f = single(FacilityConfig::demo(29));
-    let full = f.run_now(0, spec().to_graph(), "full", None);
-    assert!(full.completed);
-
-    // Fresh facility (cold caches) so the streaming run is not
-    // trivially memoized; low threshold → stop at 25% precision.
-    let mut fs = single(FacilityConfig::demo(29));
-    let streamed = fs.run_now(0, spec().to_graph(), "stream", Some(0.5));
-    assert!(streamed.completed, "early stop is Completed, not Degraded");
-    assert!(!streamed.degraded);
-    assert!(
-        streamed.stream_stopped_at.unwrap() < 1.0,
-        "a 0.5 threshold must converge before the end"
-    );
-    assert!(streamed.stats.early_stopped);
-    assert!(streamed.stats.early_stop_cancelled > 0, "cone cancelled");
-    assert!(streamed.partials_published > 0, "partials in the store");
-    assert!(fs.results_for(0).partial_count() > 0);
-    assert!(streamed.stream_digest.is_some());
-    assert!(
-        streamed.stats.total_task_busy_us < full.stats.total_task_busy_us,
-        "early stop must save core-seconds: {} vs {}",
-        streamed.stats.total_task_busy_us,
-        full.stats.total_task_busy_us,
-    );
-    assert!(streamed.makespan < full.makespan, "first plot sooner");
-}
-
-#[test]
-fn streaming_threshold_one_matches_plain_run() {
-    let mut a = single(FacilityConfig::demo(31));
-    let plain = a.run_now(0, spec().to_graph(), "plain", None);
-    let mut b = single(FacilityConfig::demo(31));
-    let streamed = b.run_now(0, spec().to_graph(), "stream", Some(1.0));
-    assert_eq!(plain.makespan, streamed.makespan);
-    assert_eq!(plain.stats.task_executions, streamed.stats.task_executions);
-    assert!(!streamed.stats.early_stopped);
-    assert_eq!(streamed.stream_stopped_at, Some(1.0));
-    // Partial entries were still published along the way.
-    assert!(streamed.partials_published > 0);
 }

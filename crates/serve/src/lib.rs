@@ -33,9 +33,6 @@
 //!   p50/p95/p99 makespan and queue-wait summaries, exportable as a
 //!   deterministic [`vine_obs::MetricsRegistry`] text dump or CSV;
 //!   [`ShardedReport`] collects one per shard.
-//! * [`ResultStore`] — content-addressed memoization of *physics* results
-//!   (encoded histogram sets keyed by cachename), so a warm resubmission
-//!   can return bit-identical histograms without recomputation.
 //!
 //! Everything is deterministic: identical seeds yield identical admission
 //! sequences, identical records, and byte-identical metric exports.
@@ -46,13 +43,11 @@
 pub mod facility;
 pub mod loadgen;
 pub mod report;
-pub mod resultstore;
 pub mod sharded;
 pub mod tenant;
 
-pub use facility::{graph_result_name, FacilityConfig, Submission, SubmissionRecord};
+pub use facility::{FacilityConfig, Submission, SubmissionRecord};
 pub use loadgen::LoadGen;
 pub use report::{FacilityReport, TenantSummary};
-pub use resultstore::ResultStore;
 pub use sharded::{assign_shard, ShardedConfig, ShardedFacility, ShardedReport};
 pub use tenant::{FairShare, TenantSpec};

@@ -114,7 +114,6 @@ impl LoadGen {
                         priority: 0,
                         arrival: at,
                         label,
-                        stream_threshold: None,
                     },
                 ));
             }

@@ -47,7 +47,6 @@ use vine_store::ObjectStore;
 
 use crate::facility::{ExternalHooks, FacilityConfig, Shard, Submission, SubmissionRecord};
 use crate::report::{percentile, FacilityReport};
-use crate::resultstore::ResultStore;
 
 /// Knobs for a facility of one or more shards.
 #[derive(Clone, Debug)]
@@ -297,19 +296,9 @@ impl ShardedFacility {
     }
 
     /// Submit one graph for `tenant` at the current facility time and
-    /// drain (the interactive, single-analyst path). With a
-    /// `stream_threshold`, the run pushes partial results into the
-    /// result store as partitions complete and may stop early once it
-    /// reaches that fraction of the full run's statistical precision
-    /// (see [`Submission::stream_threshold`]). Returns the submission's
-    /// record.
-    pub fn run_now(
-        &mut self,
-        tenant: usize,
-        graph: TaskGraph,
-        label: &str,
-        stream_threshold: Option<f64>,
-    ) -> SubmissionRecord {
+    /// drain (the interactive, single-analyst path). Returns the
+    /// submission's record.
+    pub fn run_now(&mut self, tenant: usize, graph: TaskGraph, label: &str) -> SubmissionRecord {
         let home = self.home_shard(tenant);
         let seq = self.shards[home].next_seq();
         let arrival = self.now();
@@ -319,7 +308,6 @@ impl ShardedFacility {
             priority: 0,
             arrival,
             label: label.to_string(),
-            stream_threshold,
         }]);
         self.drain();
         self.record(seq)
@@ -329,9 +317,9 @@ impl ShardedFacility {
     /// Run a standing (reactive) submission on `tenant`'s home shard
     /// right now: like [`run_now`](Self::run_now), but every partition
     /// delta streams into the caller's `observer` (and the inner run's
-    /// span/metric stream into `recorder`, when given) instead of a
-    /// facility-owned convergence loop, so a reactive scheduler can fold
-    /// refresh deltas into a persistent accumulator. The run needs an
+    /// span/metric stream into `recorder`, when given), so a reactive
+    /// scheduler can fold refresh deltas into a persistent accumulator.
+    /// The run needs an
     /// exclusive slice and quota room like any other, so the lockstep
     /// loop advances through queued work until the home shard has both;
     /// it is then charged against `tenant`'s fair share and core quota
@@ -366,18 +354,6 @@ impl ShardedFacility {
         for shard in &mut self.shards {
             shard.set_chaos(chaos.clone(), recovery);
         }
-    }
-
-    /// The result store of `tenant`'s home shard (where its streamed
-    /// partials and standing results are published).
-    pub fn results_for(&self, tenant: usize) -> &ResultStore {
-        &self.shards[self.home_shard(tenant)].results
-    }
-
-    /// Mutable access to `tenant`'s home-shard result store.
-    pub fn results_mut_for(&mut self, tenant: usize) -> &mut ResultStore {
-        let home = self.home_shard(tenant);
-        &mut self.shards[home].results
     }
 
     /// The combined report so far.

@@ -68,7 +68,6 @@ fn submissions(orders: &[(usize, u64)], n_tenants: usize) -> Vec<Submission> {
             priority: (i % 3) as i32,
             arrival: SimTime::from_secs(at % 40),
             label: format!("s{i}"),
-            stream_threshold: None,
         })
         .collect()
 }

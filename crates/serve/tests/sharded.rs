@@ -17,7 +17,6 @@ fn sub(tenant: usize, at: u64, label: &str) -> Submission {
         priority: 0,
         arrival: SimTime::from_secs(at),
         label: label.to_string(),
-        stream_threshold: None,
     }
 }
 

@@ -10,6 +10,8 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::hash::splitmix64;
+
 /// Factory for named RNG streams derived from a single master seed.
 #[derive(Clone, Copy, Debug)]
 pub struct RngHub {
@@ -29,9 +31,9 @@ impl RngHub {
 
     /// Derive the deterministic sub-seed for a named stream.
     pub fn stream_seed(&self, name: &str) -> u64 {
-        let mut h = splitmix64(self.master_seed ^ 0x9e37_79b9_7f4a_7c15);
+        let mut h = splitmix64(&mut (self.master_seed ^ 0x9e37_79b9_7f4a_7c15));
         for &b in name.as_bytes() {
-            h = splitmix64(h ^ b as u64);
+            h = splitmix64(&mut (h ^ b as u64));
         }
         h
     }
@@ -45,16 +47,8 @@ impl RngHub {
     /// A fresh RNG for a named stream with a numeric index (e.g. one stream
     /// per worker).
     pub fn indexed_stream(&self, name: &str, index: u64) -> StdRng {
-        StdRng::seed_from_u64(splitmix64(self.stream_seed(name) ^ index))
+        StdRng::seed_from_u64(splitmix64(&mut (self.stream_seed(name) ^ index)))
     }
-}
-
-/// The splitmix64 finalizer; a fast, well-mixed 64-bit hash step.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

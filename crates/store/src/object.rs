@@ -9,9 +9,8 @@
 //!
 //! The store holds *index* state only — `(cachename, size)` pairs — on
 //! the same grounds as [`vine_storage::LocalCache`]: the simulation
-//! reasons about bytes and time, not payloads. The facility's
-//! [`ResultStore`](https://docs.rs) keeps actual physics blobs; this
-//! tier is the inter-shard warm-cache fabric.
+//! reasons about bytes and time, not payloads. This tier is the
+//! inter-shard warm-cache fabric.
 
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -140,6 +139,8 @@ pub struct ObjectStore {
     lru: BTreeMap<u64, CacheName>,
     /// Entries with `pins > 0`: with `lru`, they account for every entry.
     pinned: usize,
+    /// Bytes of the entries with `pins > 0`: what eviction can never free.
+    pinned_bytes: u64,
     used: u64,
     peak_used: u64,
     tick: u64,
@@ -163,6 +164,7 @@ impl ObjectStore {
             entries: NameIndex::default(),
             lru: BTreeMap::new(),
             pinned: 0,
+            pinned_bytes: 0,
             used: 0,
             peak_used: 0,
             tick: 0,
@@ -252,13 +254,17 @@ impl ObjectStore {
                 PutOutcome::SizeMismatch
             };
         }
-        if size > self.capacity {
+        // Refuse before evicting anything: `pinned_bytes <= used <=
+        // capacity`, and evicting every unpinned entry frees exactly
+        // `used - pinned_bytes`.
+        if size > self.capacity - self.pinned_bytes {
             return PutOutcome::WontFit;
         }
         while self.used + size > self.capacity {
-            let Some((_, victim)) = self.lru.pop_first() else {
-                return PutOutcome::WontFit;
-            };
+            let (_, victim) = self
+                .lru
+                .pop_first()
+                .expect("pinned bytes plus the object fit, so an unpinned victim remains");
             let gone = self
                 .entries
                 .remove(&victim)
@@ -292,6 +298,7 @@ impl ObjectStore {
         if e.pins == 0 {
             self.lru.remove(&e.last_use);
             self.pinned += 1;
+            self.pinned_bytes += e.size;
         }
         e.pins += 1;
         #[cfg(debug_assertions)]
@@ -310,6 +317,7 @@ impl ObjectStore {
         if e.pins == 1 {
             self.lru.insert(e.last_use, name);
             self.pinned -= 1;
+            self.pinned_bytes -= e.size;
         }
         e.pins = e.pins.saturating_sub(1);
         #[cfg(debug_assertions)]
@@ -337,20 +345,28 @@ impl ObjectStore {
     /// Debug-build invariant: `lru` holds exactly the unpinned entries,
     /// each under its current `last_use`. Every indexed name is an
     /// unpinned entry with that tick, and the index plus the pinned
-    /// entries count every entry, so no unpinned entry is missing.
+    /// entries count every entry, so no unpinned entry is missing. The
+    /// bytes outside the index are then exactly the pinned ones.
     #[cfg(debug_assertions)]
     fn check_lru_index(&self) {
+        let mut unpinned_bytes = 0;
         for (&t, n) in &self.lru {
             let e = self.entries.get(n);
             assert!(
                 e.is_some_and(|e| e.pins == 0 && e.last_use == t),
                 "LRU index out of step with entries"
             );
+            unpinned_bytes += e.map_or(0, |e| e.size);
         }
         assert_eq!(
             self.lru.len() + self.pinned,
             self.entries.len(),
             "LRU index out of step with entries"
+        );
+        assert_eq!(
+            self.used - unpinned_bytes,
+            self.pinned_bytes,
+            "pinned-byte total out of step with entries"
         );
     }
 
@@ -475,6 +491,21 @@ mod tests {
         assert_eq!(s.put(0, name(3), 100), PutOutcome::Inserted);
         assert!(s.size_of(name(2)).is_none(), "unpinned entry evicted");
         assert!(s.size_of(name(1)).is_some(), "pinned entry survives");
+    }
+
+    #[test]
+    fn wont_fit_evicts_nothing() {
+        let mut s = small_store(300);
+        s.put(0, name(1), 100);
+        s.put(0, name(2), 100);
+        s.put(0, name(3), 100);
+        assert!(s.pin(name(2)));
+        assert!(s.pin(name(3)));
+        // 200 pinned bytes + 150 exceed 300 whatever is evicted.
+        assert_eq!(s.put(0, name(4), 150), PutOutcome::WontFit);
+        assert_eq!(s.size_of(name(1)), Some(100), "unpinned entry kept");
+        assert_eq!(s.counters(0).evictions, 0);
+        assert_eq!(s.used(), 300);
     }
 
     #[test]

@@ -70,19 +70,22 @@ impl LinearStore {
                 PutOutcome::SizeMismatch
             };
         }
-        if size > self.capacity {
+        let pinned: u64 = self
+            .entries
+            .values()
+            .filter(|e| e.pins > 0)
+            .map(|e| e.size)
+            .sum();
+        if pinned + size > self.capacity {
             return PutOutcome::WontFit;
         }
         while self.used + size > self.capacity {
-            let victim = self
+            let (&v, _) = self
                 .entries
                 .iter()
                 .filter(|(_, e)| e.pins == 0)
                 .min_by_key(|(n, e)| (e.last_use, **n))
-                .map(|(n, _)| *n);
-            let Some(v) = victim else {
-                return PutOutcome::WontFit;
-            };
+                .expect("pinned bytes plus the object fit");
             let gone = self.entries.remove(&v).expect("victim is resident");
             self.used -= gone.size;
             self.counters[shard].evictions += 1;

@@ -23,11 +23,11 @@
 //! * [`WatchSession`] — the reactive scheduler: assigns run IDs, diffs
 //!   input content hashes against the last completed epoch, charges each
 //!   refresh to the owning tenant on a [`vine_serve::ShardedFacility`]
-//!   (one shard or many), folds streamed partition deltas exactly-once into a persistent
-//!   [`vine_analysis::StreamAccumulator`], and publishes epoch-versioned
-//!   results (stale partials invalidated) — so the served histogram
-//!   after any refresh is **bit-identical** to a cold full recompute of
-//!   the same epoch.
+//!   (one shard or many), and folds streamed partition deltas
+//!   exactly-once into a persistent [`vine_analysis::StreamAccumulator`],
+//!   served by [`WatchSession::estimate`] — so the served histogram after
+//!   any refresh is **bit-identical** to a cold full recompute of the
+//!   same epoch.
 //!
 //! Pre-flight, standing submissions pass the W-family lints
 //! ([`vine_lint::lint_watch`]): no silent staleness (`W001`), no

@@ -11,11 +11,11 @@
 //!
 //! [`GraphTemplate`] closes the trap structurally: every reduction task's
 //! name embeds an FNV signature of its input subtree (leaf signatures are
-//! the process-task names for base partitions and the [`GrowthEvent`]
-//! content hashes for appended ones; interior signatures hash the child
-//! signatures plus the edit generation). Any upstream change therefore
-//! propagates into the names — and hence the cachenames — of exactly its
-//! downstream cone, and nothing else:
+//! the process-task names for base partitions and the
+//! [`vine_data::GrowthEvent`] content hashes for appended ones; interior
+//! signatures hash the child signatures plus the edit generation). Any
+//! upstream change therefore propagates into the names — and hence the
+//! cachenames — of exactly its downstream cone, and nothing else:
 //!
 //! * appending a partition renames only the reduce spine from that leaf's
 //!   group to the dataset root (appends land at the *end* of the partial

@@ -8,14 +8,12 @@
 //! and decides whether to refresh. A refresh
 //! instantiates the template at the new epoch — signature-carrying task
 //! names make the warm facility session re-execute exactly the affected
-//! cone (see [`GraphTemplate`](crate::GraphTemplate)) — streams each
-//! newly executed partition's delta into a persistent
-//! [`StreamAccumulator`], and publishes the re-merged histogram set into
-//! the owning tenant's [`ResultStore`](vine_serve::ResultStore) under an
-//! epoch-versioned key.
+//! cone (see [`GraphTemplate`]) — and streams each newly executed
+//! partition's delta into a persistent [`StreamAccumulator`]. The
+//! re-merged histogram set is served by [`WatchSession::estimate`].
 //!
 //! Determinism contract: run IDs, refresh ordering, metric exports, and
-//! the served payloads are pure functions of `(seed, event timeline,
+//! the served estimates are pure functions of `(seed, event timeline,
 //! registration order)`. Folding is exactly-once per partition name
 //! (chaos-forced re-executions are deduplicated), and partition deltas
 //! are integer-valued, so the accumulated estimate after any refresh is
@@ -26,10 +24,10 @@ use std::collections::BTreeSet;
 
 use vine_analysis::StreamAccumulator;
 use vine_core::{ObserverControl, PartialUpdate, RunObserver};
-use vine_data::{encode_histogram_set, fnv1a64, DatasetLog, HistogramSet};
+use vine_data::{fnv1a64, DatasetLog, HistogramSet};
 use vine_lint::{lint_watch, Report, StandingFacts, WatchFacts};
 use vine_obs::{MetricsRegistry, Recorder};
-use vine_serve::{graph_result_name, ShardedFacility};
+use vine_serve::ShardedFacility;
 
 use crate::template::GraphTemplate;
 use crate::trigger::TriggerPolicy;
@@ -47,7 +45,7 @@ pub struct StandingSubmission {
     /// Defaults to everything the template reads; watching more is lint
     /// error `W002`.
     pub watched_datasets: usize,
-    /// Display label; also the serving key in the result store.
+    /// Display label for refresh records and the facility's reports.
     pub label: String,
 }
 
@@ -113,9 +111,6 @@ pub struct RefreshRecord {
     pub digest: u64,
     /// The dataset log's digest at this epoch.
     pub log_digest: u64,
-    /// Whether the re-merged result was published (false when a newer
-    /// epoch already serves the key, or the graph has no sink).
-    pub published: bool,
 }
 
 /// Per-submission mutable state.
@@ -254,7 +249,6 @@ impl WatchSession {
         self.next_run_id += 1;
         let st = &mut self.subs[id];
         let graph = st.sub.template.graph_at(&self.log, epoch);
-        let result_name = graph_result_name(&graph);
         let new_hashes = st.sub.template.input_hashes(&self.log, epoch);
         let changed_inputs = new_hashes
             .iter()
@@ -268,18 +262,6 @@ impl WatchSession {
             self.facility
                 .run_standing(st.sub.tenant, graph, &st.sub.label, &mut obs, recorder)
         };
-        let published = match result_name {
-            Some(name) => {
-                let bytes = encode_histogram_set(st.acc.estimate());
-                self.facility.results_mut_for(st.sub.tenant).publish_epoch(
-                    &st.sub.label,
-                    epoch,
-                    name,
-                    bytes,
-                )
-            }
-            None => false,
-        };
         st.last_epoch = epoch;
         st.input_hashes = new_hashes;
         let refresh = RefreshRecord {
@@ -290,7 +272,6 @@ impl WatchSession {
             saved_tasks: record.stats.memoized_tasks,
             digest: st.acc.digest(),
             log_digest: self.log.epoch_digest(epoch),
-            published,
         };
         st.refreshes.push(refresh.clone());
         self.metrics.counter_add("watch.refreshes", 1);
@@ -306,8 +287,7 @@ impl WatchSession {
         &self.log
     }
 
-    /// The facility, for serving-side inspection (result stores,
-    /// reports).
+    /// The facility, for serving-side inspection (reports).
     pub fn facility(&self) -> &ShardedFacility {
         &self.facility
     }

@@ -33,7 +33,7 @@ fn main() {
 
     let mut cold_makespan = None;
     for (what, spec) in session {
-        let r = facility.run_now(0, spec.to_graph(), what, None);
+        let r = facility.run_now(0, spec.to_graph(), what);
         let cold = *cold_makespan.get_or_insert(r.makespan.as_secs_f64());
         let speedup = cold / r.makespan.as_secs_f64().max(1e-9);
         println!(

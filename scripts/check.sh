@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Workspace hygiene gate: formatting, clippy (warnings are errors), tests.
+# Workspace hygiene gate: formatting, clippy and rustdoc (warnings are
+# errors), tests.
 # Run from the repository root. Pass extra cargo args through, e.g.
 #   scripts/check.sh --offline
 set -euo pipefail
@@ -10,6 +11,9 @@ cargo fmt --all -- --check
 
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets "$@" -- -D warnings
+
+echo "== rustdoc (deny warnings: no broken or redundant intra-doc links) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps "$@"
 
 echo "== cargo build --all-targets =="
 cargo build --workspace --all-targets "$@"
