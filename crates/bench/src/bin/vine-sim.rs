@@ -29,11 +29,11 @@
 //! which steadies the number for workloads that simulate in well under a
 //! millisecond.
 //!
-//! `--explain-memo FILE` threads the run through a warm session, then asks
-//! what an *edited resubmission* (final selection changed) would re-run:
-//! the memo plan's per-task disposition — must-run vs. resident vs.
-//! warm-in-store — is overlaid on the DOT export written to FILE, and the
-//! counts are printed.
+//! `--explain-memo FILE` runs over one cold cache per worker, keeps the
+//! caches the run writes back, then asks what an *edited resubmission*
+//! (final selection changed) would re-run: the memo plan's per-task
+//! disposition — must-run vs. resident vs. warm-in-store — is overlaid on
+//! the DOT export written to FILE, and the counts are printed.
 //!
 //! `--stream-threshold T` attaches a convergence observer: the run
 //! streams a partial histogram after every partition and stops early
@@ -61,6 +61,7 @@ use vine_cluster::{ClusterSpec, WorkerSpec};
 use vine_core::{DataSource, EngineConfig, Placement, Preflight, RunRequest};
 use vine_obs::{FigureRecorder, FigureSet, MemoryRecorder, Recorder, Tee};
 use vine_simcore::units::{fmt_bytes, gbit_per_sec};
+use vine_storage::LocalCache;
 
 fn main() {
     let cli = BenchCli::parse();
@@ -176,11 +177,11 @@ fn main() {
     let mut figs = FigureRecorder::new(FigureSet::TIMELINE, cfg.worker_slots());
     let mut conv = cli.stream_threshold.map(ConvergenceObserver::new);
     // --explain-memo needs the post-run caches, so that run (and only
-    // that run) is threaded through a session.
-    let mut session = args
+    // that run) runs over warm caches.
+    let mut caches = args
         .explain_memo
         .as_ref()
-        .map(|_| vine_core::SessionState::new(&cluster));
+        .map(|_| vec![LocalCache::new(cluster.worker.disk_bytes); cluster.workers]);
     // vine-audit: allow(A103) -- CLI wall-time report for the human at the terminal; simulated time comes exclusively from the sim clock
     let wall_start = std::time::Instant::now();
     // --bench-reps: extra identical plain runs; the *fastest* repetition is
@@ -204,8 +205,8 @@ fn main() {
     if let Some(conv) = &mut conv {
         request = request.observer(conv);
     }
-    if let Some(session) = &mut session {
-        request = request.session(session);
+    if let Some(caches) = &mut caches {
+        request = request.warm_caches(caches);
     }
     // vine-audit: allow(A103) -- wall-clock of the simulation proper, reported via --bench-json for the CI throughput gate; simulated time is untouched
     let sim_start = std::time::Instant::now();
@@ -283,7 +284,7 @@ fn main() {
             print!("{}", o.digest.to_text());
         }
     }
-    if let (Some(path), Some(session)) = (&args.explain_memo, &session) {
+    if let (Some(path), Some(caches)) = (&args.explain_memo, &caches) {
         // What would a warm resubmission with an edited final selection
         // re-run? Overlay the memo dispositions on the edited graph: the
         // process stage is resident (palegreen), evicted-but-needed and
@@ -291,7 +292,8 @@ fn main() {
         let gen = spec.edit_generation + 1;
         let edited = spec.clone().with_edit_generation(gen).to_graph();
         let plan = vine_dag::MemoPlan::compute(&edited, |f| {
-            session.contains(vine_core::graph_file_cachename(&edited, f))
+            let name = vine_core::graph_file_cachename(&edited, f);
+            caches.iter().any(|c| c.contains(name))
         });
         let explain = plan.explain(&edited);
         let dot =

@@ -47,7 +47,6 @@ use crate::placement::{
 };
 use crate::request::RunRequest;
 use crate::result::{PlacementWork, RunOutcome, RunResult, RunStats};
-use crate::session::SessionState;
 
 mod placement_exec;
 mod recovery_exec;
@@ -68,7 +67,7 @@ pub(crate) fn run_request(req: RunRequest<'_>) -> RunResult {
         cfg,
         graph,
         cachenames,
-        mut session,
+        mut caches,
         recorder,
         observer,
     } = req;
@@ -122,12 +121,12 @@ pub(crate) fn run_request(req: RunRequest<'_>) -> RunResult {
             return r;
         }
 
-        if let Some(session) = &session {
-            let (have, need) = (session.worker_count(), cfg.worker_slots());
+        if let Some(caches) = &caches {
+            let (have, need) = (caches.len(), cfg.worker_slots());
             if have != need {
                 let mut r = failed_result(
                     &format!(
-                        "session geometry mismatch: session holds {have} worker caches, \
+                        "cache geometry mismatch: {have} worker caches given, \
                          this run needs {need}"
                     ),
                     &graph,
@@ -140,14 +139,14 @@ pub(crate) fn run_request(req: RunRequest<'_>) -> RunResult {
             cfg,
             &graph,
             cachenames,
-            session.as_deref_mut(),
+            caches.as_deref_mut(),
             rec,
             observer,
         );
         sim.bootstrap();
         sim.event_loop();
-        if let Some(session) = session {
-            session.restore_caches(sim.take_caches());
+        if let Some(caches) = caches {
+            *caches = sim.take_caches();
         }
         let mut result = sim.into_result();
         result.lint_findings = lint_findings;
@@ -155,18 +154,18 @@ pub(crate) fn run_request(req: RunRequest<'_>) -> RunResult {
     }
 }
 
-/// Adopt a warm session's caches into `workers` and seed `replicas` from
-/// their residency. Returns the memoization plan the tracker starts
+/// Move the caller's warm `caches` into `workers` and seed `replicas`
+/// from their residency. Returns the memoization plan the tracker starts
 /// from, or `None` under Work Queue, whose workers start empty.
 fn adopt_caches(
     cfg: &EngineConfig,
     graph: &TaskGraph,
     name_to_file: &[(CacheName, FileId)],
-    session: &mut SessionState,
+    caches: &mut Vec<LocalCache>,
     workers: &mut [Worker],
     replicas: &mut [Vec<usize>],
 ) -> Option<vine_dag::MemoPlan> {
-    let caches = session.take_caches();
+    let caches = std::mem::take(caches);
     debug_assert_eq!(caches.len(), workers.len());
     let wq = cfg.scheduler == SchedulerKind::WorkQueue;
     for (wk, mut cache) in workers.iter_mut().zip(caches) {
@@ -670,13 +669,13 @@ struct Sim<'g, 'r, 'o> {
 
 impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
     /// `cnames` is the graph's [`graph_cachenames`] slab when the caller
-    /// already derived it, else `None`. With a `session` of matching
-    /// geometry, the workers adopt its caches (see [`adopt_caches`]).
+    /// already derived it, else `None`. With warm `caches` of matching
+    /// geometry, the workers adopt them (see [`adopt_caches`]).
     fn new(
         cfg: EngineConfig,
         graph: &'g TaskGraph,
         cnames: Option<Vec<CacheName>>,
-        session: Option<&mut SessionState>,
+        caches: Option<&mut Vec<LocalCache>>,
         rec: &'r mut dyn Recorder,
         observer: Option<&'o mut dyn RunObserver>,
     ) -> Self {
@@ -806,12 +805,12 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
 
         let n_files = graph.file_count();
         let mut replicas = vec![Vec::new(); n_files];
-        let plan = session.and_then(|session| {
+        let plan = caches.and_then(|caches| {
             adopt_caches(
                 &cfg,
                 graph,
                 &name_to_file,
-                session,
+                caches,
                 &mut workers,
                 &mut replicas,
             )
@@ -908,7 +907,7 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
             .set(w, wk.alive.then(|| worker_load(busy, wk.cores)));
     }
 
-    /// Start from a warm session's memoization plan: memoized tasks
+    /// Start from the warm caches' memoization plan: memoized tasks
     /// count as collected, and resident files still owed to consumers
     /// take their retention pins.
     fn apply_memo_plan(&mut self, plan: &vine_dag::MemoPlan) {
@@ -948,7 +947,7 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
         self.stats.warm_hit_bytes = plan.warm_bytes;
     }
 
-    /// Hand the (pin-free) caches back to the session after a run.
+    /// Hand the (pin-free) caches back to the caller after a run.
     fn take_caches(&mut self) -> Vec<LocalCache> {
         self.workers
             .iter_mut()
@@ -1279,11 +1278,11 @@ pub fn graph_cachenames(graph: &TaskGraph) -> Vec<CacheName> {
 
 /// The cachename of a graph file (the content identity shared by all
 /// workers, §IV-B "files must be named consistently"). Public so a
-/// facility (`vine-serve`) can account session residency against the
+/// facility (`vine-serve`) can account cache residency against the
 /// same names the engine caches under.
 ///
 /// Within one run the name alone would suffice, but cachenames outlive
-/// runs in a warm session, so the derivation folds in a one-level
+/// runs in warm caches, so the derivation folds in a one-level
 /// lineage signature: the file's size hint plus its producer's input
 /// names and sizes. Two workload variants that reuse a file name (a
 /// scaled-down dataset, an edited selection) then miss each other's

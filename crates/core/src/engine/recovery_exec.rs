@@ -280,7 +280,7 @@ impl<'g, 'r, 'o> Sim<'g, 'r, 'o> {
         self.workers[w].alive = true;
         self.set_busy(w, 0);
         self.workers[w].outgoing = 0;
-        // The copies this worker holds (from a warm session; a restarted
+        // The copies this worker holds (from warm caches; a restarted
         // worker holds none) are live sources now. Waking is a no-op,
         // wake counters included, while no peer transfer waits, as at
         // every t = 0 start, so the scan is skipped then.

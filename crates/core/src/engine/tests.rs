@@ -19,6 +19,11 @@ fn small_graph(n: usize, chunk: u64, partial: u64) -> TaskGraph {
     g
 }
 
+/// One empty cache per worker of `cluster`, sized to its disk.
+fn cold_caches(cluster: &ClusterSpec) -> Vec<LocalCache> {
+    vec![LocalCache::new(cluster.worker.disk_bytes); cluster.workers]
+}
+
 /// Run with a [`FigureRecorder`] attached, filling every sink.
 fn run_with_figures(cfg: EngineConfig, graph: TaskGraph) -> (RunResult, FigureSinks) {
     let mut figs = FigureRecorder::new(FigureSet::ALL, cfg.worker_slots());
@@ -120,19 +125,19 @@ fn different_seeds_vary_makespan() {
 #[test]
 fn warm_resubmit_memoizes_everything() {
     let cluster = ClusterSpec::standard(4);
-    let mut session = SessionState::new(&cluster);
+    let mut caches = cold_caches(&cluster);
     let cfg = EngineConfig::stack3(cluster, 42).deterministic();
 
     let cold = RunRequest::new(cfg.clone(), small_graph(24, 10 * MB, MB))
-        .session(&mut session)
+        .warm_caches(&mut caches)
         .run();
     assert!(cold.completed(), "{:?}", cold.outcome);
     assert_eq!(cold.stats.task_executions, 25);
     assert_eq!(cold.stats.memoized_tasks, 0);
-    assert!(session.resident_bytes() > 0, "nothing retained");
+    assert!(caches.iter().any(|c| c.used() > 0), "nothing retained");
 
     let warm = RunRequest::new(cfg, small_graph(24, 10 * MB, MB))
-        .session(&mut session)
+        .warm_caches(&mut caches)
         .run();
     assert!(warm.completed(), "{:?}", warm.outcome);
     assert_eq!(warm.stats.memoized_tasks, 25, "not fully warm");
@@ -144,26 +149,30 @@ fn warm_resubmit_memoizes_everything() {
         warm.makespan_secs(),
         cold.makespan_secs()
     );
-    assert_eq!(session.runs_completed(), 2);
+    assert_eq!(caches.len(), 4);
+    assert!(
+        caches.iter().any(|c| c.used() > 0),
+        "warm run's caches not written back"
+    );
 }
 
 #[test]
 fn preemption_between_runs_reruns_only_what_was_lost() {
     let cluster = ClusterSpec::standard(4);
-    let mut session = SessionState::new(&cluster);
+    let mut caches = cold_caches(&cluster);
     // No replication: every file is a sole copy, so clearing one
     // worker loses a strict subset of the intermediates.
     let mut cfg = EngineConfig::stack3(cluster, 7).deterministic();
     cfg.replica_target = 1;
 
     let cold = RunRequest::new(cfg.clone(), small_graph(24, 10 * MB, MB))
-        .session(&mut session)
+        .warm_caches(&mut caches)
         .run();
     assert!(cold.completed());
-    session.preempt_worker(0);
+    caches[0].clear();
 
     let warm = RunRequest::new(cfg, small_graph(24, 10 * MB, MB))
-        .session(&mut session)
+        .warm_caches(&mut caches)
         .run();
     assert!(warm.completed(), "{:?}", warm.outcome);
     assert!(
@@ -180,13 +189,13 @@ fn preemption_between_runs_reruns_only_what_was_lost() {
 #[test]
 fn workqueue_session_never_memoizes() {
     let cluster = ClusterSpec::standard(4);
-    let mut session = SessionState::new(&cluster);
+    let mut caches = cold_caches(&cluster);
     let cfg = EngineConfig::stack1(cluster, 42).deterministic();
     RunRequest::new(cfg.clone(), small_graph(12, 10 * MB, MB))
-        .session(&mut session)
+        .warm_caches(&mut caches)
         .run();
     let again = RunRequest::new(cfg, small_graph(12, 10 * MB, MB))
-        .session(&mut session)
+        .warm_caches(&mut caches)
         .run();
     assert!(again.completed());
     assert_eq!(again.stats.memoized_tasks, 0);
@@ -194,12 +203,12 @@ fn workqueue_session_never_memoizes() {
 }
 
 #[test]
-fn session_geometry_mismatch_fails_cleanly() {
+fn cache_geometry_mismatch_fails_cleanly() {
     let cluster = ClusterSpec::standard(4);
-    let mut session = SessionState::new(&ClusterSpec::standard(2));
+    let mut caches = cold_caches(&ClusterSpec::standard(2));
     let cfg = EngineConfig::stack3(cluster, 1).deterministic();
     let r = RunRequest::new(cfg, small_graph(6, 10 * MB, MB))
-        .session(&mut session)
+        .warm_caches(&mut caches)
         .run();
     match r.outcome {
         RunOutcome::Failed { ref reason } => {
@@ -207,6 +216,7 @@ fn session_geometry_mismatch_fails_cleanly() {
         }
         _ => panic!("expected geometry failure"),
     }
+    assert_eq!(caches.len(), 2, "a refused run leaves the caches alone");
 }
 
 #[test]
@@ -214,13 +224,13 @@ fn scaled_variant_does_not_false_hit_same_names() {
     // Same file names, different sizes: the size guard must treat the
     // residue as stale, not as warm hits.
     let cluster = ClusterSpec::standard(4);
-    let mut session = SessionState::new(&cluster);
+    let mut caches = cold_caches(&cluster);
     let cfg = EngineConfig::stack3(cluster, 42).deterministic();
     RunRequest::new(cfg.clone(), small_graph(12, 10 * MB, MB))
-        .session(&mut session)
+        .warm_caches(&mut caches)
         .run();
     let scaled = RunRequest::new(cfg, small_graph(12, 10 * MB, 2 * MB))
-        .session(&mut session)
+        .warm_caches(&mut caches)
         .run();
     assert!(scaled.completed());
     assert_eq!(
@@ -710,18 +720,18 @@ fn fan_in_graph(n: usize, tag: &str) -> TaskGraph {
     g
 }
 
-/// Run one configuration over `session` and report, per wake cause, how
+/// Run one configuration over `caches` and report, per wake cause, how
 /// many queued peer waits its wakes covered.
 fn wake_counts(
     cfg: EngineConfig,
     graph: &TaskGraph,
-    session: &mut SessionState,
+    caches: &mut Vec<LocalCache>,
 ) -> (Vec<u64>, RunResult) {
     let mut rec = NullRecorder;
-    let mut sim = Sim::new(cfg, graph, None, Some(&mut *session), &mut rec, None);
+    let mut sim = Sim::new(cfg, graph, None, Some(&mut *caches), &mut rec, None);
     sim.bootstrap();
     sim.event_loop();
-    session.restore_caches(sim.take_caches());
+    *caches = sim.take_caches();
     let counts = Wake::ALL
         .iter()
         .map(|&why| sim.peer_waits.woken_by(why))
@@ -759,9 +769,9 @@ fn peer_wait_wake_paths_fire_under_storm() {
         cfg.max_peer_transfers_per_worker = 1;
         cfg.replica_target = 3;
         cfg.cluster.worker.disk_bytes = 16 * GB;
-        let mut session = SessionState::new(&cfg.cluster);
+        let mut caches = cold_caches(&cfg.cluster);
         for tag in ["", "edit"] {
-            let (counts, r) = wake_counts(cfg.clone(), &fan_in_graph(96, tag), &mut session);
+            let (counts, r) = wake_counts(cfg.clone(), &fan_in_graph(96, tag), &mut caches);
             assert!(r.completed(), "seed {seed} {tag:?}: {:?}", r.outcome);
             assert!(r.placement_work.peer_wait_visits > 0);
             for (t, c) in total.iter_mut().zip(counts) {
@@ -924,7 +934,7 @@ fn flow_done_read_waits_within_an_instant_only_while_no_flow_can_finish() {
         assert!(matches!(sim.queue.pop(), Some((_, Ev::MgrDone))));
     }
 }
-/// Graph-file cachenames are keys in warm sessions and the shared tier
+/// Graph-file cachenames are keys in warm caches and the shared tier
 /// and feed every facility digest, so their values are pinned: external
 /// files (name and size) and produced ones (with the one-level lineage
 /// of their producer's inputs).

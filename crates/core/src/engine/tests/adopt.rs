@@ -1,4 +1,4 @@
-//! Differential tests of session adoption's name-ordered replica merge
+//! Differential tests of warm-cache adoption's name-ordered replica merge
 //! against the lookups it replaced, and of the cachename slab a request
 //! may carry.
 
@@ -81,7 +81,7 @@ proptest! {
         let cnames = graph_cachenames(&graph);
         // Entries name a file of the graph (at its size, or off by one
         // byte) or a name the graph does not hold.
-        let caches: Vec<LocalCache> = entries
+        let mut caches: Vec<LocalCache> = entries
             .iter()
             .map(|es| {
                 let mut c = LocalCache::new(GB);
@@ -108,8 +108,7 @@ proptest! {
         let want = replicas_by_lookup(&graph, &cnames, &mut reference);
 
         let mut rec = NullRecorder;
-        let mut session = SessionState::from_caches(caches);
-        let sim = Sim::new(cfg(), &graph, Some(cnames), Some(&mut session), &mut rec, None);
+        let sim = Sim::new(cfg(), &graph, Some(cnames), Some(&mut caches), &mut rec, None);
         prop_assert_eq!(&sim.replicas, &want);
         for (wk, c) in sim.workers.iter().zip(&reference) {
             prop_assert_eq!(contents(&wk.cache), contents(c));
@@ -169,10 +168,10 @@ proptest! {
 
         let mut off = cfg();
         off.preflight = Preflight::Off;
-        let mut session = SessionState::new(&off.cluster);
+        let mut caches = cold_caches(&off.cluster);
         for _ in 0..2 {
             let r = RunRequest::new(off.clone(), graph.clone())
-                .session(&mut session)
+                .warm_caches(&mut caches)
                 .run();
             prop_assert!(r.completed(), "{:?}", r.outcome);
         }

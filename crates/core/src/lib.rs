@@ -34,6 +34,13 @@
 //! outcome, makespan and counters; the traces behind the paper's figures
 //! come from a `vine_obs::FigureRecorder` attached with
 //! [`RunRequest::recorder`], the engine's one event sink.
+//!
+//! Worker caches outlive a run only when the caller keeps them:
+//! [`RunRequest::warm_caches`] lends a run the caller's
+//! `Vec<LocalCache>`, one per worker. The workers adopt it at start,
+//! resident outputs are memoized, and the post-run caches are written
+//! back into it. That is how `vine-serve` keeps each shard warm across
+//! submissions.
 
 pub mod arena;
 pub mod config;
@@ -45,7 +52,6 @@ mod preempt;
 pub mod recovery;
 pub mod request;
 pub mod result;
-pub mod session;
 
 pub use config::{
     DataSource, EngineConfig, ExecMode, ImportSource, Placement, Preflight, SchedulerKind,
@@ -56,5 +62,4 @@ pub use observer::{ObserverControl, PartialUpdate, RunObserver};
 pub use recovery::RecoveryPolicy;
 pub use request::RunRequest;
 pub use result::{PlacementWork, RunOutcome, RunResult, RunStats};
-pub use session::SessionState;
 pub use vine_chaos::{ExitClass, Fault, FaultPlan};

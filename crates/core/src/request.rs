@@ -1,7 +1,7 @@
 //! The unified run entry point.
 //!
 //! [`RunRequest`] is the one way to run the engine: a configuration and
-//! a workload plus any combination of warm session, observability
+//! a workload plus any combination of warm worker caches, observability
 //! recorder, and streaming observer. The fault plan and recovery policy
 //! are part of the configuration ([`EngineConfig::with_chaos`],
 //! [`EngineConfig::with_recovery`]).
@@ -14,33 +14,32 @@
 
 use vine_dag::TaskGraph;
 use vine_obs::Recorder;
-use vine_storage::CacheName;
+use vine_storage::{CacheName, LocalCache};
 
 use crate::config::EngineConfig;
 use crate::engine::run_request;
 use crate::observer::RunObserver;
 use crate::result::RunResult;
-use crate::session::SessionState;
 
 /// Builder for one engine run (see the module docs).
 pub struct RunRequest<'a> {
     pub(crate) cfg: EngineConfig,
     pub(crate) graph: TaskGraph,
     pub(crate) cachenames: Option<Vec<CacheName>>,
-    pub(crate) session: Option<&'a mut SessionState>,
+    pub(crate) caches: Option<&'a mut Vec<LocalCache>>,
     pub(crate) recorder: Option<&'a mut dyn Recorder>,
     pub(crate) observer: Option<&'a mut dyn RunObserver>,
 }
 
 impl<'a> RunRequest<'a> {
-    /// A run of `graph` under `cfg`, with no session, recorder, or
+    /// A run of `graph` under `cfg`, with no warm caches, recorder, or
     /// observer attached.
     pub fn new(cfg: EngineConfig, graph: TaskGraph) -> Self {
         RunRequest {
             cfg,
             graph,
             cachenames: None,
-            session: None,
+            caches: None,
             recorder: None,
             observer: None,
         }
@@ -55,13 +54,14 @@ impl<'a> RunRequest<'a> {
         self
     }
 
-    /// Execute inside a warm [`SessionState`]: workers adopt the
-    /// session's caches at start, resident outputs are memoized (under
-    /// TaskVine), and the post-run caches are
-    /// written back. Fails without simulating when the session's worker
-    /// count does not match the run's geometry.
-    pub fn session(mut self, session: &'a mut SessionState) -> Self {
-        self.session = Some(session);
+    /// Run over the caller's warm worker caches, one per worker slot,
+    /// which outlive the run: workers adopt them at start, resident
+    /// outputs are memoized (under TaskVine), and the post-run caches are
+    /// written back into `caches`. Fails without simulating, leaving
+    /// `caches` untouched, when `caches.len()` is not the run's
+    /// [`EngineConfig::worker_slots`].
+    pub fn warm_caches(mut self, caches: &'a mut Vec<LocalCache>) -> Self {
+        self.caches = Some(caches);
         self
     }
 
@@ -112,14 +112,16 @@ mod tests {
 
     #[test]
     fn builders_compose() {
-        let mut session = SessionState::new(&ClusterSpec::standard(3));
+        let cluster = ClusterSpec::standard(3);
+        let mut caches = vec![LocalCache::new(cluster.worker.disk_bytes); cluster.workers];
         let mut rec = vine_obs::MemoryRecorder::new();
         let r = RunRequest::new(cfg().with_recovery(RecoveryPolicy::hardened()), graph(8))
-            .session(&mut session)
+            .warm_caches(&mut caches)
             .recorder(&mut rec)
             .run();
         assert!(r.completed());
-        assert_eq!(session.runs_completed(), 1);
+        assert_eq!(caches.len(), 3, "caches written back");
+        assert!(caches.iter().any(|c| c.used() > 0), "outputs retained");
     }
 
     struct CountObserver {

@@ -52,8 +52,8 @@ pub struct RunStats {
     /// Sum of task execution durations (overhead + compute + local I/O)
     /// across all executions, in microseconds.
     pub total_task_busy_us: u64,
-    /// Tasks satisfied from a warm session's caches instead of executing
-    /// (zero outside [`crate::RunRequest::session`] runs).
+    /// Tasks satisfied from warm worker caches instead of executing
+    /// (zero outside [`crate::RunRequest::warm_caches`] runs).
     pub memoized_tasks: u64,
     /// Bytes of already-resident outputs those memoized tasks would have
     /// produced (compute and transfer the warm start avoided).
@@ -154,11 +154,6 @@ impl RunResult {
         )
     }
 
-    /// Speedup of this run relative to a baseline makespan.
-    pub fn speedup_vs(&self, baseline: &RunResult) -> f64 {
-        baseline.makespan_secs() / self.makespan_secs().max(1e-9)
-    }
-
     /// Mean task execution time (the quantity Fig 8/Fig 10 plot): total
     /// worker-side busy time divided by task executions.
     pub fn mean_task_secs(&self) -> f64 {
@@ -184,14 +179,6 @@ mod tests {
             fabric_work: Default::default(),
             placement_work: PlacementWork::default(),
         }
-    }
-
-    #[test]
-    fn speedup_is_baseline_over_self() {
-        let slow = dummy(100);
-        let fast = dummy(25);
-        assert!((fast.speedup_vs(&slow) - 4.0).abs() < 1e-9);
-        assert!((slow.speedup_vs(&slow) - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -7,11 +7,12 @@
 //! case). A shard owns its clock, the per-tenant submission queues, and
 //! one [`LocalCache`] per cluster worker that survives between runs.
 //! Each admitted submission gets an exclusive slice of `workers_per_run`
-//! workers; the slice's caches are checked out into a [`SessionState`],
-//! the inner engine run executes (its own full DES), and the post-run
-//! caches are written back **only when the shard clock reaches the run's
-//! completion** — an earlier-finishing or later-admitted run can never
-//! observe outputs of a run that is still logically in flight.
+//! workers; the slice's caches are checked out as a `Vec<LocalCache>`,
+//! the inner engine run adopts them through [`RunRequest::warm_caches`]
+//! (the run is its own full DES), and the post-run caches are written
+//! back **only when the shard clock reaches the run's completion** — an
+//! earlier-finishing or later-admitted run can never observe outputs of
+//! a run that is still logically in flight.
 //!
 //! Admission (on every state change) is weighted fair-share with quotas:
 //! among tenants with queued work whose in-flight core quota has room,
@@ -30,7 +31,6 @@ use std::rc::Rc;
 use vine_cluster::ClusterSpec;
 use vine_core::{
     graph_cachenames, EngineConfig, FaultPlan, RecoveryPolicy, RunObserver, RunRequest, RunStats,
-    SessionState,
 };
 use vine_dag::{MemoPlan, TaskGraph};
 use vine_lint::FacilityFacts;
@@ -231,7 +231,7 @@ fn overlap_bytes(wanted: &[(CacheName, u64)], cache: &LocalCache) -> u64 {
 pub(crate) struct Shard {
     cfg: FacilityConfig,
     /// Per-worker persistent caches; a zero-capacity placeholder while a
-    /// worker's cache is checked out into a running session.
+    /// worker's cache is checked out to a running engine run.
     caches: Vec<LocalCache>,
     busy: Vec<bool>,
     share: FairShare,
@@ -772,7 +772,6 @@ impl Shard {
             }
             store_fetch = tier.fetch_cost(shard, store_fetch_bytes);
         }
-        let mut session = SessionState::from_caches(run_caches);
 
         let inner_cluster = ClusterSpec {
             workers: self.cfg.workers_per_run,
@@ -789,7 +788,7 @@ impl Shard {
 
         let mut request = RunRequest::new(ecfg, q.graph)
             .cachenames(cachenames)
-            .session(&mut session);
+            .warm_caches(&mut run_caches);
         // A standing admission streams every partition delta into the
         // caller's observer, and its recorder when one is given.
         if let Some(h) = hooks {
@@ -822,7 +821,7 @@ impl Shard {
                 store_fetch_bytes,
                 store_fetch,
             },
-            caches: session.into_caches(),
+            caches: run_caches,
             pinned,
         });
     }

@@ -11,13 +11,12 @@
 //!
 //! * [`ShardedFacility`] — the one serving type. Each shard holds one
 //!   persistent [`vine_storage::LocalCache`] per cluster worker *between*
-//!   runs and threads slices of them through
-//!   [`vine_core::RunRequest::session`] runs, so a resubmitted graph finds
-//!   its intermediates warm and skips their producers (see
-//!   [`vine_dag::MemoPlan`]). Admission is weighted fair-share (stride
-//!   scheduling, [`FairShare`]) under per-tenant quotas on in-flight
-//!   cores and resident cache bytes. A single facility is one shard
-//!   ([`ShardedConfig::single`]); a federation runs N shards in
+//!   runs and lends slices of them to [`vine_core::RunRequest::warm_caches`]
+//!   runs, so a resubmitted graph finds its intermediates warm and skips
+//!   their producers (see [`vine_dag::MemoPlan`]). Admission is weighted
+//!   fair-share (stride scheduling, [`FairShare`]) under per-tenant quotas
+//!   on in-flight cores and resident cache bytes. A single facility is
+//!   one shard ([`ShardedConfig::single`]); a federation runs N shards in
 //!   deterministic lockstep, routes tenants to home shards by rendezvous
 //!   hashing ([`assign_shard`]), shares warm state through the
 //!   [`vine_store`] content-addressed object tier (a shard consults the

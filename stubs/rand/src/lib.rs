@@ -90,7 +90,7 @@ pub mod rngs {
 }
 
 pub mod distributions {
-    use super::{Rng, RngCore};
+    use super::Rng;
 
     pub trait Distribution<T> {
         fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> T;
@@ -243,7 +243,6 @@ pub trait Rng: RngCore {
         D: distributions::Distribution<T>,
         Self: Sized,
     {
-        use distributions::Distribution as _;
         dist.sample_iter(self)
     }
 }

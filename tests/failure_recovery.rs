@@ -3,13 +3,13 @@
 
 use reshaping_hep::analysis::{ReductionShape, WorkloadSpec};
 use reshaping_hep::cluster::ClusterSpec;
-use reshaping_hep::core::SessionState;
 use reshaping_hep::core::{
     graph_file_cachename, EngineConfig, Fault, FaultPlan, Preflight, RunOutcome, RunRequest,
     RunStats,
 };
 use reshaping_hep::dag::{MemoPlan, TaskGraph, TaskKind};
 use reshaping_hep::simcore::units::{GB, MB};
+use reshaping_hep::storage::LocalCache;
 
 /// A plan of per-worker preemption alone, seeded with the run seed like
 /// the stack presets' campus pool.
@@ -17,6 +17,11 @@ fn preemption(rate_per_sec: f64, seed: u64) -> FaultPlan {
     FaultPlan::none()
         .with(Fault::Preemption { rate_per_sec })
         .with_seed(seed)
+}
+
+/// One empty cache per worker of `cluster`, sized to its disk.
+fn cold_caches(cluster: &ClusterSpec) -> Vec<LocalCache> {
+    vec![LocalCache::new(cluster.worker.disk_bytes); cluster.workers]
 }
 
 #[test]
@@ -207,7 +212,7 @@ fn rewriting_the_same_workflow_makes_it_feasible() {
 
 #[test]
 fn preemption_between_submissions_reruns_exactly_the_lost_producers() {
-    // Warm-cache recovery: run once into a session, lose one worker's
+    // Warm-cache recovery: run once over warm caches, lose one worker's
     // disk between submissions, resubmit. With replication off, every
     // intermediate is a sole copy, so the static memoization plan over
     // the surviving caches names *exactly* the tasks that must re-run —
@@ -216,23 +221,20 @@ fn preemption_between_submissions_reruns_exactly_the_lost_producers() {
     let spec = WorkloadSpec::dv3_small().scaled_down(20);
     let mut cfg = EngineConfig::stack3(ClusterSpec::standard(4), 11).deterministic();
     cfg.replica_target = 1;
-    let mut session = SessionState::new(&cfg.cluster);
+    let mut caches = cold_caches(&cfg.cluster);
     let cold = RunRequest::new(cfg.clone(), spec.to_graph())
-        .session(&mut session)
+        .warm_caches(&mut caches)
         .run();
     assert!(cold.completed(), "{:?}", cold.outcome);
     assert_eq!(cold.stats.memoized_tasks, 0);
 
-    session.preempt_worker(0);
+    caches[0].clear();
 
     let graph = spec.to_graph();
     let expected = MemoPlan::compute(&graph, |f| {
         let name = graph_file_cachename(&graph, f);
         let size = graph.file(f).size_hint;
-        session
-            .caches()
-            .iter()
-            .any(|c| c.size_of(name) == Some(size))
+        caches.iter().any(|c| c.size_of(name) == Some(size))
     });
     let total = graph.task_count();
     assert!(
@@ -244,7 +246,7 @@ fn preemption_between_submissions_reruns_exactly_the_lost_producers() {
         "losing a whole worker must force some re-runs"
     );
 
-    let warm = RunRequest::new(cfg, graph).session(&mut session).run();
+    let warm = RunRequest::new(cfg, graph).warm_caches(&mut caches).run();
     assert!(warm.completed(), "{:?}", warm.outcome);
     assert_eq!(
         warm.stats.task_executions,
@@ -262,15 +264,15 @@ fn replicated_entries_still_hit_after_losing_one_worker() {
     // whose partials all replicate, usually nothing at all.
     let spec = WorkloadSpec::dv3_small().scaled_down(20);
     let cfg = EngineConfig::stack3(ClusterSpec::standard(4), 11).deterministic();
-    let mut session = SessionState::new(&cfg.cluster);
+    let mut caches = cold_caches(&cfg.cluster);
     let cold = RunRequest::new(cfg.clone(), spec.to_graph())
-        .session(&mut session)
+        .warm_caches(&mut caches)
         .run();
     assert!(cold.completed(), "{:?}", cold.outcome);
 
-    session.preempt_worker(0);
+    caches[0].clear();
     let warm = RunRequest::new(cfg, spec.to_graph())
-        .session(&mut session)
+        .warm_caches(&mut caches)
         .run();
     assert!(warm.completed(), "{:?}", warm.outcome);
     assert!(

@@ -1,30 +1,36 @@
 //! Warm-start acceptance, end to end: resubmitting an identical graph
-//! into a warm session is at least 3× faster, the observability digest
+//! over warm worker caches is at least 3× faster, the observability digest
 //! attributes the saving to memoized tasks and warm bytes, the physics
 //! answer a warm run serves is bit-identical to a cold recomputation, and the facility's exports are byte-stable per seed.
 
 use reshaping_hep::analysis::{Dv3Processor, WorkloadSpec};
 use reshaping_hep::cluster::ClusterSpec;
-use reshaping_hep::core::{EngineConfig, RunRequest, SessionState};
+use reshaping_hep::core::{EngineConfig, RunRequest};
 use reshaping_hep::data::{encode_histogram_set, Dataset};
 use reshaping_hep::exec::{ExecMode, Executor};
 use reshaping_hep::serve::{FacilityConfig, LoadGen, ShardedConfig, ShardedFacility};
 use reshaping_hep::simcore::units::KB;
+use reshaping_hep::storage::LocalCache;
 
 fn base_cfg() -> EngineConfig {
     EngineConfig::stack3(ClusterSpec::standard(4), 7).deterministic()
+}
+
+/// One empty cache per worker of `cluster`, sized to its disk.
+fn cold_caches(cluster: &ClusterSpec) -> Vec<LocalCache> {
+    vec![LocalCache::new(cluster.worker.disk_bytes); cluster.workers]
 }
 
 #[test]
 fn warm_resubmission_is_at_least_three_times_faster() {
     let spec = WorkloadSpec::dv3_small().scaled_down(20);
     let cfg = base_cfg();
-    let mut session = SessionState::new(&cfg.cluster);
+    let mut caches = cold_caches(&cfg.cluster);
     let cold = RunRequest::new(cfg.clone(), spec.to_graph())
-        .session(&mut session)
+        .warm_caches(&mut caches)
         .run();
     let warm = RunRequest::new(cfg, spec.to_graph())
-        .session(&mut session)
+        .warm_caches(&mut caches)
         .run();
     assert!(cold.completed() && warm.completed());
     assert_eq!(cold.stats.memoized_tasks, 0);
@@ -47,12 +53,12 @@ fn obs_digest_attributes_the_saving_to_memoization() {
     // which tasks were skipped and how many bytes were served warm.
     let spec = WorkloadSpec::dv3_small().scaled_down(20);
     let cfg = base_cfg().with_obs();
-    let mut session = SessionState::new(&cfg.cluster);
+    let mut caches = cold_caches(&cfg.cluster);
     let cold = RunRequest::new(cfg.clone(), spec.to_graph())
-        .session(&mut session)
+        .warm_caches(&mut caches)
         .run();
     let warm = RunRequest::new(cfg, spec.to_graph())
-        .session(&mut session)
+        .warm_caches(&mut caches)
         .run();
 
     let cold_digest = &cold.obs.as_ref().expect("obs on").digest;
@@ -98,9 +104,9 @@ fn memoized_run_serves_bit_identical_histograms() {
 
     // Cold: simulate, execute for real, keep the encoded answer.
     let cfg = base_cfg();
-    let mut session = SessionState::new(&cfg.cluster);
+    let mut caches = cold_caches(&cfg.cluster);
     let cold = RunRequest::new(cfg.clone(), spec.to_graph())
-        .session(&mut session)
+        .warm_caches(&mut caches)
         .run();
     assert!(cold.completed());
     let stored = encode_histogram_set(&run_exec(4).final_result);
@@ -109,7 +115,7 @@ fn memoized_run_serves_bit_identical_histograms() {
     // served without recomputing — and it must equal what a fresh
     // (differently-threaded) computation yields.
     let warm = RunRequest::new(cfg, spec.to_graph())
-        .session(&mut session)
+        .warm_caches(&mut caches)
         .run();
     assert_eq!(warm.stats.memoized_tasks, warm.stats.tasks_total as u64);
     assert_eq!(
