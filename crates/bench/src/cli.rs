@@ -159,12 +159,14 @@ impl BenchCli {
              \"peak_cache_bytes\": {},\n  \
              \"fabric_changes\": {},\n  \"fabric_solves\": {},\n  \
              \"solver_iterations\": {},\n  \"solver_link_visits\": {},\n  \
+             \"solver_fixes\": {},\n  \
              \"peer_wait_visits\": {},\n  \"pick_visits\": {}\n}}\n",
             r.stats.peak_cache_bytes,
             work.changes,
             work.solves,
             work.iterations,
             work.link_visits,
+            work.fixes,
             placement.peer_wait_visits,
             placement.pick_visits,
         );

@@ -115,8 +115,8 @@ pub struct RunResult {
     /// Per-task phase attributions and the run digest, when
     /// `EngineConfig::obs` was on.
     pub obs: Option<vine_obs::RunObs>,
-    /// Exact flow-fabric work: changes, solves, water-filling iterations
-    /// and link visits. Simulator cost, not simulated behaviour, so it is
+    /// Exact flow-fabric work: changes, solves, water-filling iterations,
+    /// link visits and fixes. Simulator cost, not simulated behaviour, so it is
     /// kept out of [`RunStats`] and every digest.
     pub fabric_work: vine_net::fairshare::SolveWork,
     /// Exact placement-layer work, kept out of [`RunStats`] and every

@@ -680,9 +680,10 @@ mod tests {
         fab.start_flow(SimTime::ZERO, nodes[0], nodes[99], 1_000, f64::INFINITY);
         fab.next_completion();
         // One solve over one flow: a single iteration scans its two links
-        // and stops the bottleneck search at the first.
+        // for the minimum and again for the bottleneck. The cancelled
+        // flows' links are never read.
         let w = fab.solve_work();
-        assert_eq!((w.solves, w.iterations, w.link_visits), (1, 1, 3), "{w:?}");
+        assert_eq!((w.solves, w.iterations, w.link_visits), (1, 1, 4), "{w:?}");
     }
 
     #[test]

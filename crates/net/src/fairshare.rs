@@ -18,78 +18,115 @@
 //! updates it per change instead of rebuilding it per solve:
 //!
 //! - each flow sits in a stable slot holding its two links and its cap;
-//! - each link keeps its flows in ascending id order;
-//! - the flows with a finite cap are kept in ascending id order.
+//! - each link keeps its flows in ascending id order.
 //!
-//! A solve (`FairState::solve`) builds the ascending list of links with
-//! unfixed flows from a one-bit-per-link bitmap of the links it touched
-//! (see below), scans only that list for each step's minimum and
-//! bottleneck, and visits only the bottleneck's flows. [`SolveWork`]
-//! counts the steps (iterations) and link visits. Every scan meets links
-//! and flows in the same ascending order a full scan would, every share
-//! is computed from the same operands, and capped flows are fixed in the
-//! same order, so the rates are bit-identical to
-//! [`max_min_fair_reference`], the full-scan original kept as the test
-//! oracle.
+//! Each step (pass of the water-filling loop) takes the minimum share
+//! over the links with unfixed flows, fixes any unfixed capped flow whose
+//! cap is within `EPS` of it (a *cap step*), or else fixes every unfixed
+//! flow of the *bottleneck*, the lowest-index link whose share is within
+//! `EPS` of the minimum. Every share is computed from the same operands as
+//! in [`max_min_fair_reference`], the full-scan original kept as the test
+//! oracle, and every fix is made in the same order, so the rates are
+//! bit-identical to it. [`SolveWork`] counts the steps run, the link
+//! entries examined and the fixes written.
 //!
 //! # Resuming a solve
 //!
 //! Consecutive solves differ by a few flows, and most of the previous
-//! solve's steps would repeat bit for bit. So each solve keeps a trace:
-//! every step's level (its bottleneck share) and where its fixes end in a
-//! fix-order list; per link, its `remaining` before each fix on it (kept
-//! in the fix records, which chain each link's fixes, so a link needs no
-//! list of its own); and per flow slot, the step that fixed it. The next
-//! solve finds the first step k that its changes can reach, restores
-//! every link to its state at step k by undoing the later fixes from the
-//! per-link history, and re-runs only the steps from k on. A step is
-//! replayed only if all of these hold:
+//! solve's steps would repeat bit for bit. So each solve keeps a trace
+//! (the `trace` submodule): each step's level, its *minimum link* (the
+//! lowest-index link whose share is the level), its bottleneck and its
+//! fixes; per fix, its two links' `remaining` just before it, chained
+//! into each link's history; per flow slot, the step that fixed it.
 //!
-//! - **changed links**: each link that gained or lost a flow since the
-//!   last solve has a share above `level + EPS` at that step, both with
-//!   its old flow set and with its new one, so it is neither the minimum
-//!   nor the chosen bottleneck in either solve. The old-set check is
-//!   needed: a removed flow's link can hold the strict minimum while a
-//!   lower-index link within EPS is the one chosen, and removing the flow
-//!   raises the minimum;
-//! - **added capped flows**: each one's cap exceeds `level + EPS`, so the
-//!   cap pass does not fix it;
-//! - **removed flows**: the step comes before the first step that fixed
-//!   a removed flow;
-//! - **full solves**: a capacity change restarts from step 0, and the
-//!   infinite-share step is always re-run.
+//! The next solve first finds the resume point k, the first step its
+//! changes can reach: each link that gained or lost a flow has a share
+//! above `level + EPS` at every step before k, with its old flow set and
+//! with its new one; each added capped flow's cap exceeds those levels;
+//! and no step before k fixed a removed flow. A capacity change, or a
+//! trace that stopped short (the "no progress" path, never taken), sets k
+//! to 0. Steps before k stay as they are.
 //!
-//! Two pitfalls. A link's load at step j is derived as its flow count
-//! minus its history entries before j, never stored: a stored load goes
+//! From k on, the solve walks the old steps with a set P of *perturbed*
+//! links, whose state may differ from the old solve's at the same point.
+//! Every link outside P has the old state, so every unfixed flow outside
+//! P has the old flows' shares, all at least the old step's level. P
+//! starts as the changed links. For the old step at the cursor:
+//!
+//! - it is **dead** if it has no bottleneck (a cap step or the
+//!   infinite-share step), or its bottleneck or minimum link is in P. Its
+//!   flows become unfixed, their links join P, and it is dropped;
+//! - it is **kept** if every P link with unfixed flows has a share above
+//!   `level + EPS`, and no capped flow that is unfixed only since this
+//!   solve (added, or released by a dead step) has a cap within
+//!   `level + EPS`. Then a full scan would take the same minimum, choose
+//!   the same bottleneck and fix the same flows at the same level;
+//! - otherwise a **fresh** step runs before it. If the minimum share over
+//!   P is at least the level, the minimum is the level, and the bottleneck
+//!   is the old one or the lowest P link within `EPS`, whichever comes
+//!   first (if the old one, the step is kept). If it is below the level by
+//!   more than `EPS`, the step needs only P: every other share is at least
+//!   the level. A fresh step's flows' links join P. Once no old step is
+//!   left, every unfixed flow is on a P link, so fresh steps need only P.
+//!
+//! In the tie zone, a P share below the level by at most `EPS`, P alone
+//! cannot tell which link a full scan would choose: the solve kills every
+//! old step left, which puts every link with an unfixed flow in P, and
+//! runs fresh steps to the end. A capacity change does the same from
+//! step 0. Capped flows that were unfixed at the old step cannot fix in a
+//! fresh step either: their caps exceed the old level + `EPS`, and a
+//! fresh step's minimum is at most the level.
+//!
+//! Splicing moves nothing that stays. A kept step keeps its id, fixes
+//! and slots, and links outside P are not read. A link joining P cuts its
+//! history back to the fixes of placed steps and takes its state from
+//! it: `remaining` is the `before` of the first fix cut (its capacity if
+//! none is left), and its load is its flow count less the fixes left. Each
+//! cut fix of a pending step goes on that step's relink list; when the
+//! step is kept, the fix is re-applied on that link alone at the step's
+//! level and becomes the link's latest history entry. A cut that meets
+//! the link's own bottleneck step skips the step's whole run of fixes,
+//! which all sit on the link. Fresh steps get new ids, and the order is
+//! rebuilt from k, so `Slot::step` and the fixes' step ids never change
+//! for a kept step. A flow is unfixed while its step is not placed.
+//!
+//! The keep test reads P's *floor*, a lower bound on every P share: a
+//! share moves only when its link joins P or takes a fix, and each such
+//! move lowers the floor to the new share. A floor above `level + EPS`
+//! keeps the step in O(1). Otherwise, and for every fresh step, one scan
+//! of P's links with unfixed flows gives the exact minimum (and makes the
+//! floor exact), and a second gives the lowest-index links within `EPS`
+//! of it. The capped flows a cap pass could fix sit in a list with a
+//! floor of their own.
+//!
+//! A solve costs O(resume point + history) per changed link for k, plus,
+//! from k on: the fixes of dead steps, the history entries cut, one
+//! relink per kept fix on a P link, and O(P) per fresh step. A kept
+//! step's fixes on links outside P cost nothing.
+//!
+//! Two pitfalls. A link's load is always derived as its flow count minus
+//! its history entries, never stored across solves: a stored load goes
 //! stale when the link's flow set changes while its early entries
 //! survive. And a removed flow's slot can be reused before the next
-//! solve, so the fix-order list records each fix's two links, not just
-//! its slot.
+//! solve, so each fix records its two links, not just its slot.
 //!
-//! # The links a solve touches
-//!
-//! A link has unfixed flows at step k only if it is *touched*: it
-//! changed since the last solve, a fix the rewind undoes was on it, or
-//! it carries a flow of the infinite-share step. Every other link kept
-//! its flow set, and each of its flows was fixed before step k, so its
-//! load is already zero and the solve never reads its state. The solve
-//! marks touched links in a bitmap and sweeps it (one word per 64
-//! links) for the live list, ascending without a sort. A trace that
-//! stopped short (the "no progress" path, never taken) left flows that
-//! no step fixed, so the solve after it marks every link with flows.
-//!
-//! A solve costs O(live links × steps from the resume point + fixes
-//! undone + touched links + capped flows), plus links / 64 bitmap words,
-//! plus the stop-rule scan: O(resume point + history) per changed link.
+//! In debug builds every solve is checked against a from-scratch solve of
+//! the same flows: rates, and the trace's levels, minimum links,
+//! bottlenecks and per-link histories, since a diverged trace corrupts a
+//! later resume even while the rates agree.
+
+mod reference;
+mod trace;
+
+pub use reference::max_min_fair_reference;
+
+use trace::{Trace, NONE};
 
 /// Shares within this distance of the minimum count as the minimum.
 const EPS: f64 = 1e-9;
 
-/// A slot's step when no step of the last solve fixed its flow.
-const UNFIXED: usize = usize::MAX;
-
-/// The end of a link's chain of fixes.
-const NO_FIX: usize = usize::MAX;
+/// A slot's step when no step fixed its flow.
+const UNFIXED: usize = NONE;
 
 /// One flow's constraints: the index of its egress link, the index of its
 /// ingress link, and an optional private rate cap (bytes/second).
@@ -113,31 +150,31 @@ pub struct SolveWork {
     pub changes: u64,
     /// Solver calls.
     pub solves: u64,
-    /// Water-filling iterations (passes of the main loop) run; the steps
-    /// a solve replays from the previous one are not counted.
+    /// Water-filling steps run; the steps a solve keeps from the
+    /// previous one are not counted.
     pub iterations: u64,
-    /// Link entries examined by the per-iteration minimum and bottleneck
-    /// search.
+    /// Link entries examined by the minimum and bottleneck searches.
     pub link_visits: u64,
+    /// Fix records written, plus fixes re-applied to a perturbed link.
+    pub fixes: u64,
 }
 
-/// One link: its capacity, and its numbers during a solve (meaningful
-/// only for the links that carry flows).
+/// One link: its capacity, and its numbers during a solve.
 #[derive(Clone, Copy, Default)]
 struct LinkState {
     /// Capacity, bytes/second.
     capacity: f64,
     /// Capacity not yet given to fixed flows.
     remaining: f64,
-    /// `remaining.max(0.0) / load`, refreshed whenever either changes
-    /// (meaningless once the load is zero).
+    /// `remaining.max(0.0) / load`, refreshed whenever either changes on
+    /// a link in P with unfixed flows.
     share: f64,
     /// Number of flows crossing the link not yet given a rate.
     load: usize,
     /// The link gained or lost a flow since the last solve.
     changed: bool,
-    /// How many fixes of the last solve were on the link, and the latest
-    /// as `2 * fix + side` ([`NO_FIX`] if none).
+    /// How many fixes are in the link's history, and the latest as
+    /// `2 * fix + side` ([`NONE`] if none).
     fixed: usize,
     last_fix: usize,
 }
@@ -147,7 +184,6 @@ impl LinkState {
     fn take(&mut self, r: f64) {
         self.remaining = (self.remaining - r).max(0.0);
         self.load -= 1;
-        self.share = self.remaining.max(0.0) / self.load as f64;
     }
 }
 
@@ -169,127 +205,8 @@ struct Slot {
     ingress: usize,
     cap: f64,
     rate: f64,
-    /// The step of the last solve that fixed the flow, or [`UNFIXED`].
+    /// The id of the step that fixed the flow, or [`UNFIXED`].
     step: usize,
-}
-
-/// One step (pass of the main loop) of the last solve.
-#[derive(Clone, Copy)]
-struct Step {
-    /// The step's bottleneck share.
-    level: f64,
-    /// The step's fixes end at this index of [`Trace::fixes`].
-    end: usize,
-}
-
-/// One fix of the last solve. Its links are kept because the slot may
-/// hold another flow by the next solve. Side 0 is the egress link and
-/// side 1 the ingress link; the fixes on one link form a chain through
-/// `prev`, which is each link's history.
-#[derive(Clone, Copy)]
-struct Fix {
-    slot: usize,
-    step: usize,
-    links: [usize; 2],
-    /// Each link's `remaining` just before the fix.
-    before: [f64; 2],
-    /// Each link's previous fix as `2 * fix + side` ([`NO_FIX`] if none).
-    prev: [usize; 2],
-}
-
-/// What the last solve did, for the next one to resume from.
-#[derive(Default)]
-struct Trace {
-    steps: Vec<Step>,
-    /// Every fix, in order.
-    fixes: Vec<Fix>,
-    /// The slots the infinite-share step gave the unconstrained rate.
-    unbounded: Vec<usize>,
-}
-
-impl Trace {
-    /// Give the flow in slot `s` rate `r` at step `step` and take it off
-    /// its two links.
-    fn fix(&mut self, s: usize, r: f64, step: usize, slots: &mut [Slot], links: &mut [LinkState]) {
-        let r = r.max(0.0);
-        let slot = &mut slots[s];
-        slot.rate = r;
-        slot.step = step;
-        let i = self.fixes.len();
-        let mut fix = Fix {
-            slot: s,
-            step,
-            links: [slot.egress, slot.ingress],
-            before: [0.0; 2],
-            prev: [NO_FIX; 2],
-        };
-        for side in 0..2 {
-            let link = &mut links[fix.links[side]];
-            fix.before[side] = link.remaining;
-            fix.prev[side] = link.last_fix;
-            link.last_fix = 2 * i + side;
-            link.fixed += 1;
-            link.take(r);
-        }
-        self.fixes.push(fix);
-    }
-
-    /// The current step, at `level`, has made all its fixes.
-    fn end_step(&mut self, level: f64) {
-        self.steps.push(Step {
-            level,
-            end: self.fixes.len(),
-        });
-    }
-
-    /// Undo every step from `k` on: un-fix its flows, give each link
-    /// back the `remaining` it had before them, and mark their links
-    /// touched. A slot of the infinite-share step may hold another flow
-    /// by now; its links are then changed links, touched anyway.
-    fn rewind(
-        &mut self,
-        k: usize,
-        slots: &mut [Slot],
-        links: &mut [LinkState],
-        touched: &mut [u64],
-    ) {
-        if k >= self.steps.len() {
-            return;
-        }
-        let start = k.checked_sub(1).map_or(0, |j| self.steps[j].end);
-        for fix in self.fixes.drain(start..).rev() {
-            slots[fix.slot].step = UNFIXED;
-            for side in [1, 0] {
-                let l = fix.links[side];
-                let link = &mut links[l];
-                link.remaining = fix.before[side];
-                link.last_fix = fix.prev[side];
-                link.fixed -= 1;
-                mark(touched, l);
-            }
-        }
-        for s in self.unbounded.drain(..) {
-            let slot = &mut slots[s];
-            slot.step = UNFIXED;
-            mark(touched, slot.egress);
-            mark(touched, slot.ingress);
-        }
-        self.steps.truncate(k);
-    }
-
-    /// `link`'s fixes, oldest first, as (step, `remaining` just before),
-    /// into `out`.
-    fn history_of(&self, link: &LinkState, out: &mut Vec<(usize, f64)>) {
-        out.clear();
-        let mut at = link.last_fix;
-        for _ in 0..link.fixed {
-            let (fix, side) = (&self.fixes[at / 2], at % 2);
-            out.push((fix.step, fix.before[side]));
-            at = fix.prev[side];
-        }
-        debug_assert_eq!(at, NO_FIX, "a link's chain is longer than its fixes");
-        out.reverse();
-    }
 }
 
 /// What changed since the last solve.
@@ -297,14 +214,15 @@ struct Changes {
     /// The links that gained or lost a flow, each with its flow count at
     /// the last solve.
     links: Vec<(usize, usize)>,
-    /// The earliest step that fixed a removed flow ([`UNFIXED`] if none).
+    /// The earliest step position that fixed a removed flow ([`NONE`]
+    /// if none).
     removed_step: usize,
-    /// The smallest cap of an added capped flow (infinite if none).
-    added_cap: f64,
+    /// The capped flows added, as `(id, slot)`.
+    added_capped: Vec<(u64, usize)>,
     /// A capacity changed: the next solve starts from step 0.
     full: bool,
     /// The last solve's trace stopped short: the next one starts from
-    /// step 0 and marks every link with flows touched.
+    /// step 0 and puts every link with flows in P.
     short: bool,
 }
 
@@ -312,8 +230,8 @@ impl Default for Changes {
     fn default() -> Self {
         Changes {
             links: Vec::new(),
-            removed_step: UNFIXED,
-            added_cap: f64::INFINITY,
+            removed_step: NONE,
+            added_capped: Vec::new(),
             full: false,
             short: false,
         }
@@ -326,16 +244,58 @@ impl Changes {
         for (l, _) in self.links.drain(..) {
             states[l].changed = false;
         }
-        self.removed_step = UNFIXED;
-        self.added_cap = f64::INFINITY;
+        self.removed_step = NONE;
+        self.added_capped.clear();
         self.full = false;
         self.short = false;
     }
 }
 
-/// Set link `l`'s bit.
-fn mark(bits: &mut [u64], l: usize) {
-    bits[l / 64] |= 1 << (l % 64);
+/// A solve's working sets (module doc), empty between solves; kept so
+/// their buffers are reused.
+#[derive(Default)]
+struct Walk {
+    /// One bit per link in P.
+    in_p: Vec<u64>,
+    /// P's links that had unfixed flows when they joined, in joining
+    /// order; a scan drops the drained ones.
+    p_live: Vec<usize>,
+    /// At most the share of every P link with unfixed flows. A share
+    /// moves only when the link joins P or takes a fix, and each of those
+    /// lowers the floor to the new share, so the floor stays a lower
+    /// bound without a scan; a scan makes it exact.
+    p_floor: f64,
+    /// Capped flows unfixed since this solve began, as `(id, slot)`; an
+    /// entry is stale once its flow is fixed. `caps_floor` is at most
+    /// the smallest cap of a live entry, so a cap pass below it has
+    /// nothing to check.
+    caps: Vec<(u64, usize)>,
+    caps_floor: f64,
+    /// Fixes cut from a P link's history whose step is pending, as
+    /// `2 * fix + side` and the next entry of the step's list
+    /// ([`trace::Step::relinks`]). A cut walks a link's history newest
+    /// first and pushes at the head, so a step's list meets each link's
+    /// cuts oldest first.
+    relinks: Vec<(usize, usize)>,
+    /// Old steps may still be kept, so cuts are queued.
+    keeping: bool,
+    /// How many flows have no rate at this point of the solve.
+    unfixed: usize,
+    /// The steps placed after the resume point, in order.
+    placed: Vec<usize>,
+    /// Scratch: a cap pass's flows as `(id, slot)`.
+    hits: Vec<(u64, usize)>,
+}
+
+/// Whether link `l` has its bit in `bits`.
+fn in_set(bits: &[u64], l: usize) -> bool {
+    l != NONE && bits[l / 64] & 1 << (l % 64) != 0
+}
+
+/// Whether an old step must die given the links in P (`bits`): it has no
+/// bottleneck, or its bottleneck or minimum link is in P.
+fn doomed(bits: &[u64], step: &trace::Step) -> bool {
+    step.bottleneck == NONE || in_set(bits, step.bottleneck) || in_set(bits, step.min_link)
 }
 
 /// Remove one `(id, slot)` entry from an id-sorted list.
@@ -361,23 +321,15 @@ pub struct FairState {
     /// Per link: its flows' `(id, slot)`, ascending by id. A flow whose
     /// egress and ingress are one link appears twice.
     on_link: Vec<Vec<(u64, usize)>>,
-    /// One bit per link the next solve must look at (module doc); all
-    /// clear after a solve.
-    touched: Vec<u64>,
     /// Flow slots; `free` lists the vacant ones.
     slots: Vec<Slot>,
     free: Vec<usize>,
-    /// Flows with a finite private cap, ascending by id.
-    capped: Vec<(u64, usize)>,
     /// The last solve, and the changes since.
     trace: Trace,
     changes: Changes,
+    walk: Walk,
     /// A reused buffer for one changed link's history.
     history: Vec<(usize, f64)>,
-    /// Per-solve working lists: the links with unfixed flows and the
-    /// capped flows, compacted as they drain.
-    live: Vec<usize>,
-    capped_live: Vec<usize>,
     work: SolveWork,
 }
 
@@ -399,11 +351,11 @@ impl FairState {
         let l = self.links.len();
         self.links.push(LinkState {
             capacity,
-            last_fix: NO_FIX,
+            last_fix: NONE,
             ..LinkState::default()
         });
         self.on_link.push(Vec::new());
-        self.touched.resize((l + 1).div_ceil(64), 0);
+        self.walk.in_p.resize((l + 1).div_ceil(64), 0);
         l
     }
 
@@ -424,7 +376,6 @@ impl FairState {
         if !link.changed {
             link.changed = true;
             self.changes.links.push((l, self.on_link[l].len()));
-            mark(&mut self.touched, l);
         }
     }
 
@@ -464,9 +415,7 @@ impl FairState {
             list.push((id, s));
         }
         if rate_cap.is_finite() {
-            debug_assert!(self.capped.last().is_none_or(|&(last, _)| last < id));
-            self.capped.push((id, s));
-            self.changes.added_cap = self.changes.added_cap.min(rate_cap);
+            self.changes.added_capped.push((id, s));
         }
         s
     }
@@ -485,10 +434,16 @@ impl FairState {
             self.note_changed(l);
             remove_sorted(&mut self.on_link[l], id);
         }
-        if cap.is_finite() {
-            remove_sorted(&mut self.capped, id);
+        if step == UNFIXED {
+            if cap.is_finite() {
+                self.changes.added_capped.retain(|&(i, _)| i != id);
+            }
+        } else {
+            let at = self.trace.pos[step];
+            self.changes.removed_step = self.changes.removed_step.min(at);
+            // No dead step may release the flow: its step is killed.
+            self.slots[s].step = UNFIXED;
         }
-        self.changes.removed_step = self.changes.removed_step.min(step);
         self.free.push(s);
     }
 
@@ -499,22 +454,18 @@ impl FairState {
         self.links
             .extend(link_capacity.iter().map(|&capacity| LinkState {
                 capacity,
-                last_fix: NO_FIX,
+                last_fix: NONE,
                 ..LinkState::default()
             }));
         for list in &mut self.on_link {
             list.clear();
         }
         self.on_link.resize_with(link_capacity.len(), Vec::new);
-        self.touched.clear();
-        self.touched.resize(link_capacity.len().div_ceil(64), 0);
+        self.walk.in_p.clear();
+        self.walk.in_p.resize(link_capacity.len().div_ceil(64), 0);
         self.slots.clear();
         self.free.clear();
-        self.capped.clear();
-        let trace = &mut self.trace;
-        trace.steps.clear();
-        trace.fixes.clear();
-        trace.unbounded.clear();
+        self.trace.clear();
         self.changes = Changes::default();
     }
 
@@ -524,11 +475,12 @@ impl FairState {
     }
 
     /// How many of the last solve's steps the changes since leave
-    /// bit-identical: the stop rule of the module doc.
+    /// bit-identical: the resume point of the module doc.
     fn resume_point(&mut self) -> usize {
         let FairState {
             links,
             on_link,
+            slots,
             trace,
             changes,
             history,
@@ -537,13 +489,18 @@ impl FairState {
         if changes.full {
             return 0;
         }
-        let steps = &trace.steps;
-        let before_removed = steps.len().min(changes.removed_step);
-        // No cap exceeds an infinite level, so the infinite-share step
-        // always stops the replay.
-        let mut k = steps[..before_removed]
+        let order = &trace.order;
+        let before_removed = order.len().min(changes.removed_step);
+        let added_cap = changes
+            .added_capped
             .iter()
-            .position(|st| changes.added_cap <= st.level + EPS)
+            .map(|&(_, s)| slots[s].cap)
+            .fold(f64::INFINITY, f64::min);
+        // No cap exceeds an infinite level, so the infinite-share step
+        // always stops the scan.
+        let mut k = order[..before_removed]
+            .iter()
+            .position(|&id| added_cap <= trace.steps[id].level + EPS)
             .unwrap_or(before_removed);
         for &(l, before) in &changes.links {
             trace.history_of(&links[l], history);
@@ -552,7 +509,7 @@ impl FairState {
             // flows in both the old and the new set, since j precedes
             // every removed flow's fix.
             let mut seen = 0;
-            for (j, st) in steps[..k].iter().enumerate() {
+            for (j, &id) in order[..k].iter().enumerate() {
                 while history.get(seen).is_some_and(|&(at, _)| at < j) {
                     seen += 1;
                 }
@@ -561,7 +518,7 @@ impl FairState {
                     None if seen > 0 => links[l].remaining,
                     None => links[l].capacity,
                 };
-                let bound = st.level + EPS;
+                let bound = trace.steps[id].level + EPS;
                 if share(remaining, before - seen) <= bound
                     || share(remaining, after - seen) <= bound
                 {
@@ -573,157 +530,503 @@ impl FairState {
         k
     }
 
+    /// Whether the flow in slot `s` has no rate at this point of the
+    /// solve: no step fixed it, or its step is not placed (yet).
+    fn unfixed(&self, s: usize) -> bool {
+        let step = self.slots[s].step;
+        step == UNFIXED || !self.trace.steps[step].placed
+    }
+
+    /// P link `l`'s load or `remaining` moved: refresh its share, and
+    /// lower P's floor to it.
+    fn touch(&mut self, l: usize) {
+        let link = &mut self.links[l];
+        if link.load > 0 {
+            link.share = link.remaining.max(0.0) / link.load as f64;
+            self.walk.p_floor = self.walk.p_floor.min(link.share);
+        }
+    }
+
+    /// Put link `l` in P with its state at this point of the solve: cut
+    /// its history back to the fixes of placed steps, queueing each cut
+    /// fix of a pending step to be re-applied if its step is kept.
+    fn join(&mut self, l: usize) {
+        if self.cut(l) {
+            self.touch(l);
+        }
+    }
+
+    /// [`FairState::join`] without refreshing the share; returns whether
+    /// `l` was new to P.
+    fn cut(&mut self, l: usize) -> bool {
+        let (word, bit) = (l / 64, 1 << (l % 64));
+        if self.walk.in_p[word] & bit != 0 {
+            return false;
+        }
+        self.walk.in_p[word] |= bit;
+        let walk = &mut self.walk;
+        let trace = &mut self.trace;
+        let link = &mut self.links[l];
+        let mut at = link.last_fix;
+        while at != NONE {
+            let step = &mut trace.steps[trace.step_of[at / 2]];
+            if step.placed {
+                break;
+            }
+            let (fix, side) = (&trace.fixes[at / 2], at % 2);
+            if step.bottleneck == l {
+                // Every fix of a bottleneck step is on its bottleneck, one
+                // after another in the link's history: skip to the first.
+                // The step is dead, so none is queued.
+                let first = &trace.fixes[step.first];
+                let side = usize::from(first.links[0] != l);
+                link.fixed -= step.end - step.first + step.loops;
+                link.remaining = first.before[side];
+                at = first.prev[side];
+                continue;
+            }
+            link.remaining = fix.before[side];
+            link.fixed -= 1;
+            if walk.keeping {
+                walk.relinks.push((at, step.relinks));
+                step.relinks = walk.relinks.len() - 1;
+            }
+            at = fix.prev[side];
+        }
+        link.last_fix = at;
+        if link.fixed == 0 {
+            link.remaining = link.capacity;
+        }
+        link.load = self.on_link[l].len() - link.fixed;
+        if link.load > 0 {
+            walk.p_live.push(l);
+        }
+        true
+    }
+
+    /// The minimum share over P's links with unfixed flows (infinite if
+    /// none), which becomes P's floor. The scan drops drained links.
+    fn p_min(&mut self) -> f64 {
+        let FairState {
+            links, walk, work, ..
+        } = self;
+        work.link_visits += walk.p_live.len() as u64;
+        let mut min = f64::INFINITY;
+        walk.p_live.retain(|&l| {
+            let link = &links[l];
+            if link.load == 0 {
+                return false;
+            }
+            min = min.min(link.share);
+            true
+        });
+        walk.p_floor = min;
+        min
+    }
+
+    /// The lowest-index P link with unfixed flows and a share at most
+    /// `bound`, and the lowest-index one with a share of exactly `level`
+    /// ([`NONE`] if none).
+    fn p_ties(&mut self, bound: f64, level: f64) -> (usize, usize) {
+        let FairState {
+            links, walk, work, ..
+        } = self;
+        work.link_visits += walk.p_live.len() as u64;
+        let (mut first, mut at_level) = (NONE, NONE);
+        for &l in &walk.p_live {
+            let link = &links[l];
+            if link.load > 0 && link.share <= bound {
+                first = first.min(l);
+                if link.share.to_bits() == level.to_bits() {
+                    at_level = at_level.min(l);
+                }
+            }
+        }
+        (first, at_level)
+    }
+
+    /// Queue the capped flow `id` in slot `s`, unfixed since this solve
+    /// began.
+    fn queue_capped(&mut self, id: u64, s: usize) {
+        self.walk.caps.push((id, s));
+        self.walk.caps_floor = self.walk.caps_floor.min(self.slots[s].cap);
+    }
+
+    /// Whether a cap pass at `bound` fixes any flow: drop the stale
+    /// entries and tighten the floor when it does not rule that out.
+    fn cap_hit(&mut self, bound: f64) -> bool {
+        // Caps are finite, so an infinite floor means no entry is left.
+        if self.walk.caps_floor > bound || self.walk.caps_floor.is_infinite() {
+            return false;
+        }
+        let FairState {
+            slots, trace, walk, ..
+        } = self;
+        let mut floor = f64::INFINITY;
+        walk.caps.retain(|&(id, s)| {
+            let slot = &slots[s];
+            let live = slot.id == id && (slot.step == UNFIXED || !trace.steps[slot.step].placed);
+            if live {
+                floor = floor.min(slot.cap);
+            }
+            live
+        });
+        walk.caps_floor = floor;
+        floor.is_finite() && floor <= bound
+    }
+
+    /// Give the flow in slot `s` rate `r` in step `step`; its links join
+    /// P first. Link `drained` ([`NONE`] if none) loses every unfixed flow
+    /// in the step, so its share is not refreshed.
+    fn fix(&mut self, s: usize, r: f64, step: usize, drained: usize) {
+        let r = r.max(0.0);
+        let slot = &mut self.slots[s];
+        slot.rate = r;
+        slot.step = step;
+        let links = [slot.egress, slot.ingress];
+        self.cut(links[0]);
+        self.cut(links[1]);
+        self.trace.fix(s, links, r, step, &mut self.links);
+        self.work.fixes += 1;
+        self.walk.unfixed -= 1;
+        for l in links {
+            if l != drained {
+                self.touch(l);
+            }
+        }
+    }
+
+    /// Keep the old step `id`, re-applying its cut fixes to P links.
+    fn keep(&mut self, id: usize, min_link: usize) {
+        let step = &mut self.trace.steps[id];
+        step.placed = true;
+        step.min_link = min_link;
+        let r = step.level.max(0.0);
+        let mut at = step.relinks;
+        self.walk.unfixed -= step.end - step.first;
+        self.walk.placed.push(id);
+        while at != NONE {
+            let (code, next) = self.walk.relinks[at];
+            let l = self.trace.relink(code / 2, code % 2, r, &mut self.links);
+            self.work.fixes += 1;
+            self.touch(l);
+            at = next;
+        }
+    }
+
+    /// Drop the old step `id`: release its flows and put their links in
+    /// P.
+    fn kill(&mut self, id: usize) {
+        let step = self.trace.steps[id];
+        for f in step.first..step.end {
+            let trace::Fix { slot: s, links, .. } = self.trace.fixes[f];
+            let slot = &mut self.slots[s];
+            // The slot may hold a flow a fresh step fixed, or a new one.
+            if slot.step == id {
+                slot.step = UNFIXED;
+                if slot.cap.is_finite() {
+                    let id = slot.id;
+                    self.queue_capped(id, s);
+                }
+            }
+            self.join(links[0]);
+            self.join(links[1]);
+        }
+        if id == self.trace.infinite {
+            for i in 0..self.trace.unbounded.len() {
+                let s = self.trace.unbounded[i];
+                let slot = &mut self.slots[s];
+                if slot.step == id {
+                    slot.step = UNFIXED;
+                }
+                let links = [slot.egress, slot.ingress];
+                self.join(links[0]);
+                self.join(links[1]);
+            }
+        }
+        self.trace.free_step(id);
+    }
+
+    /// Kill the old steps at positions `from..to`.
+    fn kill_all(&mut self, from: usize, to: usize) {
+        self.walk.keeping = false;
+        for at in from..to {
+            self.kill(self.trace.order[at]);
+        }
+    }
+
+    /// Run a fresh step: a new placed step at `level`.
+    fn new_step(&mut self, level: f64, min_link: usize, bottleneck: usize) -> usize {
+        self.work.iterations += 1;
+        let id = self.trace.new_step(level, min_link, bottleneck);
+        self.walk.placed.push(id);
+        id
+    }
+
+    /// A fresh cap step: fix, in id order, every capped flow unfixed
+    /// since this solve began whose cap is at most `bound` (the entries
+    /// left are all live after [`FairState::cap_hit`]).
+    fn cap_step(&mut self, level: f64, min_link: usize, bound: f64) {
+        let id = self.new_step(level, min_link, NONE);
+        let mut hits = std::mem::take(&mut self.walk.hits);
+        let slots = &self.slots;
+        let mut floor = f64::INFINITY;
+        self.walk.caps.retain(|&(fid, s)| {
+            let cap = slots[s].cap;
+            if cap <= bound {
+                hits.push((fid, s));
+                return false;
+            }
+            floor = floor.min(cap);
+            true
+        });
+        self.walk.caps_floor = floor;
+        hits.sort_unstable();
+        for &(_, s) in &hits {
+            self.fix(s, self.slots[s].cap, id, NONE);
+        }
+        hits.clear();
+        self.walk.hits = hits;
+    }
+
+    /// A fresh step fixing every unfixed flow on `bottleneck` at `level`,
+    /// in id order. Returns whether it fixed any.
+    fn bottleneck_step(&mut self, level: f64, min_link: usize, bottleneck: usize) -> bool {
+        let id = self.new_step(level, min_link, bottleneck);
+        let mut fixed_any = false;
+        for i in 0..self.on_link[bottleneck].len() {
+            let s = self.on_link[bottleneck][i].1;
+            if self.unfixed(s) {
+                self.fix(s, level, id, bottleneck);
+                fixed_any = true;
+            }
+        }
+        fixed_any
+    }
+
+    /// The infinite-share step: no finite constraint remains, and every
+    /// unfixed flow (all on P links) gets a huge-but-finite rate, to keep
+    /// downstream arithmetic sane.
+    fn infinite_step(&mut self) {
+        let id = self.new_step(f64::INFINITY, NONE, NONE);
+        self.trace.infinite = id;
+        for i in 0..self.walk.p_live.len() {
+            let l = self.walk.p_live[i];
+            if self.links[l].load == 0 {
+                continue;
+            }
+            for j in 0..self.on_link[l].len() {
+                let s = self.on_link[l][j].1;
+                if self.unfixed(s) {
+                    let slot = &mut self.slots[s];
+                    slot.rate = f64::MAX / 1e6;
+                    slot.step = id;
+                    self.trace.unbounded.push(s);
+                    self.walk.unfixed -= 1;
+                }
+            }
+        }
+    }
+
     /// Compute the max–min fair rate of every flow; read them with
     /// [`FairState::rate`].
     pub(crate) fn solve(&mut self) {
+        self.solve_steps();
+        #[cfg(debug_assertions)]
+        if !self.changes.short {
+            self.check_against_a_fresh_solve();
+        }
+    }
+
+    /// The solve of the module doc: keep, kill and run steps from the
+    /// resume point on.
+    fn solve_steps(&mut self) {
         self.work.solves += 1;
         let k = self.resume_point();
-        let FairState {
-            links,
-            on_link,
-            touched,
-            slots,
-            free,
-            capped,
-            trace,
-            changes,
-            live,
-            capped_live,
-            work,
-            ..
-        } = self;
-        trace.rewind(k, slots, links, touched);
-        if changes.short {
-            for (l, list) in on_link.iter().enumerate() {
-                if !list.is_empty() {
-                    mark(touched, l);
+        let old = self.trace.order.len();
+        let mut pending = 0;
+        for &id in &self.trace.order[k..] {
+            let step = &mut self.trace.steps[id];
+            step.placed = false;
+            step.relinks = NONE;
+            pending += step.end - step.first;
+        }
+        // Each fix of a placed step gives one flow its rate; the flows of
+        // pending steps count as unfixed from here on.
+        self.walk.unfixed = self.slots.len() - self.free.len() - (self.trace.live - pending);
+        let (full, short) = (self.changes.full, self.changes.short);
+        self.walk.keeping = !full;
+        self.walk.p_floor = f64::INFINITY;
+        for i in 0..self.changes.links.len() {
+            self.join(self.changes.links[i].0);
+        }
+        if short {
+            for l in 0..self.links.len() {
+                if !self.on_link[l].is_empty() {
+                    self.join(l);
                 }
             }
         }
-        changes.clear(links);
+        self.walk.caps_floor = f64::INFINITY;
+        for i in 0..self.changes.added_capped.len() {
+            let (id, s) = self.changes.added_capped[i];
+            self.queue_capped(id, s);
+        }
+        self.changes.clear(&mut self.links);
+        let mut cursor = k;
+        if full {
+            self.kill_all(k, old);
+            cursor = old;
+        }
 
-        // The links with unfixed flows at step k, ascending, so that
-        // every scan below meets them in the order a scan of all links
-        // would. Only touched links can have any (module doc); sweeping
-        // their bitmap orders them without a sort, and clears it. A
-        // link's load is its flow count less the fixes on it so far.
-        live.clear();
-        for (w, bits) in touched.iter_mut().enumerate() {
-            let mut word = std::mem::take(bits);
-            while word != 0 {
-                let l = w * 64 + word.trailing_zeros() as usize;
-                word &= word - 1;
-                let link = &mut links[l];
-                if link.fixed == 0 {
-                    link.remaining = link.capacity;
+        loop {
+            if cursor == old && self.walk.unfixed == 0 {
+                break;
+            }
+            let old_step = (cursor < old).then(|| self.trace.steps[self.trace.order[cursor]]);
+            if let Some(step) = old_step {
+                let id = self.trace.order[cursor];
+                if doomed(&self.walk.in_p, &step) {
+                    self.kill(id);
+                    cursor += 1;
+                    continue;
                 }
-                link.load = on_link[l].len() - link.fixed;
-                if link.load > 0 {
-                    link.share = link.remaining.max(0.0) / link.load as f64;
-                    live.push(l);
+                // The keep test on P's floor, without a scan.
+                let bound = step.level + EPS;
+                if self.walk.p_floor > bound && !self.cap_hit(bound) {
+                    self.keep(id, step.min_link);
+                    cursor += 1;
+                    continue;
                 }
             }
-        }
-        if cfg!(debug_assertions) {
-            let scanned: Vec<usize> = (0..links.len())
-                .filter(|&l| on_link[l].len() > links[l].fixed)
-                .collect();
-            debug_assert_eq!(*live, scanned, "a link with unfixed flows was not touched");
-        }
-        capped_live.clear();
-        capped_live.extend(
-            capped
-                .iter()
-                .map(|&(_, s)| s)
-                .filter(|&s| slots[s].step == UNFIXED),
-        );
-        let mut active_count = slots.len() - free.len() - trace.fixes.len();
-
-        while active_count > 0 {
-            let step = trace.steps.len();
-            work.iterations += 1;
-            work.link_visits += live.len() as u64;
-            // Fair share offered by the most constrained link; drained
-            // links leave the live list.
-            let mut bottleneck_share = f64::INFINITY;
-            live.retain(|&l| {
-                let link = &links[l];
-                if link.load == 0 {
-                    return false;
+            let p_min = self.p_min();
+            // The step's minimum share, and whether it is the old step's.
+            let (level, repeats) = match old_step {
+                Some(step) if p_min > step.level || p_min.to_bits() == step.level.to_bits() => {
+                    (step.level, true)
                 }
-                bottleneck_share = bottleneck_share.min(link.share);
-                true
-            });
-
-            // Flows whose private cap binds below the link share are fixed
-            // at their cap; this releases capacity, so redo the loop
-            // afterwards.
-            let mut fixed_any_cap = false;
-            capped_live.retain(|&s| {
-                if slots[s].step != UNFIXED {
-                    return false;
+                Some(step) if p_min + EPS < step.level => (p_min, false),
+                Some(_) => {
+                    // The tie zone: P alone cannot tell which link a full
+                    // scan would choose, so every old step left goes.
+                    self.kill_all(cursor, old);
+                    cursor = old;
+                    continue;
                 }
-                let cap = slots[s].cap;
-                if cap <= bottleneck_share + EPS {
-                    trace.fix(s, cap, step, slots, links);
-                    active_count -= 1;
-                    fixed_any_cap = true;
-                    return false;
+                None if self.walk.p_live.is_empty() => {
+                    debug_assert!(false, "an unfixed flow is on no link of P");
+                    break;
                 }
-                true
-            });
-            if fixed_any_cap {
-                trace.end_step(bottleneck_share);
+                None => (p_min, false),
+            };
+            let bound = level + EPS;
+            let cap_hit = self.cap_hit(bound);
+            if repeats && !cap_hit && p_min > bound {
+                let id = self.trace.order[cursor];
+                self.keep(id, self.trace.steps[id].min_link);
+                cursor += 1;
                 continue;
             }
-
-            if !bottleneck_share.is_finite() {
-                // No finite constraint remains: uncapped flows on
-                // unconstrained links, all of them on live links. Give
-                // them a huge-but-finite rate to keep downstream
-                // arithmetic sane, and stop.
-                for &l in live.iter() {
-                    for &(_, s) in &on_link[l] {
-                        let slot = &mut slots[s];
-                        if slot.step == UNFIXED {
-                            slot.rate = f64::MAX / 1e6;
-                            slot.step = step;
-                            trace.unbounded.push(s);
-                        }
+            let (first, at_level) = if level.is_finite() {
+                self.p_ties(bound, level)
+            } else {
+                (NONE, NONE)
+            };
+            let min_link = match old_step {
+                Some(step) if repeats => step.min_link.min(at_level),
+                _ => at_level,
+            };
+            if cap_hit {
+                self.cap_step(level, min_link, bound);
+                continue;
+            }
+            if !level.is_finite() {
+                self.infinite_step();
+                break;
+            }
+            match old_step {
+                Some(step) if repeats && step.bottleneck < first => {
+                    self.keep(self.trace.order[cursor], min_link);
+                    cursor += 1;
+                }
+                _ => {
+                    if !self.bottleneck_step(level, min_link, first) {
+                        debug_assert!(false, "water-filling made no progress");
+                        // The trace stops short, so the next solve must
+                        // not resume from it.
+                        self.kill_all(cursor, old);
+                        self.changes.full = true;
+                        self.changes.short = true;
+                        break;
                     }
                 }
-                trace.end_step(bottleneck_share);
-                break;
             }
+        }
 
-            // Fix every flow on the first (lowest-index) bottleneck link,
-            // in id order, then recompute.
-            let found = live
+        // Splice the placed steps in after the resume point.
+        let FairState { trace, walk, .. } = self;
+        trace.order.truncate(k);
+        for (i, &id) in walk.placed.iter().enumerate() {
+            trace.pos[id] = k + i;
+        }
+        trace.order.append(&mut walk.placed);
+        walk.in_p.fill(0);
+        walk.p_live.clear();
+        walk.caps.clear();
+        walk.relinks.clear();
+        trace.compact(&mut self.links);
+    }
+
+    /// The debug trace sanitizer: solve the same flows on a fresh state
+    /// and require the same rates, and the same trace: levels (bits),
+    /// minimum links, bottlenecks and every link's history.
+    #[cfg(debug_assertions)]
+    fn check_against_a_fresh_solve(&self) {
+        let mut vacant = vec![false; self.slots.len()];
+        for &s in &self.free {
+            vacant[s] = true;
+        }
+        let mut flows: Vec<(u64, usize)> = (0..self.slots.len())
+            .filter(|&s| !vacant[s])
+            .map(|s| (self.slots[s].id, s))
+            .collect();
+        flows.sort_unstable();
+        let mut fresh = FairState::default();
+        for link in &self.links {
+            fresh.add_link(link.capacity);
+        }
+        for &(id, s) in &flows {
+            let f = &self.slots[s];
+            fresh.add_flow(id, f.egress, f.ingress, f.cap);
+        }
+        fresh.solve_steps();
+        for (t, &(id, s)) in flows.iter().enumerate() {
+            let (got, want) = (self.slots[s].rate, fresh.slots[t].rate);
+            assert_eq!(got.to_bits(), want.to_bits(), "flow {id}: rate");
+        }
+        let steps = |state: &FairState| -> Vec<(u64, usize, usize)> {
+            let trace = &state.trace;
+            trace
+                .order
                 .iter()
-                .position(|&l| links[l].share <= bottleneck_share + EPS);
-            work.link_visits += found.map_or(live.len(), |p| p + 1) as u64;
-            let Some(p) = found else {
-                debug_assert!(false, "water-filling made no progress");
-                // The trace stops short, so the next solve must not
-                // resume from it.
-                changes.full = true;
-                changes.short = true;
-                break;
-            };
-            let mut fixed_any = false;
-            for &(_, s) in &on_link[live[p]] {
-                if slots[s].step == UNFIXED {
-                    trace.fix(s, bottleneck_share, step, slots, links);
-                    active_count -= 1;
-                    fixed_any = true;
-                }
-            }
-            trace.end_step(bottleneck_share);
-            debug_assert!(fixed_any, "bottleneck link had no active flows");
-            if !fixed_any {
-                changes.full = true;
-                changes.short = true;
-                break;
+                .map(|&id| {
+                    let st = &trace.steps[id];
+                    (st.level.to_bits(), st.min_link, st.bottleneck)
+                })
+                .collect()
+        };
+        assert_eq!(steps(self), steps(&fresh), "steps (level, min, bottleneck)");
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        for (l, link) in self.links.iter().enumerate() {
+            self.trace.history_of(link, &mut got);
+            fresh.trace.history_of(&fresh.links[l], &mut want);
+            let bits =
+                |h: &[(usize, f64)]| h.iter().map(|&(j, r)| (j, r.to_bits())).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "link {l}: history");
+            // The next resume reads a loaded link's `remaining`.
+            if !self.on_link[l].is_empty() {
+                let (got, want) = (link.remaining, fresh.links[l].remaining);
+                assert_eq!(got.to_bits(), want.to_bits(), "link {l}: remaining");
             }
         }
     }
@@ -747,124 +1050,6 @@ fn load_and_solve(flows: &[FlowSpec], link_capacity: &[f64], state: &mut FairSta
     }
     state.solve();
     state.slots.iter().map(|s| s.rate).collect()
-}
-/// The full-scan water-filling `FairState::solve` replaced: every
-/// iteration scans all of `link_capacity` and all flows. Kept as the
-/// oracle the differential tests compare the fast solver against bit for
-/// bit.
-pub fn max_min_fair_reference(flows: &[FlowSpec], link_capacity: &[f64]) -> Vec<f64> {
-    let n = flows.len();
-    let mut rate = vec![0.0; n];
-    if n == 0 {
-        return rate;
-    }
-
-    let mut remaining = link_capacity.to_vec();
-    let mut active = vec![true; n];
-    let mut active_count = n;
-    // Number of active flows on each link.
-    let mut load = vec![0usize; link_capacity.len()];
-    for f in flows {
-        load[f.egress_link] += 1;
-        load[f.ingress_link] += 1;
-    }
-
-    while active_count > 0 {
-        // Fair share offered by the most constrained link.
-        let mut bottleneck_share = f64::INFINITY;
-        for (l, &cap) in remaining.iter().enumerate() {
-            if load[l] > 0 {
-                bottleneck_share = bottleneck_share.min(cap.max(0.0) / load[l] as f64);
-            }
-        }
-
-        // Flows whose private cap binds below the link share are fixed at
-        // their cap; this releases capacity, so redo the loop afterwards.
-        let mut fixed_any_cap = false;
-        for i in 0..n {
-            if active[i]
-                && flows[i].rate_cap.is_finite()
-                && flows[i].rate_cap <= bottleneck_share + EPS
-            {
-                fix_flow(
-                    i,
-                    flows[i].rate_cap,
-                    flows,
-                    &mut rate,
-                    &mut remaining,
-                    &mut load,
-                    &mut active,
-                );
-                active_count -= 1;
-                fixed_any_cap = true;
-            }
-        }
-        if fixed_any_cap {
-            continue;
-        }
-
-        if !bottleneck_share.is_finite() {
-            // No finite constraint remains: uncapped flows on unconstrained
-            // links. Give them a huge-but-finite rate to keep downstream
-            // arithmetic sane, and stop.
-            for i in 0..n {
-                if active[i] {
-                    rate[i] = f64::MAX / 1e6;
-                    active[i] = false;
-                }
-            }
-            break;
-        }
-
-        // Fix every flow on the (first) bottleneck link, then recompute.
-        let bottleneck_link = (0..remaining.len()).find(|&l| {
-            load[l] > 0 && (remaining[l].max(0.0) / load[l] as f64) <= bottleneck_share + EPS
-        });
-        let Some(l) = bottleneck_link else {
-            debug_assert!(false, "water-filling made no progress");
-            break;
-        };
-        let mut fixed_any = false;
-        for i in 0..n {
-            if active[i] && (flows[i].egress_link == l || flows[i].ingress_link == l) {
-                fix_flow(
-                    i,
-                    bottleneck_share,
-                    flows,
-                    &mut rate,
-                    &mut remaining,
-                    &mut load,
-                    &mut active,
-                );
-                active_count -= 1;
-                fixed_any = true;
-            }
-        }
-        debug_assert!(fixed_any, "bottleneck link had no active flows");
-        if !fixed_any {
-            break;
-        }
-    }
-    rate
-}
-
-fn fix_flow(
-    i: usize,
-    r: f64,
-    flows: &[FlowSpec],
-    rate: &mut [f64],
-    remaining: &mut [f64],
-    load: &mut [usize],
-    active: &mut [bool],
-) {
-    let r = r.max(0.0);
-    rate[i] = r;
-    active[i] = false;
-    let f = &flows[i];
-    remaining[f.egress_link] = (remaining[f.egress_link] - r).max(0.0);
-    remaining[f.ingress_link] = (remaining[f.ingress_link] - r).max(0.0);
-    load[f.egress_link] -= 1;
-    load[f.ingress_link] -= 1;
 }
 
 #[cfg(test)]
@@ -1153,6 +1338,47 @@ mod tests {
         assert_eq!(state.work().iterations, 5);
         assert_eq!(state.rate(flows[0].0), 100.0);
         assert_eq!(state.rate(flows[4].0), 250.0);
+    }
+
+    #[test]
+    fn a_change_in_one_component_leaves_the_others_steps_in_place() {
+        // Component A: link 0 (10) shared by flows from links 1 and 2.
+        // Component B: link 10 (100) shared by flows from links 11 to 14.
+        // Step 0 fixes A's flows at 5 and step 1 B's at 25. A third flow
+        // into link 0 kills step 0 and runs one fresh step at 10 / 3;
+        // B's step is kept, so its four fixes are neither undone nor
+        // redone.
+        let mut caps = vec![1000.0; 15];
+        caps[0] = 10.0;
+        caps[10] = 100.0;
+        let mut state = FairState::default();
+        for &c in &caps {
+            state.add_link(c);
+        }
+        let mut flows = Vec::new();
+        for (id, e, g) in [
+            (0, 1, 0),
+            (1, 2, 0),
+            (2, 11, 10),
+            (3, 12, 10),
+            (4, 13, 10),
+            (5, 14, 10),
+        ] {
+            flows.push((state.add_flow(id, e, g, INF), spec(e, g, INF)));
+        }
+        solve_and_check(&mut state, &flows, &caps);
+        let before = state.work();
+        assert_eq!((before.iterations, before.fixes), (2, 6), "{before:?}");
+        flows.push((state.add_flow(6, 3, 0, INF), spec(3, 0, INF)));
+        solve_and_check(&mut state, &flows, &caps);
+        let after = state.work();
+        let run = (
+            after.iterations - before.iterations,
+            after.fixes - before.fixes,
+        );
+        assert_eq!(run, (1, 3), "{after:?}");
+        assert_eq!(state.rate(flows[0].0), 10.0 / 3.0);
+        assert_eq!(state.rate(flows[2].0), 25.0);
     }
 
     /// Check the three max-min properties on a random-ish asymmetric case.

@@ -9,11 +9,15 @@
 //! and bandwidth changes, often several at one instant, and every rate
 //! (bit for bit), next completion and flow record must agree.
 //!
-//! Two operation mixes run. In the first, one operation in five changes a
-//! node's bandwidth, which forces a full solve. In the second, bandwidth
+//! Three operation mixes run. In the first, one operation in five changes
+//! a node's bandwidth, which forces a full solve. In the second, bandwidth
 //! changes are rare, so most solves resume from the previous solve's
 //! trace, and some capacities and caps are values whose differences
-//! round.
+//! round. The third resumes over a star: a hub node and disjoint worker
+//! pairs, so that a change on one pair leaves the other pairs' steps to
+//! be kept, a change at the hub kills the hub's step and perturbs every
+//! worker it reaches, and near-tie bandwidths on separate pairs send
+//! steps through the tie zone.
 
 use vine_net::fairshare::{max_min_fair_reference, FlowSpec};
 use vine_net::{Fabric, FlowId, FlowRecord, NodeId};
@@ -185,6 +189,16 @@ fn assert_same_reads(fab: &mut Fabric, eager: &EagerFabric, ids: &[FlowId], ctx:
 const NODE_BW: [f64; 8] = [100.0, 100.0 + 4e-10, 250.0, 1.25e9, 3.0, 0.0, INF, 1e6];
 const FLOW_CAP: [f64; 5] = [INF, 0.0, 40.0, 100.0, 7e5];
 
+/// Which node pairs a started flow joins.
+#[derive(Clone, Copy)]
+enum Shape {
+    /// Any two distinct nodes.
+    Mesh,
+    /// Node 0 is the hub; workers `2j + 1` and `2j + 2` are partners. A
+    /// flow runs between the hub and a worker or between two partners.
+    Star,
+}
+
 /// One fabric operation a churn run can draw.
 #[derive(Clone, Copy)]
 enum Op {
@@ -209,6 +223,9 @@ struct Churn {
     /// The node bandwidths and flow caps drawn from.
     node_bw: &'static [f64],
     flow_cap: &'static [f64],
+    /// About one started flow in `capped_one_in` draws a cap.
+    capped_one_in: u64,
+    shape: Shape,
 }
 
 /// The operation a draw in `0..total weight` picks.
@@ -270,13 +287,33 @@ fn run_churn(churn: &Churn) {
             }
             match pick(churn.ops, next() % total_weight) {
                 Op::Start => {
-                    let src = (next() % n_nodes as u64) as usize;
-                    let dst = (src + 1 + (next() % (n_nodes as u64 - 1)) as usize) % n_nodes;
+                    let (src, dst) = match churn.shape {
+                        Shape::Mesh => {
+                            let src = (next() % n_nodes as u64) as usize;
+                            (
+                                src,
+                                (src + 1 + (next() % (n_nodes as u64 - 1)) as usize) % n_nodes,
+                            )
+                        }
+                        Shape::Star => {
+                            let w = 1 + (next() % (n_nodes as u64 - 1)) as usize;
+                            let partner = if w % 2 == 1 { w + 1 } else { w - 1 };
+                            let (a, b) = match next() % 3 {
+                                0 if partner < n_nodes => (w, partner),
+                                _ => (0, w),
+                            };
+                            if next() % 2 == 0 {
+                                (a, b)
+                            } else {
+                                (b, a)
+                            }
+                        }
+                    };
                     let bytes = match next() % 6 {
                         0 => 0,
                         _ => 1 + next() % 10_000_000,
                     };
-                    let cap = match next() % 3 {
+                    let cap = match next() % churn.capped_one_in {
                         0 => flow_cap[(next() % flow_cap.len() as u64) as usize],
                         _ => INF,
                     };
@@ -345,6 +382,8 @@ fn lazy_fabric_matches_eager_reference_bit_for_bit() {
         read_one_in: 3,
         node_bw: &NODE_BW,
         flow_cap: &FLOW_CAP,
+        capped_one_in: 3,
+        shape: Shape::Mesh,
     });
 }
 
@@ -384,5 +423,41 @@ fn resumed_solves_match_eager_reference_bit_for_bit() {
             1e3 / 3.0,
         ],
         flow_cap: &[INF, 0.0, 40.0, 100.0, 7e5, 0.1, 0.2, 0.3],
+        capped_one_in: 3,
+        shape: Shape::Mesh,
+    });
+}
+
+#[test]
+fn star_with_worker_pairs_matches_eager_reference_bit_for_bit() {
+    // Most flows run between partner workers, the rest through the hub;
+    // few are capped, and bandwidth changes are rare, so most solves
+    // resume. The near-tie palette spreads over the pairs.
+    use Op::*;
+    run_churn(&Churn {
+        seed: 0xB5AD_4ECE_DA1C_E2A9,
+        cases: 60,
+        node_spread: 30,
+        steps: 400,
+        ops: &[
+            (Start, 28),
+            (Complete, 18),
+            (Cancel, 9),
+            (CancelTouching, 4),
+            (SetBandwidth, 1),
+        ],
+        read_one_in: 2,
+        node_bw: &[
+            100.0,
+            100.0 + 4e-10,
+            100.0 - 4e-10,
+            250.0,
+            1e3 / 3.0,
+            1e6,
+            0.7,
+        ],
+        flow_cap: &[40.0, 100.0, 100.0 + 4e-10, 0.3, 7e5],
+        capped_one_in: 8,
+        shape: Shape::Star,
     });
 }

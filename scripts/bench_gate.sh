@@ -15,7 +15,8 @@
 #
 #    The same section gates the exact work counters of the flow fabric
 #    (fabric_changes, fabric_solves, solver_iterations,
-#    solver_link_visits) and of placement (peer_wait_visits, pick_visits):
+#    solver_link_visits, solver_fixes) and of placement (peer_wait_visits,
+#    pick_visits):
 #    they are deterministic for a fixed (workload, seed), so any rise
 #    above the baseline fails, with no noise margin.
 #
@@ -167,7 +168,7 @@ if [ "$MODE" != classic ]; then
       exit (ratio > 1.25) ? 1 : 0
     }'
     for key in fabric_changes fabric_solves solver_iterations solver_link_visits \
-               peer_wait_visits pick_visits; do
+               solver_fixes peer_wait_visits pick_visits; do
       new=$(extract_wl "$key" "$wl" "$OUT")
       old=$(extract_wl "$key" "$wl" "$BASELINE")
       if [ -z "$old" ]; then

@@ -38,7 +38,7 @@ trap 'rm -rf "$tmp"' EXIT
 workloads="dv3-campus agc-fanout facility-warm"
 seeds="1 7 4242"
 sims="dv3-full agc-scale"
-counters="fabric_changes fabric_solves solver_iterations solver_link_visits"
+counters="fabric_changes fabric_solves solver_iterations solver_link_visits solver_fixes"
 
 # build DIR TARGET OUT: build perfbench and vine-sim from checkout DIR
 # into cargo target TARGET, and copy both binaries to OUT. Cargo reads
